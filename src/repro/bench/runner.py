@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -91,53 +90,11 @@ def run_single(
     return proc.run(graph, max_iterations=max_iterations)
 
 
-#: One-shot flag so the positional-tail deprecation fires only once
-#: per process, not once per grid.
-_POSITIONAL_TAIL_WARNED = False
-
-_TAIL_ARG_NAMES = ("config", "max_iterations", "symmetrize")
-
-
-def _absorb_positional_tail(legacy_tail, kwargs):
-    """Map a legacy positional ``(config, max_iterations, symmetrize)``
-    tail onto the keyword-only arguments, warning once."""
-    global _POSITIONAL_TAIL_WARNED
-    if len(legacy_tail) > len(_TAIL_ARG_NAMES):
-        raise TypeError(
-            "run_schedule_comparison() takes at most 3 positional "
-            "arguments after 'schedules' "
-            f"({len(legacy_tail)} given)"
-        )
-    if not _POSITIONAL_TAIL_WARNED:
-        _POSITIONAL_TAIL_WARNED = True
-        passed = ", ".join(_TAIL_ARG_NAMES[:len(legacy_tail)])
-        warnings.warn(
-            f"passing ({passed}) positionally to "
-            "run_schedule_comparison() is deprecated; use keyword "
-            "arguments (config=..., max_iterations=..., "
-            "symmetrize=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    for name, value in zip(_TAIL_ARG_NAMES, legacy_tail):
-        if kwargs[name] is not _TAIL_DEFAULTS[name]:
-            raise TypeError(
-                f"run_schedule_comparison() got multiple values for "
-                f"argument {name!r}"
-            )
-        kwargs[name] = value
-    return kwargs
-
-
-_TAIL_DEFAULTS = {"config": None, "max_iterations": None,
-                  "symmetrize": False}
-
-
 def run_schedule_comparison(
     algorithm_factory: Callable[[], Algorithm],
     graphs: Dict[str, CSRGraph],
     schedules: Sequence[str],
-    *legacy_tail,
+    *,
     config: Optional[GPUConfig] = None,
     max_iterations: Optional[int] = None,
     symmetrize: bool = False,
@@ -149,9 +106,7 @@ def run_schedule_comparison(
     """The Fig. 10-style grid: every schedule on every graph.
 
     ``algorithm_factory`` is called per run so trials never share
-    mutable state.  ``config`` / ``max_iterations`` / ``symmetrize``
-    are keyword-only; a positional tail still works through a
-    deprecation shim (one warning per process) for old call sites.
+    mutable state.  Everything after ``schedules`` is keyword-only.
 
     The grid runs serially in-process by default.  Passing ``jobs=N``,
     a :class:`~repro.runtime.cache.ResultCache`, or a
@@ -161,15 +116,6 @@ def run_schedule_comparison(
     factory, i.e. an :class:`~repro.runtime.jobspec.AlgorithmSpec`.
     Cell ordering and cycle counts are identical either way.
     """
-    if legacy_tail:
-        absorbed = _absorb_positional_tail(
-            legacy_tail,
-            {"config": config, "max_iterations": max_iterations,
-             "symmetrize": symmetrize},
-        )
-        config = absorbed["config"]
-        max_iterations = absorbed["max_iterations"]
-        symmetrize = absorbed["symmetrize"]
     if _engine_requested(jobs, cache, telemetry):
         from repro.runtime import AlgorithmSpec
 

@@ -11,7 +11,6 @@ vertex properties and the merged :class:`~repro.sim.stats.KernelStats`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Union
@@ -29,22 +28,6 @@ from repro.sim.fast import ReplayHint
 from repro.sim.instructions import Phase, alu, load, store
 from repro.sim.memory import MemoryMap
 from repro.sim.stats import KernelStats
-
-_GPU_KWARG_WARNED = False
-
-
-def _warn_gpu_kwarg() -> None:
-    """Warn once per process about the legacy ``gpu=`` spelling."""
-    global _GPU_KWARG_WARNED
-    if not _GPU_KWARG_WARNED:
-        _GPU_KWARG_WARNED = True
-        warnings.warn(
-            "GraphProcessor(gpu=...) is deprecated; pass "
-            "engine='<name>' instead (see docs/engines.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
 
 @dataclass
 class RunResult:
@@ -78,7 +61,6 @@ class GraphProcessor:
         tracer=None,
         exec_tracer=None,
         engine: Optional[str] = None,
-        gpu: Optional[str] = None,
     ) -> None:
         """``validate=True`` arms the edge-coverage check: every gather
         launch must hand each traversal edge to ``edge_update`` at most
@@ -98,13 +80,8 @@ class GraphProcessor:
         (``reference``, ``fast``, ``auto``, or any registered engine;
         ``None`` resolves via ``REPRO_ENGINE`` then the default).  The
         engine never changes simulated results — only how fast they
-        are produced.  ``gpu`` is the deprecated spelling of the same
-        parameter.
+        are produced.
         """
-        if gpu is not None:
-            _warn_gpu_kwarg()
-            if engine is None:
-                engine = gpu
         self._engine = get_engine(engine)
         self.engine_name = self._engine.name
         self.algorithm = algorithm
@@ -159,17 +136,15 @@ class GraphProcessor:
         # and replays it on later launches.  The gather kernel is only
         # eligible when its instruction stream cannot depend on state
         # the kernel itself mutates (``trace_safe`` schedules, no
-        # filters / early exit) and nothing forces the per-instruction
-        # loop (hardware units, execution tracers).  During the trace
-        # drain a recording ``edge_update`` captures argument tuples
-        # instead of mutating state; every replay re-executes them in
-        # issue order, so float accumulation order matches reference.
-        # Init/apply are grid-stride elementwise kernels, so a replay
-        # GPU can compile their traces analytically (contiguous
-        # per-warp index ranges) and never needs the warp generators;
-        # an execution tracer forces the reference loop, which does.
-        fast_elementwise = (gpu.supports_replay
-                            and self.exec_tracer is None)
+        # filters / early exit) and it needs no hardware unit.  During
+        # the trace drain a recording ``edge_update`` captures argument
+        # tuples instead of mutating state; every replay re-executes
+        # them in issue order, so float accumulation order matches
+        # reference.  Init/apply are grid-stride elementwise kernels,
+        # so a replay GPU compiles their traces analytically
+        # (contiguous per-warp index ranges) and never needs the warp
+        # generators.
+        fast_elementwise = gpu.supports_replay
         if fast_elementwise:
             init_hint = ReplayHint("init", elementwise=(
                 [],
@@ -186,7 +161,6 @@ class GraphProcessor:
             apply_hint = ReplayHint("apply")
         fast_gather = (
             gpu.supports_replay
-            and self.exec_tracer is None
             and self.schedule.trace_safe
             and not self.schedule.uses_hardware_unit
             and not (alg.has_base_filter or alg.has_other_filter

@@ -308,12 +308,15 @@ class MetricsRegistry:
                     dst["count"] += series.get("count", 0)
 
     # ------------------------------------------------------------------
-    def publish_kernel_stats(self, stats) -> None:
+    def publish_kernel_stats(self, stats, cache=None) -> None:
         """Fold one :class:`~repro.sim.stats.KernelStats` into counters.
 
         Called by :meth:`repro.sim.gpu.GPU.run_kernel` at kernel end so
         the simulator's per-run accounting and the registry share one
-        export path without touching the issue loop.
+        export path without touching the issue loop.  ``cache`` maps
+        each level to the kernel's :class:`~repro.sim.stats.CacheStats`
+        delta (cache tag state, and so ``stats.cache``, persists across
+        kernels on one GPU).
         """
         if not self.enabled:
             return
@@ -333,6 +336,15 @@ class MetricsRegistry:
                               "Cycles by execution phase")
         for phase, cycles in stats.phase_cycles.items():
             phases.inc(cycles, phase=phase.name)
+        self.counter("sim_dram_accesses_total",
+                     "DRAM line fills").inc(stats.dram_accesses)
+        accesses = self.counter("sim_cache_accesses_total",
+                                "Cache accesses by level and outcome")
+        for level, counts in (cache or {}).items():
+            if counts.hits:
+                accesses.inc(counts.hits, level=level, outcome="hit")
+            if counts.misses:
+                accesses.inc(counts.misses, level=level, outcome="miss")
 
     def save(self, path) -> Path:
         """Write :meth:`snapshot` as JSON; returns the path written."""

@@ -6,10 +6,10 @@ wall-time** — where the pure-Python simulator actually spends the
 seconds — so optimization work on the interpreter starts from a
 measurement instead of a guess.  Three layers:
 
-* :class:`PhaseProfiler` — enter/exit hooks compiled into the
-  simulator hot path (:mod:`repro.sim.gpu` warp scheduling and
-  execute, :mod:`repro.sim.memory` / :mod:`repro.sim.cache` lookups)
-  accumulate wall-seconds and call counts per phase, plus per-opcode
+* :class:`PhaseProfiler` — section timers in the simulator's event
+  loop (:mod:`repro.sim.gpu`: setup, warp scheduling, record draw,
+  execute, memory walk, accounting, finalize) accumulate
+  wall-seconds and call counts per phase, plus per-opcode
   execute-time histograms and a derived
   ``simulated_cycles_per_wall_second`` per kernel.  Disabled by
   default: every hook is behind a single local truth test, so cycle
@@ -92,8 +92,9 @@ OP_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Phase-name convention: names containing ``/`` (``mem/access``,
-#: ``mem/l1``) are *nested* inside a top-level phase and are excluded
-#: from the coverage total, so wall-time is never double-counted.
+#: ``stats/merge``) are *nested* inside a top-level phase and are
+#: excluded from the coverage total, so wall-time is never
+#: double-counted.
 NESTED_SEP = "/"
 
 

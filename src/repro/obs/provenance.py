@@ -6,10 +6,10 @@ fleet worker against a serial run — a pass/fail cycle comparison says
 *that* they diverged but not *where*.  This module makes the "where"
 cheap to capture and mechanical to find:
 
-* :class:`StateDigester` — guarded hooks in the simulator hot path
-  (:mod:`repro.sim.gpu` issue/stall accounting, :mod:`repro.sim.memory`
-  accesses, :mod:`repro.sim.cache` lookups, :mod:`repro.sim.stats`
-  merges) fold architectural state into **rolling 64-bit digests**, one
+* :class:`StateDigester` — an observer of the simulator's event loop
+  (issue, stall, memory-walk and kernel-end events, see
+  :mod:`repro.sim.gpu`) plus a :mod:`repro.sim.stats` merge hook that
+  folds architectural state into **rolling 64-bit digests**, one
   stream per ``(core, warp)`` closed every ``interval_cycles`` simulated
   cycles.  The result is a per-job **digest ledger**: an ordered list of
   ``[kernel, interval, core, warp, digest, events]`` records small
@@ -20,10 +20,9 @@ cheap to capture and mechanical to find:
   whose digests disagree, which is exactly the first simulated interval
   at which the two executions stopped being the same machine.
 
-Same guard discipline as :class:`~repro.obs.profile.PhaseProfiler`:
-disabled (``REPRO_DIGEST`` unset) every hook is one local truth test,
-no clock reads, no allocation — simulated cycle counts and summary
-dicts are bit-identical with or without the module imported.  Digests
+Disabled (``REPRO_DIGEST`` unset) the digester is simply not among the
+loop's observers — no clock reads, no allocation — so simulated cycle
+counts and summary dicts are bit-identical with or without it.  Digests
 fold only *simulated* values (times, opcodes, latencies, counts), so an
 enabled digester never perturbs cycles either; it can only observe.
 
@@ -100,12 +99,10 @@ def resolve_interval(value: Optional[int] = None) -> int:
 class StateDigester:
     """Rolling per-interval digests of simulated architectural state.
 
-    The simulator calls :meth:`note_issue` / :meth:`note_stall` /
-    :meth:`note_mem` / :meth:`note_cache` only after hoisting
-    :attr:`enabled` into a local (the PhaseProfiler guard discipline),
-    so a disabled digester costs one comparison per instrumented
-    section and a job's summary is byte-identical to one produced
-    before this module existed.
+    An event-loop observer (:meth:`on_issue` / :meth:`on_stall` /
+    :meth:`on_mem` / :meth:`on_kernel`); the loop attaches it only
+    while :attr:`enabled`, so a disabled digester costs nothing and a
+    job's summary is byte-identical to one produced without it.
     """
 
     def __init__(self, enabled: bool = False,
@@ -116,9 +113,8 @@ class StateDigester:
         self._records: List[List[Any]] = []
         #: Open streams: (core, warp) -> [interval, digest, events].
         self._streams: Dict[Tuple[int, int], List[int]] = {}
-        #: Per-level cache hit/miss counts for the current kernel.
-        self._cache_counts: Dict[str, List[int]] = {}
-        self._kernel = -1
+        #: Launch index of the running kernel.
+        self._kernel = 0
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
 
@@ -129,23 +125,18 @@ class StateDigester:
         """Reset all state; the next kernel is index 0."""
         self._records = []
         self._streams = {}
-        self._cache_counts = {}
-        self._kernel = -1
+        self._kernel = 0
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
 
-    def begin_kernel(self) -> None:
-        """Advance to the next kernel in launch order."""
-        self._flush_streams()  # safety: a kernel that never ended
-        self._kernel += 1
-        self._cache_counts = {}
-
-    def end_kernel(self, stats) -> None:
+    def on_kernel(self, stats, cache) -> None:
         """Close the kernel: flush streams, emit its summary record.
 
         ``stats`` is the kernel's :class:`~repro.sim.stats.KernelStats`
         (duck-typed; only plain counters are read), captured after the
-        engine folded stall cells and per-kernel cache/DRAM deltas.
+        engine folded stall cells and the DRAM delta; ``cache`` maps
+        each level (``"L1"``...) to its per-kernel
+        :class:`~repro.sim.stats.CacheStats` delta.
         """
         self._flush_streams()
         h = _FNV_OFFSET
@@ -160,14 +151,16 @@ class StateDigester:
             h = fold(h, warp)
             h = fold(h, cat)
             h = fold(h, cycles)
-        for level in sorted(self._cache_counts):
-            hits, misses = self._cache_counts[level]
-            for ch in level.encode("utf-8"):
+        for level, counts in sorted(cache.items()):
+            if not counts.accesses:
+                continue  # a level the kernel never looked up
+            for ch in ("mem/" + level.lower()).encode("utf-8"):
                 h = fold(h, ch)
-            h = fold(h, hits)
-            h = fold(h, misses)
+            h = fold(h, counts.hits)
+            h = fold(h, counts.misses)
         self._records.append([self._kernel, -1, -1, -1, digest_hex(h),
                               int(stats.instructions)])
+        self._kernel += 1
 
     def take_ledger(self) -> Optional[List[List[Any]]]:
         """The job's closed ledger (and reset), or ``None`` if empty."""
@@ -178,14 +171,13 @@ class StateDigester:
                                   self._merge_events])
         records, self._records = self._records, []
         self._streams = {}
-        self._cache_counts = {}
-        self._kernel = -1
+        self._kernel = 0
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
         return records or None
 
     # ------------------------------------------------------------------
-    # hot-path notes (call only with ``enabled`` hoisted true)
+    # event-loop observer hooks
     # ------------------------------------------------------------------
     def _stream(self, core: int, warp: int, t: int) -> List[int]:
         """The open interval cell for ``(core, warp)`` at time ``t``."""
@@ -203,8 +195,8 @@ class StateDigester:
             cell[2] = 0
         return cell
 
-    def note_issue(self, t: int, core: int, warp: int, op: int,
-                   phase: int, done: int) -> None:
+    def on_issue(self, t: int, core: int, warp: int, op: int,
+                 phase: int, done: int) -> None:
         """Fold one issued instruction into the warp's stream."""
         cell = self._stream(core, warp, t)
         h = cell[1]
@@ -216,8 +208,8 @@ class StateDigester:
         cell[1] = h
         cell[2] += 1
 
-    def note_stall(self, t: int, core: int, warp: int, cat: int,
-                   cycles: int) -> None:
+    def on_stall(self, t: int, core: int, warp: int, cat: int,
+                 cycles: int) -> None:
         """Fold one attributed stall gap into the warp's stream."""
         cell = self._stream(core, warp, t)
         h = cell[1]
@@ -228,8 +220,8 @@ class StateDigester:
         cell[1] = h
         cell[2] += 1
 
-    def note_mem(self, t: int, core: int, lines: int,
-                 latency: int) -> None:
+    def on_mem(self, t: int, core: int, lines: int,
+               latency: int) -> None:
         """Fold one coalesced memory access into the core's stream."""
         cell = self._stream(core, -1, t)
         h = cell[1]
@@ -238,14 +230,6 @@ class StateDigester:
         h = fold(h, latency)
         cell[1] = h
         cell[2] += 1
-
-    def note_cache(self, level: str, hit: bool) -> None:
-        """Count one cache lookup (folded at kernel end, per level)."""
-        cell = self._cache_counts.get(level)
-        if cell is None:
-            cell = [0, 0]
-            self._cache_counts[level] = cell
-        cell[0 if hit else 1] += 1
 
     def note_merge(self, total_cycles: int, instructions: int) -> None:
         """Fold one :meth:`KernelStats.merge` into the merge stream."""
@@ -466,32 +450,34 @@ class KernelWindowTracer:
     """An :class:`~repro.sim.trace.ExecutionTracer` gate for one kernel.
 
     ``repro diff --replay`` re-runs a job recording only the diverging
-    kernel: the simulator's duck-typed ``begin_kernel`` notification
-    advances the launch counter, and instruction/stall events delegate
-    to the wrapped tracer only while the counter matches ``target`` —
-    full per-cycle capture of one kernel without paying for the rest.
+    kernel: :meth:`on_kernel` (kernel end) advances the launch counter,
+    and issue/stall events reach the wrapped tracer only while the
+    counter matches ``target`` — full per-cycle capture of one kernel
+    without paying for the rest.
     """
 
     def __init__(self, target: int, max_events: int = 200_000) -> None:
         from repro.sim.trace import ExecutionTracer
 
         self.target = int(target)
-        self.kernel = -1
+        self.kernel = 0
         self.inner = ExecutionTracer(max_events=max_events)
-
-    def begin_kernel(self) -> None:
-        """Duck-typed launch notification from ``GPU.run_kernel``."""
-        self.kernel += 1
 
     @property
     def active(self) -> bool:
         """Whether events are currently being captured."""
         return self.kernel == self.target
 
-    def record(self, time, core, warp, op, phase, done) -> None:
-        if self.kernel == self.target:
-            self.inner.record(time, core, warp, op, phase, done)
+    def on_kernel(self, stats, cache) -> None:
+        self.kernel += 1
 
-    def record_stall(self, time, core, warp, cat, cycles) -> None:
+    def on_issue(self, time, core, warp, op, phase, done) -> None:
         if self.kernel == self.target:
-            self.inner.record_stall(time, core, warp, cat, cycles)
+            self.inner.on_issue(time, core, warp, op, phase, done)
+
+    def on_stall(self, time, core, warp, cat, cycles) -> None:
+        if self.kernel == self.target:
+            self.inner.on_stall(time, core, warp, cat, cycles)
+
+    def on_mem(self, time, core, lines, latency) -> None:
+        pass

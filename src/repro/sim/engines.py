@@ -2,16 +2,16 @@
 
 An *engine* decides which execution loop a run's kernels go through:
 
-* ``reference`` — the per-instruction interpreter of
-  :mod:`repro.sim.gpu`.  Always available, always correct; the
+* ``reference`` — :class:`repro.sim.gpu.GPU`: the event loop fed by
+  live warp generators.  Always available, always correct; the
   ground truth every other engine must match bit-for-bit.
-* ``fast`` — :class:`repro.sim.fast.FastGPU`: trace-and-replay for
-  covered kernels, per-kernel fallback to the reference loop for the
-  rest.  Bit-identical cycles, stall cells, summary dicts and
+* ``fast`` — :class:`repro.sim.fast.FastGPU`: the same loop fed by
+  stored kernel traces where a kernel is covered, live generators for
+  the rest.  Bit-identical cycles, stall cells, summary dicts and
   provenance ledgers.
 * ``auto`` — per-run selection: ``fast`` unless the schedule needs a
   hardware unit for its gather kernel (SparseWeaver/EGHW), in which
-  case the reference loop is used wholesale.
+  case the reference engine is used wholesale.
 
 Engines are deliberately *excluded* from job identity: the same spec
 produces the same cycles under every engine, so cache keys, journal
@@ -76,7 +76,7 @@ class ReferenceEngine:
 
 
 class FastEngine:
-    """Trace-and-replay with per-kernel reference fallback."""
+    """Trace-and-replay, running uncovered kernels live."""
 
     name = "fast"
 

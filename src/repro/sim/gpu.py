@@ -18,6 +18,17 @@ Execution model (DESIGN.md §5):
 * Weaver/EGHW instructions are dispatched to a per-core hardware unit
   which manages its own busy-time serialization and replies through
   ``generator.send``.
+
+Every instruction is first compiled (:meth:`GPU._compiler`) into a flat
+*record* ``(kind, cost, delay, phase, cat, arg, op)``: ``cost`` issue
+cycles, ``delay`` the fixed part of its completion offset, ``phase`` /
+``cat`` what a stall behind it is charged to, ``arg`` the sorted cache
+lines of a memory op (or a unit op's payload).  Compiling also folds
+the static totals (instruction and op counts, issue-phase cycles,
+counters), so the event loop of :meth:`GPU.run_kernel` only schedules,
+walks memory and attributes stalls.  Each warp draws its records from
+one of two sources: its live generator, compiled on issue, or a trace
+the fast engine (:mod:`repro.sim.fast`) stored on an earlier launch.
 """
 
 from __future__ import annotations
@@ -35,11 +46,34 @@ from repro.obs.provenance import get_digester
 from repro.sim.config import GPUConfig
 from repro.sim.instructions import Instr, Op, Phase, as_index_array
 from repro.sim.memory import MemoryHierarchy
-from repro.sim.stats import KernelStats, StallCat, stall_category
+from repro.sim.stats import CacheStats, KernelStats, StallCat, stall_category
 
 _RUNNING = 0
 _BARRIER = 1
 _DONE = 2
+
+#: Record kinds: completion is ``t + delay`` (FIXED, SYNC), ``t + delay
+#: + walk`` (READ: loads, atomics), a walk whose latency the warp does
+#: not wait for (WRITE: buffered stores), or the unit's reply (UNIT).
+_FIXED, _READ, _WRITE, _SYNC, _UNIT = 0, 1, 2, 3, 4
+
+#: End-of-stream marker terminating every stored record tuple.
+_END = (-1,)
+
+_COUNTER = Op.COUNTER
+_EXEC_DEP = stall_category(Op.NOP)
+_SYNC_CAT = StallCat.SYNC
+
+#: Hardware-unit opcodes and the stall class a warp waiting on each
+#: is charged to.
+_UNIT_CATS = {op: stall_category(op) for op in (
+    Op.WEAVER_REG,
+    Op.WEAVER_DEC_ID,
+    Op.WEAVER_DEC_LOC,
+    Op.WEAVER_SKIP,
+    Op.EGHW_PUSH,
+    Op.EGHW_FETCH,
+)}
 
 
 class WarpContext:
@@ -75,22 +109,51 @@ class WarpContext:
         return self.config.total_threads
 
 
-class _Warp:
-    __slots__ = ("slot", "gen", "ready", "state", "blocked_op",
-                 "blocked_phase", "response")
+class KernelTrace:
+    """A kernel's compiled records per warp plus their static totals.
 
-    def __init__(self, slot: int, gen: Optional[Iterator[Instr]]) -> None:
+    ``cores[c]`` lists ``(slot, records, effects)`` per launched warp of
+    core ``c``: ``records`` is a tuple ending in the end-of-stream
+    marker; ``effects`` maps a record index to the captured functional
+    updates to re-apply before that record issues (or ``None``).
+    ``totals`` is the :class:`KernelStats` compiling them folded.
+    """
+
+    __slots__ = ("cores", "totals")
+
+    def __init__(self, cores: list, totals: KernelStats) -> None:
+        self.cores = cores
+        self.totals = totals
+
+
+class _Warp:
+    """One resident warp: its record source and scoreboard state."""
+
+    __slots__ = ("slot", "gen", "response", "recs", "i", "eff", "ready",
+                 "state", "cat", "phase")
+
+    def __init__(self, slot: int, gen: Optional[Iterator[Instr]] = None,
+                 recs: tuple = (), eff: Optional[dict] = None) -> None:
         self.slot = slot
         self.gen = gen
-        self.ready = 0
-        self.state = _RUNNING if gen is not None else _DONE
-        self.blocked_op = Op.NOP
-        self.blocked_phase = Phase.OTHER
         self.response: Any = None
+        self.recs = recs
+        self.i = 0
+        self.eff = eff
+        self.ready = 0
+        self.state = _RUNNING
+        self.cat = _EXEC_DEP
+        self.phase = Phase.OTHER
 
 
 WarpFactory = Callable[[WarpContext], Optional[Iterator[Instr]]]
 UnitFactory = Callable[[int], Any]
+
+
+def _too_many(max_instructions: int) -> SimulationError:
+    return SimulationError(
+        f"kernel exceeded {max_instructions} instructions; "
+        "likely a non-terminating kernel")
 
 
 class GPU:
@@ -116,10 +179,107 @@ class GPU:
         """
         return False
 
+    def _stored_trace(self, warp_factory, unit_factory, replay,
+                      max_instructions) -> Optional[KernelTrace]:
+        """The trace a launch replays, or ``None`` to run it live.
+
+        The reference engine runs every launch live; the fast engine
+        returns (compiling and storing it first, if needed) the trace
+        its ``replay`` hint names.
+        """
+        return None
+
+    # ------------------------------------------------------------------
+    def _compiler(self, totals: KernelStats, max_instructions: int,
+                  has_unit: bool = False) -> Callable[[Instr], tuple]:
+        """The per-opcode cost table, as a ``compile(instr)`` function.
+
+        ``compile`` returns the instruction's record (see the module
+        docstring) and folds its static totals into ``totals``: a live
+        launch folds into its own stats, the fast engine into the
+        totals it stores with a trace.  ``COUNTER`` pseudo-instructions
+        fold their value and compile to a zero-cost record — it still
+        resets the warp's ready time to *now*, which steers warp
+        selection, so it stays in the stream.
+        """
+        cfg = self.config
+        lines_of = self.memory.lines_of
+        op_counts = totals.op_counts
+        phase_cycles = totals.phase_cycles
+        counters = totals.counters
+        alu_delay = cfg.alu_latency - 1
+        shmem_delay = cfg.shmem_latency - 1
+        store_delay = 1 + cfg.store_latency
+        atomic_extra = cfg.atomic_extra
+        memory_cat = stall_category(Op.LOAD)
+        shared_cat = stall_category(Op.SHMEM_LOAD)
+        LOAD, STORE, ATOMIC, ALU = Op.LOAD, Op.STORE, Op.ATOMIC, Op.ALU
+        SHMEM_LOAD, SHMEM_STORE = Op.SHMEM_LOAD, Op.SHMEM_STORE
+        SYNC, NOP = Op.SYNC, Op.NOP
+
+        def compile(instr: Instr) -> tuple:
+            op = instr.op
+            phase = instr.phase
+            if op is LOAD or op is STORE or op is ATOMIC:
+                idx = as_index_array(instr.indices)
+                if idx.size == 0:
+                    rec = (_FIXED, 1, 1, phase, memory_cat, None, op)
+                elif op is LOAD:
+                    region = instr.region
+                    # Element-level traffic accounting per array: lets
+                    # tests check the Table I access formulas.
+                    counters["elements_loaded:" + region.name] += idx.size
+                    rec = (_READ, 1, 1, phase, memory_cat,
+                           lines_of(region, idx), op)
+                elif op is STORE:
+                    # Write-allocate for cache state; the warp itself
+                    # only pays the (buffered) store latency.
+                    rec = (_WRITE, 1, store_delay, phase, memory_cat,
+                           lines_of(instr.region, idx), op)
+                else:
+                    # Conflicting lanes (same element) serialize.
+                    values = idx.tolist()
+                    conflicts = len(values) - len(set(values))
+                    rec = (_READ, 1, 1 + atomic_extra * (1 + conflicts),
+                           phase, memory_cat, lines_of(instr.region, idx),
+                           op)
+            elif op is ALU:
+                c = instr.count
+                rec = (_FIXED, c, c + alu_delay, phase, _EXEC_DEP, None, op)
+            elif op in _UNIT_CATS:
+                if not has_unit:
+                    raise SimulationError(
+                        f"{op.name} issued but the kernel was launched "
+                        "without a hardware unit")
+                rec = (_UNIT, 1, 0, phase, _UNIT_CATS[op], instr.payload,
+                       op)
+            elif op is SHMEM_LOAD or op is SHMEM_STORE:
+                c = instr.count
+                rec = (_FIXED, c, c + shmem_delay, phase, shared_cat, None,
+                       op)
+            elif op is _COUNTER:
+                name, value = instr.payload
+                counters[name] += value
+                return (_FIXED, 0, 0, phase, _EXEC_DEP, None, op)
+            elif op is SYNC:
+                rec = (_SYNC, 1, 1, phase, _SYNC_CAT, None, op)
+            elif op is NOP:
+                rec = (_FIXED, 1, 1, phase, _EXEC_DEP, None, op)
+            else:
+                raise SimulationError(f"unknown opcode {op!r}")
+            totals.instructions += 1
+            if totals.instructions > max_instructions:
+                raise _too_many(max_instructions)
+            op_counts[op] += 1
+            phase_cycles[phase] += rec[1]
+            return rec
+
+        return compile
+
     # ------------------------------------------------------------------
     def run_kernel(
         self,
-        warp_factory: WarpFactory,
+        warp_factory: Optional[WarpFactory],
         unit_factory: Optional[UnitFactory] = None,
         flush_caches: bool = False,
         max_instructions: int = 500_000_000,
@@ -142,73 +302,99 @@ class GPU:
             Invalidate caches before the kernel (cold-start runs).
         max_instructions:
             Safety valve against runaway kernels.
+        tracer:
+            Optional observer (e.g. :class:`repro.sim.trace.
+            ExecutionTracer`): ``on_issue(t, core, warp, op, phase,
+            done)`` per issued instruction, ``on_stall(t, core, warp,
+            cat, cycles)`` per attributed stall gap, ``on_mem(t, core,
+            lines, latency)`` per memory walk and ``on_kernel(stats,
+            cache)`` at kernel end, with ``cache`` the per-level
+            :class:`~repro.sim.stats.CacheStats` deltas.  The enabled
+            provenance digester observes through the same hooks.
         replay:
             Optional :class:`repro.sim.fast.ReplayHint`.  The reference
-            engine ignores it (every launch interprets the generators);
-            it exists so drivers can pass one hint down regardless of
-            which engine built the GPU.
+            engine ignores it (every launch runs live); it exists so
+            drivers can pass one hint down regardless of which engine
+            built the GPU.
         """
         cfg = self.config
+        mem = self.memory
         if flush_caches:
-            self.memory.flush()
-        self.memory.begin_kernel()
+            mem.flush()
+        mem.begin_kernel()
         stats = KernelStats()
-        dram_before = self.memory.dram_accesses
-        # Duck-typed: tracers predating stall attribution only expose
-        # ``record``.
-        record_stall = getattr(tracer, "record_stall", None)
-        registry = get_registry()
-        cache_before = (self.memory.cache_counts() if registry.enabled
-                        else None)
-        # Host-side profiler: every hook below hides behind this one
-        # local truth test, so a disabled profiler costs one comparison
-        # per section and reads no clocks — simulated cycle counts are
-        # bit-identical either way (perf_counter never feeds the sim).
+        dram_before = mem.dram_accesses
+        # Host-side profiler: every section timer below hides behind
+        # this one local truth test, so a disabled profiler reads no
+        # clocks — simulated cycles are bit-identical either way
+        # (perf_counter never feeds the simulation).
         profiler = get_profiler()
         prof_on = profiler.enabled
         kernel_start = perf_counter() if prof_on else 0.0
-        # Provenance digester: same guard discipline. Folds only
-        # simulated values (never host time), so even enabled it can't
-        # perturb cycles — it just records what they were.
         digester = get_digester()
-        dig_on = digester.enabled
-        if dig_on:
-            digester.begin_kernel()
-        # Duck-typed kernel-launch notification for window tracers
-        # (``repro diff --replay`` records only one kernel).
-        tracer_begin = getattr(tracer, "begin_kernel", None)
-        if tracer_begin is not None:
-            tracer_begin()
+        obs = tuple(o for o in (tracer, digester if digester.enabled
+                                else None) if o is not None)
+        registry = get_registry()
+        cache_before = (mem.cache_counts() if registry.enabled or obs
+                        else None)
+        mem.observers = obs
 
-        cores = []
         units: Dict[int, Any] = {}
-        heap = []
-        for core_id in range(cfg.num_cores):
-            warps = []
-            for slot in range(cfg.warps_per_core):
-                ctx = WarpContext(core_id, slot, cfg)
-                gen = warp_factory(ctx)
-                warp = _Warp(slot, gen)
-                if gen is not None:
-                    stats.warps_launched += 1
-                warps.append(warp)
-            cores.append(warps)
-            if unit_factory is not None:
-                units[core_id] = unit_factory(core_id)
-            if any(w.state == _RUNNING for w in warps):
-                heapq.heappush(heap, (0, core_id))
+        cores = []
+        compile = effect = None
+        trace = self._stored_trace(warp_factory, unit_factory, replay,
+                                   max_instructions)
+        if trace is None:
+            compile = self._compiler(stats, max_instructions,
+                                     unit_factory is not None)
+            for core_id in range(cfg.num_cores):
+                warps = []
+                for slot in range(cfg.warps_per_core):
+                    gen = warp_factory(WarpContext(core_id, slot, cfg))
+                    if gen is not None:
+                        warps.append(_Warp(slot, gen))
+                cores.append(warps)
+                if unit_factory is not None:
+                    units[core_id] = unit_factory(core_id)
+            stats.warps_launched = sum(map(len, cores))
+        else:
+            totals = trace.totals
+            if totals.instructions > max_instructions:
+                raise _too_many(max_instructions)
+            stats.instructions = totals.instructions
+            stats.warps_launched = totals.warps_launched
+            stats.op_counts.update(totals.op_counts)
+            stats.phase_cycles.update(totals.phase_cycles)
+            stats.counters.update(totals.counters)
+            effect = replay.effect
+            cores = [[_Warp(slot, recs=recs, eff=eff)
+                      for slot, recs, eff in entries]
+                     for entries in trace.cores]
+        heap = [(0, core_id) for core_id, warps in enumerate(cores)
+                if warps]
+        walk = mem.walk
         if prof_on:
             profiler.add("setup", perf_counter() - kernel_start)
+            untimed_walk = walk
 
+            def walk(core_id, lines, now):
+                start = perf_counter()
+                latency = untimed_walk(core_id, lines, now)
+                profiler.add("mem/access", perf_counter() - start)
+                return latency
+
+        stall_cells = stats.stall_cells
+        phase_cycles = stats.phase_cycles
         core_time = [0] * cfg.num_cores
-        issued = 0
+        push = heapq.heappush
+        pop = heapq.heappop
         while heap:
-            sched_start = perf_counter() if prof_on else 0.0
-            t, core_id = heapq.heappop(heap)
+            if prof_on:
+                sched_start = perf_counter()
+            t, core_id = pop(heap)
             warps = cores[core_id]
             # One pass finds the first minimal-ready running warp
-            # (strict < keeps the slot-order tie-break that
-            # ``min(running, key=_ready_of)`` had).
+            # (strict < keeps the slot-order tie-break).
             warp = None
             best = 1 << 62
             for w in warps:
@@ -224,89 +410,99 @@ class GPU:
                     for w in blocked:
                         wait = release - w.ready
                         if wait:
-                            stats.stall_cells[
-                                (core_id, w.slot, StallCat.SYNC)] += wait
-                            if record_stall is not None:
-                                record_stall(w.ready, core_id, w.slot,
-                                             StallCat.SYNC, wait)
-                            if dig_on:
-                                digester.note_stall(w.ready, core_id,
-                                                    w.slot, StallCat.SYNC,
-                                                    wait)
+                            stall_cells[(core_id, w.slot, _SYNC_CAT)] += wait
+                            if obs:
+                                for o in obs:
+                                    o.on_stall(w.ready, core_id, w.slot,
+                                               _SYNC_CAT, wait)
                         w.state = _RUNNING
                         w.ready = release
-                    heapq.heappush(heap, (release, core_id))
+                    push(heap, (release, core_id))
                 if prof_on:
                     profiler.add("schedule", perf_counter() - sched_start)
                 continue
 
-            if warp.ready > t:
-                gap = warp.ready - t
-                cat = stall_category(warp.blocked_op)
+            if best > t:
+                gap = best - t
                 # Only the attribution cells accumulate in the loop;
                 # the per-category counters are folded from them at
                 # kernel end, keeping the hot path at one increment.
-                stats.stall_cells[(core_id, warp.slot, cat)] += gap
-                stats.phase_cycles[warp.blocked_phase] += gap
-                if record_stall is not None:
-                    record_stall(t, core_id, warp.slot, cat, gap)
-                if dig_on:
-                    digester.note_stall(t, core_id, warp.slot, cat, gap)
-                t = warp.ready
+                stall_cells[(core_id, warp.slot, warp.cat)] += gap
+                phase_cycles[warp.phase] += gap
+                if obs:
+                    for o in obs:
+                        o.on_stall(t, core_id, warp.slot, warp.cat, gap)
+                t = best
             if prof_on:
-                kernel_gen_start = perf_counter()
-                profiler.add("schedule", kernel_gen_start - sched_start)
+                draw_start = perf_counter()
+                profiler.add("schedule", draw_start - sched_start)
 
-            try:
-                instr = warp.gen.send(warp.response)
-            except StopIteration:
+            gen = warp.gen
+            if gen is not None:
+                try:
+                    rec = gen.send(warp.response)
+                except StopIteration:
+                    rec = _END
+            else:
+                i = warp.i
+                if warp.eff is not None:
+                    # Functional updates captured at trace time run in
+                    # issue order, as the live generator ran them.
+                    for args in warp.eff.get(i, ()):
+                        effect(*args)
+                rec = warp.recs[i]
+                warp.i = i + 1
+            if rec is _END:
                 warp.state = _DONE
-                warp.gen = None
-                if any(w.state != _DONE for w in warps):
-                    heapq.heappush(heap, (t, core_id))
-                core_time[core_id] = max(core_time[core_id], t)
+                for w in warps:
+                    if w.state != _DONE:
+                        push(heap, (t, core_id))
+                        break
+                if t > core_time[core_id]:
+                    core_time[core_id] = t
                 if prof_on:
-                    profiler.add("kernel",
-                                 perf_counter() - kernel_gen_start)
+                    profiler.add("kernel", perf_counter() - draw_start)
                 continue
-            warp.response = None
             if prof_on:
                 execute_start = perf_counter()
-                profiler.add("kernel", execute_start - kernel_gen_start)
+                profiler.add("kernel", execute_start - draw_start)
 
-            issue_cost, done = self._execute(
-                instr, core_id, warp, t, units.get(core_id), stats
-            )
+            if gen is not None:
+                warp.response = None
+                rec = compile(rec)
+            kind = rec[0]
+            if kind == _FIXED:
+                done = t + rec[2]
+            elif kind == _READ:
+                done = t + rec[2] + walk(core_id, rec[5], t)
+            elif kind == _WRITE:
+                walk(core_id, rec[5], t)
+                done = t + rec[2]
+            elif kind == _SYNC:
+                warp.state = _BARRIER
+                done = t + rec[2]
+            else:
+                done, warp.response = units[core_id].handle(
+                    rec[6], warp.slot, t + 1, rec[5])
+                done += rec[2]
             if prof_on:
                 account_start = perf_counter()
-                profiler.add_op(instr.op.name,
-                                account_start - execute_start)
-            if tracer is not None and instr.op != Op.COUNTER:
-                tracer.record(t, core_id, warp.slot, instr.op,
-                              instr.phase, done)
-            if dig_on and instr.op != Op.COUNTER:
-                digester.note_issue(t, core_id, warp.slot, instr.op,
-                                    instr.phase, done)
-            if instr.op != Op.COUNTER:
-                issued += 1
-                stats.instructions += 1
-                stats.op_counts[instr.op] += 1
-                stats.phase_cycles[instr.phase] += issue_cost
-                if issued > max_instructions:
-                    raise SimulationError(
-                        f"kernel exceeded {max_instructions} instructions; "
-                        "likely a non-terminating kernel"
-                    )
+                profiler.add_op(rec[6].name, account_start - execute_start)
+            if obs and rec[6] is not _COUNTER:
+                for o in obs:
+                    o.on_issue(t, core_id, warp.slot, rec[6], rec[3], done)
             warp.ready = done
-            warp.blocked_op = instr.op
-            warp.blocked_phase = instr.phase
-            t += issue_cost
-            core_time[core_id] = max(core_time[core_id], t)
-            heapq.heappush(heap, (t, core_id))
+            warp.cat = rec[4]
+            warp.phase = rec[3]
+            t += rec[1]
+            if t > core_time[core_id]:
+                core_time[core_id] = t
+            push(heap, (t, core_id))
             if prof_on:
                 profiler.add("account", perf_counter() - account_start)
 
         finalize_start = perf_counter() if prof_on else 0.0
+        mem.observers = ()
         for core_id, warps in enumerate(cores):
             pending = [w for w in warps if w.state == _BARRIER]
             if pending:
@@ -317,88 +513,20 @@ class GPU:
             tail = max((w.ready for w in warps), default=0)
             core_time[core_id] = max(core_time[core_id], tail)
 
-        stats.total_cycles = max(core_time) if core_time else 0
-        for (_core, _warp, cat), cycles in stats.stall_cells.items():
+        stats.total_cycles = max(core_time)
+        for (_core, _warp, cat), cycles in stall_cells.items():
             stats.stall_cycles[cat] += cycles
-        stats.cache = self.memory.cache_stats()
-        stats.dram_accesses = self.memory.dram_accesses - dram_before
-        if registry.enabled:
-            registry.publish_kernel_stats(stats)
-            self.memory.publish_metrics(registry, cache_before,
-                                        stats.dram_accesses)
+        stats.cache = mem.cache_stats()
+        stats.dram_accesses = mem.dram_accesses - dram_before
+        if cache_before is not None:
+            cache = {name: CacheStats(cs.hits - cache_before[name][0],
+                                      cs.misses - cache_before[name][1])
+                     for name, cs in stats.cache.items()}
+            registry.publish_kernel_stats(stats, cache)
+            for o in obs:
+                o.on_kernel(stats, cache)
         if prof_on:
             end = perf_counter()
             profiler.add("finalize", end - finalize_start)
             profiler.end_kernel(stats.total_cycles, end - kernel_start)
-        if dig_on:
-            digester.end_kernel(stats)
         return stats
-
-    # ------------------------------------------------------------------
-    def _execute(self, instr, core_id, warp, now, unit, stats):
-        """Charge one instruction; returns ``(issue_cost, done_time)``."""
-        cfg = self.config
-        op = instr.op
-
-        if op == Op.ALU:
-            cost = instr.count
-            return cost, now + cost + cfg.alu_latency - 1
-        if op == Op.LOAD:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            latency, _ = self.memory.access(core_id, instr.region, idx,
-                                            now=now)
-            # Element-level traffic accounting per array: lets tests
-            # check the Table I access formulas (2|V|+|E| vs 2|E|).
-            stats.counters[f"elements_loaded:{instr.region.name}"] += idx.size
-            return 1, now + 1 + latency
-        if op == Op.STORE:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            # Write-allocate for cache state; the warp itself only pays
-            # the (buffered) store latency.
-            self.memory.access(core_id, instr.region, idx, now=now)
-            return 1, now + 1 + cfg.store_latency
-        if op == Op.ATOMIC:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            latency, _ = self.memory.access(core_id, instr.region, idx,
-                                            now=now)
-            conflicts = idx.size - np.unique(idx).size
-            latency += cfg.atomic_extra * (1 + conflicts)
-            return 1, now + 1 + latency
-        if op == Op.SHMEM_LOAD or op == Op.SHMEM_STORE:
-            cost = instr.count
-            return cost, now + cost + cfg.shmem_latency - 1
-        if op == Op.SYNC:
-            warp.state = _BARRIER
-            return 1, now + 1
-        if op in _UNIT_OPS:
-            if unit is None:
-                raise SimulationError(
-                    f"{op.name} issued but the kernel was launched without "
-                    "a hardware unit"
-                )
-            done, response = unit.handle(op, warp.slot, now + 1, instr.payload)
-            warp.response = response
-            return 1, done
-        if op == Op.COUNTER:
-            name, value = instr.payload
-            stats.counters[name] += value
-            return 0, now
-        if op == Op.NOP:
-            return 1, now + 1
-        raise SimulationError(f"unknown opcode {op!r}")
-
-
-_UNIT_OPS = {
-    Op.WEAVER_REG,
-    Op.WEAVER_DEC_ID,
-    Op.WEAVER_DEC_LOC,
-    Op.WEAVER_SKIP,
-    Op.EGHW_PUSH,
-    Op.EGHW_FETCH,
-}

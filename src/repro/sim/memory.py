@@ -11,15 +11,12 @@ line throughput charge.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs.profile import get_profiler
-from repro.obs.provenance import get_digester
-from repro.sim.cache import Cache, publish_cache_metrics
+from repro.sim.cache import Cache
 from repro.sim.config import GPUConfig
 from repro.sim.stats import CacheStats
 
@@ -94,7 +91,14 @@ class MemoryMap:
 
 
 class MemoryHierarchy:
-    """Per-core L1s over a shared L2 (and optional L3) over DRAM."""
+    """Per-core L1s over a shared L2 (and optional L3) over DRAM.
+
+    :meth:`walk` is the one per-line hierarchy walk: the event loop
+    calls it with a compiled record's line list, hardware units and
+    tests reach it through :meth:`access`.  ``observers`` are the
+    running kernel's observers (set by the event loop); each walk
+    reports to their ``on_mem``.
+    """
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
@@ -110,48 +114,72 @@ class MemoryHierarchy:
         )
         self.dram_accesses = 0
         self._dram_free = 0
+        self.observers: tuple = ()
         if self.l2 is not None and config.l2.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
         if self.l3 is not None and config.l3.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
+        # Walk constants, hoisted out of the per-line loop.
+        self._l1_latency = config.l1.hit_latency
+        self._l2_latency = config.l2.hit_latency if self.l2 is not None else 0
+        self._l3_latency = config.l3.hit_latency if self.l3 is not None else 0
+        self._dram_latency = config.dram_latency_cycles
+        self._dram_service = config.dram_service_cycles
+        self._line_throughput = config.line_throughput
 
     # ------------------------------------------------------------------
-    def lines_for(self, region: Region, indices: np.ndarray) -> np.ndarray:
-        """Unique cache-line numbers touched by ``region[indices]``."""
+    def lines_of(self, region: Region, indices: np.ndarray) -> List[int]:
+        """Sorted unique cache-line numbers touched by ``region[indices]``."""
+        if indices.size <= 64:
+            # Warp-sized accesses dominate; a python-set dedup beats
+            # np.unique at this size.
+            base = region.base
+            its = region.itemsize
+            shift = self._line_shift
+            return sorted({(base + v * its) >> shift
+                           for v in indices.tolist()})
         addrs = region.base + indices * region.itemsize
-        return np.unique(addrs >> self._line_shift)
+        return np.unique(addrs >> self._line_shift).tolist()
 
-    def access_line(self, core_id: int, line: int, now: int = 0,
-                    prof=None, dig=None) -> int:
-        """Walk the hierarchy for one line; returns its latency.
+    def walk(self, core_id: int, lines: Sequence[int], now: int = 0) -> int:
+        """Charge one coalesced access to ascending unique ``lines``.
 
-        DRAM fills additionally queue behind a shared memory-controller
-        timeline (``dram_service_cycles`` occupancy per line), so total
-        DRAM *traffic* costs time even when individual latencies are
-        hidden by warp-level parallelism. This is the bandwidth term
-        that makes graph processing memory-intensive (Fig. 12) and
-        charges S_em for its doubled edge reads.
+        Each line walks L1 -> L2 -> (L3) -> DRAM.  DRAM fills
+        additionally queue behind a shared memory-controller timeline
+        (``dram_service_cycles`` occupancy per line), so total DRAM
+        *traffic* costs time even when individual latencies are hidden
+        by warp-level parallelism. This is the bandwidth term that makes
+        graph processing memory-intensive (Fig. 12) and charges S_em for
+        its doubled edge reads.
 
-        ``prof`` is an enabled host profiler (or ``None``) and ``dig``
-        an enabled state digester (or ``None``), threaded down into the
-        per-level lookups.
+        Returns the worst per-line latency plus ``line_throughput``
+        cycles for each line beyond the first (memory pipeline
+        serialization).
         """
-        cfg = self.config
-        if self.l1[core_id].lookup(line, prof, dig):
-            return cfg.l1.hit_latency
-        if self.l2 is not None and self.l2.lookup(line, prof, dig):
-            return cfg.l2.hit_latency
-        if self.l3 is not None and self.l3.lookup(line, prof, dig):
-            return cfg.l3.hit_latency
-        self.dram_accesses += 1
-        if prof is not None:
-            # Count-only phase: the fill arithmetic below is trivial,
-            # but the fill *rate* is what a vectorized memory model
-            # must reproduce, so it earns a call counter.
-            prof.add("mem/dram", 0.0)
-        start = max(now, self._dram_free)
-        self._dram_free = start + cfg.dram_service_cycles
-        return (start - now) + cfg.dram_latency_cycles
+        l1 = self.l1[core_id]
+        l2, l3 = self.l2, self.l3
+        worst = 0
+        for line in lines:
+            if l1.lookup(line):
+                latency = self._l1_latency
+            elif l2 is not None and l2.lookup(line):
+                latency = self._l2_latency
+            elif l3 is not None and l3.lookup(line):
+                latency = self._l3_latency
+            else:
+                self.dram_accesses += 1
+                fill = self._dram_free
+                if now > fill:
+                    fill = now
+                self._dram_free = fill + self._dram_service
+                latency = fill - now + self._dram_latency
+            if latency > worst:
+                worst = latency
+        total = worst + (len(lines) - 1) * self._line_throughput
+        if self.observers:
+            for observer in self.observers:
+                observer.on_mem(now, core_id, len(lines), total)
+        return total
 
     def access(
         self, core_id: int, region: Region, indices: np.ndarray,
@@ -159,68 +187,14 @@ class MemoryHierarchy:
     ) -> Tuple[int, int]:
         """Charge a coalesced warp access at time ``now``.
 
-        Returns ``(latency_cycles, num_lines)``. Latency is the worst
-        per-line latency plus ``line_throughput`` cycles for each line
-        beyond the first (memory pipeline serialization).
+        Returns ``(latency_cycles, num_lines)``; see :meth:`walk`.
         """
         if not 0 <= core_id < len(self.l1):
             raise SimulationError(f"core id {core_id} out of range")
-        profiler = get_profiler()
-        prof = profiler if profiler.enabled else None
-        digester = get_digester()
-        dig = digester if digester.enabled else None
-        start = perf_counter() if prof is not None else 0.0
-        if indices.size <= 64:
-            # Warp-sized accesses dominate; a python-set dedup beats
-            # np.unique at this size.  sorted() keeps the walk order
-            # (and so LRU/DRAM-queue state) identical to lines_for.
-            base = region.base
-            its = region.itemsize
-            shift = self._line_shift
-            lines = sorted({(base + v * its) >> shift
-                            for v in indices.tolist()})
-        else:
-            lines = self.lines_for(region, indices).tolist()
-        nlines = len(lines)
-        if nlines == 0:
-            if prof is not None:
-                prof.add("mem/access", perf_counter() - start)
+        lines = self.lines_of(region, indices)
+        if not lines:
             return 0, 0
-        worst = 0
-        if prof is None and dig is None:
-            # Hot path: per-line hierarchy walk with the hook-free
-            # lookups (bit-identical to access_line, see
-            # Cache.lookup_fast).
-            cfg = self.config
-            l1 = self.l1[core_id]
-            l2, l3 = self.l2, self.l3
-            for line in lines:
-                if l1.lookup_fast(line):
-                    latency = cfg.l1.hit_latency
-                elif l2 is not None and l2.lookup_fast(line):
-                    latency = cfg.l2.hit_latency
-                elif l3 is not None and l3.lookup_fast(line):
-                    latency = cfg.l3.hit_latency
-                else:
-                    self.dram_accesses += 1
-                    fill = self._dram_free
-                    if now > fill:
-                        fill = now
-                    self._dram_free = fill + cfg.dram_service_cycles
-                    latency = (fill - now) + cfg.dram_latency_cycles
-                if latency > worst:
-                    worst = latency
-        else:
-            for line in lines:
-                latency = self.access_line(core_id, line, now, prof, dig)
-                if latency > worst:
-                    worst = latency
-        total = worst + (nlines - 1) * self.config.line_throughput
-        if prof is not None:
-            prof.add("mem/access", perf_counter() - start)
-        if dig is not None:
-            dig.note_mem(now, core_id, nlines, total)
-        return total, nlines
+        return self.walk(core_id, lines, now), len(lines)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, CacheStats]:
@@ -239,38 +213,12 @@ class MemoryHierarchy:
     def cache_counts(self) -> Dict[str, Tuple[int, int]]:
         """Cumulative ``(hits, misses)`` per merged level.
 
-        The delta baseline for per-kernel metrics publication — cache
-        tag state (and so its counters) persists across kernels on one
-        GPU, but metrics want per-kernel increments.
+        The delta baseline for per-kernel cache counts — cache tag
+        state (and so its counters) persists across kernels on one
+        GPU, but metrics and digests want per-kernel increments.
         """
         return {name: (cs.hits, cs.misses)
                 for name, cs in self.cache_stats().items()}
-
-    def publish_metrics(self, registry, before=None,
-                        dram_accesses: int = 0) -> None:
-        """Fold this kernel's memory traffic into a metrics registry.
-
-        ``before`` is the :meth:`cache_counts` snapshot taken at kernel
-        start; counters receive only the delta.
-        """
-        registry.counter(
-            "sim_dram_accesses_total", "DRAM line fills"
-        ).inc(dram_accesses)
-        before = before or {}
-        for name, cache in [("L1", None), ("L2", self.l2),
-                            ("L3", self.l3)]:
-            if name == "L1":
-                merged = CacheStats()
-                for level in self.l1:
-                    merged.merge(level.stats)
-                hits, misses = merged.hits, merged.misses
-            elif cache is None:
-                continue
-            else:
-                hits, misses = cache.stats.hits, cache.stats.misses
-            prev_hits, prev_misses = before.get(name, (0, 0))
-            publish_cache_metrics(registry, name, hits - prev_hits,
-                                  misses - prev_misses)
 
     def begin_kernel(self) -> None:
         """Reset the controller timeline — kernel clocks start at 0."""

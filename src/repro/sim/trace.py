@@ -8,6 +8,11 @@ pipeline-diagram style inspection the SimX simulator offers, and as
 the simulated-cycle source for Chrome trace export
 (:func:`repro.obs.tracing.execution_trace_events`).
 
+A tracer is an event-loop *observer*: it implements ``on_issue``,
+``on_stall``, ``on_mem`` and ``on_kernel``, the one hook surface the
+loop in :mod:`repro.sim.gpu` calls for every observer of a kernel.
+Replayed kernels report the same events as live ones.
+
 Both event streams are bounded; when a bound is hit the tracer warns
 once and counts everything it drops, so a truncated trace is always
 visibly truncated (``summary()`` / ``repr``).
@@ -72,8 +77,8 @@ class ExecutionTracer:
             RuntimeWarning, stacklevel=3,
         )
 
-    def record(self, time: int, core: int, warp: int, op: Op,
-               phase: Phase, done: int) -> None:
+    def on_issue(self, time: int, core: int, warp: int, op: Op,
+                 phase: Phase, done: int) -> None:
         """Append one instruction event (drops beyond the bound)."""
         if len(self.events) >= self.max_events:
             self.dropped += 1
@@ -81,14 +86,21 @@ class ExecutionTracer:
             return
         self.events.append(TraceEvent(time, core, warp, op, phase, done))
 
-    def record_stall(self, time: int, core: int, warp: int,
-                     cat: StallCat, cycles: int) -> None:
+    def on_stall(self, time: int, core: int, warp: int,
+                 cat: StallCat, cycles: int) -> None:
         """Append one stall event (drops beyond the bound)."""
         if len(self.stalls) >= self.max_events:
             self.dropped_stalls += 1
             self._warn_truncation()
             return
         self.stalls.append(StallEvent(time, core, warp, cat, cycles))
+
+    def on_mem(self, time: int, core: int, lines: int,
+               latency: int) -> None:
+        """Memory walks are not traced."""
+
+    def on_kernel(self, stats, cache) -> None:
+        """Kernel boundaries are not traced."""
 
     # ------------------------------------------------------------------
     def filter(self, op: Optional[Op] = None, core: Optional[int] = None,

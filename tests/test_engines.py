@@ -4,9 +4,8 @@ Covers the registry contract (lookup, listing, registration,
 resolution precedence), bit-exact parity between the fast and
 reference engines, the auto engine's per-run selection, clean fallback
 for uncovered kernels (with the ``sim_engine_fallback_total`` metric),
-the deprecation shim for the legacy ``gpu=`` spelling, engine-blind
-job identity, and divergence bisection against a deliberately broken
-engine.
+engine-blind job identity, and divergence bisection against a
+deliberately broken engine.
 """
 
 import json
@@ -160,26 +159,59 @@ def test_fast_unsupported_kernel_falls_back_cleanly():
     assert fast.stats.to_summary_dict() == ref.stats.to_summary_dict()
 
 
-# -------------------------------------------------------------- deprecation
-
-def test_gpu_kwarg_deprecation_shim():
-    """The legacy ``gpu=`` spelling still works but warns once and is
-    overridden by an explicit ``engine=``."""
-    import repro.frontend.framework as framework
+@pytest.mark.parametrize("schedule", ["vertex_map", "cta_map",
+                                      "edge_map", "sparseweaver"])
+def test_fast_engine_replays_under_execution_tracer(schedule):
+    """An execution tracer is just an observer of the one loop: a
+    traced fast run still stores and replays its gather trace (unit
+    schedules aside), never falls back for the tracer, and logs
+    exactly the reference run's issue and stall events."""
+    from repro.obs.metrics import (disable_metrics, enable_metrics,
+                                   metrics_enabled)
     from repro.runtime import AlgorithmSpec
+    from repro.sim import engines as engines_mod
+    from repro.sim.trace import ExecutionTracer
 
-    alg = AlgorithmSpec.of("pagerank", iterations=1).build()
-    framework._GPU_KWARG_WARNED = False
+    built = []
+
+    class SpyEngine:
+        name = "fast-spy-for-test"
+
+        def build_gpu(self, config, schedule=None):
+            built.append(FastGPU(config))
+            return built[-1]
+
+    graph = dataset("bio-human", scale=0.1)
+    was_enabled = metrics_enabled()
+    registry = enable_metrics()
+    registry.clear()
+    register_engine(SpyEngine())
+    tracers = {}
     try:
-        with pytest.warns(DeprecationWarning, match="engine="):
-            proc = GraphProcessor(alg, schedule="vertex_map", gpu="fast")
-        assert proc.engine_name == "fast"
-        # Second use is silent (warn-once), and engine= wins over gpu=.
-        proc = GraphProcessor(alg, schedule="vertex_map",
-                              gpu="fast", engine="reference")
-        assert proc.engine_name == "reference"
+        for engine in ("reference", SpyEngine.name):
+            tracer = ExecutionTracer(max_events=10 ** 6)
+            GraphProcessor(
+                AlgorithmSpec.of("pagerank", iterations=2).build(),
+                schedule=schedule, config=GPUConfig.vortex_bench(),
+                engine=engine, exec_tracer=tracer,
+            ).run(graph, max_iterations=2)
+            tracers[engine] = tracer
+        fallbacks = registry.counter("sim_engine_fallback_total")
+        assert fallbacks.value(reason="tracer") == 0
     finally:
-        framework._GPU_KWARG_WARNED = False
+        engines_mod._ENGINES.pop(SpyEngine.name, None)
+        registry.clear()
+        if not was_enabled:
+            disable_metrics()
+    (gpu,) = built
+    # Two iterations: the second gather launch replays the stored trace.
+    assert gpu.has_trace("gather") is (schedule != "sparseweaver")
+    assert gpu.has_trace("init") and gpu.has_trace("apply")
+    ref, fast = tracers["reference"], tracers[SpyEngine.name]
+    assert ref.events and ref.stalls
+    assert fast.summary() == ref.summary()
+    assert fast.events == ref.events
+    assert fast.stalls == ref.stalls
 
 
 # ----------------------------------------------------------- job identity
@@ -209,26 +241,29 @@ def test_engine_excluded_from_spec_identity():
 # ------------------------------------------------------- divergence bisect
 
 class _BrokenGPU(GPU):
-    """Reference loop that silently adds one cycle of latency to every
-    instruction from its third kernel launch onward — kernels 0 and 1
-    stay bit-identical, kernel 2 diverges from its first record."""
+    """Reference loop that silently adds one cycle to every compiled
+    record's completion from its third kernel launch onward — kernels
+    0 and 1 stay bit-identical, kernel 2 diverges from its first
+    record."""
 
     def __init__(self, config):
         super().__init__(config)
         self._launches = 0
-        self._broken_now = False
 
     def run_kernel(self, *args, **kwargs):
-        self._broken_now = self._launches >= 2
         self._launches += 1
         return super().run_kernel(*args, **kwargs)
 
-    def _execute(self, instr, core_id, warp, now, unit, stats):
-        cost, done = super()._execute(instr, core_id, warp, now, unit,
-                                      stats)
-        if self._broken_now:
-            done += 1
-        return cost, done
+    def _compiler(self, totals, max_instructions, has_unit=False):
+        compile = super()._compiler(totals, max_instructions, has_unit)
+        if self._launches <= 2:
+            return compile
+
+        def broken(instr):
+            rec = compile(instr)
+            return rec[:2] + (rec[2] + 1,) + rec[3:]
+
+        return broken
 
 
 class _BrokenEngine:

@@ -77,29 +77,26 @@ def test_same_event_stream_same_digest():
     a, b = StateDigester(enabled=True), StateDigester(enabled=True)
     for d in (a, b):
         d.begin_job()
-        d.begin_kernel()
-        d.note_issue(5, 0, 0, 7, 1, 3)
-        d.note_stall(9, 0, 0, 2, 4)
-        d.note_mem(6, 0, 2, 40)
+        d.on_issue(5, 0, 0, 7, 1, 3)
+        d.on_stall(9, 0, 0, 2, 4)
+        d.on_mem(6, 0, 2, 40)
     la, lb = a.take_ledger(), b.take_ledger()
     assert la == lb
     # One changed event value changes the digest.
     c = StateDigester(enabled=True)
     c.begin_job()
-    c.begin_kernel()
-    c.note_issue(5, 0, 0, 7, 1, 4)  # done differs
-    c.note_stall(9, 0, 0, 2, 4)
-    c.note_mem(6, 0, 2, 40)
+    c.on_issue(5, 0, 0, 7, 1, 4)  # done differs
+    c.on_stall(9, 0, 0, 2, 4)
+    c.on_mem(6, 0, 2, 40)
     assert c.take_ledger() != la
 
 
 def test_interval_rollover_closes_cells():
     d = StateDigester(enabled=True, interval_cycles=10)
     d.begin_job()
-    d.begin_kernel()
-    d.note_issue(3, 0, 1, 7, 0, 0)    # interval 0
-    d.note_issue(7, 0, 1, 7, 0, 0)    # still interval 0
-    d.note_issue(25, 0, 1, 7, 0, 0)   # interval 2 -> closes interval 0
+    d.on_issue(3, 0, 1, 7, 0, 0)    # interval 0
+    d.on_issue(7, 0, 1, 7, 0, 0)    # still interval 0
+    d.on_issue(25, 0, 1, 7, 0, 0)   # interval 2 -> closes interval 0
     ledger = d.take_ledger()
     warp_records = [r for r in ledger if r[3] == 1]
     assert [(r[1], r[5]) for r in warp_records] == [(0, 2), (2, 1)]
@@ -112,8 +109,7 @@ def test_take_ledger_resets_and_returns_none_when_empty():
     d = StateDigester(enabled=True, interval_cycles=10)
     d.begin_job()
     assert d.take_ledger() is None
-    d.begin_kernel()
-    d.note_issue(1, 0, 0, 7, 0, 0)
+    d.on_issue(1, 0, 0, 7, 0, 0)
     assert d.take_ledger() is not None
     assert d.take_ledger() is None  # drained
 
@@ -315,18 +311,18 @@ def test_perturbed_run_localizes_to_warp_interval():
 # ------------------------------------------------- replay windowing
 def test_kernel_window_tracer_gates_on_target():
     window = KernelWindowTracer(target=1, max_events=100)
-    assert not window.active
-    window.begin_kernel()        # kernel 0
-    window.record(1, 0, 0, 7, 0, 0)
-    window.record_stall(2, 0, 0, 1, 3)
+    assert not window.active     # kernel 0
+    window.on_issue(1, 0, 0, 7, 0, 0)
+    window.on_stall(2, 0, 0, 1, 3)
     assert not window.inner.events and not window.inner.stalls
-    window.begin_kernel()        # kernel 1: capture window opens
+    window.on_kernel(None, {})   # kernel 0 ends: capture window opens
     assert window.active
-    window.record(5, 0, 0, 7, 0, 0)
-    window.record_stall(6, 0, 0, 1, 3)
+    window.on_issue(5, 0, 0, 7, 0, 0)
+    window.on_stall(6, 0, 0, 1, 3)
+    window.on_mem(7, 0, 2, 40)
     assert len(window.inner.events) == 1
     assert len(window.inner.stalls) == 1
-    window.begin_kernel()        # kernel 2: window closed again
+    window.on_kernel(None, {})   # kernel 1 ends: window closed again
     assert not window.active
-    window.record(9, 0, 0, 7, 0, 0)
+    window.on_issue(9, 0, 0, 7, 0, 0)
     assert len(window.inner.events) == 1

@@ -103,21 +103,3 @@ def test_combined_trace_serializes(tmp_path):
     doc = json.loads(path.read_text())
     cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] == "X"}
     assert "kernel" in cats and "stall" in cats
-
-
-def test_record_stall_duck_typing():
-    """Objects with only ``record`` still work as kernel tracers."""
-
-    class LegacyTracer:
-        def __init__(self):
-            self.calls = 0
-
-        def record(self, *a):
-            self.calls += 1
-
-    legacy = LegacyTracer()
-    run_single(make_algorithm("pagerank", iterations=1),
-               powerlaw_graph(60, 240, seed=5), "vertex_map",
-               config=GPUConfig.vortex_tiny(), max_iterations=1,
-               exec_tracer=legacy)
-    assert legacy.calls > 0
