@@ -14,8 +14,9 @@ for SparseWeaver's 3.64x advantage.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, Deque, List, Tuple
 
 import numpy as np
 
@@ -66,9 +67,14 @@ class EGHWUnit:
         self.col_idx = col_idx
         self.weights = weights
         self.lanes = config.threads_per_warp
+        if not 0 <= core_id < len(memory.l1):
+            raise SimulationError(f"core id {core_id} out of range")
+        self._mlp = max(1, config.eghw_mlp)
         self._inputs: List[int] = []
-        self._records: List[Tuple[int, int, int, float]] = []
-        self._record_ready: List[int] = []
+        # Staged edge records, one ``[vid, first_eid, end_eid, ready]``
+        # run per warp-width chunk of a vertex's edge list.
+        self._runs: Deque[List[int]] = deque()
+        self._staged = 0
         self._next_input = 0
         self._unit_time = 0
         self._free_at = 0
@@ -98,8 +104,9 @@ class EGHWUnit:
         raise SimulationError(f"EGHWUnit cannot handle {op.name}")
 
     # ------------------------------------------------------------------
-    def _produce_one(self) -> bool:
-        """Generate records for the next input vertex; False when drained.
+    def _read(self, region: Region, first: int, end: int) -> None:
+        """Charge the contiguous element span ``region[first:end]`` on
+        the unit's timeline.
 
         The unit keeps ``eghw_mlp`` memory requests in flight (a small
         fixed MSHR budget), so its serial timeline advances by
@@ -107,85 +114,83 @@ class EGHWUnit:
         from the GPU pipeline's warp-level hiding, which is the paper's
         point in Case Study 1.
         """
-        cfg = self.config
-        mlp = max(1, cfg.eghw_mlp)
+        memory = self.memory
+        latency = memory.walk(self.core_id,
+                              memory.span_lines(region, first, end),
+                              self._unit_time)
+        self._unit_time += -(-latency // self._mlp)
+
+    def _produce_one(self) -> bool:
+        """Stage records for the next input vertex; False when drained."""
+        shmem = self.config.shmem_latency
+        lanes = self.lanes
         while self._next_input < len(self._inputs):
             vid = self._inputs[self._next_input]
             self._next_input += 1
             # Shared-memory read of the vid buffer.
-            self._unit_time += cfg.shmem_latency
+            self._unit_time += shmem
             # Topology read: row_ptr[vid], row_ptr[vid+1].
-            lat, _ = self.memory.access(
-                self.core_id,
-                self.row_ptr_region,
-                np.asarray([vid, vid + 1], dtype=np.int64),
-                now=self._unit_time,
-            )
-            self._unit_time += -(-lat // mlp)
+            self._read(self.row_ptr_region, vid, vid + 2)
             start, end = int(self.row_ptr[vid]), int(self.row_ptr[vid + 1])
             if start == end:
                 continue
             # Edge-information reads, one warp-width chunk at a time.
-            for chunk_start in range(start, end, self.lanes):
-                chunk = np.arange(
-                    chunk_start, min(chunk_start + self.lanes, end),
-                    dtype=np.int64,
-                )
-                lat, _ = self.memory.access(self.core_id, self.col_region,
-                                            chunk, now=self._unit_time)
-                self._unit_time += -(-lat // mlp)
-                lat, _ = self.memory.access(
-                    self.core_id, self.weight_region, chunk,
-                    now=self._unit_time,
-                )
-                self._unit_time += -(-lat // mlp)
-                # Stage each record into the shared-memory output buffer.
-                self._unit_time += cfg.shmem_latency
-                for eid in chunk.tolist():
-                    self._records.append(
-                        (vid, eid, int(self.col_idx[eid]),
-                         float(self.weights[eid]))
-                    )
-                    self._record_ready.append(self._unit_time)
-                    self.edges_generated += 1
+            for first in range(start, end, lanes):
+                last = min(first + lanes, end)
+                self._read(self.col_region, first, last)
+                self._read(self.weight_region, first, last)
+                # Stage the chunk into the shared-memory output buffer.
+                self._unit_time += shmem
+                self._runs.append([vid, first, last, self._unit_time])
+            self._staged += end - start
+            self.edges_generated += end - start
             return True
         return False
 
     def _fetch(self, now: int) -> Tuple[EdgeBatch, int]:
         """Return up to one warp of records and their availability time."""
         self._unit_time = max(self._unit_time, now)
-        while (
-            len(self._records) < self.lanes
-            and self._next_input < len(self._inputs)
-        ):
+        lanes = self.lanes
+        while self._staged < lanes and self._next_input < len(self._inputs):
             self._produce_one()
-        take = min(self.lanes, len(self._records))
-        vids = np.full(self.lanes, -1, dtype=np.int64)
-        eids = np.full(self.lanes, -1, dtype=np.int64)
-        others = np.full(self.lanes, -1, dtype=np.int64)
-        weights = np.zeros(self.lanes, dtype=np.float64)
+        vids: List[int] = []
+        eids: List[int] = []
         ready = now
-        for i in range(take):
-            vid, eid, other, w = self._records[i]
-            vids[i] = vid
-            eids[i] = eid
-            others[i] = other
-            weights[i] = w
-            ready = max(ready, self._record_ready[i])
-        del self._records[:take]
-        del self._record_ready[:take]
-        mask = vids >= 0
-        return EdgeBatch(vids, eids, others, weights, mask), ready
+        runs = self._runs
+        while runs and len(eids) < lanes:
+            run = runs[0]
+            vid, first, end, at = run
+            last = min(end, first + lanes - len(eids))
+            vids += [vid] * (last - first)
+            eids += range(first, last)
+            if at > ready:
+                ready = at
+            if last == end:
+                runs.popleft()
+            else:
+                run[1] = last
+        take = len(eids)
+        self._staged -= take
+        pad = [-1] * (lanes - take)
+        vid_row = np.array(vids + pad, dtype=np.int64)
+        eid_row = np.array(eids + pad, dtype=np.int64)
+        others = np.full(lanes, -1, dtype=np.int64)
+        weights = np.zeros(lanes, dtype=np.float64)
+        taken = eid_row[:take]
+        others[:take] = self.col_idx[taken]
+        weights[:take] = self.weights[taken]
+        batch = EdgeBatch(vid_row, eid_row, others, weights, vid_row >= 0)
+        return batch, ready
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear buffers for a new epoch."""
         self._inputs.clear()
-        self._records.clear()
-        self._record_ready.clear()
+        self._runs.clear()
+        self._staged = 0
         self._next_input = 0
 
     @property
     def drained(self) -> bool:
         """True when every pushed vertex's edges have been fetched."""
-        return not self._records and self._next_input >= len(self._inputs)
+        return not self._runs and self._next_input >= len(self._inputs)

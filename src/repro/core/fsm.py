@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +44,13 @@ class WeaverState(Enum):
     WAIT = "S6"
     DRAIN = "S7"
     END = "S8"
+
+
+#: State tails of one S2 visit: OD full (S5 -> S6), refill from the
+#: next ST entry (S3 -> S4), and ST exhausted (S7 -> S8).
+_OD_FULL = (WeaverState.UPDATE_DT, WeaverState.WAIT)
+_REFILL = (WeaverState.FETCH, WeaverState.UPDATE_CED)
+_DRAIN = (WeaverState.DRAIN, WeaverState.END)
 
 
 @dataclass
@@ -74,25 +81,6 @@ class DecodeResult:
         return int(self.mask.sum())
 
 
-class _CED:
-    """Current Entry Data buffer: the in-flight ST entry."""
-
-    __slots__ = ("vid", "cursor", "remaining")
-
-    def __init__(self, entry: STEntry) -> None:
-        self.vid = entry.vid
-        self.cursor = entry.loc
-        self.remaining = entry.degree
-
-    def take(self, count: int) -> List[tuple]:
-        taken = [
-            (self.vid, self.cursor + i) for i in range(min(count, self.remaining))
-        ]
-        self.cursor += len(taken)
-        self.remaining -= len(taken)
-        return taken
-
-
 class WeaverFSM:
     """Pure-logic Weaver FSM over an ST scan.
 
@@ -116,8 +104,11 @@ class WeaverFSM:
         self.state = WeaverState.INIT
         self._entries: List[STEntry] = []
         self._scan_pos = 0
-        self._ced: Optional[_CED] = None
-        self._od: List[tuple] = []
+        # Current Entry Data (CED) buffer: the in-flight ST entry's vid,
+        # next edge id and remaining work items (vid None: no entry).
+        self._ced_vid: Optional[int] = None
+        self._ced_cursor = 0
+        self._ced_remaining = 0
         self._skipped: Set[int] = set()
         self.total_fsm_cycles = 0
         self.total_st_reads = 0
@@ -128,8 +119,8 @@ class WeaverFSM:
         self.state = WeaverState.INIT
         self._entries = []
         self._scan_pos = 0
-        self._ced = None
-        self._od = []
+        self._ced_vid = None
+        self._ced_remaining = 0
         self._skipped = set()
 
     def skip(self, vid: int) -> None:
@@ -139,8 +130,8 @@ class WeaverFSM:
         (the supernode mid-decode case the paper motivates with BFS).
         """
         self._skipped.add(vid)
-        if self._ced is not None and self._ced.vid == vid:
-            self._ced.remaining = 0
+        if self._ced_vid == vid:
+            self._ced_remaining = 0
 
     @property
     def exhausted(self) -> bool:
@@ -150,97 +141,98 @@ class WeaverFSM:
     # ------------------------------------------------------------------
     def decode(self) -> DecodeResult:
         """Serve one decode request: run states until OD is full or the
-        scan ends, then emit the OD as a lane-wide result."""
+        scan ends, then emit the OD as a lane-wide result.
+
+        Each S2 visit moves ``min(free lanes, CED remaining)`` work items
+        into the OD at once, as one ``(vid, first_eid, count)`` run, so
+        the host cost follows ST entries rather than work items.
+        """
+        if self.state == WeaverState.END:
+            # Post-end request: one cycle to answer with -1s.
+            return self._finish([], [], 0, 1)
         states: List[WeaverState] = []
         st_reads = 0
         bitmap_cycles = 0
-
-        def visit(state: WeaverState) -> None:
-            nonlocal st_reads
-            self.state = state
-            states.append(state)
-            if state in (WeaverState.LOAD_FIRST, WeaverState.FETCH):
-                st_reads += 1
-
-        def skip_zeros() -> None:
-            # Advance the scan cursor over zero-degree / skipped entries
-            # via the valid bitmap (zero_skip_width entries per cycle).
-            nonlocal bitmap_cycles
-            skipped = 0
-            while self._scan_pos < len(self._entries):
-                entry = self._entries[self._scan_pos]
-                if entry.degree > 0 and entry.vid not in self._skipped:
-                    break
-                self._scan_pos += 1
-                skipped += 1
-            if skipped:
-                bitmap_cycles += -(-skipped // self.zero_skip_width)
-
         if self.state == WeaverState.INIT:
             self._entries = list(self.table.scan())
             self._scan_pos = 0
-            skip_zeros()
-            visit(WeaverState.LOAD_FIRST)
-            if self._scan_pos < len(self._entries):
-                self._ced = _CED(self._entries[self._scan_pos])
-                self._scan_pos += 1
-                self._apply_skip()
-            else:
-                self._ced = None
-        elif self.state == WeaverState.WAIT:
-            pass  # resume with the current CED at S2
-        elif self.state == WeaverState.END:
-            return self._finish(states, st_reads, 0, end=True)
+            bitmap_cycles += self._skip_zeros()
+            states.append(WeaverState.LOAD_FIRST)
+            st_reads += 1
+            self._load_ced()
+        # else WAIT: resume with the current CED at S2.
 
         # Decode loop: S2 with refills (S3/S4) until OD full or drained.
+        od: List[Tuple[int, int, int]] = []
+        free = self.lanes
         while True:
-            visit(WeaverState.DECODE)
-            if self._ced is not None and self._ced.remaining > 0:
-                self._od.extend(self._ced.take(self.lanes - len(self._od)))
-            if len(self._od) >= self.lanes:
-                visit(WeaverState.UPDATE_DT)
-                visit(WeaverState.WAIT)
-                return self._finish(states, st_reads, bitmap_cycles,
-                                    end=False)
-            skip_zeros()
+            states.append(WeaverState.DECODE)
+            if self._ced_remaining > 0:
+                count = min(free, self._ced_remaining)
+                od.append((self._ced_vid, self._ced_cursor, count))
+                self._ced_cursor += count
+                self._ced_remaining -= count
+                free -= count
+            if not free:
+                states += _OD_FULL
+                break
+            bitmap_cycles += self._skip_zeros()
             if self._scan_pos < len(self._entries):
-                visit(WeaverState.FETCH)
-                self._ced = _CED(self._entries[self._scan_pos])
-                self._scan_pos += 1
-                self._apply_skip()
-                visit(WeaverState.UPDATE_CED)
+                states += _REFILL
+                st_reads += 1
+                self._load_ced()
                 continue
             # ST exhausted: drain the partial OD and end.
-            visit(WeaverState.DRAIN)
-            visit(WeaverState.END)
-            return self._finish(states, st_reads, bitmap_cycles, end=True)
+            states += _DRAIN
+            break
+        self.state = states[-1]
+        return self._finish(od, states, st_reads,
+                            len(states) + bitmap_cycles)
 
     # ------------------------------------------------------------------
-    def _apply_skip(self) -> None:
-        if self._ced is not None and self._ced.vid in self._skipped:
-            self._ced.remaining = 0
+    def _skip_zeros(self) -> int:
+        """Advance the scan cursor over zero-degree / skipped entries via
+        the valid bitmap; returns the bitmap cycles spent
+        (``zero_skip_width`` entries per cycle)."""
+        entries, skipped = self._entries, self._skipped
+        pos = start = self._scan_pos
+        while pos < len(entries):
+            vid, _, degree = entries[pos]
+            if degree > 0 and vid not in skipped:
+                break
+            pos += 1
+        self._scan_pos = pos
+        return -(-(pos - start) // self.zero_skip_width)
+
+    def _load_ced(self) -> None:
+        """Latch the entry under the scan cursor into the CED (none left:
+        the CED stays empty).  The entry is live: ``_skip_zeros`` just
+        stepped over every zero-degree or skipped one."""
+        if self._scan_pos < len(self._entries):
+            vid, loc, degree = self._entries[self._scan_pos]
+            self._scan_pos += 1
+            self._ced_vid, self._ced_cursor = vid, loc
+            self._ced_remaining = degree
+        else:
+            self._ced_vid, self._ced_remaining = None, 0
 
     def _finish(
-        self, states: List[WeaverState], st_reads: int,
-        bitmap_cycles: int, end: bool
+        self, od: List[Tuple[int, int, int]], states: List[WeaverState],
+        st_reads: int, cycles: int,
     ) -> DecodeResult:
-        vids = np.full(self.lanes, -1, dtype=np.int64)
-        eids = np.full(self.lanes, -1, dtype=np.int64)
-        for i, (vid, eid) in enumerate(self._od):
-            vids[i] = vid
-            eids[i] = eid
-        mask = vids >= 0
-        self._od = []
-        cycles = len(states) + bitmap_cycles
-        if end and not states:
-            # Post-end request: one cycle to answer with -1s.
-            cycles = 1
+        vids: List[int] = []
+        eids: List[int] = []
+        for vid, first, count in od:
+            vids += [vid] * count
+            eids += range(first, first + count)
+        pad = [-1] * (self.lanes - len(vids))
+        vid_row = np.array(vids + pad, dtype=np.int64)
         self.total_fsm_cycles += cycles
         self.total_st_reads += st_reads
         return DecodeResult(
-            vids=vids,
-            eids=eids,
-            mask=mask,
+            vids=vid_row,
+            eids=np.array(eids + pad, dtype=np.int64),
+            mask=vid_row >= 0,
             fsm_cycles=cycles,
             st_reads=st_reads,
             states=states,

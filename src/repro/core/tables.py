@@ -13,7 +13,7 @@ read it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -21,19 +21,17 @@ import numpy as np
 from repro.errors import WeaverError
 
 
-@dataclass(frozen=True)
-class STEntry:
+class STEntry(namedtuple("STEntry", "vid loc degree")):
     """One registered workload: base vertex, edge-run start, degree."""
 
-    vid: int
-    loc: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise WeaverError(f"negative degree {self.degree} for vid {self.vid}")
-        if self.loc < 0:
-            raise WeaverError(f"negative location {self.loc} for vid {self.vid}")
+    def __new__(cls, vid: int, loc: int, degree: int) -> "STEntry":
+        if degree < 0:
+            raise WeaverError(f"negative degree {degree} for vid {vid}")
+        if loc < 0:
+            raise WeaverError(f"negative location {loc} for vid {vid}")
+        return tuple.__new__(cls, (vid, loc, degree))
 
 
 class SparseWorkloadTable:

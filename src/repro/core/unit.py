@@ -162,12 +162,11 @@ class WeaverUnit:
             # Pipeline fill: first ST read of the epoch.
             self._scan_time += self.config.weaver_table_latency
             self._scan_started = True
+        # An exhausted batch leaves the FSM in S8, which ends the loop.
         while len(self._ready) < self.prefetch_depth and not self.fsm.exhausted:
             result = self.fsm.decode()
             self._scan_time += self._scan_cost(result)
             self._ready.append((result, self._scan_time))
-            if result.exhausted:
-                break
 
     def _decode_ids(self, warp_slot: int, now: int) -> Tuple[int, DecodeResult]:
         """Serve one DEC_ID request; park EIDs in the DT.

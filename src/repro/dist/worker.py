@@ -155,9 +155,10 @@ class Worker:
     def run(self) -> int:
         """Serve leases until drained (or ``max_jobs``); returns jobs run.
 
-        A lost session (coordinator restart, partition, socket error)
-        is re-dialed with jittered exponential backoff while
-        ``max_reconnects`` consecutive losses remain;
+        A first dial that fails within ``connect_timeout`` raises
+        :class:`ReproError`.  A lost session (coordinator restart,
+        partition, socket error) is re-dialed with jittered exponential
+        backoff while ``max_reconnects`` consecutive losses remain;
         :attr:`stop_reason` records why the worker finally stopped
         (``drained`` / ``max_jobs`` / ``memory_soft`` / ``lost`` /
         ``rejected``).
@@ -167,14 +168,16 @@ class Worker:
             try:
                 stream = self._connect()
             except ReproError:
+                if not self.reconnects:
+                    # Never connected: ``connect_timeout`` was the
+                    # whole budget; reconnects are for lost sessions.
+                    raise
                 losses += 1
                 if losses > self.max_reconnects:
-                    if self.reconnects:
-                        # Had a live session once; going quiet matches
-                        # the old worker's exit-on-EOF contract.
-                        self.stop_reason = "lost"
-                        return self.jobs_done
-                    raise
+                    # Had a live session once; going quiet matches
+                    # the old worker's exit-on-EOF contract.
+                    self.stop_reason = "lost"
+                    return self.jobs_done
                 time.sleep(self._policy.delay(losses))
                 continue
             self._stream = stream

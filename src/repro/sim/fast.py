@@ -126,7 +126,7 @@ class FastGPU(GPU):
         """
         reads, writes, alu_ops, phase, n = desc
         cfg = self.config
-        shift = self.memory._line_shift
+        span_lines = self.memory.span_lines
         lanes = cfg.threads_per_warp
         stride = cfg.total_threads
         num_epochs = max(1, -(-n // stride)) if n else 1
@@ -153,14 +153,14 @@ class FastGPU(GPU):
                     epochs_run += 1
                     for region in reads:
                         records.append((_READ, 1, 1, phase, memory_cat,
-                                        _span_lines(region, a, b, shift),
+                                        span_lines(region, a, b),
                                         Op.LOAD))
                         counters["elements_loaded:" + region.name] += b - a
                     records.append(alu_rec)
                     for region in writes:
                         records.append((_WRITE, 1, store_delay, phase,
                                         memory_cat,
-                                        _span_lines(region, a, b, shift),
+                                        span_lines(region, a, b),
                                         Op.STORE))
                 records.append(_END)
                 entries.append((slot, tuple(records), None))
@@ -230,9 +230,3 @@ class FastGPU(GPU):
             cores.append([(slot, tuple(records), effects or None)
                           for slot, _gen, records, effects in entries])
         return KernelTrace(cores, totals)
-
-
-def _span_lines(region, a: int, b: int, shift: int) -> range:
-    """Cache lines of the contiguous element span ``region[a:b]``."""
-    return range((region.base + a * region.itemsize) >> shift,
-                 ((region.base + (b - 1) * region.itemsize) >> shift) + 1)

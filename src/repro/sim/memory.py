@@ -94,10 +94,10 @@ class MemoryHierarchy:
     """Per-core L1s over a shared L2 (and optional L3) over DRAM.
 
     :meth:`walk` is the one per-line hierarchy walk: the event loop
-    calls it with a compiled record's line list, hardware units and
-    tests reach it through :meth:`access`.  ``observers`` are the
-    running kernel's observers (set by the event loop); each walk
-    reports to their ``on_mem``.
+    calls it with a compiled record's line list, the EGHW unit with a
+    :meth:`span_lines` range, and tests reach it through
+    :meth:`access`.  ``observers`` are the running kernel's observers
+    (set by the event loop); each walk reports to their ``on_mem``.
     """
 
     def __init__(self, config: GPUConfig) -> None:
@@ -140,6 +140,16 @@ class MemoryHierarchy:
                            for v in indices.tolist()})
         addrs = region.base + indices * region.itemsize
         return np.unique(addrs >> self._line_shift).tolist()
+
+    def span_lines(self, region: Region, first: int, end: int) -> range:
+        """Cache lines of the contiguous element span ``region[first:end]``
+        (``end > first``): what :meth:`lines_of` returns for those
+        indices, as a range, since consecutive elements leave no line
+        untouched between the first and the last."""
+        shift = self._line_shift
+        return range((region.base + first * region.itemsize) >> shift,
+                     ((region.base + (end - 1) * region.itemsize)
+                      >> shift) + 1)
 
     def walk(self, core_id: int, lines: Sequence[int], now: int = 0) -> int:
         """Charge one coalesced access to ascending unique ``lines``.

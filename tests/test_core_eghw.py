@@ -12,7 +12,7 @@ from repro.sim.instructions import Op
 from repro.sim.memory import MemoryHierarchy
 
 
-def make_unit(graph, lanes=4, mlp=4):
+def make_unit(graph, lanes=4, mlp=4, core_id=0):
     cfg = GPUConfig(
         num_sockets=1, cores_per_socket=1, warps_per_core=2,
         threads_per_warp=lanes,
@@ -26,7 +26,7 @@ def make_unit(graph, lanes=4, mlp=4):
         "col": mm.alloc_like("col", graph.col_idx),
         "w": mm.alloc_like("w", graph.weights),
     }
-    unit = EGHWUnit(0, cfg, mem, regions["row_ptr"], regions["col"],
+    unit = EGHWUnit(core_id, cfg, mem, regions["row_ptr"], regions["col"],
                     regions["w"], graph.row_ptr, graph.col_idx,
                     graph.weights)
     return unit
@@ -116,3 +116,11 @@ def test_unknown_op_rejected(small_graph):
     u = make_unit(small_graph)
     with pytest.raises(SimulationError):
         u.handle(Op.WEAVER_REG, 0, 1, None)
+
+
+@pytest.mark.parametrize("core_id", [-1, 1])
+def test_out_of_range_core_rejected(small_graph, core_id):
+    with pytest.raises(SimulationError, match="out of range"):
+        u = make_unit(small_graph, core_id=core_id)
+        u.handle(Op.EGHW_PUSH, 0, 1, [0])
+        u.handle(Op.EGHW_FETCH, 0, 10, None)

@@ -39,10 +39,13 @@ def test_serve_and_work_round_trip(tmp_path):
     assert match, f"no address in serve banner: {banner!r}"
     address = match.group(1)
 
+    # One lease each: the batch cannot finish (and the coordinator
+    # exit) before both workers have connected and run a job.
     workers = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", "work", address,
-             "--id", f"cli-w{i}", "--connect-timeout", "60"],
+             "--id", f"cli-w{i}", "--connect-timeout", "60",
+             "--max-jobs", "1"],
             env=_env(), cwd=REPO_ROOT, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         for i in range(2)
@@ -57,11 +60,13 @@ def test_serve_and_work_round_trip(tmp_path):
     jobs_by_worker = {w: info["jobs_ok"]
                       for w, info in payload["fleet"]["workers"].items()}
     assert sum(jobs_by_worker.values()) == 2
+    assert jobs_by_worker == {"cli-w0": 1, "cli-w1": 1}
 
     for proc in workers:
         wout, werr = proc.communicate(timeout=60)
         assert proc.returncode == 0, werr
         assert "drained" in wout
+        assert "drained: 1 job(s) run" in wout
     # The journal holds both completions for a later --resume.
     lines = [json.loads(l) for l in journal.read_text().splitlines()]
     assert sum(1 for l in lines if "summary" in l) == 2

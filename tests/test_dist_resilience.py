@@ -563,18 +563,55 @@ def test_late_result_after_expiry_is_stale_not_duplicated(tmp_path):
     assert len(reclaimed) == 1
 
 
+def _one_session_coordinator():
+    """A coordinator stand-in that welcomes one worker, then vanishes
+    (connection and listener both closed)."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, _ = listener.accept()
+        listener.close()
+        stream = MessageStream(conn)
+        stream.recv()  # hello
+        stream.send(protocol.welcome("vanishing", 30.0, 1.0))
+        stream.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return port, thread
+
+
 def test_worker_reconnect_attempts_are_bounded():
-    """With no coordinator ever coming back, a partitioned worker
-    gives up after max_reconnects consecutive losses instead of
+    """With no coordinator ever coming back, a worker that lost its
+    session gives up after max_reconnects consecutive losses instead of
     spinning forever."""
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
+    port, coordinator = _one_session_coordinator()
     worker = Worker(f"127.0.0.1:{port}", worker_id="stranded",
                     connect_timeout=0.1, max_reconnects=2,
                     reconnect_base=0.01)
     start = time.monotonic()
+    assert worker.run() == 0
+    assert time.monotonic() - start < 5.0
+    coordinator.join(timeout=5.0)
+    assert not coordinator.is_alive()
+    assert worker.stop_reason == "lost"
+    assert worker.reconnects == 1
+
+
+def test_worker_never_connected_does_not_redial():
+    """A first dial that times out is not a lost session: the worker
+    raises after connect_timeout instead of re-dialing max_reconnects
+    more times."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    worker = Worker(f"127.0.0.1:{port}", worker_id="unreachable",
+                    connect_timeout=0.3, max_reconnects=5)
+    start = time.monotonic()
     with pytest.raises(ReproError, match="could not reach"):
         worker.run()
-    assert time.monotonic() - start < 5.0
+    assert time.monotonic() - start < 2.0
