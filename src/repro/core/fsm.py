@@ -96,6 +96,9 @@ class WeaverFSM:
     #: Bitmap-scan width: zero entries skipped per FSM cycle.
     zero_skip_width = 32
 
+    #: FSM cycles to answer a request in S8 (with -1s).
+    END_CYCLES = 1
+
     def __init__(self, table: SparseWorkloadTable, lanes: int) -> None:
         if lanes < 1:
             raise WeaverError("Weaver needs at least one lane")
@@ -148,8 +151,7 @@ class WeaverFSM:
         the host cost follows ST entries rather than work items.
         """
         if self.state == WeaverState.END:
-            # Post-end request: one cycle to answer with -1s.
-            return self._finish([], [], 0, 1)
+            return self._finish([], [], 0, self.END_CYCLES)
         states: List[WeaverState] = []
         st_reads = 0
         bitmap_cycles = 0

@@ -13,18 +13,25 @@ Wraps the pure FSM with the Section III-C / V-D timing model:
 * A ``WEAVER_REG`` arriving while the FSM is in END (or before any
   decode) starts a fresh epoch: tables and skip set are cleared and the
   FSM returns to S0 — the reset rule stated under Fig. 6.
+
+The scan does not depend on requests, so with no ``WEAVER_SKIP`` an
+epoch's decode sequence follows from its registrations alone.  The fast
+engine plans a launch once (:meth:`WeaverUnit.plan` logs each epoch's
+``(fsm_cycles, empty)`` decodes from the real FSM) and replays it
+(:meth:`WeaverUnit.replay` pops those decodes through the same
+timeline, with no FSM, ST or DT work).
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from collections import deque
+from typing import Any, Optional, Tuple
 
-import numpy as np
-
-from repro.errors import WeaverError
-from repro.core.fsm import DecodeResult, WeaverFSM, WeaverState
+from repro.errors import SimulationError, WeaverError
+from repro.core.fsm import WeaverFSM, WeaverState
 from repro.core.tables import DenseWorkIDTable, SparseWorkloadTable
 from repro.sim.config import GPUConfig
+from repro.sim.gpu import HOME
 from repro.sim.instructions import Op
 
 
@@ -62,14 +69,41 @@ class WeaverUnit:
         self.dt = DenseWorkIDTable(config.warps_per_core, self.lanes)
         self.fsm = WeaverFSM(self.st, self.lanes)
         self.prefetch_depth = max(1, prefetch_depth)
-        self._ready: list = []          # [(DecodeResult, ready_time)]
+        self._ready: list = []          # [(reply, ready_time)]
         self._scan_time = 0             # background FSM timeline
         self._scan_started = False
         self._free_at = 0
         self._epoch_open = False
+        self._log: Optional[list] = None    # planning: per-epoch decodes
+        self._plan = None                   # replaying: epoch logs left
+        self._planned: deque = deque()      # replaying: epoch's decodes
+        self._bodies = None                 # replaying: bodies, in order
         self.registrations = 0
         self.decodes = 0
         self.skips = 0
+
+    # ------------------------------------------------------------------
+    # Planned launches (fast engine)
+    # ------------------------------------------------------------------
+    def plan(self) -> list:
+        """Serve requests live and log every epoch's FSM decodes.
+
+        Returns the log: one list of ``(fsm_cycles, empty)`` per epoch,
+        in scan order, up to and including the decode that reached S8.
+        """
+        self._log = []
+        return self._log
+
+    def replay(self, log: list, bodies: list) -> None:
+        """Replay a planned launch without the FSM.
+
+        Decodes pop from ``log`` through the unchanged prefetch
+        timeline; a decode with work answers with the next of
+        ``bodies`` (reply order), an empty one with
+        :data:`~repro.sim.gpu.HOME`.  The ST and DT are not written.
+        """
+        self._plan = iter(log)
+        self._bodies = iter(bodies)
 
     # ------------------------------------------------------------------
     # Simulator unit protocol
@@ -106,8 +140,14 @@ class WeaverUnit:
             # every distribution round and Fig. 13 could not be flat.)
             latency = min(self.config.weaver_table_latency,
                           self.DT_BYPASS_LATENCY)
+            if self._plan is not None:
+                return now + latency, None
             return now + latency, self.dt.read(warp_slot)
         if op == Op.WEAVER_SKIP:
+            if self._plan is not None:
+                raise SimulationError(
+                    "WEAVER_SKIP reached a replaying Weaver: a skip "
+                    "changes the scan, so the planned batches are void")
             self.fsm.skip(int(payload))
             self.skips += 1
             return now + 1, None
@@ -122,12 +162,20 @@ class WeaverUnit:
         finished resets the unit for a new epoch.
         """
         if not self._epoch_open:
-            self.st.clear()
-            self.dt.clear()
-            self.fsm.reset()
             self._ready.clear()
             self._scan_started = False
             self._epoch_open = True
+            if self._plan is not None:
+                self._planned = deque(next(self._plan))
+            else:
+                self.st.clear()
+                self.dt.clear()
+                self.fsm.reset()
+                if self._log is not None:
+                    self._log.append([])
+        if self._plan is not None:
+            # The planned decodes already hold this epoch's scan.
+            return self.config.weaver_table_latency if entries else 1
         if self.fsm.state != WeaverState.INIT:
             raise WeaverError(
                 "WEAVER_REG received while distribution is in flight; "
@@ -144,31 +192,44 @@ class WeaverUnit:
         # Parallel bank write: one table-write latency per warp request.
         return self.config.weaver_table_latency if count else 1
 
-    def _scan_cost(self, result: DecodeResult) -> int:
-        """Background FSM cycles one batch costs.
+    @property
+    def _scan_done(self) -> bool:
+        """Whether the epoch's scan reached S8 (live: the FSM's END;
+        replaying: no planned decode left)."""
+        if self._plan is None:
+            return self.fsm.exhausted
+        return not self._planned
+
+    def _decode(self) -> Tuple[int, Any]:
+        """The scan's next OD batch as ``(fsm_cycles, reply)``."""
+        if self._plan is not None:
+            cycles, empty = self._planned.popleft()
+            return cycles, HOME if empty else next(self._bodies)
+        result = self.fsm.decode()
+        if self._log is not None:
+            self._log[-1].append((result.fsm_cycles, result.exhausted))
+        return result.fsm_cycles, result
+
+    def _refill(self) -> None:
+        """Precompute OD batches on the background timeline.
 
         ST reads are pipelined: the scan cursor is sequential and
         request-independent, so the decoupled prefetcher streams entries
         at one FSM cycle per state visited. The table-read latency is
-        paid once per epoch as pipeline fill (charged by the first
-        ``_refill``), not per entry — which is what keeps Fig. 13 flat
-        as the table latency grows.
+        paid once per epoch as pipeline fill, not per entry — which is
+        what keeps Fig. 13 flat as the table latency grows.
         """
-        return result.fsm_cycles
-
-    def _refill(self) -> None:
-        """Precompute OD batches on the background timeline."""
-        if not self._scan_started and not self.fsm.exhausted:
+        if not self._scan_started and not self._scan_done:
             # Pipeline fill: first ST read of the epoch.
             self._scan_time += self.config.weaver_table_latency
             self._scan_started = True
         # An exhausted batch leaves the FSM in S8, which ends the loop.
-        while len(self._ready) < self.prefetch_depth and not self.fsm.exhausted:
-            result = self.fsm.decode()
-            self._scan_time += self._scan_cost(result)
-            self._ready.append((result, self._scan_time))
+        while len(self._ready) < self.prefetch_depth and not self._scan_done:
+            cycles, reply = self._decode()
+            self._scan_time += cycles
+            self._ready.append((reply, self._scan_time))
 
-    def _decode_ids(self, warp_slot: int, now: int) -> Tuple[int, DecodeResult]:
+    def _decode_ids(self, warp_slot: int, now: int) -> Tuple[int, Any]:
         """Serve one DEC_ID request; park EIDs in the DT.
 
         Pops a precomputed batch when one is ready; otherwise waits for
@@ -184,15 +245,18 @@ class WeaverUnit:
         if self._ready:
             result, ready_time = self._ready.pop(0)
             wait = max(0, ready_time - now)
+        elif self._plan is not None:
+            result, wait = HOME, WeaverFSM.END_CYCLES
         else:
             # FSM already exhausted: answer -1s in one cycle.
             result = self.fsm.decode()
             wait = result.fsm_cycles
         self.decodes += 1
-        self.dt.write(warp_slot, result.eids)
+        if self._plan is None:
+            self.dt.write(warp_slot, result.eids)
         latency = wait + 1
         self._refill()
-        if self.fsm.exhausted and not self._ready:
+        if self._scan_done and not self._ready:
             # Distribution drained: the next WEAVER_REG opens a new epoch.
             self._epoch_open = False
         return latency, result

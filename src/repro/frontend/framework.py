@@ -136,14 +136,14 @@ class GraphProcessor:
         # and replays it on later launches.  The gather kernel is only
         # eligible when its instruction stream cannot depend on state
         # the kernel itself mutates (``trace_safe`` schedules, no
-        # filters / early exit) and it needs no hardware unit.  During
-        # the trace drain a recording ``edge_update`` captures argument
-        # tuples instead of mutating state; every replay re-executes
-        # them in issue order, so float accumulation order matches
-        # reference.  Init/apply are grid-stride elementwise kernels,
-        # so a replay GPU compiles their traces analytically
-        # (contiguous per-warp index ranges) and never needs the warp
-        # generators.
+        # filters / early exit); a hardware unit's replies then only
+        # pick which stored batch body runs next.  During the trace
+        # drain a recording ``edge_update`` captures argument tuples
+        # instead of mutating state; every replay re-executes them in
+        # issue order, so float accumulation order matches reference.
+        # Init/apply are grid-stride elementwise kernels, so a replay
+        # GPU compiles their traces analytically (contiguous per-warp
+        # index ranges) and never needs the warp generators.
         fast_elementwise = gpu.supports_replay
         if fast_elementwise:
             init_hint = ReplayHint("init", elementwise=(
@@ -162,7 +162,6 @@ class GraphProcessor:
         fast_gather = (
             gpu.supports_replay
             and self.schedule.trace_safe
-            and not self.schedule.uses_hardware_unit
             and not (alg.has_base_filter or alg.has_other_filter
                      or alg.has_early_exit)
         )
@@ -206,21 +205,19 @@ class GraphProcessor:
             # Factories are rebuilt per launch: schedules with shared
             # per-launch state (block registries, hardware tables) must
             # start each gather kernel fresh.  A stored trace replaces
-            # the factory entirely — eligible streams are identical
-            # across iterations — so replays skip the rebuild.
+            # the warp factory entirely — eligible streams are identical
+            # across iterations — so replays skip the rebuild; a unit
+            # still serves every launch, replayed or not.
             swap = recording_alg is not None and not gpu.has_trace("gather")
             if swap:
                 env.algorithm = recording_alg
             try:
-                if gpu.has_trace("gather"):
-                    warp_factory = None
-                    unit_factory = None
-                else:
-                    warp_factory = self.schedule.warp_factory(env)
-                    unit_factory = (
-                        self.schedule.unit_factory(env)
-                        if self.schedule.uses_hardware_unit else None
-                    )
+                warp_factory = (None if gpu.has_trace("gather")
+                                else self.schedule.warp_factory(env))
+                unit_factory = (
+                    self.schedule.unit_factory(env)
+                    if self.schedule.uses_hardware_unit else None
+                )
                 if edge_counter is not None:
                     edge_counter["count"] = 0
                 with self.tracer.span("gather", cat="kernel",

@@ -109,11 +109,13 @@ class Schedule(ABC):
     uses_hardware_unit: bool = False
     #: Whether the gather instruction stream is *response-independent*:
     #: it may depend on topology and launch geometry, but never on
-    #: simulated latencies, hardware-unit replies, or state values the
-    #: kernel itself mutates.  Shared per-launch state is allowed only
-    #: if pre-barrier writes are slot-keyed and post-barrier combination
-    #: is idempotent.  Opting in lets the fast engine trace one launch
-    #: and replay it bit-identically (see ``docs/engines.md``).
+    #: simulated latencies or state values the kernel itself mutates.
+    #: Shared per-launch state is allowed only if pre-barrier writes are
+    #: slot-keyed and post-barrier combination is idempotent.  A unit
+    #: reply may only select which stored batch body runs next, and the
+    #: unit's batch contents must not depend on request timing.  Opting
+    #: in lets the fast engine trace one launch and replay it
+    #: bit-identically (see ``docs/engines.md``).
     trace_safe: bool = False
 
     @abstractmethod

@@ -118,6 +118,35 @@ def epoch_vertex_ids(ctx, env: KernelEnv, epoch: int) -> np.ndarray:
     return vids[vids < env.num_vertices]
 
 
+def weaver_registration(env: KernelEnv):
+    """How warps register vertices into a per-core ST each epoch.
+
+    The ST holds ``capacity`` entries per core: the table size, capped
+    at the resident thread count and rounded down to whole warps.  Only
+    the first ``capacity // lanes`` warps of a core register, so each
+    epoch covers ``num_cores * capacity`` vertices.  Returns
+    ``(num_epochs, vids_of)``; ``vids_of(ctx, epoch)`` gives the
+    in-range vertex ids warp ``ctx`` registers in ``epoch`` (empty for
+    warps past the capacity).
+    """
+    cfg = env.config
+    lanes = env.lanes
+    capacity = max(lanes, min(cfg.weaver_entries, cfg.threads_per_core))
+    capacity -= capacity % lanes
+    grid = cfg.num_cores * capacity
+    n = env.num_vertices
+    lane_ids = np.arange(lanes, dtype=np.int64)
+
+    def vids_of(ctx, epoch: int) -> np.ndarray:
+        if ctx.warp_slot >= capacity // lanes:
+            return _EMPTY
+        vids = (epoch * grid + ctx.core_id * capacity
+                + ctx.warp_slot * lanes + lane_ids)
+        return vids[vids < n]
+
+    return max(1, -(-n // grid)), vids_of
+
+
 def epoch_edge_ids(ctx, env: KernelEnv, epoch: int) -> np.ndarray:
     """Grid-stride edge ids owned by this warp's lanes in ``epoch``."""
     eids = ctx.thread_ids + epoch * env.config.total_threads

@@ -37,6 +37,7 @@ class EGHWSchedule(Schedule):
     name = "eghw"
     label = "EGHW"
     uses_hardware_unit = True
+    trace_safe = True
 
     def unit_factory(self, env: KernelEnv):
         if env.memory is None:

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.graph.ell import to_hybrid_ell
 from repro.sched.base import KernelEnv, Schedule
+from repro.sched.common import weaver_registration
 from repro.sim.instructions import (
     Phase,
     alu,
@@ -33,6 +34,7 @@ class HybridELLSchedule(Schedule):
     name = "hybrid_ell"
     label = "ELL+SW"
     uses_hardware_unit = True
+    trace_safe = True
 
     def __init__(self, width: int = None) -> None:
         self.width = width
@@ -65,7 +67,10 @@ class HybridELLSchedule(Schedule):
                 "res_weights", max(1, hybrid.residue.num_edges), 8)
         residue = hybrid.residue
         width = hybrid.width
-        num_epochs = max(1, -(-n // stride))
+        # The slab is grid-strided over every thread; the residue is
+        # registered by ST capacity, as SparseWeaver registers.
+        reg_epochs, registered = weaver_registration(env)
+        num_epochs = max(-(-n // stride), reg_epochs)
         lane_ids = np.arange(lanes, dtype=np.int64)
 
         def process(bases, others, weights_arr, eids):
@@ -129,6 +134,7 @@ class HybridELLSchedule(Schedule):
                                              targets[keep])
 
                     # ---- residue: weave the hub tails ---------------
+                    vids = registered(ctx, epoch)
                     if vids.size:
                         yield load(Phase.REGISTRATION,
                                    env.region("res_row_ptr"),

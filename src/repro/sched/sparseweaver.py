@@ -27,6 +27,7 @@ from repro.sched.common import (
     check_early_exit,
     inspect_topology,
     process_edge_batch,
+    weaver_registration,
 )
 from repro.sim.instructions import (
     Phase,
@@ -51,6 +52,7 @@ class SparseWeaverSchedule(Schedule):
     name = "sparseweaver"
     label = "SW"
     uses_hardware_unit = True
+    trace_safe = True
 
     def __init__(
         self,
@@ -79,32 +81,13 @@ class SparseWeaverSchedule(Schedule):
         return build
 
     def warp_factory(self, env: KernelEnv):
-        cfg = env.config
-        alg = env.algorithm
-        lanes = env.lanes
-        lane_ids = np.arange(lanes, dtype=np.int64)
-        # Registration capacity per core: when the ST has fewer entries
-        # than resident threads, only the first warps register each
-        # epoch and the grid covers vertices in capacity-sized chunks.
-        capacity = max(lanes,
-                       min(cfg.weaver_entries, cfg.threads_per_core))
-        capacity -= capacity % lanes
-        reg_warps = capacity // lanes
-        grid = cfg.num_cores * capacity
-        num_vertices = env.num_vertices
-        num_epochs = max(1, -(-num_vertices // grid))
+        lane_ids = np.arange(env.lanes, dtype=np.int64)
+        num_epochs, registered = weaver_registration(env)
 
         def factory(ctx):
-            registers = ctx.warp_slot < reg_warps
-            base = (ctx.core_id * capacity + ctx.warp_slot * lanes)
-
             def kernel():
                 for epoch in range(num_epochs):
-                    if registers:
-                        vids = epoch * grid + base + lane_ids
-                        vids = vids[vids < num_vertices]
-                    else:
-                        vids = lane_ids[:0]
+                    vids = registered(ctx, epoch)
                     if vids.size:
                         starts, degrees = yield from inspect_topology(
                             env, vids

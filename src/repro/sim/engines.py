@@ -9,9 +9,8 @@ An *engine* decides which execution loop a run's kernels go through:
   stored kernel traces where a kernel is covered, live generators for
   the rest.  Bit-identical cycles, stall cells, summary dicts and
   provenance ledgers.
-* ``auto`` — per-run selection: ``fast`` unless the schedule needs a
-  hardware unit for its gather kernel (SparseWeaver/EGHW), in which
-  case the reference engine is used wholesale.
+* ``auto`` — an alias of ``fast``, kept so that command lines and
+  job specs naming it still resolve.
 
 Engines are deliberately *excluded* from job identity: the same spec
 produces the same cycles under every engine, so cache keys, journal
@@ -52,11 +51,10 @@ class SimulatorEngine(Protocol):
     """What an execution engine must provide.
 
     ``build_gpu`` returns the GPU object a run drives; ``schedule``
-    (when the caller has one) lets per-run selection policies like
-    ``auto`` pick a loop per workload.  A registered engine's GPU must
-    produce bit-identical :class:`~repro.sim.stats.KernelStats` to the
-    reference interpreter — see ``docs/engines.md`` for the validation
-    recipe.
+    (when the caller has one) lets an engine pick a loop per workload.
+    A registered engine's GPU must produce bit-identical
+    :class:`~repro.sim.stats.KernelStats` to the reference interpreter
+    — see ``docs/engines.md`` for the validation recipe.
     """
 
     name: str
@@ -81,18 +79,6 @@ class FastEngine:
     name = "fast"
 
     def build_gpu(self, config: GPUConfig, schedule=None) -> GPU:
-        return FastGPU(config)
-
-
-class AutoEngine:
-    """Per-run selection: fast unless the schedule needs a unit."""
-
-    name = "auto"
-
-    def build_gpu(self, config: GPUConfig, schedule=None) -> GPU:
-        if schedule is not None and getattr(schedule, "uses_hardware_unit",
-                                            False):
-            return GPU(config)
         return FastGPU(config)
 
 
@@ -144,4 +130,4 @@ def build_gpu(config: GPUConfig, engine: Optional[str] = None,
 
 register_engine(ReferenceEngine())
 register_engine(FastEngine())
-register_engine(AutoEngine())
+_ENGINES["auto"] = _ENGINES["fast"]

@@ -21,6 +21,14 @@ feeding them to the one event loop on every later launch:
 * **Elementwise compile** — grid-stride init/apply kernels are
   compiled analytically from ``ReplayHint.elementwise`` without
   running a generator.
+* **Unit plan** — a hardware-unit gather drains against one planning
+  unit per core.  With no filter or early exit a unit's batch contents
+  depend only on the registered topology, and only *which warp*
+  receives batch k depends on timing.  So each warp stores a *home*
+  stream, and each work batch one *body*: the records its receiver
+  issues up to and including its next batch request.  On replay the
+  real unit keeps its timeline and answers each batch request with the
+  body to run next, or with :data:`~repro.sim.gpu.HOME`.
 * **Replay** — the stored records run through
   :meth:`GPU.run_kernel`'s loop: same heap, warp selection, barrier
   release, stall attribution, memory walk and observers, so cycles,
@@ -29,10 +37,9 @@ feeding them to the one event loop on every later launch:
   are re-applied in issue order against live state, preserving float
   accumulation order.
 
-Kernels the fast path does not cover (hardware-unit schedules, and
-launches without a replay hint such as filtered/early-exit gathers,
-whose streams read kernel-mutated state) run live, counted in
-``sim_engine_fallback_total``.
+Launches without a replay hint (filtered or early-exit gathers, whose
+streams read kernel-mutated state, and direct unit callers) run live,
+counted in ``sim_engine_fallback_total``.
 """
 
 from __future__ import annotations
@@ -40,10 +47,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import get_registry
-from repro.sim.gpu import (_END, _FIXED, _READ, _SYNC, _WRITE, GPU,
+from repro.sim.gpu import (_END, _FIXED, _READ, _SYNC, _UNIT, _WRITE, GPU,
                            KernelTrace, WarpContext)
 from repro.sim.instructions import Op
 from repro.sim.stats import KernelStats, stall_category
+
+#: Unit requests whose reply hands the warp a batch of work.
+_BATCH_OPS = (Op.WEAVER_DEC_ID, Op.EGHW_FETCH)
 
 
 class ReplayHint:
@@ -94,10 +104,11 @@ class FastGPU(GPU):
                       max_instructions) -> Optional[KernelTrace]:
         """The hinted trace, compiled on first use; ``None`` runs live.
 
-        Hardware-unit launches run live: units reply through
-        ``generator.send``, so their streams are response-dependent.
+        A launch without a hint runs live, counted as ``reason="unit"``
+        when it drives a hardware unit (filtered or early-exit unit
+        gathers, direct unit callers) and ``"no_hint"`` otherwise.
         """
-        if replay is None or unit_factory is not None:
+        if replay is None:
             get_registry().counter(
                 "sim_engine_fallback_total",
                 "Kernels the fast engine delegated to the reference loop",
@@ -108,8 +119,8 @@ class FastGPU(GPU):
             if replay.elementwise is not None:
                 trace = self._compile_elementwise(replay.elementwise)
             else:
-                trace = self._drain(warp_factory, replay.capture,
-                                    max_instructions)
+                trace = self._drain(warp_factory, unit_factory,
+                                    replay.capture, max_instructions)
             self._traces[replay.key] = trace
         return trace
 
@@ -178,7 +189,7 @@ class FastGPU(GPU):
         return KernelTrace(cores, totals)
 
     # ------------------------------------------------------------------
-    def _drain(self, warp_factory, capture: Optional[list],
+    def _drain(self, warp_factory, unit_factory, capture: Optional[list],
                max_instructions: int) -> KernelTrace:
         """Drain every warp generator and compile its records.
 
@@ -190,30 +201,49 @@ class FastGPU(GPU):
         combination is idempotent (the ``trace_safe`` contract).
         Updates the recording ``edge_update`` appends to ``capture``
         are filed under the index of the record they precede.
+
+        A unit launch drains against one *planning* unit per core, built
+        by ``unit_factory`` and answering each unit record.  A batch
+        request's reply that carries work starts a new body: the
+        records the receiving warp issues up to and including its next
+        batch request.  An empty reply sends the warp back to its home
+        stream.  Bodies are filed in reply order, next to the unit's
+        plan log, as the core's plan.
         """
         cfg = self.config
         if capture is None:
             capture = []
         del capture[:]
         totals = KernelStats()
-        compile = self._compiler(totals, max_instructions)
+        compile = self._compiler(totals, max_instructions,
+                                 unit_factory is not None)
         cores = []
+        plans = [] if unit_factory is not None else None
         for core_id in range(cfg.num_cores):
-            # [slot, generator, records, effects] per launched warp
+            # [slot, generator, home, sink] per launched warp; home and
+            # sink are [records, effects] pairs, the sink the one the
+            # warp's records currently go to.
             entries = []
             for slot in range(cfg.warps_per_core):
                 gen = warp_factory(WarpContext(core_id, slot, cfg))
                 if gen is not None:
-                    entries.append([slot, gen, [], {}])
+                    home = [[], {}]
+                    entries.append([slot, gen, home, home])
             totals.warps_launched += len(entries)
+            if plans is not None:
+                unit = unit_factory(core_id)
+                log = unit.plan()
+                bodies = []
             active = entries
             while active:
                 for entry in active:
-                    gen, records, effects = entry[1], entry[2], entry[3]
+                    gen = entry[1]
+                    records, effects = entry[3]
+                    reply = None
                     while True:
                         mark = len(capture)
                         try:
-                            instr = next(gen)
+                            instr = gen.send(reply)
                         except StopIteration:
                             entry[1] = None
                         if len(capture) > mark:
@@ -224,9 +254,24 @@ class FastGPU(GPU):
                             break
                         rec = compile(instr)
                         records.append(rec)
-                        if rec[0] == _SYNC:
+                        kind = rec[0]
+                        if kind == _SYNC:
                             break
+                        reply = None
+                        if kind == _UNIT:
+                            _done, reply = unit.handle(rec[6], entry[0], 0,
+                                                       rec[5])
+                            if rec[6] in _BATCH_OPS:
+                                if reply.exhausted:
+                                    entry[3] = entry[2]
+                                else:
+                                    entry[3] = [[], {}]
+                                    bodies.append(entry[3])
+                                records, effects = entry[3]
                 active = [entry for entry in active if entry[1] is not None]
-            cores.append([(slot, tuple(records), effects or None)
-                          for slot, _gen, records, effects in entries])
-        return KernelTrace(cores, totals)
+            cores.append([(slot, tuple(home[0]), home[1] or None)
+                          for slot, _gen, home, _sink in entries])
+            if plans is not None:
+                plans.append((log, [(tuple(recs), eff or None)
+                                    for recs, eff in bodies]))
+        return KernelTrace(cores, totals, plans)

@@ -17,7 +17,8 @@ Execution model (DESIGN.md §5):
 * ``SYNC`` is a core-wide barrier over non-finished warps.
 * Weaver/EGHW instructions are dispatched to a per-core hardware unit
   which manages its own busy-time serialization and replies through
-  ``generator.send``.
+  ``generator.send`` (a live warp) or with the stored batch body the
+  warp runs next (a replayed one).
 
 Every instruction is first compiled (:meth:`GPU._compiler`) into a flat
 *record* ``(kind, cost, delay, phase, cat, arg, op)``: ``cost`` issue
@@ -59,6 +60,10 @@ _FIXED, _READ, _WRITE, _SYNC, _UNIT = 0, 1, 2, 3, 4
 
 #: End-of-stream marker terminating every stored record tuple.
 _END = (-1,)
+
+#: A replaying unit's reply to a batch request that carries no work:
+#: the warp resumes its home record stream where it left it.
+HOME = object()
 
 _COUNTER = Op.COUNTER
 _EXEC_DEP = stall_category(Op.NOP)
@@ -117,20 +122,29 @@ class KernelTrace:
     marker; ``effects`` maps a record index to the captured functional
     updates to re-apply before that record issues (or ``None``).
     ``totals`` is the :class:`KernelStats` compiling them folded.
+
+    A hardware-unit kernel also stores ``plans[c] = (log, bodies)``:
+    the log core ``c``'s unit wrote while planning the launch, and one
+    ``(records, effects)`` body per work batch in reply order.  A warp's
+    ``records`` are then its *home* stream; the replaying unit answers
+    each batch request with the body the warp runs next, or
+    :data:`HOME`.  ``plans`` is ``None`` for kernels without a unit.
     """
 
-    __slots__ = ("cores", "totals")
+    __slots__ = ("cores", "totals", "plans")
 
-    def __init__(self, cores: list, totals: KernelStats) -> None:
+    def __init__(self, cores: list, totals: KernelStats,
+                 plans: Optional[list] = None) -> None:
         self.cores = cores
         self.totals = totals
+        self.plans = plans
 
 
 class _Warp:
     """One resident warp: its record source and scoreboard state."""
 
-    __slots__ = ("slot", "gen", "response", "recs", "i", "eff", "ready",
-                 "state", "cat", "phase")
+    __slots__ = ("slot", "gen", "response", "recs", "i", "eff", "home",
+                 "ready", "state", "cat", "phase")
 
     def __init__(self, slot: int, gen: Optional[Iterator[Instr]] = None,
                  recs: tuple = (), eff: Optional[dict] = None) -> None:
@@ -140,6 +154,8 @@ class _Warp:
         self.recs = recs
         self.i = 0
         self.eff = eff
+        #: ``(recs, eff, i)`` of the home stream while a body runs.
+        self.home: Optional[tuple] = None
         self.ready = 0
         self.state = _RUNNING
         self.cat = _EXEC_DEP
@@ -298,6 +314,9 @@ class GPU:
             Optional per-core hardware unit constructor (Weaver or
             EGHW). The unit must expose
             ``handle(op, warp_slot, now, payload) -> (done_time, response)``.
+            A unit launch the fast engine replays also calls
+            ``plan()`` (while draining) and ``replay(log, bodies)``
+            (per replayed launch); see :class:`KernelTrace`.
         flush_caches:
             Invalidate caches before the kernel (cold-start runs).
         max_instructions:
@@ -370,6 +389,9 @@ class GPU:
             cores = [[_Warp(slot, recs=recs, eff=eff)
                       for slot, recs, eff in entries]
                      for entries in trace.cores]
+            for core_id, (log, bodies) in enumerate(trace.plans or ()):
+                units[core_id] = unit_factory(core_id)
+                units[core_id].replay(log, bodies)
         heap = [(0, core_id) for core_id, warps in enumerate(cores)
                 if warps]
         walk = mem.walk
@@ -482,9 +504,22 @@ class GPU:
                 warp.state = _BARRIER
                 done = t + rec[2]
             else:
-                done, warp.response = units[core_id].handle(
+                done, reply = units[core_id].handle(
                     rec[6], warp.slot, t + 1, rec[5])
                 done += rec[2]
+                if gen is not None:
+                    warp.response = reply
+                elif reply is HOME:
+                    if warp.home is not None:
+                        warp.recs, warp.eff, warp.i = warp.home
+                        warp.home = None
+                elif reply is not None:
+                    # A stored batch body: its records run next, then
+                    # a HOME reply resumes the saved home position.
+                    if warp.home is None:
+                        warp.home = (warp.recs, warp.eff, warp.i)
+                    warp.recs, warp.eff = reply
+                    warp.i = 0
             if prof_on:
                 account_start = perf_counter()
                 profiler.add_op(rec[6].name, account_start - execute_start)

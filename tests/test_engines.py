@@ -2,7 +2,7 @@
 
 Covers the registry contract (lookup, listing, registration,
 resolution precedence), bit-exact parity between the fast and
-reference engines, the auto engine's per-run selection, clean fallback
+reference engines, ``auto`` as an alias of ``fast``, clean fallback
 for uncovered kernels (with the ``sim_engine_fallback_total`` metric),
 engine-blind job identity, and divergence bisection against a
 deliberately broken engine.
@@ -79,16 +79,16 @@ def test_build_gpu_routes_through_registry():
 
 
 def test_auto_engine_selects_by_schedule():
-    from repro.sched.registry import make_schedule
+    """``auto`` is an alias of ``fast``: every schedule, hardware-unit
+    ones included, gets a ``FastGPU``."""
+    from repro.sched.registry import make_schedule, schedule_names
 
     cfg = GPUConfig.vortex_bench()
     auto = get_engine("auto")
-    assert isinstance(
-        auto.build_gpu(cfg, schedule=make_schedule("vertex_map")),
-        FastGPU)
-    weaver_gpu = auto.build_gpu(
-        cfg, schedule=make_schedule("sparseweaver"))
-    assert type(weaver_gpu) is GPU
+    assert auto is get_engine("fast")
+    for name in schedule_names():
+        assert isinstance(
+            auto.build_gpu(cfg, schedule=make_schedule(name)), FastGPU)
 
 
 def test_facade_reexports():
@@ -102,7 +102,8 @@ def test_facade_reexports():
 
 @pytest.mark.parametrize("schedule", ["vertex_map", "edge_map",
                                       "warp_map", "cta_map",
-                                      "sparseweaver"])
+                                      "sparseweaver", "eghw",
+                                      "hybrid_ell"])
 def test_fast_engine_bit_identical(schedule):
     """Cycles, stall cells and summary dicts match the reference
     engine exactly — the tentpole guarantee."""
@@ -127,44 +128,46 @@ def test_fast_engine_bit_identical(schedule):
 # ----------------------------------------------------------------- fallback
 
 def test_fast_unsupported_kernel_falls_back_cleanly():
-    """A hardware-unit schedule under engine=fast falls back to the
-    reference loop per kernel, increments the fallback metric, and
-    still produces reference-identical results."""
+    """A filtered unit gather (BFS under sparseweaver) has no replay
+    hint: under engine=fast it runs live, counts as
+    ``reason="unit"``, and still produces reference-identical
+    results."""
     from repro.obs.metrics import (disable_metrics, enable_metrics,
                                    metrics_enabled)
     from repro.runtime import AlgorithmSpec
 
     graph = dataset("bio-human", scale=0.1)
+    spec = AlgorithmSpec.of("bfs", source=0)
     was_enabled = metrics_enabled()
     registry = enable_metrics()
     registry.clear()
     try:
         proc = GraphProcessor(
-            AlgorithmSpec.of("pagerank", iterations=2).build(),
-            schedule="sparseweaver", config=GPUConfig.vortex_bench(),
-            engine="fast")
-        fast = proc.run(graph, max_iterations=2)
+            spec.build(), schedule="sparseweaver",
+            config=GPUConfig.vortex_bench(), engine="fast")
+        fast = proc.run(graph)
         counter = registry.counter("sim_engine_fallback_total")
-        assert counter.value(reason="unit") > 0
+        assert counter.value(reason="unit") == fast.iterations
     finally:
         registry.clear()
         if not was_enabled:
             disable_metrics()
 
     ref = GraphProcessor(
-        AlgorithmSpec.of("pagerank", iterations=2).build(),
-        schedule="sparseweaver", config=GPUConfig.vortex_bench(),
-        engine="reference").run(graph, max_iterations=2)
+        spec.build(), schedule="sparseweaver",
+        config=GPUConfig.vortex_bench(), engine="reference").run(graph)
     assert fast.total_cycles == ref.total_cycles
     assert fast.stats.to_summary_dict() == ref.stats.to_summary_dict()
+    assert (fast.values == ref.values).all()
 
 
 @pytest.mark.parametrize("schedule", ["vertex_map", "cta_map",
-                                      "edge_map", "sparseweaver"])
+                                      "edge_map", "sparseweaver",
+                                      "eghw"])
 def test_fast_engine_replays_under_execution_tracer(schedule):
     """An execution tracer is just an observer of the one loop: a
     traced fast run still stores and replays its gather trace (unit
-    schedules aside), never falls back for the tracer, and logs
+    schedules included), never falls back for the tracer, and logs
     exactly the reference run's issue and stall events."""
     from repro.obs.metrics import (disable_metrics, enable_metrics,
                                    metrics_enabled)
@@ -205,7 +208,7 @@ def test_fast_engine_replays_under_execution_tracer(schedule):
             disable_metrics()
     (gpu,) = built
     # Two iterations: the second gather launch replays the stored trace.
-    assert gpu.has_trace("gather") is (schedule != "sparseweaver")
+    assert gpu.has_trace("gather")
     assert gpu.has_trace("init") and gpu.has_trace("apply")
     ref, fast = tracers["reference"], tracers[SpyEngine.name]
     assert ref.events and ref.stalls

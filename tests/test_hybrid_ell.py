@@ -123,3 +123,19 @@ def test_hybrid_weaves_only_the_tail():
 
     assert (hybrid_run.stats.op_counts[Op.WEAVER_DEC_ID]
             < sw_run.stats.op_counts[Op.WEAVER_DEC_ID])
+
+
+def test_hybrid_registers_residue_by_st_capacity():
+    """``vortex_paper`` has 1,024 threads per core but 512 ST entries:
+    only the first 16 warps of a core register residue vertices, in
+    capacity-sized epochs, instead of one entry per thread (which ran
+    past the table)."""
+    cfg = GPUConfig.vortex_paper()
+    assert cfg.weaver_entries < cfg.threads_per_core
+    g = powerlaw_graph(1500, 6000, exponent=2.1, seed=3)
+    res = GraphProcessor(
+        make_algorithm("pagerank", iterations=2), schedule="hybrid_ell",
+        config=cfg, validate=True,
+    ).run(g)
+    ref = reference.pagerank(g, iterations=2)
+    np.testing.assert_allclose(res.values, ref, atol=1e-9)
