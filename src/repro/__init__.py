@@ -26,7 +26,6 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.bench` — experiment runner and report formatting.
 * :mod:`repro.runtime` — parallel batch engine, result cache, telemetry.
 * :mod:`repro.figures` — the paper-figure registry and engine driver.
-* :mod:`repro.dist` — the distributed coordinator/worker fleet.
 """
 
 from repro.errors import (
@@ -71,7 +70,6 @@ from repro.runtime import (
     Telemetry,
 )
 from repro.bench import run_schedule_comparison, run_single
-from repro.dist import Coordinator, Worker
 from repro.figures import (
     FailureReport,
     Figure,
@@ -130,8 +128,6 @@ __all__ = [
     "Telemetry",
     "run_single",
     "run_schedule_comparison",
-    "Coordinator",
-    "Worker",
     "FailureReport",
     "Figure",
     "FigureContext",

@@ -9,8 +9,6 @@ Commands
 ``area``      the Table IV area model
 ``weaver``    replay the Fig. 6 FSM example
 ``batch``     run a job grid through the parallel runtime engine
-``serve``     coordinate a job grid across a distributed worker fleet
-``work``      pull and run leases from a ``serve``/``--dist`` coordinator
 ``cache``     inspect or clear the content-addressed result cache
 ``tail``      live dashboard over a batch telemetry JSONL file
 ``report``    aggregate telemetry/metrics files into one summary
@@ -21,8 +19,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
-import signal
 import sys
 from typing import List, Optional
 
@@ -131,14 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="inject a deterministic fault plan, e.g. "
                               "'crash@1,corrupt@0,seed=7' (see "
                               "repro.runtime.faults; also REPRO_FAULTS)")
-    bench_p.add_argument("--dist", default=None, metavar="HOST:PORT",
-                         help="serve the batch to a distributed worker "
-                              "fleet bound at this address instead of "
-                              "running locally; start workers with "
-                              "'repro work HOST:PORT'")
-    bench_p.add_argument("--lease-seconds", type=float, default=None,
-                         help="fleet lease lifetime without a heartbeat "
-                              "(with --dist; default 30)")
     bench_p.add_argument("--profile", default=None, metavar="DIR",
                          help="host-profile the simulator during the "
                               "bench; writes profile.json + "
@@ -185,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="append run events to this JSONL file")
     batch_p.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds")
-    batch_p.add_argument("--deadline", type=float, default=None,
-                         help="batch wall-clock budget in seconds; "
-                              "jobs not started in time are journaled "
-                              "as skipped (deferred to --resume), "
-                              "never guessed (also REPRO_GUARD "
-                              "deadline=N)")
     batch_p.add_argument("--metrics", default=None, metavar="PATH",
                          help="write a metrics-registry snapshot JSON "
                               "(implies --obs)")
@@ -228,111 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "flamegraph.collapsed to DIR; sampler "
                               "spans merge into --trace output")
     _add_engine_flag(batch_p)
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="coordinate a job grid across a distributed worker fleet "
-             "(the batch command's grid, served over TCP leases)")
-    serve_p.add_argument("--bind", default="127.0.0.1:0",
-                         metavar="HOST:PORT",
-                         help="address to listen on (port 0 picks an "
-                              "ephemeral port, printed at startup)")
-    serve_p.add_argument("--algorithm", default="pagerank",
-                         choices=algorithm_names())
-    serve_p.add_argument("--datasets", nargs="+", default=["bio-human"],
-                         choices=dataset_names())
-    serve_p.add_argument("--schedules", nargs="+", default=None,
-                         choices=schedule_names(),
-                         help="default: the paper's five (ALL_SCHEDULES)")
-    serve_p.add_argument("--scale", type=float, default=0.25)
-    serve_p.add_argument("--iterations", type=int, default=2)
-    serve_p.add_argument("--spec-file", default=None,
-                         help="JSON file with a list of job objects "
-                              "(overrides the grid flags)")
-    serve_p.add_argument("--cache-dir", default=None)
-    serve_p.add_argument("--no-cache", action="store_true")
-    serve_p.add_argument("--telemetry", default=None, metavar="PATH",
-                         help="append run events to this JSONL file")
-    serve_p.add_argument("--timeout", type=float, default=None,
-                         help="hard per-job deadline (heartbeats cannot "
-                              "extend a lease past it)")
-    serve_p.add_argument("--retries", type=int, default=1,
-                         help="extra attempts per job after a lost or "
-                              "transiently-failed lease")
-    serve_p.add_argument("--lease-seconds", type=float, default=None,
-                         help="lease lifetime without a heartbeat "
-                              "(default 30)")
-    serve_p.add_argument("--fail-fast", action="store_true")
-    serve_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="work ledger: leases, reclaims and "
-                              "completions (JSONL) for --resume")
-    serve_p.add_argument("--resume", action="store_true",
-                         help="restore completed jobs from --journal; "
-                              "nothing journaled is re-simulated")
-    serve_p.add_argument("--faults", default=None, metavar="PLAN",
-                         help="fault directives shipped to workers in "
-                              "their leases, e.g. 'crash@1,seed=7'")
-    serve_p.add_argument("--max-runtime", type=float, default=None,
-                         metavar="SECONDS",
-                         help="total serving budget; when exhausted the "
-                              "remaining jobs are shed as skipped "
-                              "(journaled for --resume) and the "
-                              "coordinator exits cleanly")
-    serve_p.add_argument("--max-inflight", type=int, default=None,
-                         help="bound outstanding leases; further "
-                              "requests get a backpressure wait "
-                              "instead of a grant")
-    serve_p.add_argument("--breaker", type=int, default=None,
-                         metavar="N",
-                         help="quarantine a worker after N consecutive "
-                              "failures (circuit breaker)")
-    serve_p.add_argument("--breaker-cooldown", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="how long a tripped worker stays "
-                              "quarantined (default 30)")
-    serve_p.add_argument("--json", action="store_true",
-                         help="print outcomes + fleet stats as JSON")
-    serve_p.add_argument("--profile", default=None, metavar="DIR",
-                         help="fold worker host-profile snapshots and "
-                              "write profile.json + "
-                              "flamegraph.collapsed to DIR")
-    _add_engine_flag(serve_p)
-
-    work_p = sub.add_parser(
-        "work",
-        help="pull and run simulation leases from a coordinator "
-             "(repro serve / repro bench --dist)")
-    work_p.add_argument("address", metavar="HOST:PORT",
-                        help="the coordinator's address")
-    work_p.add_argument("--id", default=None, dest="worker_id",
-                        help="worker id (default: hostname-pid)")
-    work_p.add_argument("--max-jobs", type=int, default=None,
-                        help="sign off after this many leases "
-                             "(default: run until drained)")
-    work_p.add_argument("--connect-timeout", type=float, default=10.0,
-                        help="seconds to keep retrying the initial "
-                             "connect (workers may start first)")
-    work_p.add_argument("--reconnect", type=int, default=5,
-                        metavar="N",
-                        help="survive up to N consecutive lost "
-                             "sessions (coordinator restart or "
-                             "partition) with jittered exponential "
-                             "backoff; 0 exits on the first loss")
-    work_p.add_argument("--rss-soft", default=None, metavar="SIZE",
-                        help="soft memory limit (e.g. 512M): finish "
-                             "the current job, then sign off and "
-                             "refuse further leases")
-    work_p.add_argument("--rss-hard", default=None, metavar="SIZE",
-                        help="hard memory limit (e.g. 1G): self-evict "
-                             "immediately; the coordinator reclaims "
-                             "the lease like a crash")
-    work_p.add_argument("--obs", action="store_true",
-                        help="enable the metrics registry; worker "
-                             "metrics ship home with each result")
-    work_p.add_argument("--profile", action="store_true",
-                        help="enable the host profiler; per-phase "
-                             "snapshots ship home with each result")
-    _add_engine_flag(work_p)
 
     cache_p = sub.add_parser(
         "cache", help="inspect or clear the result cache")
@@ -512,6 +389,9 @@ def _resolve_journal(args):
         if journal.bad_lines or journal.stale_lines:
             note += (f" ({journal.bad_lines} torn, "
                      f"{journal.stale_lines} stale line(s) skipped)")
+        if journal.unknown_lines:
+            note += (f" ({journal.unknown_lines} line(s) of unknown kind "
+                     "skipped)")
         print(note)
     else:
         journal.reset()
@@ -549,14 +429,12 @@ def _start_profiling(args):
     return profiler, sampler
 
 
-def _finish_profiling(args, profiler, sampler, quiet: bool = False
-                      ) -> None:
+def _finish_profiling(args, profiler, sampler) -> None:
     """Stop the sampler, print the phase table, write artifacts.
 
     Writes ``profile.json`` (mergeable snapshot, accepted by
     ``repro report``) and ``flamegraph.collapsed`` (collapsed stacks
     for any flamegraph renderer) into the ``--profile`` directory.
-    ``quiet`` writes the artifacts without printing (``--json`` modes).
     """
     if profiler is None:
         return
@@ -567,10 +445,9 @@ def _finish_profiling(args, profiler, sampler, quiet: bool = False
     out.mkdir(parents=True, exist_ok=True)
     profile_path = profiler.save(out / "profile.json")
     flame_path = sampler.save_collapsed(out / "flamegraph.collapsed")
-    if not quiet:
-        print(profiler.format())
-        print(f"profile:    {profile_path}")
-        print(f"flamegraph: {flame_path}")
+    print(profiler.format())
+    print(f"profile:    {profile_path}")
+    print(f"flamegraph: {flame_path}")
 
 
 def _cmd_bench(args) -> int:
@@ -605,20 +482,12 @@ def _cmd_bench(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir,
                                                    faults=faults)
     telemetry = Telemetry(args.telemetry, faults=faults)
-    if args.dist and args.jobs:
-        from repro.errors import ConfigError
-
-        raise ConfigError("--jobs does not apply with --dist; the "
-                          "fleet's parallelism is its worker count")
-    dist_options = ({"lease_seconds": args.lease_seconds}
-                    if args.lease_seconds else None)
     profiler, sampler = _start_profiling(args)
     start = time.perf_counter()
     outputs, report = run_figures_report(
         figures, ctx, jobs=args.jobs, cache=cache, telemetry=telemetry,
         journal=journal, timeout=args.timeout, faults=faults,
         policy="keep_going" if args.keep_going else "fail_fast",
-        dist=args.dist, dist_options=dist_options,
         sim_engine=args.engine)
     elapsed = time.perf_counter() - start
 
@@ -749,7 +618,7 @@ def _load_spec_file(path: str):
 
 
 def _batch_specs(args):
-    """The ``batch``/``serve`` grid (or spec file) as JobSpec objects.
+    """The ``batch`` grid (or spec file) as JobSpec objects.
 
     ``--engine`` stamps every spec; the field is excluded from the
     content hash, so stamped specs keep their engine-less cache and
@@ -786,17 +655,6 @@ def _batch_specs(args):
     return specs
 
 
-def _outcome_rows(outcomes):
-    """The shared ``batch``/``serve`` result table rows."""
-    return [
-        [o.spec.algorithm.name, o.spec.graph.name, o.spec.schedule,
-         o.status,
-         o.summary.total_cycles if o.summary else "-",
-         round(o.wall_seconds, 3)]
-        for o in outcomes
-    ]
-
-
 def _cmd_batch(args) -> int:
     from repro.runtime import BatchEngine, ResultCache, Telemetry
 
@@ -820,14 +678,19 @@ def _cmd_batch(args) -> int:
                          telemetry=telemetry, timeout=args.timeout,
                          retries=args.retries, tracer=tracer,
                          journal=journal, faults=faults,
-                         fail_fast=args.fail_fast,
-                         deadline=args.deadline)
+                         fail_fast=args.fail_fast)
     profiler, sampler = _start_profiling(args)
     outcomes = engine.run(specs)
     if sampler is not None:
         sampler.stop()
 
-    rows = _outcome_rows(outcomes)
+    rows = [
+        [o.spec.algorithm.name, o.spec.graph.name, o.spec.schedule,
+         o.status,
+         o.summary.total_cycles if o.summary else "-",
+         round(o.wall_seconds, 3)]
+        for o in outcomes
+    ]
     print(format_table(
         ["algorithm", "graph", "schedule", "status", "cycles", "sec"],
         rows, title=f"batch of {len(specs)} jobs "
@@ -848,126 +711,6 @@ def _cmd_batch(args) -> int:
     if not report.ok:
         _print_failures(report)
         return 1
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    import json as json_mod
-
-    from repro.dist import DEFAULT_LEASE_SECONDS, Coordinator
-    from repro.figures.driver import FailureReport
-    from repro.runtime import ResultCache, Telemetry
-
-    specs = _batch_specs(args)
-    faults = _resolve_faults(args)
-    journal = _resolve_journal(args)
-    cache = None if args.no_cache else ResultCache(args.cache_dir,
-                                                   faults=faults)
-    telemetry = Telemetry(args.telemetry, faults=faults)
-    coordinator = Coordinator(
-        args.bind,
-        lease_seconds=args.lease_seconds or DEFAULT_LEASE_SECONDS,
-        cache=cache, telemetry=telemetry, journal=journal,
-        timeout=args.timeout, retries=args.retries, faults=faults,
-        fail_fast=args.fail_fast, deadline=args.max_runtime,
-        max_inflight=args.max_inflight,
-        breaker_threshold=args.breaker,
-        breaker_cooldown=args.breaker_cooldown)
-    coordinator.start()
-    print(f"coordinator serving {len(specs)} job(s) at "
-          f"{coordinator.address}; start workers with "
-          f"'repro work {coordinator.address}'", flush=True)
-    profiler, sampler = _start_profiling(args)
-    # SIGTERM = graceful degradation, not death: shed unresolved work
-    # (journaling every outstanding lease) so run() returns normally
-    # and --resume completes the remainder.  Main thread only; the
-    # coordinator lock is reentrant so shedding from the handler is
-    # safe even mid-transition.
-    previous = None
-    try:
-        previous = signal.signal(
-            signal.SIGTERM,
-            lambda _sig, _frm: coordinator.request_shutdown("sigterm"))
-    except ValueError:
-        pass  # not the main thread (embedded use); no handler then
-    try:
-        outcomes = coordinator.run(specs)
-    finally:
-        coordinator.close()
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-    if sampler is not None:
-        sampler.stop()
-
-    fleet = coordinator.fleet_stats()
-    if args.json:
-        print(json_mod.dumps({
-            "outcomes": [
-                {"label": o.spec.label, "status": o.status,
-                 "cycles": (o.summary.total_cycles
-                            if o.summary else None),
-                 "attempts": o.attempts,
-                 "error": o.error}
-                for o in outcomes
-            ],
-            "fleet": fleet,
-            "telemetry": telemetry.summary(cache=cache),
-        }, sort_keys=True))
-    else:
-        print(format_table(
-            ["algorithm", "graph", "schedule", "status", "cycles",
-             "sec"],
-            _outcome_rows(outcomes),
-            title=f"fleet batch of {len(specs)} jobs "
-                  f"({len(fleet['workers'])} worker(s) seen)"))
-        print(telemetry.format_summary(cache))
-    _finish_profiling(args, profiler, sampler, quiet=args.json)
-    report = FailureReport.from_outcomes(outcomes)
-    if not report.ok:
-        _print_failures(report)
-        return 1
-    return 0
-
-
-def _cmd_work(args) -> int:
-    from repro.dist import Worker
-
-    if args.obs:
-        from repro.obs.metrics import enable_metrics
-
-        enable_metrics()
-    if args.profile:
-        from repro.obs.profile import enable_profiling
-
-        enable_profiling()
-    if args.engine:
-        # Worker-local default for mixed fleets; a lease that carries
-        # its own stamped engine still wins (spec.engine resolves
-        # first).
-        os.environ["REPRO_ENGINE"] = args.engine
-    guard = None
-    if args.rss_soft or args.rss_hard:
-        from repro.runtime.guard import GuardPolicy, parse_size
-
-        guard = GuardPolicy(
-            rss_soft_bytes=(parse_size(args.rss_soft)
-                            if args.rss_soft else None),
-            rss_hard_bytes=(parse_size(args.rss_hard)
-                            if args.rss_hard else None))
-    worker = Worker(args.address, worker_id=args.worker_id,
-                    connect_timeout=args.connect_timeout,
-                    max_jobs=args.max_jobs,
-                    max_reconnects=args.reconnect, guard=guard)
-    print(f"worker {worker.worker_id} pulling leases from "
-          f"{args.address}", flush=True)
-    done = worker.run()
-    extra = ""
-    if worker.reconnects:
-        extra += f", {worker.reconnects} reconnect(s)"
-    if worker.stop_reason not in ("", "drained"):
-        extra += f", stopped: {worker.stop_reason}"
-    print(f"worker {worker.worker_id} drained: {done} job(s) run, "
-          f"{worker.jobs_failed} failed attempt(s){extra}")
     return 0
 
 
@@ -1310,8 +1053,6 @@ _COMMANDS = {
     "weaver": _cmd_weaver,
     "reproduce": _cmd_reproduce,
     "batch": _cmd_batch,
-    "serve": _cmd_serve,
-    "work": _cmd_work,
     "cache": _cmd_cache,
     "tail": _cmd_tail,
     "report": _cmd_report,

@@ -222,8 +222,6 @@ def run_figures_report(
     timeout: Optional[float] = None,
     policy: str = "keep_going",
     faults=None,
-    dist: Optional[str] = None,
-    dist_options: Optional[Dict] = None,
     sim_engine: Optional[str] = None,
 ) -> Tuple[Dict[str, FigureOutput], FailureReport]:
     """Regenerate figures with graceful degradation.
@@ -237,13 +235,6 @@ def run_figures_report(
     ``journal`` takes a :class:`~repro.runtime.journal.RunJournal` for
     resumable runs — already-journaled jobs are restored without
     re-simulation and new completions are appended as they finish.
-    ``dist`` takes a ``host:port`` bind address and runs the batch
-    through a :class:`repro.dist.Coordinator` instead of a local
-    engine — ``repro work host:port`` processes then pull the jobs;
-    ``dist_options`` forwards extra coordinator keywords
-    (``lease_seconds``...).  Because the batch is sorted by content
-    hash and outcomes are indexed by spec, fleet artifacts are
-    byte-identical to local ones.
     ``sim_engine`` stamps a simulator engine name (``reference`` /
     ``fast`` / ``auto``) onto every job; engines are bit-identical, so
     it changes wall-clock speed only, never results or cache keys.
@@ -257,23 +248,7 @@ def run_figures_report(
 
     batch, per_figure = expand_jobs(ordered, ctx)
     batch = _apply_sim_engine(batch, sim_engine)
-    coordinator = None
-    if dist is not None:
-        if engine is not None:
-            raise ReproError(
-                "pass either a prebuilt engine or dist=, not both")
-        from repro.dist import Coordinator
-
-        engine = coordinator = Coordinator(
-            dist, cache=cache, telemetry=telemetry, journal=journal,
-            timeout=timeout, faults=faults,
-            fail_fast=(policy == "fail_fast"),
-            **(dist_options or {}))
-        coordinator.start()
-        # Announce before blocking so workers can be pointed at us.
-        print(f"coordinator serving {len(batch)} job(s) at "
-              f"{coordinator.address}", flush=True)
-    elif engine is None:
+    if engine is None:
         engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry,
                              timeout=timeout, journal=journal,
                              faults=faults,
@@ -284,11 +259,7 @@ def run_figures_report(
         raise ReproError(
             "pass either a prebuilt engine or jobs=/cache=/telemetry=/"
             "journal=/timeout=/faults=, not both")
-    try:
-        outcomes = engine.run(batch)
-    finally:
-        if coordinator is not None:
-            coordinator.close()
+    outcomes = engine.run(batch)
     results = ResultSet(outcomes)
     report = FailureReport.from_outcomes(outcomes)
 

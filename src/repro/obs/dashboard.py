@@ -84,51 +84,11 @@ class BatchWatch:
         self.batch_summary: Optional[Dict[str, Any]] = None
         self.recent: deque = deque(maxlen=recent)
         self.failures: List[Dict[str, Any]] = []
-        #: Fleet view (repro.dist): worker id -> live aggregate.
-        self.workers: Dict[str, Dict[str, Any]] = {}
         #: Host-profiler rollup (repro.obs.profile), when one was
         #: emitted at batch end.
         self.profile_summary: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-    def _fold_fleet(self, kind: str, record: Dict[str, Any]) -> None:
-        """Fold the distributed-fleet event kinds (no-op otherwise)."""
-        worker = record.get("worker")
-        if not isinstance(worker, str) or not worker:
-            return
-        info = self.workers.setdefault(worker, {
-            "alive": False, "leases": 0, "jobs_done": 0,
-            "jobs_failed": 0, "busy_seconds": 0.0, "cycles": 0,
-            "reconnects": 0, "quarantined": False, "degraded": "",
-        })
-        if kind == "worker_joined":
-            info["alive"] = True
-            if record.get("reconnect"):
-                info["reconnects"] += 1
-        elif kind == "worker_left":
-            info["alive"] = False
-        elif kind == "worker_quarantined":
-            info["quarantined"] = True
-        elif kind == "worker_goodbye":
-            reason = record.get("reason")
-            if isinstance(reason, str) and reason:
-                info["degraded"] = reason
-        elif kind == "started":
-            info["quarantined"] = False  # a grant means the circuit closed
-            info["leases"] += 1
-        elif kind == "lease_result":
-            status = record.get("status")
-            if status == "ok":
-                info["jobs_done"] += 1
-                cycles = record.get("cycles")
-                if isinstance(cycles, (int, float)):
-                    info["cycles"] += int(cycles)
-            elif status != "stale":
-                info["jobs_failed"] += 1
-            wall = record.get("wall")
-            if isinstance(wall, (int, float)):
-                info["busy_seconds"] += float(wall)
-
     def update(self, record: Dict[str, Any]) -> None:
         """Fold one telemetry record into the aggregate."""
         kind = record.get("kind", "")
@@ -139,7 +99,6 @@ class BatchWatch:
                 self.first_ts, ts)
             self.last_ts = ts if self.last_ts is None else max(
                 self.last_ts, ts)
-        self._fold_fleet(kind, record)
         job = record.get("job", "")
         if kind == "submitted" and job:
             self.jobs.setdefault(job, "pending")
@@ -216,35 +175,7 @@ class BatchWatch:
             if lookups else 0.0,
             "finished": self.finished,
             "digest_records": self.digest_records,
-            "workers_seen": len(self.workers),
-            "workers_alive": sum(
-                1 for w in self.workers.values() if w["alive"]),
-            "leases_expired": self.counts.get("lease_expired", 0),
-            "leases_reclaimed": self.counts.get("lease_reclaimed", 0),
-            "workers_quarantined": sum(
-                1 for w in self.workers.values() if w["quarantined"]),
-            "worker_reconnects": sum(
-                w["reconnects"] for w in self.workers.values()),
         }
-
-    def fleet(self) -> Dict[str, Dict[str, Any]]:
-        """Per-worker aggregates with derived throughput (jobs/s)."""
-        elapsed = 0.0
-        if self.first_ts is not None and self.last_ts is not None:
-            elapsed = self.last_ts - self.first_ts
-        out: Dict[str, Dict[str, Any]] = {}
-        for worker in sorted(self.workers):
-            info = dict(self.workers[worker])
-            info["jobs_per_second"] = (
-                round(info["jobs_done"] / elapsed, 3)
-                if elapsed > 0 else 0.0)
-            info["busy_seconds"] = round(info["busy_seconds"], 3)
-            cycles = info.get("cycles", 0)
-            info["cycles_per_second"] = (
-                round(cycles / info["busy_seconds"], 1)
-                if info["busy_seconds"] > 0 else 0.0)
-            out[worker] = info
-        return out
 
 
 def _progress_bar(done: int, total: int, width: int = 28) -> str:
@@ -292,34 +223,6 @@ def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
         if cs.get("quarantined"):
             store += f", {cs['quarantined']} quarantined"
         lines.append(store)
-    if watch.workers:
-        fleet = watch.fleet()
-        fleet_line = (
-            f"  fleet   : {snap['workers_alive']}/{snap['workers_seen']}"
-            f" workers alive | {snap['leases_expired']} leases expired"
-            f" | {snap['leases_reclaimed']} reclaimed")
-        if snap["workers_quarantined"]:
-            fleet_line += (f" | {snap['workers_quarantined']} "
-                           f"quarantined")
-        if snap["worker_reconnects"]:
-            fleet_line += (f" | {snap['worker_reconnects']} "
-                           f"reconnect(s)")
-        lines.append(fleet_line)
-        for worker, info in fleet.items():
-            if info.get("quarantined"):
-                state = "QUAR"
-            else:
-                state = "up  " if info["alive"] else "gone"
-            lines.append(
-                f"    {worker}: {state} {info['jobs_done']} done"
-                + (f", {info['jobs_failed']} failed"
-                   if info["jobs_failed"] else "")
-                + f", {info['jobs_per_second']:.2f} jobs/s"
-                  f" ({info['busy_seconds']:.1f}s busy)"
-                + (f", {info['cycles_per_second']:,.0f} cycles/s"
-                   if info.get("cycles_per_second") else "")
-                + (f", degraded: {info['degraded']}"
-                   if info.get("degraded") else ""))
     if watch.profile_summary:
         prof = watch.profile_summary
         lines.append(

@@ -32,9 +32,9 @@ measurement instead of a guess.  Three layers:
   beyond the CI speed gate's tolerance.
 
 Profiler state crosses process boundaries as snapshots, exactly like
-:class:`~repro.obs.metrics.MetricsRegistry`: pool workers and fleet
-workers ship :meth:`PhaseProfiler.snapshot` home with their results
-and the parent folds them back with :meth:`~PhaseProfiler.merge_snapshot`.
+:class:`~repro.obs.metrics.MetricsRegistry`: pool workers ship
+:meth:`PhaseProfiler.snapshot` home with their results and the parent
+folds them back with :meth:`~PhaseProfiler.merge_snapshot`.
 """
 
 from __future__ import annotations
@@ -69,20 +69,6 @@ def peak_rss_bytes() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak if sys.platform == "darwin" else peak * 1024)
 
-
-def read_rss_bytes() -> int:
-    """Current resident set size of this process, in bytes.
-
-    Reads ``/proc/self/statm`` where available (Linux); elsewhere the
-    peak is the best cheap proxy — a memory guard built on it still
-    trips, just never un-trips.
-    """
-    try:
-        with open("/proc/self/statm", "rb") as handle:
-            pages = int(handle.read().split()[1])
-        return pages * os.sysconf("SC_PAGESIZE")
-    except (OSError, ValueError, IndexError, AttributeError):
-        return peak_rss_bytes()
 
 #: Per-opcode execute-time bucket bounds (seconds).  One simulated
 #: instruction's host cost sits in the hundreds of nanoseconds to
@@ -363,7 +349,7 @@ def enable_profiling() -> PhaseProfiler:
     """Turn the global profiler on; returns it for convenience.
 
     Also sets ``REPRO_PROFILE=1`` in this process's environment so
-    worker processes spawned later (pool or fleet) come up profiling —
+    pool worker processes spawned later come up profiling —
     snapshots they ship home then merge into this profiler.
     """
     _PROFILER.enabled = True

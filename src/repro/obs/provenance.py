@@ -2,7 +2,7 @@
 
 When two runs of the same job disagree — a fast-path engine against the
 reference interpreter, a perturbed configuration against a baseline, a
-fleet worker against a serial run — a pass/fail cycle comparison says
+pool worker against a serial run — a pass/fail cycle comparison says
 *that* they diverged but not *where*.  This module makes the "where"
 cheap to capture and mechanical to find:
 
@@ -14,7 +14,7 @@ cheap to capture and mechanical to find:
   cycles.  The result is a per-job **digest ledger**: an ordered list of
   ``[kernel, interval, core, warp, digest, events]`` records small
   enough to ride inside a :class:`~repro.runtime.cache.RunSummary`,
-  through the run journal, the result cache and the fleet protocol.
+  through pool pickling, the run journal and the result cache.
 * ledger comparison helpers — :func:`diff_ledgers` /
   :func:`first_divergence` bisect two ledgers to the first coordinate
   whose digests disagree, which is exactly the first simulated interval
@@ -72,7 +72,7 @@ def fold(h: int, value: int) -> int:
 
     Explicit arithmetic (not Python ``hash()``) so the digest of the
     same event stream is identical across interpreter versions,
-    processes and machines — ledgers from a fleet worker must compare
+    processes and machines — ledgers from a pool worker must compare
     equal to serial ones bit-for-bit.
     """
     return ((h ^ (value & _MASK)) * _FNV_PRIME) & _MASK
@@ -273,8 +273,8 @@ def enable_digests(interval_cycles: Optional[int] = None
     """Turn the global digester on; returns it for convenience.
 
     Also exports ``REPRO_DIGEST=1`` (and the interval override, when
-    given) so worker processes spawned later — pool or fleet — come up
-    digesting, and the ledgers they ship home are comparable.
+    given) so pool worker processes spawned later come up digesting,
+    and the ledgers they ship home are comparable.
     """
     _DIGESTER.enabled = True
     os.environ[DIGEST_ENV] = "1"
@@ -392,7 +392,7 @@ def ledgers_from_journal(path) -> Dict[str, Dict[str, Any]]:
     """``label -> summary dict`` from a run journal's completions.
 
     A deliberately tolerant reader: torn or non-JSON lines, non-object
-    records and lease/reclaim bookkeeping are skipped, and *no* schema
+    records and records of any other type are skipped, and *no* schema
     or simulator-version gate is applied — diffing a ledger from an
     older build against today's is precisely the point.  The label
     (falling back to the content hash) keys the result so perturbed

@@ -102,8 +102,6 @@ def aggregate(paths: Iterable) -> Dict[str, Any]:
         {"label": f.get("label", "?"), "error": f.get("error", "?")}
         for f in combined.failures
     ]
-    if combined.workers:
-        report["fleet"] = combined.fleet()
     if combined.cache_stats:
         report["cache"] = combined.cache_stats
     if metrics_files:
@@ -153,18 +151,6 @@ def format_report(report: Dict[str, Any]) -> str:
         if cs.get("quarantined"):
             store += f", {cs['quarantined']} quarantined"
         lines.append(store)
-    if report.get("fleet"):
-        lines.append(
-            f"  fleet   : {report.get('workers_alive', 0)}/"
-            f"{report.get('workers_seen', 0)} workers alive | "
-            f"{report.get('leases_expired', 0)} leases expired | "
-            f"{report.get('leases_reclaimed', 0)} reclaimed")
-        for worker, info in report["fleet"].items():
-            lines.append(
-                f"    {worker}: {info['jobs_done']} done"
-                + (f", {info['jobs_failed']} failed"
-                   if info.get("jobs_failed") else "")
-                + f", {info['jobs_per_second']:.2f} jobs/s")
     profile = report.get("host_profile")
     if profile:
         lines.append(

@@ -42,14 +42,6 @@ from repro.runtime.engine import (
     run_specs,
 )
 from repro.runtime.faults import FaultPlan, FaultRule, get_active_plan
-from repro.runtime.guard import (
-    EVICT_EXIT_CODE,
-    DeadlineBudget,
-    GuardPolicy,
-    MemoryGuard,
-    get_active_guard,
-    parse_size,
-)
 from repro.runtime.journal import RunJournal, append_jsonl
 from repro.runtime.telemetry import RunEvent, Telemetry
 
@@ -72,12 +64,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "get_active_plan",
-    "DeadlineBudget",
-    "EVICT_EXIT_CODE",
-    "GuardPolicy",
-    "MemoryGuard",
-    "get_active_guard",
-    "parse_size",
     "RunJournal",
     "append_jsonl",
     "RunEvent",

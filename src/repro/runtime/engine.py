@@ -47,7 +47,6 @@ from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.faults import (apply_serial_fault, apply_worker_fault,
                                   get_active_plan)
-from repro.runtime.guard import DeadlineBudget, get_active_guard
 from repro.runtime.jobspec import JobSpec
 from repro.runtime.telemetry import Telemetry
 
@@ -74,11 +73,11 @@ def _execute_spec(spec: JobSpec) -> Dict[str, Any]:
     it by reference; returns plain dicts so nothing exotic crosses the
     process boundary.
 
-    The single execution path shared by serial runs, pool workers and
-    fleet leases, so the provenance ledger (``REPRO_DIGEST=1``) is
-    captured identically everywhere: it rides inside the summary dict
-    as the optional ``digest_ledger`` field, through pickling, the run
-    journal, the result cache and the fleet protocol alike.
+    The single execution path shared by serial runs and pool workers,
+    so the provenance ledger (``REPRO_DIGEST=1``) is captured
+    identically everywhere: it rides inside the summary dict as the
+    optional ``digest_ledger`` field, through pickling, the run journal
+    and the result cache alike.
     """
     digester = get_digester()
     if digester.enabled:
@@ -93,24 +92,20 @@ def _execute_spec(spec: JobSpec) -> Dict[str, Any]:
 
 
 def _worker_entry(spec: JobSpec, fault=None) -> Dict[str, Any]:
-    """Worker entry point: execute one job, then ship worker metrics.
-
-    The single remote-execution path: ``ProcessPoolExecutor`` workers
-    submit it directly, and :class:`repro.dist.Worker` calls it for
-    every lease — so pool, fleet and serial runs cannot drift.
+    """Pool worker entry point: execute one job, then ship worker metrics.
 
     ``fault`` is the parent-decided fault directive for this attempt
     (``None`` on the default path); applying it may kill the worker,
     hang, or raise before the job runs.  Attaches the worker
     registry's snapshot under ``"_metrics"`` and clears it, so the
     parent can fold worker-side metrics — kernel counters, phase and
-    stall cycles — into its own registry.  Only remote paths ship:
+    stall cycles — into its own registry.  Only pool workers ship:
     on the serial path the job already accumulates into the parent
     registry directly, and a snapshot+clear would wipe unrelated
     counters.  Dispatches through the module global so tests can
-    monkeypatch ``_execute_spec`` for every path.
+    monkeypatch ``_execute_spec`` for both paths.
     """
-    apply_worker_fault(tuple(fault) if fault is not None else None)
+    apply_worker_fault(fault)
     out = _execute_spec(spec)
     registry = get_registry()
     if registry.enabled:
@@ -123,10 +118,6 @@ def _worker_entry(spec: JobSpec, fault=None) -> Dict[str, Any]:
         out["_profile"] = profiler.snapshot()
         profiler.clear()
     return out
-
-
-#: Backwards-compatible alias (the pre-dist name of the pool entry).
-_pool_execute = _worker_entry
 
 
 def _absorb_metrics(data: Dict[str, Any]) -> Dict[str, Any]:
@@ -181,8 +172,6 @@ class BatchEngine:
         retry_budget: Optional[int] = None,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
-        deadline: Optional[float] = None,
-        guard=None,
     ) -> None:
         """``timeout`` is per-job wall seconds (None = unbounded);
         ``retries`` counts extra attempts per job after a transient
@@ -197,15 +186,7 @@ class BatchEngine:
         the environment; unset = no hooks).  ``fail_fast`` stops
         scheduling after the first failure and marks the remainder
         ``"skipped"``.  ``tracer`` records one span per job lifecycle
-        for Chrome trace export.  ``deadline`` is a batch-level
-        wall-clock budget in seconds: once exhausted, not-yet-started
-        jobs are shed as ``skipped`` with reason ``deadline``
-        (journaled, so ``--resume`` completes them) and per-job
-        timeouts clamp to the remaining budget.  ``guard`` overrides
-        the ``REPRO_GUARD`` guard policy
-        (:class:`~repro.runtime.guard.GuardPolicy`; ``None`` =
-        resolve from the environment, unset = no guardrails and zero
-        overhead)."""
+        for Chrome trace export."""
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -219,14 +200,6 @@ class BatchEngine:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self._budget_left = retry_budget
-        self.guard = guard if guard is not None else get_active_guard()
-        self.deadline_seconds = (
-            deadline if deadline is not None
-            else (self.guard.deadline_seconds
-                  if self.guard is not None else None))
-        #: The running batch's budget; armed by :meth:`run`, ``None``
-        #: otherwise — every hot-path check is a single ``is None``.
-        self._deadline: Optional[DeadlineBudget] = None
 
     # ------------------------------------------------------------------
     def _job_done(self, status: str, wall: float) -> None:
@@ -247,8 +220,6 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobOutcome]:
         """Execute a batch; outcomes align index-for-index with specs."""
-        self._deadline = (DeadlineBudget(self.deadline_seconds)
-                          if self.deadline_seconds is not None else None)
         outcomes: Dict[int, JobOutcome] = {}
         pending: List[Tuple[int, JobSpec]] = []
         for idx, spec in enumerate(specs):
@@ -323,22 +294,12 @@ class BatchEngine:
         self._job_done("failed", wall)
 
     def _record_skipped(self, idx: int, spec: JobSpec,
-                        outcomes: Dict[int, JobOutcome],
-                        reason: str = "fail_fast") -> None:
-        """Shed one job.  ``reason`` is ``"fail_fast"``, ``"deadline"``
-        or a shutdown cause; deadline sheds are journaled so a
-        ``--resume`` run completes the deferred work."""
-        if reason == "fail_fast":
-            error = "skipped after an earlier failure (fail_fast)"
-        elif reason == "deadline":
-            error = (f"skipped: batch deadline budget "
-                     f"({self.deadline_seconds:g}s) exhausted")
-        else:
-            error = f"skipped: {reason}"
-        outcomes[idx] = JobOutcome(spec, "skipped", None, error, 0, 0.0)
-        if reason != "fail_fast" and self.journal is not None:
-            self.journal.record_skipped(spec, reason)
-        self.telemetry.emit("skipped", spec, reason=reason)
+                        outcomes: Dict[int, JobOutcome]) -> None:
+        """Abandon one job after an earlier failure under fail_fast."""
+        outcomes[idx] = JobOutcome(
+            spec, "skipped", None,
+            "skipped after an earlier failure (fail_fast)", 0, 0.0)
+        self.telemetry.emit("skipped", spec, reason="fail_fast")
         self._job_done("skipped", 0.0)
 
     # ------------------------------------------------------------------
@@ -389,10 +350,6 @@ class BatchEngine:
         for idx, spec in pending:
             if abort:
                 self._record_skipped(idx, spec, outcomes)
-                continue
-            if self._deadline is not None and self._deadline.expired():
-                self._record_skipped(idx, spec, outcomes,
-                                     reason="deadline")
                 continue
             attempt = 1
             while True:
@@ -450,13 +407,6 @@ class BatchEngine:
                 # batch has already burned.
                 self._sleep_backoff(round_no - 1)
             batch, queue = queue, []
-            if self._deadline is not None and self._deadline.expired():
-                # Budget gone before this round started: shed, never
-                # spawn a pool the batch has no time to wait on.
-                for idx, spec, _attempt in batch:
-                    self._record_skipped(idx, spec, outcomes,
-                                         reason="deadline")
-                continue
             pool = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(batch))
             )
@@ -479,12 +429,9 @@ class BatchEngine:
                             "Jobs started but not finished").inc(-1)
                         self._record_skipped(idx, spec, outcomes)
                         continue
-                    timeout = self.timeout
-                    if self._deadline is not None:
-                        timeout = self._deadline.clamp(timeout)
                     try:
                         data = _absorb_metrics(
-                            future.result(timeout=timeout))
+                            future.result(timeout=self.timeout))
                         wall = time.perf_counter() - start
                         self.tracer.add_span(
                             f"job:{spec.label}", "job",
@@ -495,17 +442,6 @@ class BatchEngine:
                             attempt, wall, outcomes)
                     except FutureTimeoutError:
                         future.cancel()
-                        if (self._deadline is not None
-                                and self._deadline.expired()):
-                            # The batch budget ran out, not the job's
-                            # own timeout: shed rather than blame it.
-                            get_registry().gauge(
-                                "engine_jobs_in_flight",
-                                "Jobs started but not finished"
-                            ).inc(-1)
-                            self._record_skipped(idx, spec, outcomes,
-                                                 reason="deadline")
-                            continue
                         self._record_failure(
                             idx, spec,
                             f"timed out after {self.timeout}s", attempt,

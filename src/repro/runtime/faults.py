@@ -41,16 +41,7 @@ fatal     worker       raises :class:`FatalError` (never retried)
 torn      cache        ``ResultCache.put`` leaves a truncated entry file
 corrupt   cache        ``ResultCache.put`` leaves a garbled entry file
 slow_io   telemetry    sink append sleeps ``:p`` seconds first
-net_drop  stream       the Nth outbound message is silently swallowed
-net_delay stream       the Nth outbound message is delayed ``:p`` seconds
-net_partition stream   the socket is shut down at the Nth message
-                       (the peer sees a disconnect; reconnect logic
-                       takes over)
 ======== ============ ====================================================
-
-Network kinds index *outbound messages on one side's streams* (the
-worker applies them; the counter spans reconnects so a
-``net_partition@i`` rule fires once, not on every fresh session).
 
 When ``REPRO_FAULTS`` is unset, :func:`get_active_plan` returns
 ``None`` and every hook site short-circuits on an ``is None`` check —
@@ -73,11 +64,7 @@ from repro.obs.metrics import get_registry
 WORKER_KINDS = ("crash", "hang", "transient", "fatal")
 CACHE_KINDS = ("torn", "corrupt")
 IO_KINDS = ("slow_io",)
-NET_KINDS = ("net_drop", "net_delay", "net_partition")
-ALL_KINDS = WORKER_KINDS + CACHE_KINDS + IO_KINDS + NET_KINDS
-
-#: A network fault directive as applied at the message-stream layer.
-NetFault = Tuple[str, Optional[float]]
+ALL_KINDS = WORKER_KINDS + CACHE_KINDS + IO_KINDS
 
 #: A worker fault directive as shipped to (and applied in) a worker.
 WorkerFault = Tuple[str, Optional[float]]
@@ -267,18 +254,6 @@ class FaultPlan:
         if rule is None:
             return None
         return rule.param if rule.param is not None else 0.05
-
-    def net_fault(self, message_index: int) -> Optional[NetFault]:
-        """The network fault for outbound message ``message_index``.
-
-        Consulted by :class:`repro.dist.protocol.MessageStream` per
-        ``send`` when a plan is attached; the index is the stream
-        owner's lifetime outbound message count, so targeted rules
-        (``net_partition@6``) hit one deterministic point in the
-        conversation.
-        """
-        rule = self._lookup(NET_KINDS, message_index)
-        return (rule.kind, rule.param) if rule is not None else None
 
     def count(self, kind: str) -> int:
         """How many times ``kind`` has fired through this plan."""

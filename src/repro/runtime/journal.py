@@ -9,17 +9,10 @@ and a ``--resume`` rerun restores those summaries without touching the
 simulator or even the result cache: zero re-simulation of completed
 work.
 
-Beyond completions, the journal doubles as the distributed fleet's
-*work ledger* (:mod:`repro.dist`): ``lease`` records mark a job handed
-to a worker (worker id, attempt, absolute deadline) and ``reclaim``
-records mark a lease taken back (expiry, disconnect, transient retry).
-Records carry a ``type`` field — absent or ``"complete"`` for
-completions, so journals written before leases existed load unchanged.
-Because every record is one ``O_APPEND`` write, concurrent writers
-(a coordinator and its bookkeeping threads) interleave whole lines in
-a total order, and any interleaving of lease/complete/reclaim lines
-loads to a consistent ledger: completions always win, and a hash's
-active lease is decided by the last lease/reclaim line in file order.
+Because every record is one ``O_APPEND`` write, several handles
+appending to one journal interleave whole lines in a total order.
+A record may carry a ``type`` field; completions leave it absent (or
+``"complete"``), and lines of any other type are counted and skipped.
 
 The journal complements the result cache rather than duplicating it:
 the cache is a global content-addressed store with eviction and
@@ -30,9 +23,7 @@ Journals tolerate their own failure modes: a torn final line (the
 writer died mid-append under a pre-atomic writer, or the filesystem
 lied) is counted and skipped on load, lines from a different simulator
 version are ignored, and :meth:`RunJournal.rotate` compacts duplicate
-completions into a fresh file via an atomic ``os.replace`` (lease and
-reclaim lines are dropped by rotation — they describe in-flight state,
-not durable results).
+completions into a fresh file via an atomic ``os.replace``.
 """
 
 from __future__ import annotations
@@ -48,9 +39,6 @@ from repro.sim import SIMULATOR_VERSION
 
 #: Bump when the journal line layout changes.
 JOURNAL_SCHEMA = 1
-
-#: Record types a journal line may carry (absent = ``"complete"``).
-RECORD_TYPES = ("complete", "lease", "reclaim", "skipped")
 
 
 def append_jsonl(path, record: Dict[str, Any]) -> None:
@@ -82,22 +70,10 @@ class RunJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._completed: Dict[str, Dict[str, Any]] = {}
-        self._leases: Dict[str, Dict[str, Any]] = {}
-        self._skipped: Dict[str, str] = {}
         self._appended = 0
         self.bad_lines = 0
         self.stale_lines = 0
         self.unknown_lines = 0
-        self.lease_lines = 0
-        self.reclaim_lines = 0
-        self.skipped_lines = 0
-
-    @staticmethod
-    def _hash_of(spec_or_hash) -> str:
-        """Accept a spec (anything with ``content_hash``) or a hash."""
-        if isinstance(spec_or_hash, str):
-            return spec_or_hash
-        return spec_or_hash.content_hash()
 
     # ------------------------------------------------------------------
     def load(self) -> int:
@@ -108,23 +84,16 @@ class RunJournal:
         counted in :attr:`stale_lines` and skipped (their results
         would no longer be valid to resume from).  Record kinds this
         reader does not know — written by a newer build sharing the
-        journal — are counted in :attr:`unknown_lines` and skipped
-        cleanly rather than treated as corruption, so forward-
-        compatible record types (provenance digests, say) can ride in
-        any journal without stranding older readers.  Lease and
-        reclaim lines fold into the lease ledger
-        (:meth:`active_leases`) in file order; a completion for a hash
-        always clears — and permanently shadows — any lease on it.
+        journal, or by an older build's fleet and batch deadline — are
+        counted in :attr:`unknown_lines` and skipped cleanly rather
+        than treated as corruption, so forward-compatible record types
+        (provenance digests, say) can ride in any journal without
+        stranding older readers.
         """
         self._completed.clear()
-        self._leases.clear()
-        self._skipped.clear()
         self.bad_lines = 0
         self.stale_lines = 0
         self.unknown_lines = 0
-        self.lease_lines = 0
-        self.reclaim_lines = 0
-        self.skipped_lines = 0
         if not self.path.exists():
             return 0
         for line in self.path.read_text().splitlines():
@@ -139,29 +108,10 @@ class RunJournal:
                         or record.get("sim") != SIMULATOR_VERSION):
                     self.stale_lines += 1
                     continue
-                kind = record.get("type", "complete")
-                if kind == "complete":
-                    self._completed[record["hash"]] = record["summary"]
-                    self._leases.pop(record["hash"], None)
-                    self._skipped.pop(record["hash"], None)
-                elif kind == "skipped":
-                    # A shed job (deadline/shutdown): recorded for the
-                    # failure report, *not* restored — a resume run
-                    # re-attempts the deferred work.
-                    if record["hash"] not in self._completed:
-                        self._skipped[record["hash"]] = str(
-                            record.get("reason", ""))
-                    self.skipped_lines += 1
-                elif kind == "lease":
-                    if not isinstance(record["worker"], str):
-                        raise ValueError("lease worker must be a string")
-                    self._leases[record["hash"]] = record
-                    self.lease_lines += 1
-                elif kind == "reclaim":
-                    self._leases.pop(record["hash"], None)
-                    self.reclaim_lines += 1
-                else:
+                if record.get("type", "complete") != "complete":
                     self.unknown_lines += 1
+                    continue
+                self._completed[record["hash"]] = record["summary"]
             except (ValueError, KeyError, TypeError):
                 self.bad_lines += 1
         return len(self._completed)
@@ -169,8 +119,6 @@ class RunJournal:
     def reset(self) -> None:
         """Forget everything and truncate the file (fresh run)."""
         self._completed.clear()
-        self._leases.clear()
-        self._skipped.clear()
         self._appended = 0
         if self.path.exists():
             self.path.unlink()
@@ -205,7 +153,6 @@ class RunJournal:
             return
         data = summary.to_dict()
         self._completed[key] = data
-        self._leases.pop(key, None)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         append_jsonl(self.path, {
             "schema": JOURNAL_SCHEMA,
@@ -216,92 +163,6 @@ class RunJournal:
             "summary": data,
         })
         self._appended += 1
-
-    # ------------------------------------------------------------------
-    def record_lease(self, spec_or_hash, worker: str,
-                     lease_seconds: float, attempt: int = 1) -> None:
-        """Journal a job handed to ``worker`` until an absolute deadline.
-
-        The lease is the fleet's durable claim record: a coordinator
-        killed mid-batch leaves every outstanding lease on disk, and a
-        ``--resume`` load reports them (:meth:`active_leases`) while
-        still re-running the jobs — a lease is a claim, never a result.
-        """
-        key = self._hash_of(spec_or_hash)
-        record = {
-            "schema": JOURNAL_SCHEMA,
-            "sim": SIMULATOR_VERSION,
-            "type": "lease",
-            "hash": key,
-            "worker": worker,
-            "attempt": int(attempt),
-            "deadline": round(time.time() + lease_seconds, 6),
-            "time": round(time.time(), 6),
-        }
-        self._leases[key] = record
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        append_jsonl(self.path, record)
-        self._appended += 1
-        self.lease_lines += 1
-
-    def record_reclaim(self, spec_or_hash, worker: str,
-                       reason: str) -> None:
-        """Journal a lease taken back (expired/disconnect/transient)."""
-        key = self._hash_of(spec_or_hash)
-        self._leases.pop(key, None)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        append_jsonl(self.path, {
-            "schema": JOURNAL_SCHEMA,
-            "sim": SIMULATOR_VERSION,
-            "type": "reclaim",
-            "hash": key,
-            "worker": worker,
-            "reason": reason,
-            "time": round(time.time(), 6),
-        })
-        self._appended += 1
-        self.reclaim_lines += 1
-
-    def record_skipped(self, spec_or_hash, reason: str,
-                       label: str = "") -> None:
-        """Journal a job the run *shed* (deadline exhausted, shutdown).
-
-        A skip is a deferral, never a result: on ``--resume`` the job
-        re-runs.  The record exists so an interrupted or deadline-cut
-        batch leaves a complete account of every job's fate on disk.
-        """
-        key = self._hash_of(spec_or_hash)
-        self._skipped[key] = reason
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "schema": JOURNAL_SCHEMA,
-            "sim": SIMULATOR_VERSION,
-            "type": "skipped",
-            "hash": key,
-            "reason": reason,
-            "time": round(time.time(), 6),
-        }
-        if label or not isinstance(spec_or_hash, str):
-            record["label"] = label or spec_or_hash.label
-        append_jsonl(self.path, record)
-        self._appended += 1
-        self.skipped_lines += 1
-
-    def skipped(self) -> Dict[str, str]:
-        """Hash -> shed reason, for jobs deferred but never completed."""
-        return {key: reason for key, reason in self._skipped.items()
-                if key not in self._completed}
-
-    def active_leases(self) -> Dict[str, Dict[str, Any]]:
-        """Hash -> lease record for leases not completed or reclaimed."""
-        return {key: dict(record)
-                for key, record in self._leases.items()
-                if key not in self._completed}
-
-    def lease_holder(self, spec_or_hash) -> Optional[str]:
-        """The worker currently holding a lease on the job, if any."""
-        record = self.active_leases().get(self._hash_of(spec_or_hash))
-        return record["worker"] if record is not None else None
 
     # ------------------------------------------------------------------
     def rotate(self) -> int:
@@ -341,9 +202,4 @@ class RunJournal:
             "bad_lines": self.bad_lines,
             "stale_lines": self.stale_lines,
             "unknown_lines": self.unknown_lines,
-            "active_leases": len(self.active_leases()),
-            "lease_lines": self.lease_lines,
-            "reclaim_lines": self.reclaim_lines,
-            "skipped": len(self.skipped()),
-            "skipped_lines": self.skipped_lines,
         }

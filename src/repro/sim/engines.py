@@ -13,9 +13,9 @@ An *engine* decides which execution loop a run's kernels go through:
   job specs naming it still resolve.
 
 Engines are deliberately *excluded* from job identity: the same spec
-produces the same cycles under every engine, so cache keys, journal
-entries and fleet hashes are engine-blind.  The engine choice is
-recorded in telemetry and run metadata instead.
+produces the same cycles under every engine, so cache keys and journal
+entries are engine-blind.  The engine choice is recorded in telemetry
+and run metadata instead.
 
 Resolution precedence: explicit ``engine=`` argument, else the
 ``REPRO_ENGINE`` environment variable, else ``reference``.

@@ -310,7 +310,10 @@ def test_killed_writer_never_leaves_a_torn_line(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-# ---------------------------------------------------------------- fleet
+# -------------------------------------------------- legacy fleet events
+#: Telemetry as the since-removed worker fleet wrote it.  Its worker and
+#: lease event kinds are unknown to the dashboard now, so they fold like
+#: any other unknown kind; the job events among them still count.
 FLEET_TELEMETRY = [
     {"kind": "worker_joined", "job": "", "label": "", "time": 0.0,
      "worker": "w0", "addr": "127.0.0.1:50001"},
@@ -341,46 +344,22 @@ FLEET_TELEMETRY = [
 ]
 
 
-def test_batchwatch_folds_fleet_kinds():
+def test_legacy_fleet_telemetry_folds_without_fleet_view(tmp_path,
+                                                         capsys):
     watch = BatchWatch()
     watch.update_all(FLEET_TELEMETRY)
     snap = watch.snapshot()
-    assert snap["workers_seen"] == 2
-    assert snap["workers_alive"] == 1  # w0 left, w1 still connected
-    assert snap["leases_expired"] == 1
-    assert snap["leases_reclaimed"] == 1
+    assert snap["jobs_total"] == 2
+    assert snap["done"] == 2
+    assert snap["failed"] == 0
+    assert snap["simulated_cycles"] == 300
+    assert "fleet   :" not in render(watch, clock=0.0)
 
-    fleet = watch.fleet()
-    assert list(fleet) == ["w0", "w1"]
-    assert fleet["w0"]["jobs_done"] == 2
-    assert fleet["w0"]["leases"] == 2
-    assert fleet["w0"]["alive"] is False
-    assert fleet["w0"]["busy_seconds"] == pytest.approx(1.9)
-    # elapsed is 3.2s of telemetry time: 2 jobs / 3.2s
-    assert fleet["w0"]["jobs_per_second"] == pytest.approx(0.625)
-    # A stale result counts as neither done nor failed.
-    assert fleet["w1"]["jobs_done"] == 0
-    assert fleet["w1"]["jobs_failed"] == 0
-    assert fleet["w1"]["alive"] is True
-
-
-def test_render_shows_fleet_section():
-    watch = BatchWatch()
-    watch.update_all(FLEET_TELEMETRY)
-    frame = render(watch, clock=0.0)
-    assert "1/2 workers alive" in frame
-    assert "1 leases expired" in frame
-    assert "1 reclaimed" in frame
-    assert "w0: gone 2 done" in frame
-    assert "w1: up" in frame
-
-
-def test_report_includes_fleet_section(tmp_path):
-    path = tmp_path / "fleet.jsonl"
+    path = tmp_path / "events.jsonl"
     write_jsonl(path, FLEET_TELEMETRY)
-    report = aggregate([path])
-    assert report["workers_seen"] == 2
-    assert report["fleet"]["w0"]["jobs_done"] == 2
-    text = format_report(report)
-    assert "fleet   : 1/2 workers alive" in text
-    assert "w0: 2 done" in text
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 done" in out
+    assert "fleet   :" not in out
+    assert "w0" not in out
+    assert "fleet" not in aggregate([path])

@@ -238,7 +238,12 @@ def test_ledgers_from_journal_tolerates_garbage(tmp_path):
         handle.write(json.dumps(good) + "\n")
         handle.write("not json at all\n")
         handle.write("[1, 2, 3]\n")                       # not an object
-        handle.write('{"type": "lease", "hash": "ab"}\n')  # bookkeeping
+        # Legacy fleet and batch-deadline bookkeeping.
+        handle.write('{"type": "lease", "hash": "ab"}\n')
+        handle.write('{"type": "reclaim", "hash": "ab", "worker": "w0", '
+                     '"reason": "expired"}\n')
+        handle.write('{"type": "skipped", "hash": "cd", "label": "job-b", '
+                     '"reason": "deadline"}\n')
         handle.write('{"type": "complete", "summary": 7}\n')
         handle.write('{"hash": "cd", "summary": {"total_cycles"')  # torn
     runs = ledgers_from_journal(path)

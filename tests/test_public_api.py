@@ -11,7 +11,7 @@ SUBPACKAGES = [
     "repro.graph", "repro.sim", "repro.core", "repro.sched",
     "repro.frontend", "repro.algorithms", "repro.autotune",
     "repro.bench", "repro.apps", "repro.cli", "repro.runtime",
-    "repro.obs", "repro.figures", "repro.dist",
+    "repro.obs", "repro.figures",
 ]
 
 
@@ -123,22 +123,6 @@ def test_run_schedule_comparison_keyword_only_tail():
     with pytest.raises(TypeError):
         runner.run_schedule_comparison(
             alg, {"g": graph}, ["vertex_map"], cfg)
-
-
-def test_dist_facade_stable():
-    """The distributed-fleet surface stays importable from repro."""
-    from repro import Coordinator, Worker
-    from repro.dist import (PROTOCOL_VERSION, ProtocolError,
-                            format_address, parse_address)
-
-    assert callable(Coordinator)
-    assert callable(Worker)
-    assert isinstance(PROTOCOL_VERSION, int)
-    assert issubclass(ProtocolError, Exception)
-    assert parse_address("example.org:7000") == ("example.org", 7000)
-    assert format_address(("example.org", 7000)) == "example.org:7000"
-    for name in ("Coordinator", "Worker"):
-        assert name in __import__("repro").__all__, name
 
 
 def test_robustness_facade_stable():

@@ -85,6 +85,16 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert "entries: 0" in out
 
 
+def test_cache_stats_json(capsys, tmp_path):
+    code = main(["cache", "stats", "--cache-dir", str(tmp_path),
+                 "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    stats = json.loads(captured.out)
+    assert stats["entries"] == 0
+    assert {"hits", "misses", "stores"} <= set(stats)
+
+
 # ------------------------------------------------ robustness flags
 def test_batch_failure_exits_nonzero_with_stderr_table(capsys,
                                                        tmp_path):
@@ -135,6 +145,43 @@ def test_batch_journal_resume_round_trip(capsys, tmp_path):
     assert "resume: 2 completed job(s) restored" in out
     assert "2 submitted, 0 simulated" in out
     assert "2 resumed" in out
+
+
+def test_batch_resume_skips_legacy_journal_lines(capsys, tmp_path):
+    """A journal written by an earlier version's worker fleet or batch
+    deadline carries lease, reclaim and skipped lines.  Resuming from
+    it restores every completion and names the lines it skipped."""
+    journal = tmp_path / "run.jsonl"
+    argv = ["batch", "--datasets", "bio-human", "--schedules",
+            "vertex_map", "sparseweaver", "--scale", "0.2",
+            "--iterations", "1", "--no-cache",
+            "--journal", str(journal)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    first, second = [json.loads(line)
+                     for line in journal.read_text().splitlines()]
+    era = {"schema": first["schema"], "sim": first["sim"],
+           "time": 1700000000.0}
+    lines = [
+        dict(era, type="lease", hash=first["hash"], worker="box-1",
+             attempt=1, deadline=1700000030.0),
+        first,
+        dict(era, type="skipped", hash=second["hash"],
+             label=second["label"], reason="deadline"),
+        dict(era, type="lease", hash=second["hash"], worker="box-2",
+             attempt=1, deadline=1700000030.0),
+        dict(era, type="reclaim", hash=second["hash"], worker="box-2",
+             reason="expired"),
+        second,
+    ]
+    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    code, out = run_cli(capsys, *argv, "--resume")
+    assert code == 0
+    assert "resume: 2 completed job(s) restored" in out
+    assert "(4 line(s) of unknown kind skipped)" in out
+    assert "torn" not in out
+    assert "2 submitted, 0 simulated" in out
 
 
 def test_batch_journal_without_resume_starts_fresh(capsys, tmp_path):

@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import powerlaw_graph
 from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobSpec,
-                           RunJournal, Telemetry, append_jsonl)
+                           RunJournal, RunSummary, Telemetry, append_jsonl)
 from repro.runtime.journal import JOURNAL_SCHEMA
-from repro.sim import SIMULATOR_VERSION, GPUConfig
+from repro.sim import SIMULATOR_VERSION, GPUConfig, KernelStats
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
 
@@ -236,31 +236,34 @@ def test_sigint_then_resume_resimulates_nothing(tmp_path):
     assert kinds.count("started") == 0
 
 
-# ------------------------------------------------ lease ledger properties
-def _complete_line(path, job_hash):
-    """A completion record as the engine would append it."""
-    append_jsonl(path, {
-        "schema": JOURNAL_SCHEMA,
-        "sim": SIMULATOR_VERSION,
-        "hash": job_hash,
-        "time": 0.0,
-        "summary": {"total_cycles": 1, "iterations": 1,
-                    "stats": {}, "values_digest": "d"},
-    })
+# ----------------------------------------------- legacy record kinds
+def _legacy_line(kind, job_hash):
+    """A ``lease``, ``reclaim`` or ``skipped`` line exactly as the
+    removed worker fleet and batch deadline appended them."""
+    record = {"schema": JOURNAL_SCHEMA, "sim": SIMULATOR_VERSION,
+              "type": kind, "hash": job_hash, "time": 1700000000.0}
+    if kind == "lease":
+        record.update(worker="w0", attempt=1, deadline=1700000030.0)
+    elif kind == "reclaim":
+        record.update(worker="w0", reason="expired")
+    else:
+        record.update(label="pr-job", reason="deadline")
+    return record
 
 
-_HASHES = [format(i, "02d") * 32 for i in range(4)]
-_WORKERS = ["w0", "w1", "w2"]
+def _append_torn_line(path):
+    """What a pre-atomic writer killed mid-append leaves behind."""
+    with path.open("a") as handle:
+        handle.write('{"schema": 1, "type": "lease", "hash": "de')
+
+
+_SPECS = tiny_specs(4)
+_SUMMARY = RunSummary(total_cycles=1, iterations=1, stats=KernelStats(),
+                      values_digest="d")
 
 _LEASE_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("lease"), st.sampled_from(_HASHES),
-                  st.sampled_from(_WORKERS)),
-        st.tuples(st.just("reclaim"), st.sampled_from(_HASHES),
-                  st.sampled_from(_WORKERS)),
-        st.tuples(st.just("complete"), st.sampled_from(_HASHES),
-                  st.just("")),
-    ),
+    st.tuples(st.sampled_from(["lease", "reclaim", "complete"]),
+              st.integers(min_value=0, max_value=len(_SPECS) - 1)),
     max_size=40,
 )
 
@@ -268,82 +271,123 @@ _LEASE_OPS = st.lists(
 @given(ops=_LEASE_OPS, writers=st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_interleaved_lease_ledger_matches_model(ops, writers):
-    """Any interleaving of lease/complete/reclaim records — appended
-    through several independent journal handles, as a coordinator and
-    concurrent CLI tools would — loads to the ledger a sequential fold
-    of the same operations predicts."""
+    """A fleet journal written by an older build: completions appended
+    through several independent journal handles, interleaved with the
+    raw lease/reclaim lines its coordinator wrote, load to exactly the
+    completions a sequential model predicts.  Every lease and reclaim
+    line counts as an unknown kind, never as bad."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
         handles = [RunJournal(path) for _ in range(writers)]
-        completed, model = set(), {}
-        for i, (kind, job_hash, worker) in enumerate(ops):
-            journal = handles[i % writers]  # round-robin the writers
-            if kind == "lease":
-                journal.record_lease(job_hash, worker, 30.0,
-                                     attempt=1)
-                model[job_hash] = worker
-            elif kind == "reclaim":
-                journal.record_reclaim(job_hash, worker, "expired")
-                model.pop(job_hash, None)
+        completed, unknown = set(), 0
+        for i, (kind, job) in enumerate(ops):
+            key = _SPECS[job].content_hash()
+            if kind == "complete":
+                # Round-robin the writers.
+                handles[i % writers].record(_SPECS[job], _SUMMARY)
+                completed.add(key)
             else:
-                _complete_line(path, job_hash)
-                completed.add(job_hash)
-                model.pop(job_hash, None)
+                append_jsonl(path, _legacy_line(kind, key))
+                unknown += 1
 
         loaded = RunJournal(path)
-        loaded.load()
-        active = loaded.active_leases()
-        expected = {h: w for h, w in model.items()
-                    if h not in completed}
-        assert {h: r["worker"] for h, r in active.items()} == expected
-        assert loaded.bad_lines == 0
+        assert loaded.load() == len(completed)
         assert loaded.hashes() == completed
-        for job_hash, worker in expected.items():
-            assert loaded.lease_holder(job_hash) == worker
+        assert loaded.unknown_lines == unknown
+        assert loaded.bad_lines == 0
+        assert loaded.stale_lines == 0
+        for spec in _SPECS:
+            if spec.content_hash() in completed:
+                restored = loaded.summary_for(spec)
+                assert restored.total_cycles == _SUMMARY.total_cycles
 
 
 @given(ops=_LEASE_OPS)
 @settings(max_examples=30, deadline=None)
 def test_lease_ledger_survives_torn_line_mid_lease(ops):
-    """A writer killed mid-lease-append corrupts at most the records
-    physically adjacent to the tear; every other record still folds.
+    """A writer killed mid-lease-append corrupts only the record that
+    lands on the tear; every other record still loads.
 
     Regression: the torn prefix has no newline, so the next appended
-    line concatenates onto it — the loader must count one bad line
+    line concatenates onto it -- the loader must count one bad line
     and keep going, never buffer forever or drop the rest."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
         journal = RunJournal(path)
-        journal.record_lease(_HASHES[0], "w0", 30.0)
+        append_jsonl(path, _legacy_line("lease", _SPECS[0].content_hash()))
         # The tear: a lease append that died after the first bytes.
-        with path.open("a") as handle:
-            handle.write('{"schema": 1, "type": "lease", "hash": "de')
-        completed, model = set(), {_HASHES[0]: "w0"}
-        for i, (kind, job_hash, worker) in enumerate(ops):
-            if kind == "lease":
-                journal.record_lease(job_hash, worker, 30.0)
-            elif kind == "reclaim":
-                journal.record_reclaim(job_hash, worker, "expired")
+        _append_torn_line(path)
+        completed, unknown = set(), 1
+        for i, (kind, job) in enumerate(ops):
+            key = _SPECS[job].content_hash()
+            if kind == "complete":
+                if _SPECS[job] in journal:
+                    continue  # idempotent per handle: nothing appended
+                journal.record(_SPECS[job], _SUMMARY)
             else:
-                _complete_line(path, job_hash)
+                append_jsonl(path, _legacy_line(kind, key))
             if i == 0:
                 continue  # glued onto the torn prefix, lost with it
-            if kind == "lease":
-                model[job_hash] = worker
-            elif kind == "reclaim":
-                model.pop(job_hash, None)
+            if kind == "complete":
+                completed.add(key)
             else:
-                completed.add(job_hash)
-                model.pop(job_hash, None)
+                unknown += 1
 
         loaded = RunJournal(path)
-        loaded.load()
-        assert loaded.bad_lines == 1
-        expected = {h: w for h, w in model.items()
-                    if h not in completed}
-        active = loaded.active_leases()
-        assert {h: r["worker"] for h, r in active.items()} == expected
+        assert loaded.load() == len(completed)
         assert loaded.hashes() == completed
+        assert loaded.bad_lines == 1
+        assert loaded.unknown_lines == unknown
+        assert loaded.stale_lines == 0
+
+
+_RESILIENT_OPS = st.lists(
+    st.tuples(st.sampled_from(["lease", "reclaim", "reconnect", "skipped",
+                               "complete"]),
+              st.integers(min_value=0, max_value=len(_SPECS) - 1)),
+    max_size=50,
+)
+
+
+@given(ops=_RESILIENT_OPS, writers=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_resilient_ledger_with_reconnects_matches_model(ops, writers):
+    """The fleet-journal property extended with the older build's
+    resilience lines: reconnect-reason reclaims and deadline skips.  A
+    reconnecting writer opens a fresh journal handle, which appends
+    again completions its old handle already wrote.  The duplicates
+    fold to one entry each, a skip never counts as a completion, and
+    every legacy line counts as an unknown kind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        handles = [RunJournal(path) for _ in range(writers)]
+        completed, appended, unknown = set(), 0, 0
+        for i, (kind, job) in enumerate(ops):
+            writer = i % writers
+            key = _SPECS[job].content_hash()
+            if kind == "complete":
+                if _SPECS[job] not in handles[writer]:
+                    appended += 1
+                handles[writer].record(_SPECS[job], _SUMMARY)
+                completed.add(key)
+                continue
+            if kind == "reconnect":
+                record = _legacy_line("reclaim", key)
+                record["reason"] = "reconnect"
+                handles[writer] = RunJournal(path)
+            else:
+                record = _legacy_line(kind, key)
+            append_jsonl(path, record)
+            unknown += 1
+
+        lines = path.read_text().splitlines() if path.exists() else []
+        assert len(lines) == appended + unknown
+        loaded = RunJournal(path)
+        assert loaded.load() == len(completed)
+        assert loaded.hashes() == completed
+        assert loaded.unknown_lines == unknown
+        assert loaded.bad_lines == 0
+        assert loaded.stale_lines == 0
 
 
 # ------------------------------------------- forward-compatible kinds
@@ -363,7 +407,7 @@ def test_unknown_record_kinds_are_counted_not_corruption(tmp_path):
                         "sim": SIMULATOR_VERSION,
                         "type": "digest-checkpoint",
                         "hash": "ab" * 32, "payload": [1, 2, 3]})
-    journal.record_lease(spec_b, "w0", 30.0)
+    append_jsonl(path, _legacy_line("lease", spec_b.content_hash()))
     append_jsonl(path, {"schema": JOURNAL_SCHEMA,
                         "sim": SIMULATOR_VERSION,
                         "type": "telemetry-index", "offset": 9})
@@ -374,14 +418,13 @@ def test_unknown_record_kinds_are_counted_not_corruption(tmp_path):
 
     loaded = RunJournal(path)
     assert loaded.load() == 2
-    assert loaded.unknown_lines == 2
+    assert loaded.unknown_lines == 3
     assert loaded.bad_lines == 1
     assert loaded.stale_lines == 0
     assert loaded.hashes() == {spec_a.content_hash(),
                                spec_b.content_hash()}
-    assert loaded.active_leases() == {}  # completion shadows the lease
     stats = loaded.stats()
-    assert stats["unknown_lines"] == 2
+    assert stats["unknown_lines"] == 3
     assert stats["bad_lines"] == 1
 
 
@@ -396,106 +439,3 @@ def test_unknown_kind_without_hash_is_not_bad(tmp_path):
     assert journal.load() == 0
     assert journal.unknown_lines == 1
     assert journal.bad_lines == 0
-
-
-# ------------------------------------------------- skipped (shed) records
-def test_skipped_records_round_trip(tmp_path):
-    """A shed job is journaled as a deferral: visible after reload,
-    cleared by a later completion, never blocking resume."""
-    path = tmp_path / "run.jsonl"
-    journal = RunJournal(path)
-    journal.record_skipped(_HASHES[0], "deadline")
-    journal.record_skipped(_HASHES[1], "sigterm", label="pr-job")
-
-    loaded = RunJournal(path)
-    loaded.load()
-    assert loaded.skipped() == {_HASHES[0]: "deadline",
-                                _HASHES[1]: "sigterm"}
-    assert loaded.stats()["skipped"] == 2
-    assert loaded.stats()["skipped_lines"] == 2
-    # A skip is not a completion: nothing resumes from it.
-    assert loaded.hashes() == set()
-
-    # The deferred job later completes (a --resume run): the skip is
-    # superseded in both orders of load.
-    _complete_line(path, _HASHES[0])
-    again = RunJournal(path)
-    again.load()
-    assert again.skipped() == {_HASHES[1]: "sigterm"}
-    assert _HASHES[0] in again.hashes()
-
-
-def test_rotate_drops_skipped_records(tmp_path):
-    """Rotation keeps completions only; stale deferral lines (already
-    superseded or still pending) do not survive compaction."""
-    path = tmp_path / "run.jsonl"
-    journal = RunJournal(path)
-    journal.record_skipped(_HASHES[0], "deadline")
-    _complete_line(path, _HASHES[1])
-    journal.load()
-    journal.rotate()
-    compacted = RunJournal(path)
-    compacted.load()
-    assert compacted.skipped() == {}
-    assert compacted.hashes() == {_HASHES[1]}
-
-
-_RESILIENT_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("lease"), st.sampled_from(_HASHES),
-                  st.sampled_from(_WORKERS)),
-        st.tuples(st.just("reclaim"), st.sampled_from(_HASHES),
-                  st.sampled_from(_WORKERS)),
-        st.tuples(st.just("reconnect"), st.sampled_from(_HASHES),
-                  st.sampled_from(_WORKERS)),
-        st.tuples(st.just("skip"), st.sampled_from(_HASHES),
-                  st.just("")),
-        st.tuples(st.just("complete"), st.sampled_from(_HASHES),
-                  st.just("")),
-    ),
-    max_size=50,
-)
-
-
-@given(ops=_RESILIENT_OPS, writers=st.integers(min_value=1, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_resilient_ledger_with_reconnects_matches_model(ops, writers):
-    """The lease ledger property extended with the resilience record
-    kinds: reconnect-reason reclaims (a superseded zombie connection)
-    and skipped deferrals.  Any interleaving across several writer
-    handles folds to what a sequential model predicts — no lost and no
-    duplicated state."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.jsonl"
-        handles = [RunJournal(path) for _ in range(writers)]
-        completed, leases, skips = set(), {}, {}
-        for i, (kind, job_hash, worker) in enumerate(ops):
-            journal = handles[i % writers]
-            if kind == "lease":
-                journal.record_lease(job_hash, worker, 30.0, attempt=1)
-                leases[job_hash] = worker
-            elif kind == "reclaim":
-                journal.record_reclaim(job_hash, worker, "expired")
-                leases.pop(job_hash, None)
-            elif kind == "reconnect":
-                # The supersede path: same records, distinct reason.
-                journal.record_reclaim(job_hash, worker, "reconnect")
-                leases.pop(job_hash, None)
-            elif kind == "skip":
-                journal.record_skipped(job_hash, "deadline")
-                skips[job_hash] = "deadline"
-            else:
-                _complete_line(path, job_hash)
-                completed.add(job_hash)
-                leases.pop(job_hash, None)
-
-        loaded = RunJournal(path)
-        loaded.load()
-        assert loaded.bad_lines == 0
-        assert loaded.hashes() == completed
-        active = loaded.active_leases()
-        assert ({h: r["worker"] for h, r in active.items()}
-                == {h: w for h, w in leases.items()
-                    if h not in completed})
-        assert loaded.skipped() == {h: r for h, r in skips.items()
-                                    if h not in completed}
