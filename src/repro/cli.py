@@ -12,7 +12,6 @@ Commands
 ``cache``     inspect or clear the content-addressed result cache
 ``tail``      live dashboard over a batch telemetry JSONL file
 ``report``    aggregate telemetry/metrics files into one summary
-``perf``      perf-trajectory table over perf_history.jsonl
 ``diff``      first-divergence localization between two runs' ledgers
 """
 
@@ -240,26 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="telemetry .jsonl and/or metrics .json files")
     rep2_p.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON (CI artifacts)")
-
-    perf_p = sub.add_parser(
-        "perf",
-        help="perf-trajectory table over perf_history.jsonl: one row "
-             "per recorded bench emission, deltas vs. the previous "
-             "entry, regressions flagged with the CI speed-gate rule")
-    perf_p.add_argument("--history", default=None, metavar="PATH",
-                        help="perf history JSONL (default: "
-                             "benchmarks/results/perf_history.jsonl)")
-    perf_p.add_argument("--max-regress", type=float, default=None,
-                        help="fractional jobs/s drop vs. the previous "
-                             "entry that counts as a regression "
-                             "(default 0.25, the CI speed gate)")
-    perf_p.add_argument("--limit", type=int, default=None,
-                        help="show only the most recent N entries")
-    perf_p.add_argument("--check", action="store_true",
-                        help="exit 1 when the latest entry is a "
-                             "regression (CI gate)")
-    perf_p.add_argument("--json", action="store_true",
-                        help="emit the trajectory rows as JSON")
 
     diff_p = sub.add_parser(
         "diff",
@@ -757,50 +736,6 @@ def _cmd_report(args) -> int:
     return 1 if report["failed"] else 0
 
 
-def _cmd_perf(args) -> int:
-    import json as json_mod
-    from pathlib import Path
-
-    from repro.obs.profile import (DEFAULT_HISTORY, DEFAULT_MAX_REGRESS,
-                                   PerfHistory, format_trajectory)
-
-    path = (Path(args.history) if args.history
-            else Path(__file__).resolve().parents[2] / DEFAULT_HISTORY)
-    history = PerfHistory(path)
-    max_regress = (args.max_regress if args.max_regress is not None
-                   else DEFAULT_MAX_REGRESS)
-    rows = history.trajectory(max_regress=max_regress)
-    if args.limit:
-        rows = rows[-args.limit:]
-    if args.json:
-        from repro.obs.profile import git_commit
-
-        # Stamped like the table view: the commit the report was made
-        # at, the gate applied, and per-entry verdicts in the rows.
-        print(json_mod.dumps({
-            "git_commit": git_commit(),
-            "max_regress": max_regress,
-            "history": str(path),
-            "entries": rows,
-        }, sort_keys=True))
-    elif not rows:
-        print(f"no perf history at {path} — run "
-              "benchmarks/bench_perf_trajectory.py (or the CI speed "
-              "gate) to record an entry")
-    else:
-        print(format_trajectory(rows))
-        if history.bad_lines:
-            print(f"({history.bad_lines} torn/unreadable line(s) "
-                  "skipped)")
-    if args.check and rows and rows[-1]["verdict"] == "REGRESSION":
-        print(f"perf regression: jobs/s dropped "
-              f"{-rows[-1]['delta'] * 100:.1f}% vs. the previous "
-              f"entry (gate: {max_regress * 100:.0f}%)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _parse_diff_options(src: str):
     """``'key=val,key=val'`` live-source grammar -> an options dict."""
     from repro.errors import ReproError
@@ -1056,7 +991,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "tail": _cmd_tail,
     "report": _cmd_report,
-    "perf": _cmd_perf,
     "diff": _cmd_diff,
 }
 

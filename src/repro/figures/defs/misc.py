@@ -1,5 +1,5 @@
 """Repro-specific figures: paper-config headline, robustness,
-extended ranking, runtime-engine throughput."""
+extended ranking."""
 
 from __future__ import annotations
 
@@ -158,73 +158,3 @@ class ExtendedRanking(Figure):
                                                    + chart)
         return self.output(blocks, cycles=cycles, schedules=schedules)
 
-
-@register
-class RuntimeEngine(Figure):
-    """Serial vs parallel vs warm-cache wall time of the engine itself.
-
-    Local-compute by design: the figure measures BatchEngine, so it
-    drives its own engines rather than riding the driver's.
-    """
-
-    name = "runtime_engine"
-    paper = "repro"
-    title = "Runtime engine throughput (serial/parallel/warm)"
-
-    def _grid_specs(self, ctx):
-        from repro.sched import ALL_SCHEDULES
-
-        graphs = bench_graph_specs(ctx)
-        return [
-            JobSpec(algorithm=_PAGERANK2, graph=spec, schedule=sched,
-                    config=ctx.gpu_config(), max_iterations=2)
-            for spec in graphs.values()
-            for sched in ALL_SCHEDULES
-        ]
-
-    def summarize(self, ctx, results):
-        import tempfile
-        import time
-
-        from repro.runtime import BatchEngine, ResultCache, Telemetry
-
-        specs = self._grid_specs(ctx)
-        cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-
-        rows = []
-        start = time.perf_counter()
-        serial = BatchEngine(jobs=1).run(specs)
-        rows.append(["serial (jobs=1)", len(specs),
-                     round(time.perf_counter() - start, 3)])
-
-        cache = ResultCache(cache_dir)
-        par_tel = Telemetry()
-        start = time.perf_counter()
-        parallel = BatchEngine(jobs=4, cache=cache,
-                               telemetry=par_tel).run(specs)
-        rows.append(["parallel (jobs=4)", len(specs),
-                     round(time.perf_counter() - start, 3)])
-
-        warm_tel = Telemetry()
-        start = time.perf_counter()
-        warm = BatchEngine(jobs=4, cache=cache,
-                           telemetry=warm_tel).run(specs)
-        rows.append(["warm cache", len(specs),
-                     round(time.perf_counter() - start, 3)])
-
-        cycles = {
-            "serial": [o.summary.total_cycles for o in serial],
-            "parallel": [o.summary.total_cycles for o in parallel],
-            "warm": [o.summary.total_cycles for o in warm],
-        }
-        block = format_table(
-            ["pass", "jobs in grid", "wall sec"], rows,
-            title="Runtime engine: PageRank x 9 datasets x 5 "
-                  "schedules") + "\n" + warm_tel.format_summary(cache)
-        return self.output(
-            {"runtime_engine": block},
-            cycles=cycles, rows=rows,
-            warm_started=warm_tel.count("started"),
-            warm_cached=warm_tel.count("cached"),
-            grid_size=len(specs),
-        )

@@ -18,8 +18,7 @@ stall breakdowns, Fig. 12 memory ratios):
   telemetry sinks and metrics snapshots into one text/JSON summary.
 * :mod:`repro.obs.profile` — host-side self-profiler (wall-time per
   simulator phase, per-opcode latency histograms, flamegraph
-  sampler) and the ``perf_history.jsonl`` trajectory store behind
-  ``python -m repro perf``.  Enable via ``REPRO_PROFILE=1`` or
+  sampler).  Enable via ``REPRO_PROFILE=1`` or
   :func:`enable_profiling`.
 * :mod:`repro.obs.provenance` — rolling digests of simulated
   architectural state and the divergence ledger behind
@@ -39,7 +38,6 @@ from repro.obs.metrics import (
     percentile_from_counts,
 )
 from repro.obs.profile import (
-    PerfHistory,
     PhaseProfiler,
     StackSampler,
     disable_profiling,
@@ -76,7 +74,6 @@ __all__ = [
     "get_registry",
     "metrics_enabled",
     "percentile_from_counts",
-    "PerfHistory",
     "PhaseProfiler",
     "StackSampler",
     "disable_profiling",

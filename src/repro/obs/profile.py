@@ -1,10 +1,10 @@
-"""Host-side self-profiler and perf-trajectory history.
+"""Host-side self-profiler.
 
 Everything else in :mod:`repro.obs` attributes *simulated* cycles
 (stall classes, phase cycles); this module attributes **host
 wall-time** — where the pure-Python simulator actually spends the
 seconds — so optimization work on the interpreter starts from a
-measurement instead of a guess.  Three layers:
+measurement instead of a guess.  Two layers:
 
 * :class:`PhaseProfiler` — section timers in the simulator's event
   loop (:mod:`repro.sim.gpu`: setup, warp scheduling, record draw,
@@ -25,11 +25,6 @@ measurement instead of a guess.  Three layers:
   Chrome-trace span events that merge into the existing
   :class:`~repro.obs.tracing.Tracer` export so host-time and
   simulated-time views line up in Perfetto.
-* :class:`PerfHistory` — an append-only JSONL trajectory of
-  ``bench_perf_trajectory.py`` emissions keyed on git commit and
-  simulator version; ``python -m repro perf`` renders it as a table
-  with deltas against the previous entry and flags any jobs/s drop
-  beyond the CI speed gate's tolerance.
 
 Profiler state crosses process boundaries as snapshots, exactly like
 :class:`~repro.obs.metrics.MetricsRegistry`: pool workers ship
@@ -41,14 +36,13 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry, percentile_from_counts
 
@@ -522,155 +516,3 @@ class StackSampler:
             "args": {"stack": ";".join(stack[-12:])},
         }
 
-
-# ----------------------------------------------------------------------
-# Perf-trajectory history
-# ----------------------------------------------------------------------
-#: Default history location, relative to the repo root.
-DEFAULT_HISTORY = Path("benchmarks") / "results" / "perf_history.jsonl"
-
-#: Regression tolerance matching the CI speed gate's default.
-DEFAULT_MAX_REGRESS = 0.25
-
-
-def git_commit(cwd=None) -> str:
-    """Current git commit hash, or ``"unknown"`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd, timeout=10,
-            capture_output=True, text=True)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else "unknown"
-
-
-class PerfHistory:
-    """Append-only JSONL trajectory of platform-performance artifacts.
-
-    One line per ``bench_perf_trajectory.py`` emission (the full
-    artifact: schema, git commit, simulator version, metrics, optional
-    profile summary).  The loader tolerates torn or garbage lines —
-    the file may be appended by interrupted CI runs — counting them in
-    :attr:`bad_lines` instead of failing.
-    """
-
-    def __init__(self, path=DEFAULT_HISTORY) -> None:
-        self.path = Path(path)
-        self.bad_lines = 0
-
-    # ------------------------------------------------------------------
-    def append(self, artifact: Dict[str, Any]) -> Dict[str, Any]:
-        """Append one artifact as a single JSONL line; returns it."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(artifact, sort_keys=True) + "\n"
-        with self.path.open("a") as handle:
-            handle.write(line)
-        return artifact
-
-    def load(self) -> List[Dict[str, Any]]:
-        """Every decodable entry, in file (chronological) order."""
-        self.bad_lines = 0
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                self.bad_lines += 1
-                continue
-            if isinstance(entry, dict) and "metrics" in entry:
-                entries.append(entry)
-            else:
-                self.bad_lines += 1
-        return entries
-
-    # ------------------------------------------------------------------
-    def trajectory(self, max_regress: float = DEFAULT_MAX_REGRESS
-                   ) -> List[Dict[str, Any]]:
-        """Rows with deltas vs. the previous entry and verdicts.
-
-        The verdict applies the CI speed gate's comparison — jobs/s
-        below ``previous * (1 - max_regress)`` is a ``REGRESSION`` —
-        to every consecutive pair in the history.
-        """
-        rows: List[Dict[str, Any]] = []
-        prev_rate: Optional[float] = None
-        for entry in self.load():
-            metrics = entry.get("metrics", {})
-            rate = metrics.get("jobs_per_second")
-            row = {
-                "git_commit": str(entry.get("git_commit", "?"))[:12],
-                "schema": entry.get("schema"),
-                "time": entry.get("time"),
-                "simulator_version": entry.get("simulator_version"),
-                "jobs_per_second": rate,
-                "simulated_cycles_per_second": metrics.get(
-                    "simulated_cycles_per_second"),
-                "cache_hit_latency_seconds": metrics.get(
-                    "cache_hit_latency_seconds"),
-                "peak_rss_bytes": metrics.get("peak_rss_bytes"),
-                "fast_cycles_per_second": None,
-                "fast_ratio": None,
-                "delta": None,
-                "verdict": "-",
-            }
-            # Schema >= 3 artifacts carry per-engine metrics; the
-            # fast/reference cycles-per-second ratio is the headline
-            # number for the vectorized engine's trajectory.
-            engines = entry.get("engines") or {}
-            fast_cps = (engines.get("fast") or {}).get(
-                "simulated_cycles_per_second")
-            ref_cps = (engines.get("reference") or {}).get(
-                "simulated_cycles_per_second")
-            if fast_cps is not None:
-                row["fast_cycles_per_second"] = fast_cps
-                if ref_cps:
-                    row["fast_ratio"] = fast_cps / ref_cps
-            if rate is not None and prev_rate:
-                row["delta"] = (rate - prev_rate) / prev_rate
-                row["verdict"] = ("REGRESSION"
-                                  if rate < prev_rate * (1.0 - max_regress)
-                                  else "ok")
-            if rate is not None:
-                prev_rate = rate
-            rows.append(row)
-        return rows
-
-    def latest(self) -> Optional[Dict[str, Any]]:
-        """The newest entry, or ``None`` on an empty history."""
-        entries = self.load()
-        return entries[-1] if entries else None
-
-
-def format_trajectory(rows: Iterable[Dict[str, Any]]) -> str:
-    """Render :meth:`PerfHistory.trajectory` rows as a text table."""
-    from repro.bench.report import format_table
-
-    table = []
-    for row in rows:
-        delta = ("-" if row["delta"] is None
-                 else f"{row['delta'] * 100:+.1f}%")
-        rss = row.get("peak_rss_bytes")
-        fast_ratio = row.get("fast_ratio")
-        table.append([
-            row["git_commit"], row.get("schema", "?"),
-            "-" if row["jobs_per_second"] is None
-            else f"{row['jobs_per_second']:.3f}",
-            delta,
-            "-" if row["simulated_cycles_per_second"] is None
-            else f"{row['simulated_cycles_per_second']:,.0f}",
-            "-" if fast_ratio is None else f"{fast_ratio:.2f}x",
-            "-" if rss is None else f"{rss / 2 ** 20:.0f}",
-            row["verdict"],
-        ])
-    return format_table(
-        ["commit", "schema", "jobs/s", "Δ jobs/s", "cycles/s",
-         "fast/ref", "rss MiB", "verdict"],
-        table, title=f"perf trajectory ({len(table)} entr(y/ies))")

@@ -96,7 +96,7 @@ def test_reproduce_runs_matching_bench():
 
 
 # ----------------------------------------------------------------------
-# --profile and the perf trajectory command
+# --profile
 # ----------------------------------------------------------------------
 def test_run_profile_writes_artifacts(capsys, tmp_path):
     from repro.obs.profile import (disable_profiling, get_profiler,
@@ -143,84 +143,6 @@ def test_batch_profile_folds_worker_snapshots(capsys, tmp_path):
     assert "host profile:" in out
     assert "execute" in out
     assert (tmp_path / "prof" / "profile.json").exists()
-
-
-def test_perf_empty_history(capsys, tmp_path):
-    code, out = run_cli(capsys, "perf", "--history",
-                        str(tmp_path / "none.jsonl"))
-    assert code == 0
-    assert "no perf history" in out
-
-
-def test_perf_table_check_and_json(capsys, tmp_path):
-    import json
-
-    from repro.obs.profile import PerfHistory
-
-    history = PerfHistory(tmp_path / "hist.jsonl")
-    base = {"schema": 2, "git_commit": "c" * 40, "time": 1.0,
-            "simulator_version": 1}
-    for rate in (100.0, 95.0, 20.0):
-        history.append({**base,
-                        "metrics": {"jobs_per_second": rate,
-                                    "simulated_cycles_per_second": 1.0,
-                                    "peak_rss_bytes": 2 ** 20}})
-    code, out = run_cli(capsys, "perf", "--history", str(history.path))
-    assert code == 0
-    assert "REGRESSION" in out and "cccccccccccc" in out
-
-    code, _out = run_cli(capsys, "perf", "--history",
-                         str(history.path), "--check")
-    assert code == 1
-
-    # A permissive gate clears the check.
-    code, _out = run_cli(capsys, "perf", "--history",
-                         str(history.path), "--check",
-                         "--max-regress", "0.9")
-    assert code == 0
-
-    code, out = run_cli(capsys, "perf", "--history",
-                        str(history.path), "--json", "--limit", "1")
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["entries"]) == 1
-    assert doc["entries"][0]["verdict"] == "REGRESSION"
-
-
-def test_perf_json_stamps_commit_and_verdicts(capsys, tmp_path):
-    """--json carries the same stamps as the table: the reporting
-    commit, the gate applied, and a per-entry verdict."""
-    import json
-
-    from repro.obs.profile import PerfHistory
-
-    history = PerfHistory(tmp_path / "hist.jsonl")
-    base = {"schema": 2, "git_commit": "d" * 40, "time": 1.0,
-            "simulator_version": 1}
-    for rate in (50.0, 49.0, 10.0):
-        history.append({**base,
-                        "metrics": {"jobs_per_second": rate,
-                                    "simulated_cycles_per_second": 1.0,
-                                    "peak_rss_bytes": 2 ** 20}})
-    code, out = run_cli(capsys, "perf", "--history",
-                        str(history.path), "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["history"] == str(history.path)
-    assert doc["max_regress"] == 0.25
-    # The stamping commit is live (rev-parse or "unknown"), never empty.
-    assert isinstance(doc["git_commit"], str) and doc["git_commit"]
-    verdicts = [e["verdict"] for e in doc["entries"]]
-    assert verdicts == ["-", "ok", "REGRESSION"]
-    assert all(e["git_commit"] == "d" * 12 for e in doc["entries"])
-
-    # The gate flag flows into the stamp.
-    code, out = run_cli(capsys, "perf", "--history", str(history.path),
-                        "--json", "--max-regress", "0.9")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["max_regress"] == 0.9
-    assert [e["verdict"] for e in doc["entries"]] == ["-", "ok", "ok"]
 
 
 # ----------------------------------------------------------------------

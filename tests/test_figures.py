@@ -8,6 +8,7 @@ table1), and warm-cache incrementality (second run simulates nothing).
 """
 
 import pickle
+import tempfile
 
 import pytest
 
@@ -42,7 +43,6 @@ def test_registry_covers_every_benchmark_family():
         "fig16", "fig17", "fig18", "fig19",
         "table1", "table3", "table4", "table5",
         "paper_config", "robustness", "extended_ranking",
-        "runtime_engine",
         "micro_pointer_chase", "micro_stream_bandwidth",
         "micro_issue_throughput", "micro_latency_hiding",
         "ablation_prefetch_depth", "ablation_zero_skip_width",
@@ -220,27 +220,32 @@ def test_second_run_is_all_cache_hits(tmp_path):
 
 #: Figures whose artifact text embeds measured wall-clock seconds, so
 #: repeated summaries legitimately differ.
-WALL_CLOCK_FIGURES = {"table5", "runtime_engine"}
+WALL_CLOCK_FIGURES = {"table5"}
 
 
 @pytest.fixture(scope="module")
 def whole_registry(tmp_path_factory):
-    """Every figure, cold then warm against one shared cache."""
+    """Every figure, cold then warm against one shared cache, with
+    ``tempfile`` pointed at an empty directory of its own."""
+    # Made before the switch, so pytest's basetemp is already fixed.
+    tempdir = tmp_path_factory.mktemp("tempdir")
     cache = ResultCache(str(tmp_path_factory.mktemp("figcache")))
-    cold_tel = Telemetry()
-    cold = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
-                       telemetry=cold_tel)
-    warm_tel = Telemetry()
-    warm = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
-                       telemetry=warm_tel)
-    return cold, warm, cold_tel, warm_tel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir", str(tempdir))
+        cold_tel = Telemetry()
+        cold = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
+                           telemetry=cold_tel)
+        warm_tel = Telemetry()
+        warm = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
+                           telemetry=warm_tel)
+    return cold, warm, cold_tel, warm_tel, tempdir
 
 
 @pytest.mark.parametrize("name", figure_names())
 def test_summarize_round_trips_engine_summaries(name, whole_registry):
     """summarize() produces well-formed blocks from live summaries and
     reproduces them from cache-round-tripped summary dicts."""
-    cold, warm, _cold_tel, _warm_tel = whole_registry
+    cold, warm, _cold_tel, _warm_tel, _tempdir = whole_registry
     out = cold[name]
     assert out.name == name
     assert out.blocks, name
@@ -251,10 +256,17 @@ def test_summarize_round_trips_engine_summaries(name, whole_registry):
 
 
 def test_whole_registry_warm_run_simulates_nothing(whole_registry):
-    _cold, _warm, cold_tel, warm_tel = whole_registry
+    _cold, _warm, cold_tel, warm_tel, _tempdir = whole_registry
     assert cold_tel.count("started") > 0
     assert warm_tel.count("started") == 0
     assert warm_tel.count("cached") == cold_tel.count("started")
+
+
+def test_whole_registry_leaves_no_temp_files(whole_registry):
+    """Figure summaries only read their results: neither run leaves
+    anything in the temp directory."""
+    tempdir = whole_registry[-1]
+    assert list(tempdir.iterdir()) == []
 
 
 # ----------------------------------------------------------------- driver

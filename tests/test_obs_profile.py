@@ -1,4 +1,4 @@
-"""Host profiler: phases, sampler, history, bit-identical cycles."""
+"""Host profiler: phases, sampler, bit-identical cycles."""
 
 import json
 import time
@@ -6,11 +6,9 @@ import time
 import pytest
 
 from repro.graph import powerlaw_graph
-from repro.obs.profile import (OP_BUCKETS, PerfHistory, PhaseProfiler,
-                               StackSampler, disable_profiling,
-                               enable_profiling, format_trajectory,
-                               get_profiler, git_commit, phase,
-                               profiling_enabled)
+from repro.obs.profile import (OP_BUCKETS, PhaseProfiler, StackSampler,
+                               disable_profiling, enable_profiling,
+                               get_profiler, phase, profiling_enabled)
 from repro.runtime import AlgorithmSpec, BatchEngine, GraphSpec, JobSpec
 from repro.sim import GPUConfig
 
@@ -261,67 +259,6 @@ def test_sampler_stop_is_idempotent_and_bounded():
 
 def test_sampler_trace_events_empty_without_samples():
     assert StackSampler().trace_events() == []
-
-
-# ----------------------------------------------------------------------
-# PerfHistory
-# ----------------------------------------------------------------------
-def entry(rate, commit="abc123", schema=2):
-    return {"schema": schema, "git_commit": commit, "time": 1.0,
-            "simulator_version": 1,
-            "metrics": {"jobs_per_second": rate,
-                        "simulated_cycles_per_second": rate * 1000,
-                        "cache_hit_latency_seconds": 0.001,
-                        "peak_rss_bytes": 42 * 2 ** 20}}
-
-
-def test_history_append_load_round_trip(tmp_path):
-    history = PerfHistory(tmp_path / "hist.jsonl")
-    history.append(entry(10.0))
-    history.append(entry(11.0))
-    assert [e["metrics"]["jobs_per_second"] for e in history.load()] \
-        == [10.0, 11.0]
-    assert history.bad_lines == 0
-
-
-def test_history_tolerates_torn_and_garbage_lines(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    path.write_text(json.dumps(entry(10.0)) + "\n"
-                    + '{"torn": tru\n'
-                    + "not json at all\n"
-                    + json.dumps({"no_metrics": 1}) + "\n"
-                    + json.dumps(entry(12.0)) + "\n")
-    history = PerfHistory(path)
-    assert len(history.load()) == 2
-    assert history.bad_lines == 3
-    assert history.latest()["metrics"]["jobs_per_second"] == 12.0
-
-
-def test_history_missing_file_is_empty(tmp_path):
-    history = PerfHistory(tmp_path / "absent.jsonl")
-    assert history.load() == []
-    assert history.latest() is None
-    assert history.trajectory() == []
-
-
-def test_trajectory_deltas_and_regression_verdicts(tmp_path):
-    history = PerfHistory(tmp_path / "hist.jsonl")
-    history.append(entry(100.0))
-    history.append(entry(90.0))   # -10%: within the 25% gate
-    history.append(entry(30.0))   # -67%: regression
-    rows = history.trajectory(max_regress=0.25)
-    assert [r["verdict"] for r in rows] == ["-", "ok", "REGRESSION"]
-    assert rows[1]["delta"] == pytest.approx(-0.10)
-    assert rows[2]["delta"] == pytest.approx(-2 / 3)
-    assert rows[0]["git_commit"] == "abc123"
-    table = format_trajectory(rows)
-    assert "REGRESSION" in table and "jobs/s" in table
-
-
-def test_git_commit_resolves_in_this_repo(tmp_path):
-    commit = git_commit()
-    assert len(commit) == 40 and commit != "unknown"
-    assert git_commit(cwd=tmp_path) == "unknown"
 
 
 def test_op_buckets_are_sorted():
