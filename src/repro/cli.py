@@ -11,7 +11,7 @@ Commands
 ``batch``     run a job grid through the parallel runtime engine
 ``cache``     inspect or clear the content-addressed result cache
 ``tail``      live dashboard over a batch telemetry JSONL file
-``report``    aggregate telemetry/metrics files into one summary
+``report``    aggregate telemetry/profile files into one summary
 ``diff``      first-divergence localization between two runs' ledgers
 """
 
@@ -172,15 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="append run events to this JSONL file")
     batch_p.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds")
-    batch_p.add_argument("--metrics", default=None, metavar="PATH",
-                         help="write a metrics-registry snapshot JSON "
-                              "(implies --obs)")
     batch_p.add_argument("--trace", default=None, metavar="PATH",
                          help="write a Chrome trace of per-job engine "
                               "spans")
-    batch_p.add_argument("--obs", action="store_true",
-                         help="enable the metrics registry for this "
-                              "batch (same as REPRO_OBS=1)")
     batch_p.add_argument("--cache-max-bytes", type=int, default=None,
                          help="result-cache byte budget")
     batch_p.add_argument("--cache-ttl", type=float, default=None,
@@ -234,9 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep2_p = sub.add_parser(
         "report",
-        help="aggregate telemetry JSONL and metrics snapshot files")
+        help="aggregate telemetry JSONL and profile snapshot files")
     rep2_p.add_argument("paths", nargs="+",
-                        help="telemetry .jsonl and/or metrics .json files")
+                        help="telemetry .jsonl and/or profile .json files")
     rep2_p.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON (CI artifacts)")
 
@@ -638,10 +632,6 @@ def _cmd_batch(args) -> int:
     from repro.runtime import BatchEngine, ResultCache, Telemetry
 
     specs = _batch_specs(args)
-    if args.obs or args.metrics:
-        from repro.obs.metrics import enable_metrics
-
-        enable_metrics()
     tracer = None
     if args.trace:
         from repro.obs.tracing import Tracer
@@ -675,10 +665,6 @@ def _cmd_batch(args) -> int:
         rows, title=f"batch of {len(specs)} jobs "
                     f"({engine.jobs} worker(s))"))
     print(telemetry.format_summary(cache))
-    if args.metrics:
-        from repro.obs.metrics import get_registry
-
-        print(f"metrics snapshot: {get_registry().save(args.metrics)}")
     if tracer is not None:
         extra = (sampler.trace_events(epoch=tracer.epoch)
                  if sampler is not None else ())

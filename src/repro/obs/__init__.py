@@ -1,13 +1,9 @@
-"""Unified observability: metrics, span tracing, dashboards, reports.
+"""Unified observability: span tracing, dashboards, reports, profiles.
 
 The layer that explains where cycles and wall time go — the repo-side
 analog of the profiling views the paper's evaluation leans on (Fig. 4
 stall breakdowns, Fig. 12 memory ratios):
 
-* :mod:`repro.obs.metrics` — process-local counters / gauges /
-  histograms with labels; a cheap no-op when disabled (the default);
-  snapshot/merge for aggregating across worker processes.  Enable via
-  ``REPRO_OBS=1`` or :func:`enable_metrics`.
 * :mod:`repro.obs.tracing` — wall-clock :class:`Span`s (kernel phases,
   engine job lifecycle) plus simulated-cycle instruction/stall events,
   exported together as Chrome ``trace_event`` JSON for
@@ -15,7 +11,7 @@ stall breakdowns, Fig. 12 memory ratios):
 * :mod:`repro.obs.dashboard` — ``python -m repro tail events.jsonl``:
   a live, refreshing terminal view of a running batch.
 * :mod:`repro.obs.report` — ``python -m repro report`` aggregation of
-  telemetry sinks and metrics snapshots into one text/JSON summary.
+  telemetry sinks and profile snapshots into one text/JSON summary.
 * :mod:`repro.obs.profile` — host-side self-profiler (wall-time per
   simulator phase, per-opcode latency histograms, flamegraph
   sampler).  Enable via ``REPRO_PROFILE=1`` or
@@ -26,23 +22,13 @@ stall breakdowns, Fig. 12 memory ratios):
   :func:`enable_digests`.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    disable_metrics,
-    enable_metrics,
-    get_registry,
-    metrics_enabled,
-    percentile_from_counts,
-)
 from repro.obs.profile import (
     PhaseProfiler,
     StackSampler,
     disable_profiling,
     enable_profiling,
     get_profiler,
+    percentile_from_counts,
     profiling_enabled,
 )
 from repro.obs.provenance import (
@@ -65,20 +51,12 @@ from repro.obs.dashboard import BatchWatch, JSONLFollower, render, tail
 from repro.obs.report import aggregate, format_report
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "disable_metrics",
-    "enable_metrics",
-    "get_registry",
-    "metrics_enabled",
-    "percentile_from_counts",
     "PhaseProfiler",
     "StackSampler",
     "disable_profiling",
     "enable_profiling",
     "get_profiler",
+    "percentile_from_counts",
     "profiling_enabled",
     "KernelWindowTracer",
     "StateDigester",

@@ -190,7 +190,7 @@ def _progress_bar(done: int, total: int, width: int = 28) -> str:
 def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
     """Draw one dashboard frame as plain text."""
     snap = watch.snapshot()
-    done = snap["done"] + snap["failed"]
+    done = snap["done"] + snap["failed"] + snap["skipped"]
     stamp = time.strftime(
         "%H:%M:%S", time.localtime(clock if clock is not None
                                    else time.time()))

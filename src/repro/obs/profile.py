@@ -26,10 +26,9 @@ measurement instead of a guess.  Two layers:
   :class:`~repro.obs.tracing.Tracer` export so host-time and
   simulated-time views line up in Perfetto.
 
-Profiler state crosses process boundaries as snapshots, exactly like
-:class:`~repro.obs.metrics.MetricsRegistry`: pool workers ship
-:meth:`PhaseProfiler.snapshot` home with their results and the parent
-folds them back with :meth:`~PhaseProfiler.merge_snapshot`.
+Profiler state crosses process boundaries as snapshots: pool workers
+ship :meth:`PhaseProfiler.snapshot` home with their results and the
+parent folds them back with :meth:`~PhaseProfiler.merge_snapshot`.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.obs.metrics import get_registry, percentile_from_counts
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Environment switch; any non-empty value enables the profiler.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -62,6 +59,32 @@ def peak_rss_bytes() -> int:
         return 0
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak if sys.platform == "darwin" else peak * 1024)
+
+
+def percentile_from_counts(bounds: Sequence[float],
+                           counts: Sequence[int],
+                           q: float) -> float:
+    """Estimate the ``q``-th percentile of a bucketed distribution.
+
+    ``bounds`` are the bucket upper bounds; ``counts`` holds one cell
+    per bound plus a final overflow cell (per-bucket counts, not
+    cumulative).  The estimate is the upper bound of the bucket the
+    ``q``-quantile sample falls in — the standard conservative answer
+    for pre-aggregated histograms.  Overflow samples report the last
+    finite bound; an empty distribution reports ``0.0``.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile {q!r} out of range [0, 100]")
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    rank = q / 100.0 * total
+    seen = 0
+    for i, cell in enumerate(counts):
+        seen += cell
+        if seen >= rank and cell:
+            return float(bounds[i]) if i < len(bounds) else float(bounds[-1])
+    return float(bounds[-1])
 
 
 #: Per-opcode execute-time bucket bounds (seconds).  One simulated
@@ -96,9 +119,6 @@ class PhaseProfiler:
         self.kernels = 0
         self.sim_wall_seconds = 0.0
         self.sim_cycles = 0
-        #: Last totals folded into the metrics registry, so per-kernel
-        #: publication ships deltas, never double-counts.
-        self._published: Dict[str, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # hot-path accumulation
@@ -128,38 +148,10 @@ class PhaseProfiler:
         cell[2][bisect_left(OP_BUCKETS, seconds)] += 1
 
     def end_kernel(self, cycles: int, wall_seconds: float) -> None:
-        """Close one kernel: derived metrics + registry publication."""
+        """Close one kernel: count it and its cycles and wall time."""
         self.kernels += 1
         self.sim_cycles += int(cycles)
         self.sim_wall_seconds += wall_seconds
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        registry.counter("sim_profile_kernels_total",
-                         "Kernels profiled").inc()
-        registry.gauge(
-            "process_peak_rss_bytes",
-            "Peak resident set size of the profiled process"
-        ).set(peak_rss_bytes())
-        registry.counter("sim_profile_wall_seconds_total",
-                         "Host wall-seconds inside run_kernel"
-                         ).inc(wall_seconds)
-        if wall_seconds > 0:
-            registry.gauge(
-                "sim_profile_cycles_per_wall_second",
-                "Simulated cycles per host second, last kernel"
-            ).set(cycles / wall_seconds)
-        seconds = registry.counter("sim_profile_phase_seconds_total",
-                                   "Host wall-seconds by simulator phase")
-        calls = registry.counter("sim_profile_phase_calls_total",
-                                 "Hook calls by simulator phase")
-        for name, (sec, count) in self.phases.items():
-            prev_sec, prev_count = self._published.get(name, (0.0, 0.0))
-            if sec > prev_sec:
-                seconds.inc(sec - prev_sec, phase=name)
-            if count > prev_count:
-                calls.inc(count - prev_count, phase=name)
-            self._published[name] = (sec, count)
 
     # ------------------------------------------------------------------
     # derived views
@@ -274,10 +266,9 @@ class PhaseProfiler:
     def merge_snapshot(self, snap: Dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` from another process into this one.
 
-        A disabled profiler ignores the snapshot, mirroring
-        :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`.
-        A worker that died before its first phase ships ``None`` or an
-        empty snapshot; merging those must be a no-op, never an error.
+        A disabled profiler ignores the snapshot.  A worker that died
+        before its first phase ships ``None`` or an empty snapshot;
+        merging those must be a no-op, never an error.
         """
         if not self.enabled or not isinstance(snap, dict):
             return
@@ -307,7 +298,6 @@ class PhaseProfiler:
         """Drop every accumulator (enabled/disabled state is kept)."""
         self.phases.clear()
         self.ops.clear()
-        self._published.clear()
         self.kernels = 0
         self.sim_wall_seconds = 0.0
         self.sim_cycles = 0

@@ -1,11 +1,11 @@
-"""Offline aggregation of telemetry and metrics files.
+"""Offline aggregation of telemetry and profile files.
 
-``python -m repro report runs.jsonl metrics.json [--json]`` folds any
-mix of telemetry JSONL sinks (batch-engine event streams) and metrics
-snapshots (:meth:`~repro.obs.metrics.MetricsRegistry.save` output)
-into one summary — job counts, simulated cycles, wall time, cache
-counters, failure list, merged metrics — suitable for a CI artifact or
-a quick terminal read after a long batch.
+``python -m repro report runs.jsonl profile.json [--json]`` folds any
+mix of telemetry JSONL sinks (batch-engine event streams) and host
+profile snapshots (:meth:`~repro.obs.profile.PhaseProfiler.save`
+output) into one summary — job counts, simulated cycles, wall time,
+cache counters, failure list, host profile — suitable for a CI
+artifact or a quick terminal read after a long batch.
 """
 
 from __future__ import annotations
@@ -16,20 +16,17 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import ReproError
 from repro.obs.dashboard import BatchWatch
-from repro.obs.metrics import MetricsRegistry, percentile_from_counts
 from repro.obs.profile import PhaseProfiler
 
 
 def classify_file(path) -> Tuple[str, Any]:
-    """Load one input file as ``("telemetry", records)``,
-    ``("metrics", snapshot)`` or ``("profile", snapshot)``.
+    """Load one input file as ``("telemetry", records)`` or
+    ``("profile", snapshot)``.
 
-    Telemetry sinks are JSONL (one event object per line); metrics
-    snapshots are a single JSON object with a top-level ``"metrics"``
-    key; host-profiler snapshots
-    (:meth:`~repro.obs.profile.PhaseProfiler.save`) have a top-level
-    ``"profile"`` key.  Anything else is rejected with a
-    :class:`ReproError`.
+    Telemetry sinks are JSONL (one event object per line); host-profiler
+    snapshots (:meth:`~repro.obs.profile.PhaseProfiler.save`) are a
+    single JSON object with a top-level ``"profile"`` key.  Anything
+    else is rejected with a :class:`ReproError`.
     """
     path = Path(path)
     try:
@@ -44,8 +41,6 @@ def classify_file(path) -> Tuple[str, Any]:
             doc = json.loads(stripped)
         except json.JSONDecodeError:
             doc = None
-        if isinstance(doc, dict) and "metrics" in doc:
-            return "metrics", doc
         if isinstance(doc, dict) and "profile" in doc:
             return "profile", doc
     records = []
@@ -57,8 +52,8 @@ def classify_file(path) -> Tuple[str, Any]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReproError(
-                f"{path}:{i + 1} is neither a metrics snapshot nor "
-                f"telemetry JSONL: {exc}") from exc
+                f"{path}:{i + 1} is neither telemetry JSONL nor a "
+                f"profile snapshot: {exc}") from exc
         if not isinstance(record, dict):
             raise ReproError(
                 f"{path}:{i + 1}: telemetry records must be objects")
@@ -68,19 +63,12 @@ def classify_file(path) -> Tuple[str, Any]:
 
 def aggregate(paths: Iterable) -> Dict[str, Any]:
     """Fold every input file into one report dict."""
-    registry = MetricsRegistry(enabled=True)
     profiler = PhaseProfiler(enabled=True)
     combined = BatchWatch()
     files: List[Dict[str, Any]] = []
-    metrics_files = profile_files = 0
+    profile_files = 0
     for path in paths:
         kind, payload = classify_file(path)
-        if kind == "metrics":
-            registry.merge_snapshot(payload)
-            metrics_files += 1
-            files.append({"path": str(path), "kind": "metrics",
-                          "metrics": len(payload.get("metrics", {}))})
-            continue
         if kind == "profile":
             profiler.merge_snapshot(payload)
             profile_files += 1
@@ -104,8 +92,6 @@ def aggregate(paths: Iterable) -> Dict[str, Any]:
     ]
     if combined.cache_stats:
         report["cache"] = combined.cache_stats
-    if metrics_files:
-        report["metrics"] = registry.snapshot()["metrics"]
     if profile_files:
         report["host_profile"] = profiler.summary()
     elif combined.profile_summary is not None:
@@ -178,40 +164,8 @@ def format_report(report: Dict[str, Any]) -> str:
         if entry["kind"] == "telemetry":
             lines.append(
                 f"  file    : {entry['path']} ({entry['events']} events)")
-        elif entry["kind"] == "profile":
-            lines.append(
-                f"  file    : {entry['path']} "
-                f"({entry['phases']} profiled phase(s))")
         else:
             lines.append(
                 f"  file    : {entry['path']} "
-                f"({entry['metrics']} metric(s))")
-    metrics = report.get("metrics")
-    if metrics:
-        lines.append("  metrics :")
-        for name in sorted(metrics):
-            entry = metrics[name]
-            if entry.get("kind") == "histogram":
-                # Percentile estimates over every labelled series
-                # merged — readable at a glance, unlike bucket dumps.
-                bounds = entry.get("buckets", [])
-                merged = [0] * (len(bounds) + 1)
-                total = 0
-                for s in entry.get("series", []):
-                    total += s.get("count", 0)
-                    for i, c in enumerate(s.get("counts", [])):
-                        if i < len(merged):
-                            merged[i] += c
-                line = f"    {name} (histogram, {total} samples"
-                if total and bounds:
-                    p50 = percentile_from_counts(bounds, merged, 50)
-                    p90 = percentile_from_counts(bounds, merged, 90)
-                    p99 = percentile_from_counts(bounds, merged, 99)
-                    line += (f"; p50<={p50:g} p90<={p90:g} "
-                             f"p99<={p99:g}")
-                lines.append(line + ")")
-            else:
-                total = sum(s.get("value", 0.0)
-                            for s in entry.get("series", []))
-                lines.append(f"    {name} = {total:g}")
+                f"({entry['phases']} profiled phase(s))")
     return "\n".join(lines)

@@ -26,7 +26,6 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
 from repro.sim import SIMULATOR_VERSION
 from repro.sim.stats import KernelStats
 from repro.runtime.jobspec import JobSpec
@@ -134,9 +133,7 @@ class ResultCache:
     """Content-addressed store of :class:`RunSummary` entries.
 
     Tracks ``hits`` / ``misses`` / ``stores`` / ``evictions`` counters
-    for the telemetry batch summary, and mirrors them into the process
-    metrics registry (``result_cache_events_total{event=...}``,
-    ``result_cache_evictions_total{reason=...}``) when that is enabled.
+    for the telemetry batch summary (:meth:`stats`).
 
     Three eviction policies compose (each counted under its reason):
 
@@ -182,18 +179,10 @@ class ResultCache:
         self._warned_quarantine = False
 
     # ------------------------------------------------------------------
-    def _count_event(self, event: str) -> None:
-        get_registry().counter(
-            "result_cache_events_total", "Result-cache lookups and stores"
-        ).inc(event=event)
-
     def _evict(self, path: Path, reason: str) -> None:
         path.unlink(missing_ok=True)
         self.evictions += 1
         self.evictions_by_reason[reason] += 1
-        get_registry().counter(
-            "result_cache_evictions_total", "Result-cache evictions"
-        ).inc(reason=reason)
 
     def _expired(self, mtime: float, now: float) -> bool:
         return (self.ttl_seconds is not None
@@ -209,10 +198,6 @@ class ResultCache:
         except OSError:
             path.unlink(missing_ok=True)
         self.quarantined += 1
-        get_registry().counter(
-            "result_cache_quarantined_total",
-            "Corrupt cache entries moved to quarantine"
-        ).inc(reason=reason)
         # Warn once per cache instance; repeats go to debug so a batch
         # over a mangled store does not spam one line per lookup.
         if not self._warned_quarantine:
@@ -256,10 +241,8 @@ class ResultCache:
                 summary = self._load_entry(path)
         if summary is None:
             self.misses += 1
-            self._count_event("miss")
             return None
         self.hits += 1
-        self._count_event("hit")
         return summary
 
     def _load_entry(self, path: Path) -> Optional[RunSummary]:
@@ -314,7 +297,6 @@ class ResultCache:
         tmp.write_text(text)
         os.replace(tmp, path)
         self.stores += 1
-        self._count_event("store")
         self._evict_overflow()
 
     @staticmethod

@@ -10,9 +10,8 @@ The engine fans a list of specs across a ``ProcessPoolExecutor``:
 * *transient* failures — a worker process dying (crash, OOM-kill) or
   a :class:`~repro.errors.TransientError` raised in the job — are
   retried on a fresh pool with exponential backoff, bounded by the
-  per-job ``retries`` count and an optional per-batch
-  ``retry_budget``; deterministic exceptions fail immediately (they
-  would only reproduce themselves);
+  per-job ``retries`` count; deterministic exceptions fail immediately
+  (they would only reproduce themselves);
 * an optional per-job timeout turns an unresponsive job into a
   structured failure instead of hanging the batch;
 * ``fail_fast=True`` stops scheduling after the first failure and
@@ -40,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError, TransientError
-from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
 from repro.obs.provenance import get_digester
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -92,39 +90,28 @@ def _execute_spec(spec: JobSpec) -> Dict[str, Any]:
 
 
 def _worker_entry(spec: JobSpec, fault=None) -> Dict[str, Any]:
-    """Pool worker entry point: execute one job, then ship worker metrics.
+    """Pool worker entry point: execute one job, then ship its profile.
 
     ``fault`` is the parent-decided fault directive for this attempt
     (``None`` on the default path); applying it may kill the worker,
-    hang, or raise before the job runs.  Attaches the worker
-    registry's snapshot under ``"_metrics"`` and clears it, so the
-    parent can fold worker-side metrics — kernel counters, phase and
-    stall cycles — into its own registry.  Only pool workers ship:
-    on the serial path the job already accumulates into the parent
-    registry directly, and a snapshot+clear would wipe unrelated
-    counters.  Dispatches through the module global so tests can
-    monkeypatch ``_execute_spec`` for both paths.
+    hang, or raise before the job runs.  With profiling on, attaches
+    the worker profiler's snapshot under ``"_profile"`` and clears it,
+    so the parent's profiler aggregates every worker's phases.  Only
+    pool workers ship: on the serial path the job already accumulates
+    into the parent profiler directly.  Dispatches through the module
+    global so tests can monkeypatch ``_execute_spec`` for both paths.
     """
     apply_worker_fault(fault)
     out = _execute_spec(spec)
-    registry = get_registry()
-    if registry.enabled:
-        out["_metrics"] = registry.snapshot()
-        registry.clear()
     profiler = get_profiler()
     if profiler.enabled and profiler.kernels:
-        # Same contract as "_metrics": ship the delta home and reset,
-        # so the parent's profiler aggregates every worker's phases.
         out["_profile"] = profiler.snapshot()
         profiler.clear()
     return out
 
 
-def _absorb_metrics(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Merge a worker's shipped metrics/profile snapshots locally."""
-    snap = data.pop("_metrics", None)
-    if snap:
-        get_registry().merge_snapshot(snap)
+def _absorb_profile(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Merge a worker's shipped profile snapshot locally."""
     prof = data.pop("_profile", None)
     if prof:
         get_profiler().merge_snapshot(prof)
@@ -169,15 +156,13 @@ class BatchEngine:
         journal=None,
         faults=None,
         fail_fast: bool = False,
-        retry_budget: Optional[int] = None,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
     ) -> None:
         """``timeout`` is per-job wall seconds (None = unbounded);
         ``retries`` counts extra attempts per job after a transient
-        failure and ``retry_budget`` bounds total retries across the
-        batch (None = unbounded); retries back off exponentially from
-        ``backoff_base`` seconds, capped at ``backoff_max``.
+        failure; retries back off exponentially from ``backoff_base``
+        seconds, capped at ``backoff_max``.
         ``journal`` is a :class:`~repro.runtime.journal.RunJournal`:
         already-journaled specs are restored (status ``"resumed"``)
         and new completions are appended as they happen, making the
@@ -196,26 +181,8 @@ class BatchEngine:
         self.journal = journal
         self.faults = faults if faults is not None else get_active_plan()
         self.fail_fast = fail_fast
-        self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self._budget_left = retry_budget
-
-    # ------------------------------------------------------------------
-    def _job_done(self, status: str, wall: float) -> None:
-        """Per-job registry bookkeeping shared by all completion paths."""
-        registry = get_registry()
-        registry.counter("engine_jobs_total",
-                         "Engine jobs by final status").inc(status=status)
-        if status in ("ok", "failed"):  # others never entered the gauge
-            registry.gauge("engine_jobs_in_flight",
-                           "Jobs started but not finished").inc(-1)
-            registry.histogram("engine_job_wall_seconds",
-                               "Wall-clock seconds per job").observe(wall)
-
-    def _job_started(self) -> None:
-        get_registry().gauge("engine_jobs_in_flight",
-                             "Jobs started but not finished").inc(1)
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobOutcome]:
@@ -230,7 +197,6 @@ class BatchEngine:
                     outcomes[idx] = JobOutcome(spec, "resumed", summary)
                     self.telemetry.emit("resumed", spec,
                                         cycles=summary.total_cycles)
-                    self._job_done("resumed", 0.0)
                     continue
             if self.cache is not None:
                 summary = self.cache.get(spec)
@@ -238,7 +204,6 @@ class BatchEngine:
                     outcomes[idx] = JobOutcome(spec, "cached", summary)
                     self.telemetry.emit("cached", spec,
                                         cycles=summary.total_cycles)
-                    self._job_done("cached", 0.0)
                     if self.journal is not None:
                         self.journal.record(spec, summary)
                     continue
@@ -283,7 +248,6 @@ class BatchEngine:
                             wall=round(wall, 6), attempt=attempts,
                             engine=summary.engine,
                             **extra)
-        self._job_done("ok", wall)
 
     def _record_failure(self, idx: int, spec: JobSpec, error: str,
                         attempts: int, wall: float,
@@ -291,7 +255,6 @@ class BatchEngine:
         outcomes[idx] = JobOutcome(spec, "failed", None, error, attempts,
                                    wall)
         self.telemetry.emit("failed", spec, error=error, attempt=attempts)
-        self._job_done("failed", wall)
 
     def _record_skipped(self, idx: int, spec: JobSpec,
                         outcomes: Dict[int, JobOutcome]) -> None:
@@ -300,7 +263,6 @@ class BatchEngine:
             spec, "skipped", None,
             "skipped after an earlier failure (fail_fast)", 0, 0.0)
         self.telemetry.emit("skipped", spec, reason="fail_fast")
-        self._job_done("skipped", 0.0)
 
     # ------------------------------------------------------------------
     def _backoff_delay(self, attempt: int) -> float:
@@ -310,38 +272,17 @@ class BatchEngine:
         return min(self.backoff_max,
                    self.backoff_base * (2.0 ** (attempt - 1)))
 
-    def _take_retry(self, attempt: int) -> bool:
-        """Whether another attempt is allowed (per-job and per-batch)."""
-        if attempt > self.retries:
-            return False
-        if self._budget_left is not None:
-            if self._budget_left <= 0:
-                return False
-            self._budget_left -= 1
-        return True
-
     def _note_retry(self, spec: JobSpec, attempt: int,
                     reason: str) -> None:
-        """Telemetry + metrics for one granted retry."""
+        """Telemetry for one granted retry."""
         self.telemetry.emit("retried", spec, attempt=attempt + 1,
                             reason=reason)
-        registry = get_registry()
-        registry.counter(
-            "engine_retries_total",
-            "Jobs requeued after a transient failure"
-        ).inc(reason=reason)
-        # The retry re-enters the gauge when its fresh attempt starts.
-        registry.gauge("engine_jobs_in_flight",
-                       "Jobs started but not finished").inc(-1)
 
     def _sleep_backoff(self, attempt: int) -> None:
         delay = self._backoff_delay(attempt)
         if delay <= 0:
             return
         self.telemetry.emit("backoff", None, seconds=round(delay, 6))
-        get_registry().counter(
-            "engine_backoff_seconds_total",
-            "Seconds slept backing off before retries").inc(delay)
         time.sleep(delay)
 
     # ------------------------------------------------------------------
@@ -354,7 +295,6 @@ class BatchEngine:
             attempt = 1
             while True:
                 self.telemetry.emit("started", spec, attempt=attempt)
-                self._job_started()
                 start = time.perf_counter()
                 with self.tracer.span(f"job:{spec.label}", cat="job",
                                       tid="engine") as span:
@@ -364,7 +304,7 @@ class BatchEngine:
                                 self.faults.worker_fault(idx, attempt))
                         summary = RunSummary.from_dict(_execute_spec(spec))
                     except TransientError as exc:
-                        if self._take_retry(attempt):
+                        if attempt <= self.retries:
                             span.args["status"] = "retried"
                             self._note_retry(spec, attempt, "transient")
                             self._sleep_backoff(attempt)
@@ -414,7 +354,6 @@ class BatchEngine:
             try:
                 for idx, spec, attempt in batch:
                     self.telemetry.emit("started", spec, attempt=attempt)
-                    self._job_started()
                     fault = (self.faults.worker_fault(idx, attempt)
                              if self.faults is not None else None)
                     futures.append(
@@ -424,13 +363,10 @@ class BatchEngine:
                 for idx, spec, attempt, start, future in futures:
                     if abort:
                         future.cancel()
-                        get_registry().gauge(
-                            "engine_jobs_in_flight",
-                            "Jobs started but not finished").inc(-1)
                         self._record_skipped(idx, spec, outcomes)
                         continue
                     try:
-                        data = _absorb_metrics(
+                        data = _absorb_profile(
                             future.result(timeout=self.timeout))
                         wall = time.perf_counter() - start
                         self.tracer.add_span(
@@ -451,7 +387,7 @@ class BatchEngine:
                         # The worker process died.  Retry on a fresh
                         # pool; siblings caught in the same pool
                         # collapse are requeued for free.
-                        if self._take_retry(attempt):
+                        if attempt <= self.retries:
                             self._note_retry(spec, attempt, "crash")
                             queue.append((idx, spec, attempt + 1))
                         else:
@@ -463,7 +399,7 @@ class BatchEngine:
                     except TransientError as exc:
                         # Raised inside the worker and pickled back,
                         # but explicitly marked worth retrying.
-                        if self._take_retry(attempt):
+                        if attempt <= self.retries:
                             self._note_retry(spec, attempt, "transient")
                             queue.append((idx, spec, attempt + 1))
                         else:

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError, FatalError, TransientError
-from repro.obs.metrics import get_registry
 
 #: Fault kinds grouped by the site that consults them.
 WORKER_KINDS = ("crash", "hang", "transient", "fatal")
@@ -155,9 +154,7 @@ class FaultPlan:
     :meth:`worker_fault` per (submission index, attempt) and ships the
     directive to the worker, the cache asks :meth:`cache_fault` per
     store, the telemetry sink asks :meth:`io_fault` per append.  Every
-    fired injection is counted locally (:attr:`injected`, for test
-    assertions) and into the metrics registry
-    (``fault_injections_total{kind=...}``) when that is enabled.
+    fired injection is counted in :attr:`injected` (see :meth:`count`).
     """
 
     def __init__(self, rules=(), seed: int = 0) -> None:
@@ -219,16 +216,10 @@ class FaultPlan:
             return self._rate_fires(rule, index)
         return True  # untargeted rule: every index
 
-    def _fired(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        get_registry().counter(
-            "fault_injections_total", "Injected faults by kind"
-        ).inc(kind=kind)
-
     def _lookup(self, kinds, index: int, attempt: int = 1):
         for rule in self.rules:
             if rule.kind in kinds and self._matches(rule, index, attempt):
-                self._fired(rule.kind)
+                self.injected[rule.kind] = self.injected.get(rule.kind, 0) + 1
                 return rule
         return None
 

@@ -2,25 +2,19 @@
 
 Every job moving through the batch engine emits events —
 ``submitted`` / ``started`` / ``cached`` / ``resumed`` / ``finished``
-/ ``failed`` / ``retried`` / ``backoff`` — carrying the job's short
-content hash, its label, a wall timestamp and free-form payload
-(cycles, wall seconds, attempt number).  Events accumulate in memory
-and, when a sink path is given, stream to a JSONL file one object per
-line; :meth:`Telemetry.summary` folds them into the batch-end report
-(job counts, wall time, simulated cycles, cache counters).
+/ ``failed`` / ``skipped`` / ``retried`` / ``backoff`` — carrying
+the job's short content hash, its label, a wall timestamp and
+free-form payload (cycles, wall seconds, attempt number).  Events
+accumulate in memory and, when a sink path is given, stream to a JSONL
+file one object per line; :meth:`Telemetry.summary` folds them into
+the batch-end report (job counts, wall time, simulated cycles, cache
+counters).
 
 Sink appends are *crash-safe*: each line goes out as one unbuffered
 ``os.write`` on an ``O_APPEND`` descriptor
 (:func:`~repro.runtime.journal.append_jsonl`), so a worker or driver
 killed at any instant never leaves a torn half-line for a follower
 (:class:`~repro.obs.dashboard.JSONLFollower`) to buffer forever.
-
-Every emit also counts into the process metrics registry
-(``telemetry_events_total{kind=...}``,
-``engine_simulated_cycles_total``), so engine counters, result-cache
-counters and simulator stats share one export path
-(:meth:`repro.obs.metrics.MetricsRegistry.snapshot`) when observability
-is enabled.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import get_registry
 from repro.runtime.journal import append_jsonl
 
 
@@ -88,14 +81,6 @@ class Telemetry:
         )
         self.events.append(event)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        registry = get_registry()
-        registry.counter("telemetry_events_total",
-                         "Run telemetry events by kind").inc(kind=kind)
-        if kind in ("finished", "cached", "resumed") and "cycles" in payload:
-            registry.counter(
-                "engine_simulated_cycles_total",
-                "Simulated cycles of completed jobs"
-            ).inc(payload["cycles"], source=kind)
         if self.path:
             if self._faults is not None:
                 delay = self._faults.io_fault(self._append_seq)
@@ -129,6 +114,7 @@ class Telemetry:
             "resumed": self.count("resumed"),
             "finished": self.count("finished"),
             "failed": self.count("failed"),
+            "skipped": self.count("skipped"),
             "retried": self.count("retried"),
             "backoffs": self.count("backoff"),
             "simulated_cycles": cycles,
@@ -148,6 +134,8 @@ class Telemetry:
                      f"{data['retried']} retried")
         if data["resumed"]:
             jobs_line += f", {data['resumed']} resumed"
+        if data["skipped"]:
+            jobs_line += f", {data['skipped']} skipped"
         lines = [
             "batch summary:",
             jobs_line,

@@ -38,15 +38,13 @@ feeding them to the one event loop on every later launch:
   accumulation order.
 
 Launches without a replay hint (filtered or early-exit gathers, whose
-streams read kernel-mutated state, and direct unit callers) run live,
-counted in ``sim_engine_fallback_total``.
+streams read kernel-mutated state, and direct unit callers) run live.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.obs.metrics import get_registry
 from repro.sim.gpu import (_END, _FIXED, _READ, _SYNC, _UNIT, _WRITE, GPU,
                            KernelTrace, WarpContext)
 from repro.sim.instructions import Op
@@ -104,15 +102,11 @@ class FastGPU(GPU):
                       max_instructions) -> Optional[KernelTrace]:
         """The hinted trace, compiled on first use; ``None`` runs live.
 
-        A launch without a hint runs live, counted as ``reason="unit"``
-        when it drives a hardware unit (filtered or early-exit unit
-        gathers, direct unit callers) and ``"no_hint"`` otherwise.
+        Launches without a hint run live: filtered or early-exit
+        gathers (their streams read kernel-mutated state) and direct
+        unit callers.
         """
         if replay is None:
-            get_registry().counter(
-                "sim_engine_fallback_total",
-                "Kernels the fast engine delegated to the reference loop",
-            ).inc(reason="unit" if unit_factory is not None else "no_hint")
             return None
         trace = self._traces.get(replay.key)
         if trace is None:

@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, Iterator, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
 from repro.obs.provenance import get_digester
 from repro.sim.config import GPUConfig
@@ -353,9 +352,7 @@ class GPU:
         digester = get_digester()
         obs = tuple(o for o in (tracer, digester if digester.enabled
                                 else None) if o is not None)
-        registry = get_registry()
-        cache_before = (mem.cache_counts() if registry.enabled or obs
-                        else None)
+        cache_before = mem.cache_counts() if obs else None
         mem.observers = obs
 
         units: Dict[int, Any] = {}
@@ -557,7 +554,6 @@ class GPU:
             cache = {name: CacheStats(cs.hits - cache_before[name][0],
                                       cs.misses - cache_before[name][1])
                      for name, cs in stats.cache.items()}
-            registry.publish_kernel_stats(stats, cache)
             for o in obs:
                 o.on_kernel(stats, cache)
         if prof_on:

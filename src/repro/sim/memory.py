@@ -225,7 +225,7 @@ class MemoryHierarchy:
 
         The delta baseline for per-kernel cache counts — cache tag
         state (and so its counters) persists across kernels on one
-        GPU, but metrics and digests want per-kernel increments.
+        GPU, but tracers and digests want per-kernel increments.
         """
         return {name: (cs.hits, cs.misses)
                 for name, cs in self.cache_stats().items()}

@@ -141,13 +141,6 @@ def test_classify_file(tmp_path):
     kind, records = classify_file(events)
     assert kind == "telemetry" and len(records) == len(TELEMETRY)
 
-    metrics = tmp_path / "metrics.json"
-    metrics.write_text(json.dumps(
-        {"metrics": {"c": {"kind": "counter", "help": "",
-                           "series": [{"labels": {}, "value": 2.0}]}}}))
-    kind, snap = classify_file(metrics)
-    assert kind == "metrics" and "c" in snap["metrics"]
-
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("definitely not json\n")
     with pytest.raises(ReproError):
@@ -159,24 +152,17 @@ def test_classify_file(tmp_path):
 def test_aggregate_telemetry_and_metrics(tmp_path):
     events = tmp_path / "events.jsonl"
     write_jsonl(events, TELEMETRY)
-    metrics = tmp_path / "metrics.json"
-    metrics.write_text(json.dumps(
-        {"metrics": {"sim_cycles_total": {
-            "kind": "counter", "help": "",
-            "series": [{"labels": {}, "value": 1500.0}]}}}))
 
-    report = aggregate([events, metrics])
+    report = aggregate([events])
     assert report["jobs_total"] == 3
     assert report["failed"] == 1
     assert report["simulated_cycles"] == 1500
-    assert [f["kind"] for f in report["files"]] == ["telemetry", "metrics"]
-    assert report["metrics"]["sim_cycles_total"]["series"][0]["value"] == 1500
+    assert [f["kind"] for f in report["files"]] == ["telemetry"]
     assert report["failures"] == [
         {"label": "pr/g/wm", "error": "SimulationError: boom"}]
 
     text = format_report(report)
     assert "3 total" in text and "1 failed" in text
-    assert "sim_cycles_total = 1500" in text
 
 
 def test_aggregate_merges_two_sinks(tmp_path):
@@ -214,6 +200,12 @@ def test_cli_report(capsys, tmp_path):
     code, out = run_cli(capsys, "report", str(path), "--json")
     assert code == 0
     assert json.loads(out)["done"] == 2
+
+    # An indented object without a "profile" key is neither kind.
+    old = tmp_path / "metrics.json"
+    old.write_text(json.dumps({"metrics": {}}, indent=1))
+    assert main(["report", str(old)]) == 2
+    assert "profile snapshot" in capsys.readouterr().err
 
 
 # ---------------------------------------------------- resumed/skipped
@@ -253,6 +245,7 @@ def test_render_shows_resumed_skipped_quarantined():
     frame = render(watch, clock=0.0)
     assert "1 resumed" in frame
     assert "1 skipped" in frame
+    assert "100%" in frame  # skipped jobs are finished, not pending
     assert "2 quarantined" in frame
 
 

@@ -1,134 +1,15 @@
-"""Metrics registry: instruments, no-op path, snapshot/merge, workers."""
+"""Simulator metrics: a parallel batch reports what a serial one does.
 
-import json
-
-import pytest
+Each job carries its simulator metrics home in its ``KernelStats``
+summary (cycles, phase and stall cycles, op counts, cache hits and
+misses), across the pool's process boundary as well as in-process.
+"""
 
 from repro.graph import powerlaw_graph
-from repro.obs.metrics import (DEFAULT_BUCKETS, MetricsRegistry,
-                               disable_metrics, enable_metrics,
-                               get_registry, metrics_enabled)
 from repro.runtime import AlgorithmSpec, BatchEngine, GraphSpec, JobSpec
 from repro.sim import GPUConfig
 
 
-@pytest.fixture
-def registry():
-    return MetricsRegistry(enabled=True)
-
-
-@pytest.fixture
-def global_metrics():
-    """Enable the process-global registry for one test, then restore."""
-    was_enabled = metrics_enabled()
-    registry = enable_metrics()
-    registry.clear()
-    yield registry
-    registry.clear()
-    if not was_enabled:
-        disable_metrics()
-
-
-# ----------------------------------------------------------------------
-def test_counter_inc_and_labels(registry):
-    c = registry.counter("jobs_total", "help text")
-    c.inc()
-    c.inc(2, status="ok")
-    c.inc(status="failed")
-    assert c.value() == 1
-    assert c.value(status="ok") == 2
-    assert c.value(status="failed") == 1
-    assert c.total() == 4
-
-
-def test_counter_rejects_decrease(registry):
-    c = registry.counter("n")
-    with pytest.raises(ValueError):
-        c.inc(-1)
-
-
-def test_gauge_set_and_inc(registry):
-    g = registry.gauge("in_flight")
-    g.set(3)
-    g.inc(-1)
-    assert g.value() == 2
-    g.set(7, pool="a")
-    assert g.value(pool="a") == 7
-
-
-def test_histogram_buckets_and_overflow(registry):
-    h = registry.histogram("wall", buckets=(0.1, 1.0))
-    for v in (0.05, 0.5, 0.5, 5.0):
-        h.observe(v)
-    assert h.count() == 4
-    assert h.sum() == pytest.approx(6.05)
-    series = h.values[()]
-    assert series["counts"] == [1, 2, 1]  # <=0.1, <=1.0, overflow
-
-
-def test_same_name_different_kind_rejected(registry):
-    registry.counter("x")
-    with pytest.raises(ValueError):
-        registry.gauge("x")
-
-
-def test_disabled_registry_is_noop():
-    registry = MetricsRegistry(enabled=False)
-    c = registry.counter("a")
-    c.inc(5)
-    registry.gauge("b").set(1)
-    registry.histogram("c").observe(1)
-    assert registry.snapshot() == {"metrics": {}}
-
-
-def test_snapshot_round_trips_through_json(registry):
-    registry.counter("c").inc(3, k="v")
-    registry.gauge("g").set(1.5)
-    registry.histogram("h").observe(0.01)
-    snap = json.loads(json.dumps(registry.snapshot()))
-    other = MetricsRegistry(enabled=True)
-    other.merge_snapshot(snap)
-    assert other.get("c").value(k="v") == 3
-    assert other.get("g").value() == 1.5
-    assert other.get("h").count() == 1
-
-
-def test_merge_adds_counters_histograms_overwrites_gauges(registry):
-    registry.counter("c").inc(2)
-    registry.gauge("g").set(1)
-    registry.histogram("h").observe(0.5)
-    snap = registry.snapshot()
-    registry.merge_snapshot(snap)  # merge onto itself => doubled
-    assert registry.get("c").value() == 4
-    assert registry.get("g").value() == 1  # last write wins, not summed
-    assert registry.get("h").count() == 2
-    assert registry.get("h").sum() == pytest.approx(1.0)
-
-
-def test_merge_bucket_mismatch_rejected(registry):
-    registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-    other = MetricsRegistry(enabled=True)
-    other.histogram("h", buckets=DEFAULT_BUCKETS).observe(0.5)
-    with pytest.raises(ValueError):
-        other.merge_snapshot(registry.snapshot())
-
-
-def test_format_lists_every_series(registry):
-    registry.counter("c").inc(2, status="ok")
-    registry.histogram("h").observe(0.2)
-    text = registry.format()
-    assert "c{status=ok} 2" in text
-    assert "h count=1" in text
-
-
-def test_save_writes_snapshot(tmp_path, registry):
-    registry.counter("c").inc()
-    path = registry.save(tmp_path / "metrics.json")
-    doc = json.loads(path.read_text())
-    assert doc["metrics"]["c"]["series"] == [{"labels": {}, "value": 1.0}]
-
-
-# ----------------------------------------------------------------------
 def _two_specs():
     algorithm = AlgorithmSpec.of("pagerank", iterations=1)
     graph = GraphSpec.inline(powerlaw_graph(100, 400, seed=3), name="pl")
@@ -139,111 +20,13 @@ def _two_specs():
     ]
 
 
-def test_engine_publishes_job_counters_serial(global_metrics):
-    outcomes = BatchEngine(jobs=1).run(_two_specs())
-    assert all(o.ok for o in outcomes)
-    snap = global_metrics.snapshot()["metrics"]
-    assert global_metrics.get("engine_jobs_total").value(status="ok") == 2
-    assert global_metrics.get("engine_jobs_in_flight").value() == 0
-    # The simulator publishes through the same registry on the serial
-    # path, so kernel counters land here too.
-    assert global_metrics.get("sim_kernels_total").total() > 0
-    assert "sim_cycles_total" in snap
-    total = sum(o.summary.total_cycles for o in outcomes)
-    assert global_metrics.get("sim_cycles_total").total() == total
-
-
-def test_worker_metrics_merge_into_parent(global_metrics):
-    """ProcessPool workers ship snapshots that fold into the parent."""
+def test_parallel_metrics_match_serial():
     specs = _two_specs()
-    outcomes = BatchEngine(jobs=2).run(specs)
-    assert all(o.status == "ok" for o in outcomes)
-    total = sum(o.summary.total_cycles for o in outcomes)
-    assert global_metrics.get("sim_cycles_total").total() == total
-    assert global_metrics.get("sim_kernels_total").total() > 0
-    stalls = global_metrics.get("sim_stall_cycles_total")
-    assert stalls is not None and stalls.total() > 0
-    assert global_metrics.get("engine_jobs_total").value(status="ok") == 2
-    assert global_metrics.get("engine_jobs_in_flight").value() == 0
-
-
-def test_parallel_metrics_match_serial(global_metrics):
-    specs = _two_specs()
-    BatchEngine(jobs=1).run(specs)
-    serial = {
-        name: entry for name, entry in
-        global_metrics.snapshot()["metrics"].items()
-        if name.startswith("sim_")
-    }
-    global_metrics.clear()
-    BatchEngine(jobs=2).run(specs)
-    parallel = {
-        name: entry for name, entry in
-        global_metrics.snapshot()["metrics"].items()
-        if name.startswith("sim_")
-    }
-    assert serial == parallel
-
-
-def test_kernel_stats_publish_via_global(global_metrics):
-    from repro.bench import run_single
-    from repro.algorithms import make_algorithm
-
-    run = run_single(make_algorithm("pagerank", iterations=1),
-                     powerlaw_graph(80, 300, seed=1), "vertex_map",
-                     config=GPUConfig.vortex_tiny(), max_iterations=1)
-    assert get_registry() is global_metrics
-    assert global_metrics.get("sim_cycles_total").total() == (
-        run.stats.total_cycles)
-    phases = global_metrics.get("sim_phase_cycles_total")
-    assert phases.total() == sum(run.stats.phase_cycles.values())
-
-
-# ----------------------------------------------------------------------
-# Percentile estimation over bucketed histograms
-# ----------------------------------------------------------------------
-def test_percentile_from_counts_basic():
-    from repro.obs.metrics import percentile_from_counts
-
-    bounds = (1.0, 2.0, 4.0)
-    counts = [5, 3, 1, 1]  # <=1, <=2, <=4, overflow
-    assert percentile_from_counts(bounds, counts, 50) == 1.0
-    assert percentile_from_counts(bounds, counts, 80) == 2.0
-    assert percentile_from_counts(bounds, counts, 90) == 4.0
-    # The overflow bucket has no upper bound; report the last finite.
-    assert percentile_from_counts(bounds, counts, 100) == 4.0
-
-
-def test_percentile_from_counts_edges():
-    from repro.obs.metrics import percentile_from_counts
-
-    assert percentile_from_counts((1.0, 2.0), [0, 0, 0], 50) == 0.0
-    # q=0 lands in the first non-empty bucket.
-    assert percentile_from_counts((1.0, 2.0), [0, 3, 0], 0) == 2.0
-    with pytest.raises(ValueError):
-        percentile_from_counts((1.0,), [1, 0], 101)
-    with pytest.raises(ValueError):
-        percentile_from_counts((1.0,), [1, 0], -1)
-
-
-def test_histogram_percentile_method(registry):
-    h = registry.histogram("wall", buckets=(0.1, 1.0, 10.0))
-    for v in (0.05, 0.05, 0.5, 0.5, 0.5, 5.0):
-        h.observe(v)
-    assert h.percentile(50) == 1.0
-    assert h.percentile(99) == 10.0
-    h.observe(0.01, pool="a")
-    assert h.percentile(50, pool="a") == 0.1
-    assert h.percentile(50, pool="missing") == 0.0
-
-
-def test_merge_snapshot_tolerates_dead_worker_payloads(registry):
-    """Regression: a worker that died before recording anything ships
-    None, a non-dict, or a snapshot with 'metrics' None/empty —
-    merging any of those must be a silent no-op, never a raise."""
-    registry.counter("jobs_total", "jobs").inc()
-    for snap in (None, "garbage", 3.5, {}, {"metrics": None},
-                 {"metrics": {}}):
-        registry.merge_snapshot(snap)
-    snap = registry.snapshot()
-    assert snap["metrics"]["jobs_total"]["series"][0]["value"] == 1
+    serial = BatchEngine(jobs=1).run(specs)
+    parallel = BatchEngine(jobs=2).run(specs)
+    assert [o.status for o in serial] == ["ok"] * len(specs)
+    assert [o.status for o in parallel] == ["ok"] * len(specs)
+    serial_stats = [o.summary.stats.to_summary_dict() for o in serial]
+    parallel_stats = [o.summary.stats.to_summary_dict() for o in parallel]
+    assert all(s["total_cycles"] > 0 for s in serial_stats)
+    assert serial_stats == parallel_stats

@@ -128,30 +128,6 @@ def test_save_writes_mergeable_snapshot(tmp_path):
     assert doc["profile"]["phases"]["execute"]["seconds"] == 0.5
 
 
-def test_end_kernel_publishes_deltas_to_metrics():
-    from repro.obs.metrics import (disable_metrics, enable_metrics,
-                                   metrics_enabled)
-
-    was = metrics_enabled()
-    registry = enable_metrics()
-    registry.clear()
-    try:
-        p = PhaseProfiler(enabled=True)
-        p.add("schedule", 1.0, calls=10)
-        p.end_kernel(cycles=100, wall_seconds=2.0)
-        p.add("schedule", 0.5, calls=5)
-        p.end_kernel(cycles=100, wall_seconds=1.0)
-        seconds = registry.counter("sim_profile_phase_seconds_total")
-        # Deltas, not totals: two publications must not double-count.
-        assert seconds.value(phase="schedule") == pytest.approx(1.5)
-        calls = registry.counter("sim_profile_phase_calls_total")
-        assert calls.value(phase="schedule") == 15
-    finally:
-        registry.clear()
-        if not was:
-            disable_metrics()
-
-
 # ----------------------------------------------------------------------
 # phase() context manager + global switches
 # ----------------------------------------------------------------------
@@ -276,3 +252,30 @@ def test_merge_snapshot_tolerates_dead_worker_payloads():
         dst.merge_snapshot(snap)
     assert dst.phases["schedule"] == [1.0, 2]
     assert dst.kernels == 0
+
+
+# ----------------------------------------------------------------------
+# Percentile estimation over bucketed histograms
+# ----------------------------------------------------------------------
+def test_percentile_from_counts_basic():
+    from repro.obs.profile import percentile_from_counts
+
+    bounds = (1.0, 2.0, 4.0)
+    counts = [5, 3, 1, 1]  # <=1, <=2, <=4, overflow
+    assert percentile_from_counts(bounds, counts, 50) == 1.0
+    assert percentile_from_counts(bounds, counts, 80) == 2.0
+    assert percentile_from_counts(bounds, counts, 90) == 4.0
+    # The overflow bucket has no upper bound; report the last finite.
+    assert percentile_from_counts(bounds, counts, 100) == 4.0
+
+
+def test_percentile_from_counts_edges():
+    from repro.obs.profile import percentile_from_counts
+
+    assert percentile_from_counts((1.0, 2.0), [0, 0, 0], 50) == 0.0
+    # q=0 lands in the first non-empty bucket.
+    assert percentile_from_counts((1.0, 2.0), [0, 3, 0], 0) == 2.0
+    with pytest.raises(ValueError):
+        percentile_from_counts((1.0,), [1, 0], 101)
+    with pytest.raises(ValueError):
+        percentile_from_counts((1.0,), [1, 0], -1)

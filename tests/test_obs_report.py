@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseProfiler
 from repro.obs.report import aggregate, classify_file, format_report
 
@@ -42,12 +41,13 @@ def test_classify_telemetry_and_metrics_and_profile(tmp_path):
     kind, records = classify_file(tele)
     assert kind == "telemetry" and len(records) == 6
 
-    registry = MetricsRegistry(enabled=True)
-    registry.counter("sim_cycles_total").inc(1500)
+    # An indented object without a "profile" key is neither kind.
     metrics = tmp_path / "m.json"
-    metrics.write_text(json.dumps(registry.snapshot()))
-    kind, doc = classify_file(metrics)
-    assert kind == "metrics" and "metrics" in doc
+    metrics.write_text(json.dumps(
+        {"metrics": {"sim_cycles_total": {"kind": "counter"}}}, indent=1))
+    with pytest.raises(ReproError, match="neither telemetry JSONL nor a "
+                                         "profile snapshot"):
+        classify_file(metrics)
 
     profiler = PhaseProfiler(enabled=True)
     profiler.add("execute", 0.5)
@@ -57,13 +57,13 @@ def test_classify_telemetry_and_metrics_and_profile(tmp_path):
 
 def test_classify_truncated_json_object_rejected(tmp_path):
     path = tmp_path / "torn.json"
-    path.write_text('{"metrics": {"sim_cycles_total"')
-    with pytest.raises(ReproError, match="neither a metrics snapshot"):
+    path.write_text('{"profile": {"phases"')
+    with pytest.raises(ReproError, match="neither telemetry JSONL"):
         classify_file(path)
 
 
 def test_classify_unknown_schema_object_rejected(tmp_path):
-    # A one-line JSON *object* without a metrics/profile key is read
+    # A one-line JSON *object* without a profile key is read
     # as single-record telemetry; a multi-line one with garbage fails.
     path = tmp_path / "unknown.json"
     path.write_text('{"weights": [1, 2, 3]}')
@@ -95,38 +95,28 @@ def test_aggregate_mixed_directory(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
 
-    registry = MetricsRegistry(enabled=True)
-    registry.counter("sim_cycles_total").inc(1500)
-    registry.histogram("engine_job_wall_seconds",
-                       buckets=(0.1, 1.0)).observe(0.05)
-    metrics = tmp_path / "metrics.json"
-    metrics.write_text(json.dumps(registry.snapshot()))
-
     profiler = PhaseProfiler(enabled=True)
     profiler.add("execute", 0.6)
     profiler.add("mem/l1", 0.2)
     profiler.end_kernel(cycles=2000, wall_seconds=1.0)
     profile = profiler.save(tmp_path / "profile.json")
 
-    report = aggregate([tele, empty, metrics, profile])
+    report = aggregate([tele, empty, profile])
     assert report["jobs_total"] == 2
     assert report["done"] == 1 and report["failed"] == 1
     assert report["simulated_cycles"] == 500
     assert report["failures"] == [{"label": "b", "error": "boom"}]
-    assert report["metrics"]["sim_cycles_total"]["series"][0]["value"] \
-        == 1500
     host = report["host_profile"]
     assert host["kernels"] == 1
     assert host["phases"][0]["phase"] == "execute"
     kinds = {entry["path"]: entry["kind"] for entry in report["files"]}
     assert kinds == {str(tele): "telemetry", str(empty): "telemetry",
-                     str(metrics): "metrics", str(profile): "profile"}
+                     str(profile): "profile"}
 
     text = format_report(report)
     assert "profile :" in text
     assert "execute" in text and "mem/l1" in text
     assert "FAILED  : b: boom" in text
-    assert "p50<=" in text  # histogram percentile line
 
 
 def test_aggregate_two_profiles_merge(tmp_path):

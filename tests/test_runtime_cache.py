@@ -166,28 +166,15 @@ def test_ttl_evicts_on_lookup_and_sweep(tmp_path, spec, summary):
 
 
 def test_eviction_reasons_reach_registry(tmp_path, spec, summary):
-    from repro.obs.metrics import MetricsRegistry, get_registry
-
-    registry = get_registry()
-    was_enabled, registry.enabled = registry.enabled, True
-    registry.clear()
-    try:
-        cache = ResultCache(tmp_path, ttl_seconds=60)
-        cache.get(spec)  # miss
-        cache.put(spec, summary)  # store
-        cache.get(spec)  # hit
-        stale = time.time() - 120
-        os.utime(cache._path(cache.key(spec)), (stale, stale))
-        cache.get(spec)  # ttl eviction + miss
-        events = registry.get("result_cache_events_total")
-        assert events.value(event="miss") == 2
-        assert events.value(event="hit") == 1
-        assert events.value(event="store") == 1
-        evictions = registry.get("result_cache_evictions_total")
-        assert evictions.value(reason="ttl") == 1
-    finally:
-        registry.clear()
-        registry.enabled = was_enabled
+    cache = ResultCache(tmp_path, ttl_seconds=60)
+    cache.get(spec)  # miss
+    cache.put(spec, summary)  # store
+    cache.get(spec)  # hit
+    stale = time.time() - 120
+    os.utime(cache._path(cache.key(spec)), (stale, stale))
+    cache.get(spec)  # ttl eviction + miss
+    assert (cache.misses, cache.hits, cache.stores) == (2, 1, 1)
+    assert cache.evictions_by_reason["ttl"] == 1
 
 
 def test_stall_cells_survive_cache_round_trip(tmp_path, spec, summary):
@@ -255,24 +242,6 @@ def test_quarantine_warns_once_then_goes_quiet(tmp_path, summary,
                 if r.levelno == logging.WARNING]
     assert len(warnings) == 1  # one warning, not one per lookup
     assert cache.quarantined == 3
-
-
-def test_quarantine_counts_reach_registry(tmp_path, spec, summary):
-    from repro.obs.metrics import get_registry
-
-    registry = get_registry()
-    was_enabled, registry.enabled = registry.enabled, True
-    registry.clear()
-    try:
-        cache = ResultCache(tmp_path)
-        cache.put(spec, summary)
-        cache._path(cache.key(spec)).write_text("garbage")
-        cache.get(spec)
-        counter = registry.get("result_cache_quarantined_total")
-        assert counter.value(reason="undecodable") == 1
-    finally:
-        registry.clear()
-        registry.enabled = was_enabled
 
 
 def test_clear_also_removes_quarantine(tmp_path, spec, summary):

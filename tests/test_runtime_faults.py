@@ -167,17 +167,6 @@ def test_serial_fatal_fails_without_retry():
     assert outcomes[1].status == "ok"  # keep_going default
 
 
-def test_retry_budget_bounds_total_retries():
-    plan = FaultPlan.parse("transient@0x99,transient@1x99")
-    engine = BatchEngine(jobs=1, faults=plan, retries=5,
-                         retry_budget=1, backoff_base=0.0)
-    outcomes = engine.run(tiny_specs(2))
-    # One retry granted batch-wide: job 0 burns it, job 1 gets none.
-    assert [o.status for o in outcomes] == ["failed", "failed"]
-    assert outcomes[0].attempts == 2
-    assert outcomes[1].attempts == 1
-
-
 def test_serial_fail_fast_skips_the_rest():
     plan = FaultPlan.parse("fatal@0")
     telemetry = Telemetry()
@@ -188,6 +177,8 @@ def test_serial_fail_fast_skips_the_rest():
                                             "skipped"]
     assert telemetry.count("skipped") == 2
     assert not outcomes[1].ok and "fail_fast" in outcomes[1].error
+    assert telemetry.summary()["skipped"] == 2
+    assert "2 skipped" in telemetry.format_summary()
 
 
 # --------------------------------------------------------- pool engine
@@ -334,21 +325,12 @@ def test_chaos_run_then_resume_is_bit_identical(tmp_path):
 
 
 def test_fault_metrics_reach_registry(tmp_path):
-    from repro.obs.metrics import get_registry
-
-    registry = get_registry()
-    was_enabled, registry.enabled = registry.enabled, True
-    registry.clear()
-    try:
-        plan = FaultPlan.parse("transient@0,torn@0")
-        cache = ResultCache(tmp_path, faults=plan)
-        BatchEngine(jobs=1, cache=cache, faults=plan,
-                    backoff_base=0.001).run(tiny_specs(1))
-        injections = registry.get("fault_injections_total")
-        assert injections.value(kind="transient") == 1
-        assert injections.value(kind="torn") == 1
-        retries = registry.get("engine_retries_total")
-        assert retries.value(reason="transient") == 1
-    finally:
-        registry.clear()
-        registry.enabled = was_enabled
+    plan = FaultPlan.parse("transient@0,torn@0")
+    cache = ResultCache(tmp_path, faults=plan)
+    telemetry = Telemetry()
+    BatchEngine(jobs=1, cache=cache, telemetry=telemetry, faults=plan,
+                backoff_base=0.001).run(tiny_specs(1))
+    assert plan.count("transient") == 1
+    assert plan.count("torn") == 1
+    retried = [e for e in telemetry.events if e.kind == "retried"]
+    assert [e.payload["reason"] for e in retried] == ["transient"]
