@@ -31,12 +31,10 @@ Layers (see DESIGN.md for the full inventory):
 from repro.errors import (
     AlgorithmError,
     ConfigError,
-    FatalError,
     GraphError,
     ReproError,
     ScheduleError,
     SimulationError,
-    TransientError,
     WeaverError,
 )
 from repro.graph import (
@@ -62,7 +60,6 @@ from repro.algorithms import make_algorithm, algorithm_names
 from repro.runtime import (
     AlgorithmSpec,
     BatchEngine,
-    FaultPlan,
     GraphSpec,
     JobSpec,
     ResultCache,
@@ -92,8 +89,6 @@ __all__ = [
     "WeaverError",
     "ScheduleError",
     "AlgorithmError",
-    "TransientError",
-    "FatalError",
     "CSRGraph",
     "from_edge_list",
     "powerlaw_graph",
@@ -120,7 +115,6 @@ __all__ = [
     "algorithm_names",
     "AlgorithmSpec",
     "BatchEngine",
-    "FaultPlan",
     "GraphSpec",
     "JobSpec",
     "ResultCache",

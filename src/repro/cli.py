@@ -109,23 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="disable the result cache for this run")
     bench_p.add_argument("--telemetry", default=None, metavar="PATH",
                          help="append run events to this JSONL file")
-    bench_p.add_argument("--timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
     bench_p.add_argument("--keep-going", action="store_true",
                          help="finish the whole batch even when jobs "
                               "fail; emit the completed figures plus a "
                               "failure table on stderr (exit 1)")
     bench_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="append each completed job to this run "
-                              "journal (JSONL) for --resume")
-    bench_p.add_argument("--resume", action="store_true",
-                         help="restore completed jobs from --journal "
-                              "before running; nothing journaled is "
-                              "re-simulated")
-    bench_p.add_argument("--faults", default=None, metavar="PLAN",
-                         help="inject a deterministic fault plan, e.g. "
-                              "'crash@1,corrupt@0,seed=7' (see "
-                              "repro.runtime.faults; also REPRO_FAULTS)")
+                         help="record each finished job in this run "
+                              "journal (JSONL, started fresh)")
     bench_p.add_argument("--profile", default=None, metavar="DIR",
                          help="host-profile the simulator during the "
                               "bench; writes profile.json + "
@@ -170,32 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="disable the result cache for this batch")
     batch_p.add_argument("--telemetry", default=None, metavar="PATH",
                          help="append run events to this JSONL file")
-    batch_p.add_argument("--timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
     batch_p.add_argument("--trace", default=None, metavar="PATH",
                          help="write a Chrome trace of per-job engine "
                               "spans")
-    batch_p.add_argument("--cache-max-bytes", type=int, default=None,
-                         help="result-cache byte budget")
-    batch_p.add_argument("--cache-ttl", type=float, default=None,
-                         help="result-cache entry TTL in seconds")
-    batch_p.add_argument("--retries", type=int, default=1,
-                         help="extra attempts per job after a transient "
-                              "failure (worker crash) before failing it")
     batch_p.add_argument("--fail-fast", action="store_true",
                          help="stop scheduling at the first failed job; "
                               "the rest of the batch is marked skipped")
     batch_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="append each completed job to this run "
-                              "journal (JSONL) for --resume")
-    batch_p.add_argument("--resume", action="store_true",
-                         help="restore completed jobs from --journal "
-                              "before running; nothing journaled is "
-                              "re-simulated")
-    batch_p.add_argument("--faults", default=None, metavar="PLAN",
-                         help="inject a deterministic fault plan, e.g. "
-                              "'crash@1,corrupt@0,seed=7' (see "
-                              "repro.runtime.faults; also REPRO_FAULTS)")
+                         help="record each finished job in this run "
+                              "journal (JSONL, started fresh)")
     batch_p.add_argument("--profile", default=None, metavar="DIR",
                          help="host-profile the simulator across the "
                               "batch (worker snapshots fold into the "
@@ -340,46 +313,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _resolve_journal(args):
-    """``--journal``/``--resume`` flags -> a ready RunJournal or None.
-
-    ``--resume`` loads the existing journal (restored jobs are not
-    re-simulated); without it a named journal starts fresh so stale
-    completions cannot silently skip work.
-    """
-    from repro.errors import ConfigError
-    from repro.runtime import RunJournal
-
-    if args.resume and not args.journal:
-        raise ConfigError("--resume requires --journal PATH")
-    if not args.journal:
-        return None
-    journal = RunJournal(args.journal)
-    if args.resume:
-        restored = journal.load()
-        note = (f"resume: {restored} completed job(s) restored from "
-                f"{args.journal}")
-        if journal.bad_lines or journal.stale_lines:
-            note += (f" ({journal.bad_lines} torn, "
-                     f"{journal.stale_lines} stale line(s) skipped)")
-        if journal.unknown_lines:
-            note += (f" ({journal.unknown_lines} line(s) of unknown kind "
-                     "skipped)")
-        print(note)
-    else:
-        journal.reset()
-    return journal
-
-
-def _resolve_faults(args):
-    """``--faults PLAN`` -> a parsed FaultPlan, or None (env fallback)."""
-    if not getattr(args, "faults", None):
-        return None
-    from repro.runtime import FaultPlan
-
-    return FaultPlan.parse(args.faults)
-
-
 def _print_failures(report, stream=None) -> None:
     """Emit a failure report table on stderr."""
     print(report.format(), file=stream or sys.stderr)
@@ -429,7 +362,7 @@ def _cmd_bench(args) -> int:
 
     from repro.figures import (FigureContext, list_figures,
                                resolve_figures, run_figures_report)
-    from repro.runtime import ResultCache, Telemetry
+    from repro.runtime import ResultCache, RunJournal, Telemetry
 
     if args.list_figures:
         rows = [[fig.name, fig.paper, fig.title]
@@ -450,16 +383,14 @@ def _cmd_bench(args) -> int:
         ctx = (FigureContext(scale=args.scale) if args.scale
                else FigureContext())
 
-    faults = _resolve_faults(args)
-    journal = _resolve_journal(args)
-    cache = None if args.no_cache else ResultCache(args.cache_dir,
-                                                   faults=faults)
-    telemetry = Telemetry(args.telemetry, faults=faults)
+    journal = RunJournal(args.journal) if args.journal else None
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    telemetry = Telemetry(args.telemetry)
     profiler, sampler = _start_profiling(args)
     start = time.perf_counter()
     outputs, report = run_figures_report(
         figures, ctx, jobs=args.jobs, cache=cache, telemetry=telemetry,
-        journal=journal, timeout=args.timeout, faults=faults,
+        journal=journal,
         policy="keep_going" if args.keep_going else "fail_fast",
         sim_engine=args.engine)
     elapsed = time.perf_counter() - start
@@ -629,7 +560,7 @@ def _batch_specs(args):
 
 
 def _cmd_batch(args) -> int:
-    from repro.runtime import BatchEngine, ResultCache, Telemetry
+    from repro.runtime import BatchEngine, ResultCache, RunJournal, Telemetry
 
     specs = _batch_specs(args)
     tracer = None
@@ -637,17 +568,12 @@ def _cmd_batch(args) -> int:
         from repro.obs.tracing import Tracer
 
         tracer = Tracer()
-    faults = _resolve_faults(args)
-    journal = _resolve_journal(args)
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir, max_bytes=args.cache_max_bytes,
-        ttl_seconds=args.cache_ttl, faults=faults)
-    telemetry = Telemetry(args.telemetry, faults=faults)
+    journal = RunJournal(args.journal) if args.journal else None
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    telemetry = Telemetry(args.telemetry)
     engine = BatchEngine(jobs=args.jobs, cache=cache,
-                         telemetry=telemetry, timeout=args.timeout,
-                         retries=args.retries, tracer=tracer,
-                         journal=journal, faults=faults,
-                         fail_fast=args.fail_fast)
+                         telemetry=telemetry, tracer=tracer,
+                         journal=journal, fail_fast=args.fail_fast)
     profiler, sampler = _start_profiling(args)
     outcomes = engine.run(specs)
     if sampler is not None:
@@ -986,8 +912,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Exit codes: 0 success; 1 at least one job failed (partial results
     were still emitted under ``--keep-going``); 2 configuration error;
-    130 interrupted (SIGINT) — a journaled run resumes with
-    ``--resume``.
+    130 interrupted (SIGINT) — rerunning against the same result cache
+    simulates only the jobs that did not finish.
     """
     from repro.errors import ReproError
 
@@ -995,8 +921,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
-        print("interrupted; rerun with --resume to continue a "
-              "journaled batch", file=sys.stderr)
+        print("interrupted; rerun against the same cache to continue: "
+              "finished jobs are not simulated again", file=sys.stderr)
         return 130
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

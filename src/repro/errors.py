@@ -13,27 +13,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
-class TransientError(ReproError):
-    """A failure that is worth retrying.
-
-    Raised (or classified) for conditions outside the job's control —
-    a worker process dying, flaky I/O, an injected chaos fault — where
-    a fresh attempt has a real chance of succeeding.  The batch engine
-    retries transient failures with exponential backoff; everything
-    else fails fast, because a deterministic simulation error would
-    only reproduce itself.
-    """
-
-
-class FatalError(ReproError):
-    """A deterministic failure; retrying would reproduce it.
-
-    The explicit counterpart of :class:`TransientError` for callers
-    (and the fault-injection harness) that want to mark a failure as
-    not-retryable regardless of the batch retry policy.
-    """
-
-
 class GraphError(ReproError):
     """Invalid graph structure or construction input."""
 

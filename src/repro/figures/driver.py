@@ -19,7 +19,8 @@ the first report of failed jobs (every figure or nothing), while
 figures whose jobs all completed plus a structured
 :class:`FailureReport` naming every failed job and every figure
 skipped because of one, so a long batch with one bad cell still
-yields the other N-1 figures and a resumable journal.
+yields the other N-1 figures, and a rerun against the same cache
+simulates only what did not finish.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class JobFailure:
     job: str  # short content hash
     status: str  # "failed" | "skipped"
     error: str
-    attempts: int
 
 
 @dataclass
@@ -173,7 +173,6 @@ class FailureReport:
                     job=outcome.spec.content_hash()[:12],
                     status=outcome.status,
                     error=outcome.error or "",
-                    attempts=outcome.attempts,
                 ))
         return report
 
@@ -184,8 +183,8 @@ class FailureReport:
             f"complete ({self.completed_jobs} ok):"
         ]
         for f in self.failures:
-            lines.append(f"  {f.status:<7} {f.label} [{f.job}] "
-                         f"(attempt {f.attempts}): {f.error}")
+            lines.append(f"  {f.status:<7} {f.label} [{f.job}]: "
+                         f"{f.error}")
         if self.skipped_figures:
             lines.append("figures skipped: "
                          + ", ".join(self.skipped_figures))
@@ -219,9 +218,7 @@ def run_figures_report(
     telemetry: Optional[Telemetry] = None,
     engine: Optional[BatchEngine] = None,
     journal=None,
-    timeout: Optional[float] = None,
     policy: str = "keep_going",
-    faults=None,
     sim_engine: Optional[str] = None,
 ) -> Tuple[Dict[str, FigureOutput], FailureReport]:
     """Regenerate figures with graceful degradation.
@@ -232,9 +229,8 @@ def run_figures_report(
     ``policy`` is ``"keep_going"`` (default: run everything, report
     failures at the end) or ``"fail_fast"`` (stop scheduling at the
     first failure; unreached jobs come back ``"skipped"``).
-    ``journal`` takes a :class:`~repro.runtime.journal.RunJournal` for
-    resumable runs — already-journaled jobs are restored without
-    re-simulation and new completions are appended as they finish.
+    ``journal`` takes a :class:`~repro.runtime.journal.RunJournal`
+    that records each finished or cached job as it ends.
     ``sim_engine`` stamps a simulator engine name (``reference`` /
     ``fast`` / ``auto``) onto every job; engines are bit-identical, so
     it changes wall-clock speed only, never results or cache keys.
@@ -250,15 +246,13 @@ def run_figures_report(
     batch = _apply_sim_engine(batch, sim_engine)
     if engine is None:
         engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry,
-                             timeout=timeout, journal=journal,
-                             faults=faults,
+                             journal=journal,
                              fail_fast=(policy == "fail_fast"))
     elif (jobs is not None or cache is not None or telemetry is not None
-          or journal is not None or timeout is not None
-          or faults is not None):
+          or journal is not None):
         raise ReproError(
             "pass either a prebuilt engine or jobs=/cache=/telemetry=/"
-            "journal=/timeout=/faults=, not both")
+            "journal=, not both")
     outcomes = engine.run(batch)
     results = ResultSet(outcomes)
     report = FailureReport.from_outcomes(outcomes)

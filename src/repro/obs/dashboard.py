@@ -105,6 +105,8 @@ class BatchWatch:
         elif kind == "started" and job:
             self.jobs[job] = "running"
         elif kind in ("finished", "cached", "resumed") and job:
+            # Older versions restored jobs from the run journal as
+            # "resumed"; such a job still counts done.
             self.jobs[job] = "done"
             self.cycles += int(record.get("cycles", 0))
             self.digest_records += int(record.get("digests", 0))
@@ -153,8 +155,7 @@ class BatchWatch:
         remaining = states["pending"] + states["running"]
         eta = remaining / rate if rate > 0 else None
         cached = self.counts.get("cached", 0)
-        resumed = self.counts.get("resumed", 0)
-        lookups = cached + resumed + self.counts.get("started", 0)
+        lookups = cached + self.counts.get("started", 0)
         return {
             "jobs_total": total,
             "pending": states["pending"],
@@ -163,15 +164,13 @@ class BatchWatch:
             "failed": states["failed"],
             "skipped": states["skipped"],
             "cached": cached,
-            "resumed": resumed,
-            "retried": self.counts.get("retried", 0),
             "elapsed_seconds": round(elapsed, 3),
             "jobs_per_second": round(rate, 3),
             "eta_seconds": None if eta is None else round(eta, 1),
             "simulated_cycles": self.cycles,
             "cycles_per_second": round(self.cycles / elapsed, 1)
             if elapsed > 0 else 0.0,
-            "cache_hit_rate": round((cached + resumed) / lookups, 4)
+            "cache_hit_rate": round(cached / lookups, 4)
             if lookups else 0.0,
             "finished": self.finished,
             "digest_records": self.digest_records,
@@ -203,9 +202,7 @@ def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
         (f"  jobs    : {snap['jobs_total']} total | "
          f"{snap['running']} running | {snap['done']} done | "
          f"{snap['failed']} failed | {snap['cached']} cached"
-         + (f" | {snap['resumed']} resumed" if snap["resumed"] else "")
-         + (f" | {snap['skipped']} skipped" if snap["skipped"] else "")
-         + (f" | {snap['retried']} retried" if snap["retried"] else "")),
+         + (f" | {snap['skipped']} skipped" if snap["skipped"] else "")),
         (f"  progress: {_progress_bar(done, snap['jobs_total'])}"
          f"  ETA {eta}"),
         (f"  cycles  : {snap['simulated_cycles']:,} simulated"

@@ -111,10 +111,7 @@ def format_report(report: Dict[str, Any]) -> str:
     """Human-readable report block."""
     jobs_line = (f"  jobs    : {report['jobs_total']} total | "
                  f"{report['done']} done | {report['failed']} failed | "
-                 f"{report['cached']} cached | "
-                 f"{report['retried']} retried")
-    if report.get("resumed"):
-        jobs_line += f" | {report['resumed']} resumed"
+                 f"{report['cached']} cached")
     if report.get("skipped"):
         jobs_line += f" | {report['skipped']} skipped"
     lines = [

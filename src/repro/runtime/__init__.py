@@ -4,20 +4,19 @@ The layer between "one simulation" (:mod:`repro.frontend`) and "a
 paper figure" (:mod:`repro.bench`): frozen job specifications with
 content hashes (:mod:`~repro.runtime.jobspec`), an on-disk
 content-addressed, self-healing result cache
-(:mod:`~repro.runtime.cache`), a process-pool batch engine with
-crash retry, backoff and fail-fast/keep-going policies
-(:mod:`~repro.runtime.engine`), an append-only run journal for
-resumable batches (:mod:`~repro.runtime.journal`), structured run
-telemetry with a crash-safe JSONL sink
-(:mod:`~repro.runtime.telemetry`), and a deterministic fault-injection
-harness that exercises all of the above
-(:mod:`~repro.runtime.faults`).
+(:mod:`~repro.runtime.cache`), a batch engine that runs one process
+pool per batch with keep-going and fail-fast policies
+(:mod:`~repro.runtime.engine`), an append-only run journal with one
+line per finished job (:mod:`~repro.runtime.journal`), and structured
+run telemetry with a crash-safe JSONL sink
+(:mod:`~repro.runtime.telemetry`).
 
 Opt in from the bench harness with ``jobs=`` / ``cache=`` or the
 ``REPRO_JOBS`` environment variable; drive grids directly with
 ``python -m repro batch`` and inspect the store with
-``python -m repro cache``; interrupt any journaled run and continue it
-with ``--resume``.
+``python -m repro cache``.  An interrupted batch continues by
+rerunning it against the same cache: nothing that finished is
+simulated again.
 """
 
 from repro.runtime.jobspec import (
@@ -39,9 +38,7 @@ from repro.runtime.engine import (
     JobOutcome,
     raise_on_failures,
     resolve_jobs,
-    run_specs,
 )
-from repro.runtime.faults import FaultPlan, FaultRule, get_active_plan
 from repro.runtime.journal import RunJournal, append_jsonl
 from repro.runtime.telemetry import RunEvent, Telemetry
 
@@ -60,10 +57,6 @@ __all__ = [
     "JobOutcome",
     "raise_on_failures",
     "resolve_jobs",
-    "run_specs",
-    "FaultPlan",
-    "FaultRule",
-    "get_active_plan",
     "RunJournal",
     "append_jsonl",
     "RunEvent",

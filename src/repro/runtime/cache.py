@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -135,13 +134,8 @@ class ResultCache:
     Tracks ``hits`` / ``misses`` / ``stores`` / ``evictions`` counters
     for the telemetry batch summary (:meth:`stats`).
 
-    Three eviction policies compose (each counted under its reason):
-
-    * ``max_entries`` — LRU-by-mtime entry-count bound (``capacity``);
-    * ``max_bytes`` — total on-disk byte budget, oldest entries evicted
-      until the store fits (``bytes``);
-    * ``ttl_seconds`` — entries older than the TTL are dropped on sweep
-      or lookup (``ttl``).
+    At most ``max_entries`` entries stay on disk: each store evicts the
+    oldest (by mtime) beyond that bound.
 
     Corrupt entries self-heal: a file that fails to decode, fails its
     stored checksum, or is structurally wrong is *quarantined* (moved
@@ -149,45 +143,19 @@ class ResultCache:
     file can degrade a batch to a re-simulation, never crash it.
     Entries from an older schema or simulator version are simply
     dropped (expected churn, not corruption).
-
-    ``faults`` accepts a :class:`~repro.runtime.faults.FaultPlan`
-    whose ``torn``/``corrupt`` rules sabotage the Nth store, for
-    deterministic recovery tests; it defaults to the ``REPRO_FAULTS``
-    environment plan and is ``None`` (zero overhead) otherwise.
     """
 
-    def __init__(self, cache_dir=None, max_entries: int = 4096,
-                 max_bytes: Optional[int] = None,
-                 ttl_seconds: Optional[float] = None,
-                 faults=None) -> None:
-        from repro.runtime.faults import get_active_plan
-
+    def __init__(self, cache_dir=None, max_entries: int = 4096) -> None:
         self.dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.ttl_seconds = ttl_seconds
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
         self.quarantined = 0
-        self.evictions_by_reason: Dict[str, int] = {
-            "capacity": 0, "bytes": 0, "ttl": 0,
-        }
-        self._faults = faults if faults is not None else get_active_plan()
-        self._store_seq = 0
         self._warned_quarantine = False
 
     # ------------------------------------------------------------------
-    def _evict(self, path: Path, reason: str) -> None:
-        path.unlink(missing_ok=True)
-        self.evictions += 1
-        self.evictions_by_reason[reason] += 1
-
-    def _expired(self, mtime: float, now: float) -> bool:
-        return (self.ttl_seconds is not None
-                and now - mtime > self.ttl_seconds)
-
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt entry aside (never raises; falls back to
         deletion if the move itself fails)."""
@@ -228,17 +196,7 @@ class ResultCache:
         checksum-failing or structurally wrong entries are quarantined
         and reported as misses; stale-version entries are dropped.
         """
-        path = self._path(self.key(spec))
-        summary = None
-        try:
-            stat = path.stat()
-        except OSError:
-            stat = None
-        if stat is not None:
-            if self._expired(stat.st_mtime, time.time()):
-                self._evict(path, "ttl")
-            else:
-                summary = self._load_entry(path)
+        summary = self._load_entry(self._path(self.key(spec)))
         if summary is None:
             self.misses += 1
             return None
@@ -287,59 +245,25 @@ class ResultCache:
             "summary": summary_dict,
             "checksum": summary_checksum(summary_dict),
         }
-        text = json.dumps(entry, sort_keys=True, indent=1)
-        if self._faults is not None:
-            fault = self._faults.cache_fault(self._store_seq)
-            self._store_seq += 1
-            if fault is not None:
-                text = self._sabotage(text, fault)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
+        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
         os.replace(tmp, path)
         self.stores += 1
         self._evict_overflow()
 
-    @staticmethod
-    def _sabotage(text: str, fault: str) -> str:
-        """Deterministically damage an entry body (fault injection)."""
-        if fault == "torn":  # writer died mid-write: truncated JSON
-            return text[:max(1, len(text) // 2)]
-        # "corrupt": complete file, garbled interior (fails checksum
-        # or decode depending on where the damage lands).
-        mid = len(text) // 2
-        return text[:mid] + "\x00###\x00" + text[mid + 5:]
-
     def _evict_overflow(self) -> None:
-        """Apply TTL, byte-budget and entry-count policies, in order."""
-        now = time.time()
+        """Delete the oldest entries beyond ``max_entries``."""
         entries = []
         for path in self.dir.glob("*.json"):
             try:
-                stat = path.stat()
+                entries.append((path.stat().st_mtime, path))
             except OSError:  # raced with another process's eviction
                 continue
-            entries.append((stat.st_mtime, stat.st_size, path))
         entries.sort()
-
-        if self.ttl_seconds is not None:
-            live = []
-            for mtime, size, path in entries:
-                if self._expired(mtime, now):
-                    self._evict(path, "ttl")
-                else:
-                    live.append((mtime, size, path))
-            entries = live
-
-        if self.max_bytes is not None:
-            total = sum(size for _mtime, size, _path in entries)
-            while entries and total > self.max_bytes:
-                _mtime, size, path = entries.pop(0)
-                self._evict(path, "bytes")
-                total -= size
-
         excess = len(entries) - self.max_entries
-        for _mtime, _size, path in entries[:max(0, excess)]:
-            self._evict(path, "capacity")
+        for _mtime, path in entries[:max(0, excess)]:
+            path.unlink(missing_ok=True)
+            self.evictions += 1
 
     # ------------------------------------------------------------------
     def entries(self) -> int:
@@ -379,10 +303,7 @@ class ResultCache:
             "evictions": self.evictions,
             "quarantined": self.quarantined,
             "quarantined_entries": self.quarantined_entries(),
-            "evictions_by_reason": dict(self.evictions_by_reason),
             "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "ttl_seconds": self.ttl_seconds,
             "schema": SCHEMA_VERSION,
             "simulator_version": SIMULATOR_VERSION,
         }

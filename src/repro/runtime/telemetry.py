@@ -1,10 +1,9 @@
 """Structured run telemetry.
 
 Every job moving through the batch engine emits events —
-``submitted`` / ``started`` / ``cached`` / ``resumed`` / ``finished``
-/ ``failed`` / ``skipped`` / ``retried`` / ``backoff`` — carrying
-the job's short content hash, its label, a wall timestamp and
-free-form payload (cycles, wall seconds, attempt number).  Events
+``submitted`` / ``started`` / ``cached`` / ``finished`` / ``failed``
+/ ``skipped`` — carrying the job's short content hash, its label, a
+wall timestamp and free-form payload (cycles, wall seconds).  Events
 accumulate in memory and, when a sink path is given, stream to a JSONL
 file one object per line; :meth:`Telemetry.summary` folds them into
 the batch-end report (job counts, wall time, simulated cycles, cache
@@ -50,22 +49,12 @@ class RunEvent:
 
 
 class Telemetry:
-    """Event collector with an optional JSONL sink.
+    """Event collector with an optional JSONL sink."""
 
-    ``faults`` accepts a :class:`~repro.runtime.faults.FaultPlan`
-    whose ``slow_io`` rules stall the Nth sink append; it defaults to
-    the ``REPRO_FAULTS`` environment plan and is ``None`` (zero
-    overhead) otherwise.
-    """
-
-    def __init__(self, path=None, faults=None) -> None:
-        from repro.runtime.faults import get_active_plan
-
+    def __init__(self, path=None) -> None:
         self.path = Path(path) if path else None
         self.events: List[RunEvent] = []
         self.counts: Dict[str, int] = {}
-        self._faults = faults if faults is not None else get_active_plan()
-        self._append_seq = 0
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -82,11 +71,6 @@ class Telemetry:
         self.events.append(event)
         self.counts[kind] = self.counts.get(kind, 0) + 1
         if self.path:
-            if self._faults is not None:
-                delay = self._faults.io_fault(self._append_seq)
-                self._append_seq += 1
-                if delay:
-                    time.sleep(delay)
             append_jsonl(self.path, event.to_dict())
         return event
 
@@ -100,7 +84,7 @@ class Telemetry:
         cycles = sum(
             e.payload.get("cycles", 0)
             for e in self.events
-            if e.kind in ("finished", "cached", "resumed")
+            if e.kind in ("finished", "cached")
         )
         wall = 0.0
         if self.events:
@@ -111,12 +95,9 @@ class Telemetry:
             "submitted": self.count("submitted"),
             "started": self.count("started"),
             "cached": self.count("cached"),
-            "resumed": self.count("resumed"),
             "finished": self.count("finished"),
             "failed": self.count("failed"),
             "skipped": self.count("skipped"),
-            "retried": self.count("retried"),
-            "backoffs": self.count("backoff"),
             "simulated_cycles": cycles,
             "wall_seconds": round(wall, 6),
         }
@@ -128,12 +109,9 @@ class Telemetry:
         """Human-readable batch summary block."""
         data = self.summary(cache=cache)
         jobs_line = (f"  jobs: {data['submitted']} submitted, "
-                     f"{data['started']} simulated, "
+                     f"{data['finished']} simulated, "
                      f"{data['cached']} cached, "
-                     f"{data['failed']} failed, "
-                     f"{data['retried']} retried")
-        if data["resumed"]:
-            jobs_line += f", {data['resumed']} resumed"
+                     f"{data['failed']} failed")
         if data["skipped"]:
             jobs_line += f", {data['skipped']} skipped"
         lines = [

@@ -314,19 +314,23 @@ def test_cli_bench_list(capsys):
     assert "table5" in printed
 
 
-def test_run_figures_report_degrades_gracefully(tmp_path):
+def test_run_figures_report_degrades_gracefully(tmp_path, monkeypatch):
     """One poisoned job skips its figure, not the whole batch."""
+    import repro.runtime.engine as engine_mod
     from repro.figures import run_figures_report
-    from repro.runtime import FaultPlan
 
-    outputs, report = run_figures_report(
-        ["table1", "fig13"], SMOKE, jobs=1,
-        faults=FaultPlan.parse("fatal~1.0"))
+    def fail(spec):
+        raise RuntimeError("job failed on purpose")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, "_execute_spec", fail)
+        outputs, report = run_figures_report(
+            ["table1", "fig13"], SMOKE, jobs=1)
     assert report.total_jobs > 0
     assert not report.ok
     assert "fig13" in report.skipped_figures
     assert "table1" in outputs  # zero-job figure still summarizes
-    assert "fatal" in report.format()
+    assert "failed on purpose" in report.format()
 
     clean_outputs, clean_report = run_figures_report(
         ["table1", "fig13"], SMOKE, jobs=1)

@@ -220,10 +220,6 @@ def test_ledger_rides_the_run_journal(tmp_path):
     journal = RunJournal(tmp_path / "run.jsonl")
     journal.record(spec, RunSummary.from_dict(data))
 
-    again = RunJournal(tmp_path / "run.jsonl")
-    again.load()
-    restored = again.summary_for(spec)
-    assert restored.digest_ledger == data["digest_ledger"]
     # The diff-side loader finds the same ledger, keyed by label.
     runs = ledgers_from_journal(tmp_path / "run.jsonl")
     assert runs[spec.label]["digest_ledger"] == data["digest_ledger"]

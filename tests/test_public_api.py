@@ -126,16 +126,11 @@ def test_run_schedule_comparison_keyword_only_tail():
 
 
 def test_robustness_facade_stable():
-    """The fault-tolerance surface stays importable from repro."""
-    from repro import (FailureReport, FatalError, FaultPlan, RunJournal,
-                      TransientError, run_figures_report)
-    from repro.runtime import append_jsonl, get_active_plan
+    """The failure-reporting surface stays importable from repro."""
+    from repro import FailureReport, RunJournal, run_figures_report
+    from repro.runtime import append_jsonl
 
     assert callable(run_figures_report)
     assert callable(append_jsonl)
-    assert callable(get_active_plan)
-    assert issubclass(TransientError, Exception)
-    assert issubclass(FatalError, Exception)
-    for name in ("FaultPlan", "RunJournal", "FailureReport",
-                 "TransientError", "FatalError", "run_figures_report"):
+    for name in ("RunJournal", "FailureReport", "run_figures_report"):
         assert name in repro.__all__, name

@@ -1,14 +1,12 @@
-"""Batch engine: parallel == serial, caching, retries, failures.
+"""Batch engine: parallel == serial, caching, failures, wall times.
 
-The worker-crash helpers live at module top level so
-``ProcessPoolExecutor`` can pickle them by reference; they communicate
-"already crashed once" through a marker file because no other state
-survives a worker death.
+The worker-crash helper lives at module top level so
+``ProcessPoolExecutor`` can pickle it by reference.
 """
 
 import os
 import time
-from pathlib import Path
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -42,26 +40,19 @@ def tiny_grid_specs():
     ]
 
 
-def _flaky_execute(spec):
-    """Crash the worker once, then behave like the real executor."""
-    marker = Path(os.environ["REPRO_TEST_CRASH_MARKER"])
-    if not marker.exists():
-        marker.write_text("crashed")
-        os._exit(42)
-    return engine_mod.RunSummary.from_run_result(
-        spec.execute()).to_dict()
+def bad_spec():
+    """A job that fails inside the run: its schedule does not exist."""
+    return JobSpec(
+        algorithm=AlgorithmSpec.of("pagerank", iterations=1),
+        graph=GraphSpec.inline(powerlaw_graph(60, 200, seed=3)),
+        schedule="no_such_schedule",
+        config=GPUConfig.vortex_tiny(),
+    )
 
 
 def _always_crash(spec):
-    """Kill the worker on every attempt."""
+    """Kill the worker running the job."""
     os._exit(42)
-
-
-def _slow_execute(spec):
-    """Outlive any reasonable per-job timeout."""
-    time.sleep(2.0)
-    return engine_mod.RunSummary.from_run_result(
-        spec.execute()).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -104,18 +95,6 @@ def test_warm_cache_runs_zero_simulations(tmp_path):
     assert summary["started"] == 0
 
 
-def test_worker_crash_is_retried_once(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
-                       str(tmp_path / "crash.marker"))
-    monkeypatch.setattr(engine_mod, "_execute_spec", _flaky_execute)
-    telemetry = Telemetry()
-    engine = BatchEngine(jobs=2, telemetry=telemetry)
-    outcomes = engine.run(tiny_grid_specs()[:1])
-    assert outcomes[0].status == "ok"
-    assert outcomes[0].attempts == 2
-    assert telemetry.count("retried") == 1
-
-
 def test_repeated_crash_becomes_structured_failure(monkeypatch):
     monkeypatch.setattr(engine_mod, "_execute_spec", _always_crash)
     telemetry = Telemetry()
@@ -123,33 +102,76 @@ def test_repeated_crash_becomes_structured_failure(monkeypatch):
         tiny_grid_specs()[:1])
     assert outcomes[0].status == "failed"
     assert "crashed" in outcomes[0].error
-    assert outcomes[0].attempts == 2
     assert telemetry.count("failed") == 1
 
 
 def test_in_worker_exception_fails_without_retry():
-    bad = JobSpec(
-        algorithm=AlgorithmSpec.of("pagerank", iterations=1),
-        graph=GraphSpec.inline(powerlaw_graph(60, 200, seed=3)),
-        schedule="no_such_schedule",
-        config=GPUConfig.vortex_tiny(),
-    )
     telemetry = Telemetry()
     outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(
-        [bad] + tiny_grid_specs()[:1])
-    assert outcomes[0].status == "failed"
+        [bad_spec()] + tiny_grid_specs()[:1])
+    assert [o.status for o in outcomes] == ["failed", "ok"]
+    assert outcomes[0].error.startswith("ScheduleError:")
     assert "no_such_schedule" in outcomes[0].error
-    assert outcomes[0].attempts == 1
-    assert telemetry.count("retried") == 0
-    assert outcomes[1].status == "ok"
+    assert telemetry.count("started") == 2
+    assert "1 simulated, 0 cached, 1 failed" in telemetry.format_summary()
 
 
-def test_per_job_timeout_fails_structurally(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_execute_spec", _slow_execute)
-    outcomes = BatchEngine(jobs=2, timeout=0.2).run(
-        tiny_grid_specs()[:1])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fail_fast_skips_unfinished_jobs(jobs):
+    telemetry = Telemetry()
+    engine = BatchEngine(jobs=jobs, telemetry=telemetry, fail_fast=True)
+    outcomes = engine.run([bad_spec()] + tiny_grid_specs()[:3])
     assert outcomes[0].status == "failed"
-    assert "timed out" in outcomes[0].error
+    assert all(o.status in ("ok", "skipped") for o in outcomes[1:])
+    assert any(o.status == "skipped" for o in outcomes[1:])
+    skipped = [o for o in outcomes if o.status == "skipped"]
+    assert all(not o.ok and "fail_fast" in o.error for o in skipped)
+    if jobs == 1:
+        assert [o.status for o in outcomes] == ["failed"] + ["skipped"] * 3
+        assert telemetry.count("skipped") == 3
+        assert telemetry.summary()["skipped"] == 3
+        assert "3 skipped" in telemetry.format_summary()
+
+
+def test_crash_during_submit_fails_only_that_job(monkeypatch):
+    """A worker that dies while the batch is being submitted fails the
+    job whose submit found the pool broken; the batch goes on."""
+    class BreaksOnSecondSubmit(engine_mod.ProcessPoolExecutor):
+        submits = 0
+
+        def submit(self, *args, **kwargs):
+            BreaksOnSecondSubmit.submits += 1
+            if BreaksOnSecondSubmit.submits == 2:
+                raise BrokenProcessPool("a worker died")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
+                        BreaksOnSecondSubmit)
+    telemetry = Telemetry()
+    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(
+        tiny_grid_specs()[:3])
+    assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
+    assert "crashed" in outcomes[1].error
+    assert telemetry.count("failed") == 1
+
+
+def test_parallel_wall_is_measured_in_the_worker():
+    """Each job's wall time is its own run time, not its time since
+    submission, so the walls of a parallel batch add up to no more
+    than the batch's wall time per worker."""
+    telemetry = Telemetry()
+    specs = tiny_grid_specs()
+    start = time.perf_counter()
+    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(specs)
+    batch_wall = time.perf_counter() - start
+    assert [o.status for o in outcomes] == ["ok"] * len(specs)
+    assert all(o.wall_seconds > 0 for o in outcomes)
+    assert sum(o.wall_seconds for o in outcomes) <= 2 * batch_wall
+    walls = {e.job: e.payload["wall"] for e in telemetry.events
+             if e.kind == "finished"}
+    for outcome in outcomes:
+        assert walls[outcome.spec.content_hash()[:12]] == pytest.approx(
+            outcome.wall_seconds, abs=1e-6)
 
 
 # ----------------------------------------------------------------------
