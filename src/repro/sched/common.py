@@ -58,7 +58,7 @@ def process_edge_batch(
     preloaded: bool = False,
     others: np.ndarray = None,
     weights: np.ndarray = None,
-) -> "np.ndarray":
+):
     """Emit edge-information access + gather&sum for one warp batch.
 
     ``accumulate`` selects how the per-edge contribution lands in the
@@ -69,12 +69,13 @@ def process_edge_batch(
     fetched the opposite endpoint and weight, so the kernel skips those
     loads and uses the supplied ``others``/``weights``.
 
-    Returns the keep mask after the other-endpoint filter.
+    Without an other-endpoint filter every edge of the batch gathers,
+    so the arrays go to ``edge_update`` as they are, with no mask.
     """
     alg = env.algorithm
     state = env.state
     if bases.size == 0:
-        return np.zeros(0, dtype=bool)
+        return
     if not preloaded:
         yield load(edge_phase, env.region("col_idx"), eids)
         others = env.graph.col_idx[eids]
@@ -88,19 +89,15 @@ def process_edge_batch(
     if alg.has_other_filter:
         yield alu(gather_phase)
         keep = ~alg.other_filter(state, others)
-    else:
-        keep = np.ones(bases.size, dtype=bool)
-    if keep.any():
-        yield alu(gather_phase, alg.gather_alu)
-        alg.edge_update(
-            state, bases[keep], others[keep], weights[keep], eids[keep]
-        )
-        if accumulate == "atomic":
-            targets = (bases if alg.accumulate_target == "base"
-                       else others)
-            yield atomic(gather_phase, env.region(alg.acc_array),
-                         targets[keep])
-    return keep
+        if not keep.any():
+            return
+        bases, others, weights, eids = (
+            bases[keep], others[keep], weights[keep], eids[keep])
+    yield alu(gather_phase, alg.gather_alu)
+    alg.edge_update(state, bases, others, weights, eids)
+    if accumulate == "atomic":
+        targets = bases if alg.accumulate_target == "base" else others
+        yield atomic(gather_phase, env.region(alg.acc_array), targets)
 
 
 def writeback_accumulators(env: KernelEnv, bases: np.ndarray,

@@ -19,8 +19,7 @@ SIMULATOR_VERSION = 1
 from repro.sim.config import CacheConfig, GPUConfig
 from repro.sim.instructions import Instr, Op, Phase
 from repro.sim.stats import KernelStats, StallCat
-from repro.sim.memory import MemoryMap, Region, MemoryHierarchy
-from repro.sim.cache import Cache
+from repro.sim.memory import Cache, MemoryMap, Region, MemoryHierarchy
 from repro.sim.gpu import GPU, WarpContext
 from repro.sim.fast import FastGPU, ReplayHint
 from repro.sim.engines import (

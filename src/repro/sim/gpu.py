@@ -14,7 +14,12 @@ Execution model (DESIGN.md §5):
   attribution idea behind Nsight's "long/short scoreboard" stalls.
 * Cores interleave through a global event heap keyed by core time, so
   shared L2/L3 state is touched in approximately true time order.
-* ``SYNC`` is a core-wide barrier over non-finished warps.
+* Each core keeps its running warps in a ready queue, a heap keyed
+  ``(ready, slot)``: the warp issued next is the lowest-slot warp among
+  those that become ready first.
+* ``SYNC`` is a core-wide barrier over non-finished warps.  Arrivals
+  wait on a per-core list; once no warp of the core is running, the
+  list is released in slot order.
 * Weaver/EGHW instructions are dispatched to a per-core hardware unit
   which manages its own busy-time serialization and replies through
   ``generator.send`` (a live warp) or with the stored batch body the
@@ -47,10 +52,6 @@ from repro.sim.config import GPUConfig
 from repro.sim.instructions import Instr, Op, Phase, as_index_array
 from repro.sim.memory import MemoryHierarchy
 from repro.sim.stats import CacheStats, KernelStats, StallCat, stall_category
-
-_RUNNING = 0
-_BARRIER = 1
-_DONE = 2
 
 #: Record kinds: completion is ``t + delay`` (FIXED, SYNC), ``t + delay
 #: + walk`` (READ: loads, atomics), a walk whose latency the warp does
@@ -143,7 +144,7 @@ class _Warp:
     """One resident warp: its record source and scoreboard state."""
 
     __slots__ = ("slot", "gen", "response", "recs", "i", "eff", "home",
-                 "ready", "state", "cat", "phase")
+                 "ready", "cat", "phase")
 
     def __init__(self, slot: int, gen: Optional[Iterator[Instr]] = None,
                  recs: tuple = (), eff: Optional[dict] = None) -> None:
@@ -156,7 +157,6 @@ class _Warp:
         #: ``(recs, eff, i)`` of the home stream while a body runs.
         self.home: Optional[tuple] = None
         self.ready = 0
-        self.state = _RUNNING
         self.cat = _EXEC_DEP
         self.phase = Phase.OTHER
 
@@ -389,6 +389,11 @@ class GPU:
             for core_id, (log, bodies) in enumerate(trace.plans or ()):
                 units[core_id] = unit_factory(core_id)
                 units[core_id].replay(log, bodies)
+        # Per core: the running warps' ready queue, ``(ready, slot,
+        # warp)`` entries in slot order at start (a valid heap), and
+        # the warps waiting at a barrier.
+        queues = [[(0, w.slot, w) for w in warps] for warps in cores]
+        waiting = [[] for _ in cores]
         heap = [(0, core_id) for core_id, warps in enumerate(cores)
                 if warps]
         walk = mem.walk
@@ -405,24 +410,19 @@ class GPU:
         stall_cells = stats.stall_cells
         phase_cycles = stats.phase_cycles
         core_time = [0] * cfg.num_cores
-        push = heapq.heappush
         pop = heapq.heappop
-        while heap:
+        pushpop = heapq.heappushpop
+        replace = heapq.heapreplace
+        event = pop(heap) if heap else None
+        while event is not None:
             if prof_on:
                 sched_start = perf_counter()
-            t, core_id = pop(heap)
-            warps = cores[core_id]
-            # One pass finds the first minimal-ready running warp
-            # (strict < keeps the slot-order tie-break).
-            warp = None
-            best = 1 << 62
-            for w in warps:
-                if w.state == _RUNNING and w.ready < best:
-                    warp = w
-                    best = w.ready
-            if warp is None:
-                blocked = [w for w in warps if w.state == _BARRIER]
+            t, core_id = event
+            queue = queues[core_id]
+            if not queue:
+                blocked = waiting[core_id]
                 if blocked:
+                    blocked.sort(key=lambda w: w.slot)
                     release = max(max(w.ready for w in blocked), t)
                     # Barrier cost is warp-level waiting: early arrivals
                     # sit idle until the last warp shows up.
@@ -434,13 +434,17 @@ class GPU:
                                 for o in obs:
                                     o.on_stall(w.ready, core_id, w.slot,
                                                _SYNC_CAT, wait)
-                        w.state = _RUNNING
                         w.ready = release
-                    push(heap, (release, core_id))
+                        queue.append((release, w.slot, w))
+                    waiting[core_id] = []
+                    event = pushpop(heap, (release, core_id))
+                else:
+                    event = pop(heap) if heap else None
                 if prof_on:
                     profiler.add("schedule", perf_counter() - sched_start)
                 continue
 
+            best, _, warp = queue[0]
             if best > t:
                 gap = best - t
                 # Only the attribution cells accumulate in the loop;
@@ -472,13 +476,13 @@ class GPU:
                 rec = warp.recs[i]
                 warp.i = i + 1
             if rec is _END:
-                warp.state = _DONE
-                for w in warps:
-                    if w.state != _DONE:
-                        push(heap, (t, core_id))
-                        break
+                pop(queue)
                 if t > core_time[core_id]:
                     core_time[core_id] = t
+                if queue or waiting[core_id]:
+                    event = pushpop(heap, (t, core_id))
+                else:
+                    event = pop(heap) if heap else None
                 if prof_on:
                     profiler.add("kernel", perf_counter() - draw_start)
                 continue
@@ -498,7 +502,6 @@ class GPU:
                 walk(core_id, rec[5], t)
                 done = t + rec[2]
             elif kind == _SYNC:
-                warp.state = _BARRIER
                 done = t + rec[2]
             else:
                 done, reply = units[core_id].handle(
@@ -526,21 +529,25 @@ class GPU:
             warp.ready = done
             warp.cat = rec[4]
             warp.phase = rec[3]
+            if kind == _SYNC:
+                pop(queue)
+                waiting[core_id].append(warp)
+            else:
+                replace(queue, (done, warp.slot, warp))
             t += rec[1]
             if t > core_time[core_id]:
                 core_time[core_id] = t
-            push(heap, (t, core_id))
+            event = pushpop(heap, (t, core_id))
             if prof_on:
                 profiler.add("account", perf_counter() - account_start)
 
         finalize_start = perf_counter() if prof_on else 0.0
         mem.observers = ()
         for core_id, warps in enumerate(cores):
-            pending = [w for w in warps if w.state == _BARRIER]
-            if pending:
+            if waiting[core_id]:
                 raise SimulationError(
-                    f"core {core_id}: {len(pending)} warps stuck at a "
-                    "barrier at kernel end (mismatched SYNC counts)"
+                    f"core {core_id}: {len(waiting[core_id])} warps stuck "
+                    "at a barrier at kernel end (mismatched SYNC counts)"
                 )
             tail = max((w.ready for w in warps), default=0)
             core_time[core_id] = max(core_time[core_id], tail)

@@ -1,4 +1,4 @@
-"""Global-memory address space and the cache hierarchy walker.
+"""Global-memory address space, cache tag stores and the hierarchy walk.
 
 Kernels never fabricate raw addresses; they allocate named
 :class:`Region` objects from a :class:`MemoryMap` (one per kernel
@@ -7,6 +7,10 @@ The hierarchy converts lane indices to cache lines, walks L1 -> L2 ->
 (L3) -> DRAM per line, and returns the instruction's latency under the
 coalescing model of DESIGN.md §5: worst-level latency plus a per-extra-
 line throughput charge.
+
+This module alone knows the tag layout of a :class:`Cache`, and
+:meth:`MemoryHierarchy.walk` is the one place that looks lines up in
+it.
 """
 
 from __future__ import annotations
@@ -16,9 +20,55 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.cache import Cache
-from repro.sim.config import GPUConfig
+from repro.sim.config import CacheConfig, GPUConfig
 from repro.sim.stats import CacheStats
+
+#: Tag of an empty way.  Line numbers are never negative, so it never
+#: matches a lookup.
+_NO_LINE = -1
+
+
+class Cache:
+    """One cache level with true tag state.
+
+    The cache-size sweeps of Figs. 14-15 only mean something if capacity
+    and associativity actually change hit rates, so this is a real tag
+    store: per-set LRU lists of line numbers, most recent first.  Every
+    set list is exactly ``ways`` long, padded with a tag that never
+    matches, so filling a line is insert-front, drop-last with no
+    length check.  :meth:`MemoryHierarchy.walk` does the lookups and
+    counts them into :attr:`stats`.
+    """
+
+    __slots__ = ("config", "name", "stats", "_sets", "_num_sets")
+
+    def __init__(self, config: CacheConfig, name: str) -> None:
+        self.config = config
+        self.name = name
+        self.stats = CacheStats()
+        self._num_sets = config.num_sets
+        self._sets = [[_NO_LINE] * config.ways
+                      for _ in range(config.num_sets)]
+
+    def contains(self, line: int) -> bool:
+        """Non-mutating presence check (no stats, no LRU update)."""
+        return line in self._sets[line % self._num_sets]
+
+    def flush(self) -> None:
+        """Invalidate all lines (stats are kept)."""
+        for ways in self._sets:
+            ways[:] = [_NO_LINE] * len(ways)
+
+    @property
+    def occupancy(self) -> int:
+        """Number of lines currently resident."""
+        return sum(len(ways) - ways.count(_NO_LINE) for ways in self._sets)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"Cache({self.name}, {self.config.size_bytes}B, "
+            f"{self.config.ways}-way, occ={self.occupancy})"
+        )
 
 
 class Region:
@@ -165,30 +215,93 @@ class MemoryHierarchy:
         Returns the worst per-line latency plus ``line_throughput``
         cycles for each line beyond the first (memory pipeline
         serialization).
+
+        The levels are probed inline: a hit moves the line to the front
+        of its set, a miss fills it there and drops the set's last way.
+        Hits are counted in locals; misses and DRAM fills follow from
+        them (each level sees exactly the lines the level above
+        missed), and all counts land in the levels' :class:`CacheStats`
+        once per walk.
         """
         l1 = self.l1[core_id]
+        sets1, n1 = l1._sets, l1._num_sets
         l2, l3 = self.l2, self.l3
+        sets2 = sets3 = None
+        if l2 is not None:
+            sets2, n2 = l2._sets, l2._num_sets
+        if l3 is not None:
+            sets3, n3 = l3._sets, l3._num_sets
+        l1_latency = self._l1_latency
+        l2_latency = self._l2_latency
+        l3_latency = self._l3_latency
+        dram_latency = self._dram_latency
+        service = self._dram_service
+        free = self._dram_free
+        hits1 = hits2 = hits3 = 0
         worst = 0
         for line in lines:
-            if l1.lookup(line):
-                latency = self._l1_latency
-            elif l2 is not None and l2.lookup(line):
-                latency = self._l2_latency
-            elif l3 is not None and l3.lookup(line):
-                latency = self._l3_latency
-            else:
-                self.dram_accesses += 1
-                fill = self._dram_free
-                if now > fill:
-                    fill = now
-                self._dram_free = fill + self._dram_service
-                latency = fill - now + self._dram_latency
+            ways = sets1[line % n1]
+            if line in ways:
+                hits1 += 1
+                if ways[0] != line:
+                    ways.remove(line)
+                    ways.insert(0, line)
+                if l1_latency > worst:
+                    worst = l1_latency
+                continue
+            ways.insert(0, line)
+            ways.pop()
+            if sets2 is not None:
+                ways = sets2[line % n2]
+                if line in ways:
+                    hits2 += 1
+                    if ways[0] != line:
+                        ways.remove(line)
+                        ways.insert(0, line)
+                    if l2_latency > worst:
+                        worst = l2_latency
+                    continue
+                ways.insert(0, line)
+                ways.pop()
+            if sets3 is not None:
+                ways = sets3[line % n3]
+                if line in ways:
+                    hits3 += 1
+                    if ways[0] != line:
+                        ways.remove(line)
+                        ways.insert(0, line)
+                    if l3_latency > worst:
+                        worst = l3_latency
+                    continue
+                ways.insert(0, line)
+                ways.pop()
+            fill = free if free > now else now
+            free = fill + service
+            latency = fill - now + dram_latency
             if latency > worst:
                 worst = latency
-        total = worst + (len(lines) - 1) * self._line_throughput
+        count = len(lines)
+        stats = l1.stats
+        stats.hits += hits1
+        missed = count - hits1
+        stats.misses += missed
+        if missed:
+            if l2 is not None:
+                stats = l2.stats
+                stats.hits += hits2
+                missed -= hits2
+                stats.misses += missed
+            if l3 is not None:
+                stats = l3.stats
+                stats.hits += hits3
+                missed -= hits3
+                stats.misses += missed
+            self.dram_accesses += missed
+            self._dram_free = free
+        total = worst + (count - 1) * self._line_throughput
         if self.observers:
             for observer in self.observers:
-                observer.on_mem(now, core_id, len(lines), total)
+                observer.on_mem(now, core_id, count, total)
         return total
 
     def access(

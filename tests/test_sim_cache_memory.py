@@ -4,68 +4,77 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim import Cache, CacheConfig, GPUConfig, MemoryMap
+from repro.sim import CacheConfig, GPUConfig, MemoryMap
 from repro.sim.config import KB
 from repro.sim.memory import MemoryHierarchy
 
 
 # ----------------------------------------------------------------------
-# Cache
+# Cache (its lookups are the hierarchy walk's)
 # ----------------------------------------------------------------------
 def small_cache(ways=2, sets=4):
-    return Cache(CacheConfig(64 * ways * sets, line_bytes=64, ways=ways,
-                             hit_latency=4), "t")
+    """A one-core hierarchy whose only level is a ``ways`` x ``sets``
+    L1, so a one-line walk is one lookup of that cache."""
+    return MemoryHierarchy(GPUConfig(
+        num_sockets=1, cores_per_socket=1,
+        l1=CacheConfig(64 * ways * sets, line_bytes=64, ways=ways,
+                       hit_latency=4),
+        l2=None,
+    ))
+
+
+def lookup(h, line):
+    """Walk ``line`` on core 0; True when the L1 hit it."""
+    return h.walk(0, [line]) == h.l1[0].config.hit_latency
 
 
 def test_miss_then_hit():
-    c = small_cache()
-    assert not c.lookup(100)
-    assert c.lookup(100)
+    h = small_cache()
+    c = h.l1[0]
+    assert not lookup(h, 100)
+    assert lookup(h, 100)
     assert c.stats.hits == 1
     assert c.stats.misses == 1
 
 
 def test_lru_eviction_within_set():
-    c = small_cache(ways=2, sets=1)
-    c.lookup(1)
-    c.lookup(2)
-    c.lookup(1)        # 1 becomes MRU
-    c.lookup(3)        # evicts 2
+    h = small_cache(ways=2, sets=1)
+    c = h.l1[0]
+    lookup(h, 1)
+    lookup(h, 2)
+    lookup(h, 1)        # 1 becomes MRU
+    lookup(h, 3)        # evicts 2
     assert c.contains(1)
     assert not c.contains(2)
     assert c.contains(3)
 
 
 def test_set_indexing_isolates_sets():
-    c = small_cache(ways=1, sets=4)
-    c.lookup(0)   # set 0
-    c.lookup(1)   # set 1
+    h = small_cache(ways=1, sets=4)
+    c = h.l1[0]
+    lookup(h, 0)   # set 0
+    lookup(h, 1)   # set 1
     assert c.contains(0)
     assert c.contains(1)
 
 
 def test_occupancy_and_flush():
-    c = small_cache()
+    h = small_cache()
+    c = h.l1[0]
     for line in range(5):
-        c.lookup(line)
+        lookup(h, line)
     assert c.occupancy == 5
     c.flush()
     assert c.occupancy == 0
     assert c.stats.misses == 5  # stats survive flush
 
 
-def test_warm_does_not_touch_stats():
-    c = small_cache()
-    c.warm([7, 8])
-    assert c.stats.accesses == 0
-    assert c.lookup(7)
-
-
 def test_hit_rate():
-    c = small_cache()
-    c.lookup(1)
-    c.lookup(1)
-    c.lookup(1)
+    h = small_cache()
+    c = h.l1[0]
+    lookup(h, 1)
+    lookup(h, 1)
+    lookup(h, 1)
     assert c.stats.hit_rate == pytest.approx(2 / 3)
 
 
