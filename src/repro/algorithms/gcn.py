@@ -29,13 +29,13 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
+from repro.sched.common import WARP_ITERATION
 from repro.sim.config import GPUConfig
 from repro.sim.engines import build_gpu
 from repro.sim.instructions import (
     Phase,
     alu,
     atomic,
-    counter,
     load,
     store,
     sync,
@@ -300,7 +300,7 @@ def _graphsum_vm_factory(cfg: GPUConfig, regions, graph: CSRGraph,
                 alive = np.nonzero(degs > 0)[0]
                 k = 0
                 while alive.size:
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     eids = starts[alive] + k
                     yield load(Phase.EDGE_ACCESS, regions["col_idx"], eids)
                     srcs = col[eids]
@@ -359,7 +359,7 @@ def _graphsum_sw_factory(cfg: GPUConfig, regions, graph: CSRGraph,
                     yield weaver_reg(Phase.REGISTRATION, [])
                 yield sync(Phase.REGISTRATION)
                 while True:
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     decoded = yield weaver_dec_id(Phase.SCHEDULE)
                     if decoded.exhausted:
                         break

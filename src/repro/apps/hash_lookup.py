@@ -22,12 +22,12 @@ import numpy as np
 from repro.apps.hash_table import GPUHashTable
 from repro.core.unit import WeaverUnit
 from repro.errors import ReproError
+from repro.sched.common import WARP_ITERATION
 from repro.sim.config import GPUConfig
 from repro.sim.engines import build_gpu
 from repro.sim.instructions import (
     Phase,
     alu,
-    counter,
     load,
     store,
     sync,
@@ -154,7 +154,7 @@ def _thread_per_query_factory(cfg, regions, table, queries, starts,
                 alive = np.nonzero(ln > 0)[0]
                 k = 0
                 while alive.size:
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     slots = st[alive] + k
                     yield load(Phase.EDGE_ACCESS, regions["table_keys"],
                                slots)
@@ -208,7 +208,7 @@ def _sparseweaver_factory(cfg, regions, table, queries, starts, lengths,
                     yield weaver_reg(Phase.REGISTRATION, [])
                 yield sync(Phase.REGISTRATION)
                 while True:
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     decoded = yield weaver_dec_id(Phase.SCHEDULE)
                     if decoded.exhausted:
                         break

@@ -349,22 +349,22 @@ class AblationReordering(Figure):
         return {"original": base, "shuffled": shuffled,
                 "bfs-reordered": reordered}
 
-    def _cells(self, ctx):
+    def _cells(self, ctx, variants):
         return {
             name: _pr_spec(
                 GraphSpec.inline(g, name=f"community-{name}"),
                 "sparseweaver", ctx.gpu_config())
-            for name, g in self._variants().items()
+            for name, g in variants.items()
         }
 
     def build_jobs(self, ctx):
-        return list(self._cells(ctx).values())
+        return list(self._cells(ctx, self._variants()).values())
 
     def summarize(self, ctx, results):
         from repro.graph.reorder import locality_score
 
         variants = self._variants()
-        cells = self._cells(ctx)
+        cells = self._cells(ctx, variants)
         rows = {
             name: (locality_score(variants[name]),
                    results.cycles(cells[name]))

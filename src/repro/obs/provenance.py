@@ -285,9 +285,16 @@ def enable_digests(interval_cycles: Optional[int] = None
 
 
 def disable_digests(clear: bool = False) -> StateDigester:
-    """Turn the global digester off (optionally dropping its state)."""
+    """Turn the global digester off (optionally dropping its state).
+
+    Undoes :func:`enable_digests`: both exported variables go, and the
+    interval returns to :data:`DEFAULT_INTERVAL`, so a later
+    ``enable_digests()`` does not inherit an earlier override.
+    """
     _DIGESTER.enabled = False
     os.environ.pop(DIGEST_ENV, None)
+    os.environ.pop(INTERVAL_ENV, None)
+    _DIGESTER.interval_cycles = DEFAULT_INTERVAL
     if clear:
         _DIGESTER.begin_job()
     return _DIGESTER

@@ -19,11 +19,21 @@ from repro.sim.instructions import (
     Phase,
     alu,
     atomic,
+    counter,
     load,
     store,
 )
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+#: The ``warp_iterations`` bump every batch yields: one shared Instr.
+WARP_ITERATION = counter("warp_iterations")
+
+#: Weights of an algorithm that reads none.  Batches are warp-wide, so
+#: a read-only view of this array serves them instead of a fresh
+#: ``np.ones`` per batch.
+_ONES = np.ones(1024)
+_ONES.flags.writeable = False
 
 
 def inspect_topology(env: KernelEnv, vids: np.ndarray,
@@ -70,7 +80,8 @@ def process_edge_batch(
     loads and uses the supplied ``others``/``weights``.
 
     Without an other-endpoint filter every edge of the batch gathers,
-    so the arrays go to ``edge_update`` as they are, with no mask.
+    so the arrays go to ``edge_update`` as they are, with no mask.  An
+    algorithm that reads no weights gets a read-only view of ones.
     """
     alg = env.algorithm
     state = env.state
@@ -83,7 +94,8 @@ def process_edge_batch(
             yield load(edge_phase, env.region("weights"), eids)
             weights = env.graph.weights[eids]
     if weights is None:
-        weights = np.ones(bases.size)
+        n = bases.size
+        weights = _ONES[:n] if n <= _ONES.size else np.ones(n)
     for name in alg.edge_value_arrays:
         yield load(gather_phase, env.region(name), others)
     if alg.has_other_filter:
@@ -157,7 +169,9 @@ def log2_ceil(n: int) -> int:
 
 def check_early_exit(env: KernelEnv, bases: np.ndarray):
     """Emit the early-exit test; returns the done mask (empty batches
-    return an empty mask)."""
+    return an empty mask).  Nothing is emitted for algorithms without
+    early exit, so schedules skip the call when
+    ``algorithm.has_early_exit`` is false."""
     alg = env.algorithm
     if not alg.has_early_exit or bases.size == 0:
         return np.zeros(bases.size, dtype=bool)

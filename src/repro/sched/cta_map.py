@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
 from repro.sched.common import (
+    WARP_ITERATION,
     epoch_vertex_ids,
     inspect_topology,
     log2_ceil,
@@ -27,7 +28,6 @@ from repro.sched.common import (
 from repro.sim.instructions import (
     Phase,
     alu,
-    counter,
     shmem_load,
     shmem_store,
     sync,
@@ -85,7 +85,7 @@ class CTAMapSchedule(Schedule):
                     all_vids, all_starts, prefix, total = combined
                     rounds = -(-total // block_threads) if total else 0
                     for block_round in range(rounds):
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         lo = (block_round * block_threads
                               + ctx.warp_slot * lanes)
                         hi = min(lo + lanes, total)

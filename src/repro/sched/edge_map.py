@@ -13,8 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import epoch_edge_ids, process_edge_batch
-from repro.sim.instructions import Phase, alu, counter, load
+from repro.sched.common import (
+    WARP_ITERATION,
+    epoch_edge_ids,
+    process_edge_batch,
+)
+from repro.sim.instructions import Phase, alu, load
 
 
 class EdgeMapSchedule(Schedule):
@@ -38,7 +42,7 @@ class EdgeMapSchedule(Schedule):
                     eids = epoch_edge_ids(ctx, env, epoch)
                     if eids.size == 0:
                         break
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     # Second endpoint read: the base vertex of each edge
                     # (this is the extra |E| read S_em pays).
                     yield load(Phase.EDGE_ACCESS, env.region("edge_src"),

@@ -18,11 +18,14 @@ import numpy as np
 from repro.core.eghw import EGHWUnit
 from repro.errors import ScheduleError
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import epoch_vertex_ids, process_edge_batch
+from repro.sched.common import (
+    WARP_ITERATION,
+    epoch_vertex_ids,
+    process_edge_batch,
+)
 from repro.sim.instructions import (
     Phase,
     alu,
-    counter,
     eghw_fetch,
     eghw_push,
     load,
@@ -83,7 +86,7 @@ class EGHWSchedule(Schedule):
                     yield sync(Phase.REGISTRATION)
 
                     while True:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         batch = yield eghw_fetch(Phase.SCHEDULE)
                         if batch.exhausted:
                             break

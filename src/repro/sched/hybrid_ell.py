@@ -14,12 +14,11 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.graph.ell import to_hybrid_ell
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import weaver_registration
+from repro.sched.common import WARP_ITERATION, weaver_registration
 from repro.sim.instructions import (
     Phase,
     alu,
     atomic,
-    counter,
     load,
     sync,
     weaver_dec_id,
@@ -105,7 +104,7 @@ class HybridELLSchedule(Schedule):
                             active = (others >= 0) & ~blocked
                             if not active.any():
                                 continue
-                            yield counter("warp_iterations")
+                            yield WARP_ITERATION
                             # column-major: lane-adjacent slots
                             yield load(Phase.EDGE_ACCESS,
                                        env.region("ell_cols"),
@@ -154,7 +153,7 @@ class HybridELLSchedule(Schedule):
                         yield weaver_reg(Phase.REGISTRATION, [])
                     yield sync(Phase.REGISTRATION)
                     while True:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         decoded = yield weaver_dec_id(Phase.SCHEDULE)
                         if decoded.exhausted:
                             break

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.sched.base import KernelEnv, Schedule
 from repro.sched.common import (
+    WARP_ITERATION,
     check_early_exit,
     inspect_topology,
     process_edge_batch,
@@ -31,7 +32,6 @@ from repro.sched.common import (
 )
 from repro.sim.instructions import (
     Phase,
-    counter,
     sync,
     weaver_dec_id,
     weaver_dec_loc,
@@ -83,6 +83,7 @@ class SparseWeaverSchedule(Schedule):
     def warp_factory(self, env: KernelEnv):
         lane_ids = np.arange(env.lanes, dtype=np.int64)
         num_epochs, registered = weaver_registration(env)
+        early_exit = env.algorithm.has_early_exit
 
         def factory(ctx):
             def kernel():
@@ -104,7 +105,7 @@ class SparseWeaverSchedule(Schedule):
                     yield sync(Phase.REGISTRATION)
 
                     while True:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         decoded = yield weaver_dec_id(Phase.SCHEDULE)
                         if decoded.exhausted:
                             break
@@ -115,6 +116,8 @@ class SparseWeaverSchedule(Schedule):
                         yield from process_edge_batch(
                             env, bases, eids, accumulate="atomic"
                         )
+                        if not early_exit:
+                            continue
                         done = yield from check_early_exit(env, bases)
                         if done.any():
                             for vid in np.unique(bases[done]).tolist():

@@ -18,8 +18,12 @@ import numpy as np
 from repro.errors import ScheduleError
 from repro.graph.formats import SplitVertexFormatInterface
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import check_early_exit, process_edge_batch
-from repro.sim.instructions import Phase, alu, counter, load
+from repro.sched.common import (
+    WARP_ITERATION,
+    check_early_exit,
+    process_edge_batch,
+)
+from repro.sim.instructions import Phase, alu, load
 
 
 class SplitVertexMapSchedule(Schedule):
@@ -79,7 +83,7 @@ class SplitVertexMapSchedule(Schedule):
                     alive = np.nonzero(degrees > 0)[0]
                     k = 0
                     while alive.size:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         bases = base_vids[alive]
                         eids = seg_starts[alive] + k
                         # splits of one hub share an accumulator ->
@@ -89,7 +93,7 @@ class SplitVertexMapSchedule(Schedule):
                         )
                         k += 1
                         alive = alive[degrees[alive] > k]
-                        if alive.size:
+                        if alg.has_early_exit and alive.size:
                             done = yield from check_early_exit(
                                 env, base_vids[alive]
                             )

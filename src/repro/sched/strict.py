@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import log2_ceil, process_edge_batch
+from repro.sched.common import WARP_ITERATION, log2_ceil, process_edge_batch
 from repro.sim.instructions import (
     Phase,
     alu,
-    counter,
     load,
     store,
     sync,
@@ -102,7 +101,7 @@ class StrictSchedule(Schedule):
                         break
                     ranks = np.arange(lo, min(lo + lanes, total),
                                       dtype=np.int64)
-                    yield counter("warp_iterations")
+                    yield WARP_ITERATION
                     # Per-lane binary search over the GLOBAL prefix:
                     # log|V| *dependent* probes, each a scattered
                     # global load (the scheme's distribution bill).

@@ -18,12 +18,15 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import inspect_topology, process_edge_batch
+from repro.sched.common import (
+    WARP_ITERATION,
+    inspect_topology,
+    process_edge_batch,
+)
 from repro.sim.instructions import (
     Phase,
     alu,
     atomic,
-    counter,
     load,
     sync,
 )
@@ -91,7 +94,7 @@ class TWCSchedule(Schedule):
                     alive = np.nonzero(s_degs > 0)[0]
                     k = 0
                     while alive.size:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         yield from process_edge_batch(
                             env, s_vids[alive], s_starts[alive] + k,
                             accumulate="atomic",
@@ -108,7 +111,7 @@ class TWCSchedule(Schedule):
                         yield load(Phase.SCHEDULE,
                                    env.region("twc_buckets"), [v])
                         for off in range(0, d, lanes):
-                            yield counter("warp_iterations")
+                            yield WARP_ITERATION
                             eids = s + np.arange(off,
                                                  min(off + lanes, d))
                             yield from process_edge_batch(
@@ -124,7 +127,7 @@ class TWCSchedule(Schedule):
                                        l_degs.tolist()):
                         rounds = -(-d // block)
                         for r in range(rounds):
-                            yield counter("warp_iterations")
+                            yield WARP_ITERATION
                             lo = s + r * block + ctx.warp_slot * lanes
                             hi = min(lo + lanes, s + d)
                             if lo >= s + d:

@@ -20,13 +20,16 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import inspect_topology, process_edge_batch
+from repro.sched.common import (
+    WARP_ITERATION,
+    inspect_topology,
+    process_edge_batch,
+)
 from repro.sched.twc import TWCSchedule, _bucketize, _my_slice
 from repro.sim.instructions import (
     Phase,
     alu,
     atomic,
-    counter,
     load,
     shmem_store,
     sync,
@@ -98,7 +101,7 @@ class TWCESchedule(TWCSchedule):
                             alive = np.nonzero(s_degs > 0)[0]
                             k = 0
                             while alive.size:
-                                yield counter("warp_iterations")
+                                yield WARP_ITERATION
                                 yield shmem_store(Phase.SCHEDULE, 1)
                                 yield from process_edge_batch(
                                     env, s_vids[alive],
@@ -115,7 +118,7 @@ class TWCESchedule(TWCSchedule):
                                                m_starts.tolist(),
                                                m_degs.tolist()):
                                 for off in range(0, d, lanes):
-                                    yield counter("warp_iterations")
+                                    yield WARP_ITERATION
                                     yield shmem_store(Phase.SCHEDULE, 1)
                                     eids = s + np.arange(
                                         off, min(off + lanes, d))
@@ -131,7 +134,7 @@ class TWCESchedule(TWCSchedule):
                                                l_degs.tolist()):
                                 rounds = -(-d // block)
                                 for r in range(rounds):
-                                    yield counter("warp_iterations")
+                                    yield WARP_ITERATION
                                     lo = (s + r * block
                                           + ctx.warp_slot * lanes)
                                     hi = min(lo + lanes, s + d)

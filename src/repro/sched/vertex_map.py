@@ -16,13 +16,13 @@ import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
 from repro.sched.common import (
+    WARP_ITERATION,
     check_early_exit,
     epoch_vertex_ids,
     inspect_topology,
     process_edge_batch,
     writeback_accumulators,
 )
-from repro.sim.instructions import counter
 
 
 class VertexMapSchedule(Schedule):
@@ -40,6 +40,7 @@ class VertexMapSchedule(Schedule):
         # like everyone else.
         pull_local = env.algorithm.accumulate_target == "base"
         accumulate = "local" if pull_local else "atomic"
+        early_exit = env.algorithm.has_early_exit
 
         def factory(ctx):
             if ctx.thread_ids[0] >= env.num_vertices:
@@ -54,7 +55,7 @@ class VertexMapSchedule(Schedule):
                     alive = np.nonzero(degrees > 0)[0]
                     k = 0
                     while alive.size:
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         bases = vids[alive]
                         eids = starts[alive] + k
                         yield from process_edge_batch(
@@ -62,7 +63,7 @@ class VertexMapSchedule(Schedule):
                         )
                         k += 1
                         alive = alive[degrees[alive] > k]
-                        if alive.size:
+                        if early_exit and alive.size:
                             done = yield from check_early_exit(
                                 env, vids[alive]
                             )

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.sched.base import KernelEnv, Schedule
 from repro.sched.common import (
+    WARP_ITERATION,
     epoch_vertex_ids,
     inspect_topology,
     log2_ceil,
@@ -26,7 +27,6 @@ from repro.sched.common import (
 from repro.sim.instructions import (
     Phase,
     alu,
-    counter,
     shmem_load,
     shmem_store,
 )
@@ -61,7 +61,7 @@ class WarpMapSchedule(Schedule):
                     prefix = np.cumsum(degrees)
                     total = int(prefix[-1]) if prefix.size else 0
                     for offset in range(0, total, lanes):
-                        yield counter("warp_iterations")
+                        yield WARP_ITERATION
                         ranks = offset + np.arange(
                             min(lanes, total - offset), dtype=np.int64
                         )

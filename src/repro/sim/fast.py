@@ -160,7 +160,7 @@ class FastGPU(GPU):
                         records.append((_READ, 1, 1, phase, memory_cat,
                                         span_lines(region, a, b),
                                         Op.LOAD))
-                        counters["elements_loaded:" + region.name] += b - a
+                        counters[region.loads_key] += b - a
                     records.append(alu_rec)
                     for region in writes:
                         records.append((_WRITE, 1, store_delay, phase,
@@ -194,7 +194,8 @@ class FastGPU(GPU):
         between-barrier shared writes are slot-keyed and post-barrier
         combination is idempotent (the ``trace_safe`` contract).
         Updates the recording ``edge_update`` appends to ``capture``
-        are filed under the index of the record they precede.
+        are moved, as they arrive, under the index of the record they
+        precede.
 
         A unit launch drains against one *planning* unit per core, built
         by ``unit_factory`` and answering each unit record.  A batch
@@ -207,7 +208,7 @@ class FastGPU(GPU):
         cfg = self.config
         if capture is None:
             capture = []
-        del capture[:]
+        capture.clear()
         totals = KernelStats()
         compile = self._compiler(totals, max_instructions,
                                  unit_factory is not None)
@@ -231,19 +232,20 @@ class FastGPU(GPU):
             active = entries
             while active:
                 for entry in active:
-                    gen = entry[1]
+                    send = entry[1].send
                     records, effects = entry[3]
                     reply = None
                     while True:
-                        mark = len(capture)
                         try:
-                            instr = gen.send(reply)
+                            instr = send(reply)
                         except StopIteration:
-                            entry[1] = None
-                        if len(capture) > mark:
+                            instr = _END
+                        if capture:
                             effects.setdefault(len(records), []).extend(
-                                capture[mark:])
-                        if entry[1] is None:
+                                capture)
+                            capture.clear()
+                        if instr is _END:
+                            entry[1] = None
                             records.append(_END)
                             break
                         rec = compile(instr)

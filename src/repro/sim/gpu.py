@@ -231,19 +231,25 @@ class GPU:
         LOAD, STORE, ATOMIC, ALU = Op.LOAD, Op.STORE, Op.ATOMIC, Op.ALU
         SHMEM_LOAD, SHMEM_STORE = Op.SHMEM_LOAD, Op.SHMEM_STORE
         SYNC, NOP = Op.SYNC, Op.NOP
+        ndarray, int64 = np.ndarray, np.dtype(np.int64)
 
         def compile(instr: Instr) -> tuple:
             op = instr.op
             phase = instr.phase
             if op is LOAD or op is STORE or op is ATOMIC:
-                idx = as_index_array(instr.indices)
-                if idx.size == 0:
+                idx = instr.indices
+                # A 1-D int64 array is what ``as_index_array`` returns.
+                if (type(idx) is not ndarray or idx.dtype is not int64
+                        or idx.ndim != 1):
+                    idx = as_index_array(idx)
+                size = idx.size
+                if not size:
                     rec = (_FIXED, 1, 1, phase, memory_cat, None, op)
                 elif op is LOAD:
                     region = instr.region
                     # Element-level traffic accounting per array: lets
                     # tests check the Table I access formulas.
-                    counters["elements_loaded:" + region.name] += idx.size
+                    counters[region.loads_key] += size
                     rec = (_READ, 1, 1, phase, memory_cat,
                            lines_of(region, idx), op)
                 elif op is STORE:

@@ -63,6 +63,11 @@ PHASE_LABELS = {
 class Instr:
     """One warp-wide instruction.
 
+    Nothing mutates an Instr once built (the engine only reads it,
+    compiling it into a record), so sharing one object is safe: the
+    helpers below may return shared objects, and a kernel may yield
+    one object any number of times.
+
     Attributes
     ----------
     op:
@@ -108,19 +113,25 @@ class Instr:
 # ----------------------------------------------------------------------
 # Factory helpers: kernels read far better with these than raw Instr().
 # ----------------------------------------------------------------------
+# The per-edge-batch helpers name their opcodes by module globals and
+# build positionally: an enum attribute lookup and keyword binding cost
+# more than the rest of the call.
+_ALU, _LOAD, _STORE, _ATOMIC = Op.ALU, Op.LOAD, Op.STORE, Op.ATOMIC
+
+
 def alu(phase: Phase, count: int = 1) -> Instr:
     """``count`` back-to-back arithmetic ops."""
-    return Instr(Op.ALU, phase, count=count)
+    return Instr(_ALU, phase, None, None, count)
 
 
 def load(phase: Phase, region: Any, indices: Any) -> Instr:
     """Global-memory load of ``region[indices]`` across active lanes."""
-    return Instr(Op.LOAD, phase, region=region, indices=indices)
+    return Instr(_LOAD, phase, region, indices)
 
 
 def store(phase: Phase, region: Any, indices: Any) -> Instr:
     """Global-memory store to ``region[indices]``."""
-    return Instr(Op.STORE, phase, region=region, indices=indices)
+    return Instr(_STORE, phase, region, indices)
 
 
 def shmem_load(phase: Phase, count: int = 1) -> Instr:
@@ -136,7 +147,7 @@ def shmem_store(phase: Phase, count: int = 1) -> Instr:
 def atomic(phase: Phase, region: Any, indices: Any) -> Instr:
     """Atomic read-modify-write on ``region[indices]``; conflicting
     lanes (same element) serialize."""
-    return Instr(Op.ATOMIC, phase, region=region, indices=indices)
+    return Instr(_ATOMIC, phase, region, indices)
 
 
 def sync(phase: Phase) -> Instr:

@@ -72,15 +72,20 @@ class Cache:
 
 
 class Region:
-    """A named, contiguous global-memory allocation."""
+    """A named, contiguous global-memory allocation.
 
-    __slots__ = ("name", "base", "itemsize", "length")
+    ``loads_key`` names the counter the compiler adds each load's
+    element count to (``elements_loaded:<name>``).
+    """
+
+    __slots__ = ("name", "base", "itemsize", "length", "loads_key")
 
     def __init__(self, name: str, base: int, itemsize: int, length: int) -> None:
         self.name = name
         self.base = base
         self.itemsize = itemsize
         self.length = length
+        self.loads_key = "elements_loaded:" + name
 
     @property
     def nbytes(self) -> int:
@@ -179,17 +184,23 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     def lines_of(self, region: Region, indices: np.ndarray) -> List[int]:
-        """Sorted unique cache-line numbers touched by ``region[indices]``."""
+        """Sorted unique cache-line numbers touched by ``region[indices]``.
+
+        ``indices`` is a 1-D int64 array (the compiler passes anything
+        else through ``as_index_array`` first).  Element ``i`` lies in
+        line ``(base + i * itemsize) >> log2(line_bytes)`` for *every*
+        integer ``i``: an index outside ``[0, length)`` is not checked,
+        and gets the line that formula gives.
+        """
+        if indices.size == 1:
+            return [(region.base + indices.item() * region.itemsize)
+                    >> self._line_shift]
+        lines = (indices * region.itemsize + region.base) >> self._line_shift
         if indices.size <= 64:
             # Warp-sized accesses dominate; a python-set dedup beats
             # np.unique at this size.
-            base = region.base
-            its = region.itemsize
-            shift = self._line_shift
-            return sorted({(base + v * its) >> shift
-                           for v in indices.tolist()})
-        addrs = region.base + indices * region.itemsize
-        return np.unique(addrs >> self._line_shift).tolist()
+            return sorted(set(lines.tolist()))
+        return np.unique(lines).tolist()
 
     def span_lines(self, region: Region, first: int, end: int) -> range:
         """Cache lines of the contiguous element span ``region[first:end]``

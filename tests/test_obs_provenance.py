@@ -37,10 +37,8 @@ from repro.sim import GPUConfig
 def _clean_digester():
     """Every test starts and ends with the global digester off."""
     disable_digests(clear=True)
-    os.environ.pop(INTERVAL_ENV, None)
     yield
     disable_digests(clear=True)
-    os.environ.pop(INTERVAL_ENV, None)
 
 
 def tiny_spec(**config_overrides) -> JobSpec:
@@ -134,6 +132,14 @@ def test_enable_disable_roundtrip_exports_env():
     disable_digests()
     assert not digests_enabled()
     assert DIGEST_ENV not in os.environ
+
+
+def test_disable_undoes_an_interval_override():
+    enable_digests(256)
+    disable_digests()
+    digester = enable_digests()
+    assert digester.interval_cycles == DEFAULT_INTERVAL
+    assert INTERVAL_ENV not in os.environ
 
 
 # ---------------------------------------------------------- diffing
