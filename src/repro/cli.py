@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench",
         help="regenerate paper figures through the figure registry "
-             "and the batch engine (parallel + incremental)")
+             "and the batch engine (parallel + incremental); exits 1 "
+             "when a job fails or a paper-shape claim breaks")
     bench_p.add_argument("--figures", default=None,
                          help="comma-separated figure names or prefixes "
                               "(e.g. fig10,fig11,ablation); default: "
@@ -92,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="list registered figures and exit")
     bench_p.add_argument("--smoke", action="store_true",
                          help="tiny-scale trimmed sweeps (CI health "
-                              "check; outputs are not paper shapes)")
+                              "check; outputs are not paper shapes, so "
+                              "their claims are not checked)")
     bench_p.add_argument("--scale", type=float, default=None,
                          help="dataset analog scale (default: 0.25, "
                               "the benchmark scale)")
@@ -128,12 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     area_p.add_argument("--cores", type=int, nargs="+", default=[1, 16])
 
     sub.add_parser("weaver", help="replay the Fig. 6 FSM example")
-
-    rep_p = sub.add_parser(
-        "reproduce",
-        help="re-run a paper experiment by id (e.g. fig10, table5, "
-             "fig13, ablations, microbench)")
-    rep_p.add_argument("experiment", help="experiment id substring")
 
     batch_p = sub.add_parser(
         "batch",
@@ -453,26 +449,6 @@ def _cmd_weaver(_args) -> int:
         print(f"request {request}: {walk or '(end)'}")
         print(f"  VIDs {result.vids.tolist()}  EIDs {result.eids.tolist()}")
     return 0
-
-
-def _cmd_reproduce(args) -> int:
-    """Run the matching benchmark module(s) under pytest."""
-    import subprocess
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    matches = sorted(bench_dir.glob(f"bench_*{args.experiment}*.py"))
-    if not matches:
-        available = sorted(
-            p.stem.replace("bench_", "") for p in
-            bench_dir.glob("bench_*.py")
-        )
-        print(f"no benchmark matches {args.experiment!r}; available: "
-              + ", ".join(available))
-        return 1
-    cmd = [sys.executable, "-m", "pytest", "--benchmark-only", "-q",
-           "-s"] + [str(p) for p in matches]
-    return subprocess.call(cmd)
 
 
 def _load_spec_file(path: str):
@@ -898,7 +874,6 @@ _COMMANDS = {
     "datasets": _cmd_datasets,
     "area": _cmd_area,
     "weaver": _cmd_weaver,
-    "reproduce": _cmd_reproduce,
     "batch": _cmd_batch,
     "cache": _cmd_cache,
     "tail": _cmd_tail,

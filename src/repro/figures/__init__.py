@@ -10,9 +10,10 @@ telemetered — so ``repro bench --figures fig10,fig11 --jobs 8``
 regenerates paper outputs incrementally (a second run is all cache
 hits).
 
-The ``benchmarks/bench_*.py`` pytest modules are thin wrappers over
-this registry: they run the same figures at the default scale and
-keep the paper-shape assertions.
+Each figure's :meth:`~repro.figures.registry.Figure.check` holds the
+paper-shape claims its output must keep at the default scale; the
+driver evaluates them on every non-smoke run, so ``repro bench``
+regenerates the artifacts and checks the paper's shapes in one pass.
 """
 
 from repro.figures.registry import (

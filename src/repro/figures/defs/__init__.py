@@ -1,7 +1,7 @@
 """Figure definitions — importing this package registers every figure.
 
-Each module mirrors one ``benchmarks/bench_*.py`` family; the pytest
-modules are thin wrappers that run these figures through the engine.
+Each module holds one family of figures: its grids, its summaries and
+the paper-shape checks on them.
 """
 
 from repro.figures.defs import (  # noqa: F401

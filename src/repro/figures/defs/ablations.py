@@ -53,6 +53,12 @@ class AblationPrefetchDepth(Figure):
         return self.output({"ablation_prefetch_depth": block},
                            depths=depths, cycles=cycles)
 
+    def check(self, out):
+        # The scan outruns the GPU: depth matters little, never hurts.
+        cycles = out.data["cycles"]
+        if not max(cycles) < 1.3 * min(cycles):
+            yield f"prefetch depth moves cycles under 1.3x ({cycles})"
+
 
 @register
 class AblationZeroSkipWidth(Figure):
@@ -89,6 +95,11 @@ class AblationZeroSkipWidth(Figure):
         return self.output({"ablation_zero_skip_width": block},
                            widths=widths, cycles=cycles)
 
+    def check(self, out):
+        cycles = out.data["cycles"]
+        if not cycles[-1] < cycles[0]:
+            yield f"wide bitmap skipping pays on BFS ({cycles})"
+
 
 @register
 class AblationDtBypass(Figure):
@@ -124,6 +135,11 @@ class AblationDtBypass(Figure):
         return self.output({"ablation_dt_bypass": block},
                            with_bypass=with_bypass, without=without)
 
+    def check(self, out):
+        on, off = out.data["with_bypass"], out.data["without"]
+        if not on < off:
+            yield f"the DT bypass saves cycles ({on} vs {off} without)"
+
 
 @register
 class AblationWeaverCapacity(Figure):
@@ -156,6 +172,11 @@ class AblationWeaverCapacity(Figure):
             title="Ablation: Weaver table capacity (PR, web-wiki)")
         return self.output({"ablation_weaver_capacity": block},
                            capacities=capacities, cycles=cycles)
+
+    def check(self, out):
+        cycles = out.data["cycles"]
+        if not cycles[0] >= cycles[-1]:
+            yield f"a smaller table never saves cycles ({cycles})"
 
 
 @register
@@ -194,6 +215,13 @@ class AblationEghwMlp(Figure):
                   "SparseWeaver")
         return self.output({"ablation_eghw_mlp": block},
                            mlps=mlps, eghw=eghw, sparseweaver=sw)
+
+    def check(self, out):
+        eghw, sw = out.data["eghw"], out.data["sparseweaver"]
+        if not all(a >= b for a, b in zip(eghw, eghw[1:])):
+            yield f"more in-flight requests never slow EGHW ({eghw})"
+        if not eghw[-1] > sw:
+            yield f"EGHW's widest MLP trails SparseWeaver ({eghw}, {sw})"
 
 
 @register
@@ -238,6 +266,14 @@ class AblationSplitVsWeaver(Figure):
         return self.output({"ablation_split_vs_weaver": block},
                            widths=widths, split=split,
                            vertex_map=vm, sparseweaver=sw)
+
+    def check(self, out):
+        best_split = min(out.data["split"])
+        vm, sw = out.data["vertex_map"], out.data["sparseweaver"]
+        if not best_split < vm:
+            yield f"static splitting beats S_vm ({best_split} vs {vm})"
+        if not sw < best_split:
+            yield f"weaving beats the best split ({sw} vs {best_split})"
 
 
 @register
@@ -287,6 +323,14 @@ class AblationCoreScaling(Figure):
         return self.output({"ablation_core_scaling": block},
                            rows=rows, core_counts=core_counts)
 
+    def check(self, out):
+        rows, counts = out.data["rows"], out.data["core_counts"]
+        for cores, (vm, sw) in rows.items():
+            if not sw < vm:
+                yield f"{cores} core(s): SparseWeaver beats S_vm ({rows})"
+        if not rows[counts[-1]][1] < rows[counts[0]][1]:
+            yield f"more cores speed SparseWeaver up ({rows})"
+
 
 @register
 class AblationEnergy(Figure):
@@ -328,6 +372,12 @@ class AblationEnergy(Figure):
             title="Ablation: first-order energy (PR, hollywood)")
         return self.output({"ablation_energy": block}, rows=rows,
                            schedules=schedules)
+
+    def check(self, out):
+        pj = {s: row.total_pj for s, row in out.data["rows"].items()}
+        for other in ("vertex_map", "eghw"):
+            if not pj["sparseweaver"] < pj[other]:
+                yield f"SparseWeaver uses less energy than {other} ({pj})"
 
 
 @register
@@ -378,3 +428,10 @@ class AblationReordering(Figure):
             title="Ablation: vertex ordering vs locality (PR, "
                   "community graph)")
         return self.output({"ablation_reordering": block}, rows=rows)
+
+    def check(self, out):
+        cycles = {name: row[1] for name, row in out.data["rows"].items()}
+        if not cycles["shuffled"] > 1.5 * cycles["original"]:
+            yield f"shuffling labels costs over 1.5x cycles ({cycles})"
+        if not cycles["bfs-reordered"] < 0.7 * cycles["shuffled"]:
+            yield f"BFS reordering cuts shuffled cycles over 30% ({cycles})"

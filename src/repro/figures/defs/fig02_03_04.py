@@ -47,6 +47,14 @@ class Fig02a(Figure):
         return self.output({"fig02a_warp_iterations": block},
                            series=series, graphs=list(graphs))
 
+    def check(self, out):
+        series = out.data["series"]
+        for i, name in enumerate(out.data["graphs"]):
+            vm = series["vertex_map"][i]
+            for sched in ("warp_map", "edge_map"):
+                if not vm > series[sched][i]:
+                    yield f"{name}: S_vm needs more rounds than {sched}"
+
 
 @register
 class Fig02b(Figure):
@@ -76,6 +84,11 @@ class Fig02b(Figure):
             title="Fig 2b: PR speedup over S_vm")
         return self.output({"fig02b_speedup": block},
                            speedups=sp, cycles=result.cycles)
+
+    def check(self, out):
+        for name, sp in out.data["speedups"].items():
+            if not max(sp["edge_map"], sp["warp_map"]) > 1.0:
+                yield f"{name}: S_em or S_wm beats S_vm ({sp})"
 
 
 @register
@@ -132,6 +145,14 @@ class Fig03(Figure):
         return self.output(blocks, speedups=speedups,
                            schedules=schedules)
 
+    def check(self, out):
+        complex_schedules = out.data["schedules"][1:]
+        for cfg_name, per_graph in out.data["speedups"].items():
+            best = max(per_graph[g][s]
+                       for g in per_graph for s in complex_schedules)
+            if not best > 1.0:
+                yield f"{cfg_name}: a complex scheme beats S_vm ({best})"
+
 
 @register
 class Fig04(Figure):
@@ -183,3 +204,20 @@ class Fig04(Figure):
         }
         return self.output(blocks, stats=stats_by_sched, rows=rows,
                            schedules=schedules)
+
+    def check(self, out):
+        from repro.sim.stats import StallCat
+
+        stats = out.data["stats"]
+        for sched, st in stats.items():
+            counters = {cat: c for cat, c in st.stall_cycles.items() if c}
+            if st.stall_cells_total() != counters:
+                yield f"{sched}: stall cells sum to the category counters"
+        vm = stats["vertex_map"].stall_cycles
+        wm = stats["warp_map"].stall_cycles
+        if vm.get(StallCat.SHARED, 0) != 0:
+            yield "S_vm has no shared-memory stalls"
+        if not wm.get(StallCat.SHARED, 0) > 0:
+            yield "S_wm introduces shared-memory stalls"
+        if not vm.get(StallCat.MEMORY, 0) > 0:
+            yield "S_vm stalls on memory"

@@ -61,6 +61,15 @@ class Fig10(Figure):
             runs=result.runs,
         )
 
+    def check(self, out):
+        gm = out.data["geomeans"]
+        sw = gm["sparseweaver"]
+        if not sw > 1.0:
+            yield f"SparseWeaver's geomean beats S_vm ({sw:.2f}x)"
+        best = max(v for k, v in gm.items() if k != "sparseweaver")
+        if not sw >= 0.9 * best:
+            yield f"SparseWeaver's geomean is >= 0.9x the best's ({gm})"
+
 
 for _alg in ALGORITHMS:
     register(Fig10(_alg))

@@ -48,6 +48,20 @@ class Fig17(Figure):
         return self.output({"fig17_push_pull": block}, stats=stats,
                            datasets=ctx.trim(self.DATASETS, 2))
 
+    def check(self, out):
+        from repro.sim.instructions import Phase
+
+        stats = out.data["stats"]
+        for name in out.data["datasets"]:
+            pull, push = stats[f"{name}/pull"], stats[f"{name}/push"]
+            reg_pull = pull.phase_cycles[Phase.REGISTRATION]
+            reg_push = push.phase_cycles[Phase.REGISTRATION]
+            if not abs(reg_pull - reg_push) / max(reg_pull, reg_push) < 0.5:
+                yield f"{name}: push and pull registration within 50%"
+            ratio = pull.total_cycles / push.total_cycles
+            if not 0.3 < ratio < 3.0:
+                yield f"{name}: pull/push cycles in (0.3, 3.0) ({ratio})"
+
 
 @register
 class Fig18(Figure):
@@ -98,6 +112,22 @@ class Fig18(Figure):
         ) + f"\ngeomean speedup of SparseWeaver over EGHW: {gm:.2f}x"
         return self.output({"fig18_eghw": text}, stats=stats,
                            names=names, ratios=ratios, geomean=gm)
+
+    def check(self, out):
+        from repro.sim.instructions import Phase
+
+        gm = out.data["geomean"]
+        if not gm > 2.0:
+            yield f"SparseWeaver's geomean over EGHW exceeds 2x ({gm})"
+        stats = out.data["stats"]
+        for name in out.data["names"][:3]:
+            dist = {}
+            for sched in self.SCHEDULES:
+                phases = stats[(name, sched)].phase_cycles
+                dist[sched] = (phases[Phase.SCHEDULE]
+                               + phases.get(Phase.EDGE_ACCESS, 0))
+            if not dist["eghw"] > dist["sparseweaver"]:
+                yield f"{name}: EGHW loses in distribution ({dist})"
 
 
 @register
@@ -163,3 +193,16 @@ class Fig19(Figure):
             graphsum_speedups=graphsum_speedups,
             weight_dims=weight_dims,
         )
+
+    def check(self, out):
+        results = out.data["results"]
+        spmm = {s: results[(4, s)].kernel_stats["spmm"].instructions
+                for s in ("vertex_map", "sparseweaver")}
+        if spmm["vertex_map"] != spmm["sparseweaver"]:
+            yield f"SpMM is the same under both strategies ({spmm})"
+        gm = geomean(out.data["speedups"])
+        if not gm > 1.2:
+            yield f"SparseWeaver's geomean GCN speedup exceeds 1.2x ({gm})"
+        graphsum = out.data["graphsum_speedups"]
+        if not graphsum[0] > 0.5 * graphsum[-1]:
+            yield f"GraphSum's speedup keeps over half ({graphsum})"

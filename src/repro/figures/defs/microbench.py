@@ -61,6 +61,11 @@ class MicroPointerChase(Figure):
                            per_hop=per_hop,
                            dram_latency=cfg.dram_latency_cycles)
 
+    def check(self, out):
+        per_hop, latency = out.data["per_hop"], out.data["dram_latency"]
+        if not latency <= per_hop <= 1.5 * latency:
+            yield f"a hop pays 1-1.5x the DRAM latency ({per_hop})"
+
 
 @register
 class MicroStreamBandwidth(Figure):
@@ -109,6 +114,15 @@ class MicroStreamBandwidth(Figure):
             dram_service=cfg.dram_service_cycles,
         )
 
+    def check(self, out):
+        per_line = out.data["cycles_per_line"]
+        latency = out.data["dram_latency"]
+        service = out.data["dram_service"]
+        if not per_line < latency / 2:
+            yield f"a line costs under half the latency ({per_line})"
+        if not per_line >= 0.9 * service:
+            yield f"a line costs >= 0.9x the service time ({per_line})"
+
 
 @register
 class MicroIssueThroughput(Figure):
@@ -140,6 +154,11 @@ class MicroIssueThroughput(Figure):
             title="Microbenchmark: issue throughput")
         return self.output({"micro_issue_throughput": block},
                            instructions=n, cycles=stats.total_cycles)
+
+    def check(self, out):
+        n, cycles = out.data["instructions"], out.data["cycles"]
+        if cycles != n:
+            yield f"ALU work issues 1 IPC ({n} in {cycles} cycles)"
 
 
 @register
@@ -182,3 +201,8 @@ class MicroLatencyHiding(Figure):
             ["warps", "cycles", "cycles per load+alu"],
             rows, title="Microbenchmark: warp-level latency hiding")
         return self.output({"micro_latency_hiding": block}, rows=rows)
+
+    def check(self, out):
+        rows = out.data["rows"]
+        if not rows[-1][2] < rows[0][2] / 2:
+            yield f"more warps halve the cost per operation ({rows})"

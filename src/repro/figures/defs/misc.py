@@ -50,6 +50,15 @@ class PaperConfig(Figure):
         return self.output({"paper_config_headline": block},
                            cycles=cycles)
 
+    def check(self, out):
+        cycles = out.data["cycles"]
+        sw = cycles["sparseweaver"]
+        for other in ("vertex_map", "edge_map", "cta_map"):
+            if not sw < cycles[other]:
+                yield f"SparseWeaver beats {other} ({cycles})"
+        if not cycles["vertex_map"] / sw > 1.5:
+            yield f"SparseWeaver exceeds 1.5x over S_vm ({cycles})"
+
 
 @register
 class Robustness(Figure):
@@ -101,6 +110,15 @@ class Robustness(Figure):
             title="Robustness: PR headline vs dataset analog scale")
         return self.output({"robustness_scales": block},
                            geomeans=geomeans, scales=scales)
+
+    def check(self, out):
+        geomeans, scales = out.data["geomeans"], out.data["scales"]
+        for scale, gm in zip(scales, geomeans):
+            if not gm > 1.5:
+                yield f"scale {scale}: the geomean exceeds 1.5x ({gm})"
+        for scale, a, b in zip(scales[1:], geomeans, geomeans[1:]):
+            if not 0.6 < b / a < 1.7:
+                yield f"scale {scale}: a step in (0.6, 1.7)x ({geomeans})"
 
 
 @register
@@ -157,4 +175,19 @@ class ExtendedRanking(Figure):
             blocks[f"extended_ranking_{gname}"] = (table + "\n\n"
                                                    + chart)
         return self.output(blocks, cycles=cycles, schedules=schedules)
+
+    def check(self, out):
+        cycles, schedules = out.data["cycles"], out.data["schedules"]
+        holly = {s: cycles[("hollywood", s)] for s in schedules}
+        best = min(holly[s] for s in schedules
+                   if s not in ("vertex_map", "eghw"))
+        if not holly["sparseweaver"] <= 1.1 * best:
+            yield f"hollywood: SparseWeaver within 10% of the best ({best})"
+        # A near-regular graph has nothing to balance: naive vertex
+        # mapping, or the ELL slab, which holds every edge of a
+        # degree-<=4 graph, wins.
+        road = {s: cycles[("road-ca", s)] for s in schedules}
+        fastest = min(road, key=road.get)
+        if fastest not in ("vertex_map", "hybrid_ell"):
+            yield f"road-ca: S_vm or the ELL slab is fastest, not {fastest}"
 

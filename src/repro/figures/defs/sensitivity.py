@@ -70,6 +70,11 @@ class Fig11a(Figure):
         return self.output({"fig11a_degree_distribution": block},
                            rows=rows)
 
+    def check(self, out):
+        skews = [row[4] for row in out.data["rows"]]
+        if not skews[-1] > skews[0]:
+            yield f"skewness rises across the family ({skews})"
+
 
 @register
 class Fig11b(Figure):
@@ -107,6 +112,16 @@ class Fig11b(Figure):
             title="Fig 11b: PR speedup over S_vm vs skewness")
         return self.output({"fig11b_skewness_speedup": block},
                            series=series, labels=labels)
+
+    def check(self, out):
+        series, labels = out.data["series"], out.data["labels"]
+        em, sw = series["edge_map"], series["sparseweaver"]
+        for label, e, w in zip(labels, em, sw):
+            if not w >= 0.95 * e:
+                yield f"{label}: SW tracks S_em from above ({w} vs {e})"
+        for sched, values in series.items():
+            if not values[2] > values[0]:
+                yield f"{sched} gains from G1 to G3 ({values})"
 
 
 @register
@@ -154,6 +169,23 @@ class Fig12(Figure):
         return self.output({"fig12_memory_ratio": block},
                            series=series, ratios=ratios)
 
+    def check(self, out):
+        series, ratios = out.data["series"], out.data["ratios"]
+        for sched, cycles in series.items():
+            if not all(a < b for a, b in zip(cycles, cycles[1:])):
+                yield f"{sched}: cycles rise with the ratio ({cycles})"
+            if not 2.0 < cycles[-1] / cycles[0] < 8.0:
+                yield f"{sched}: cycles grow 2-8x over the sweep ({cycles})"
+        vm, em = series["vertex_map"], series["edge_map"]
+        for ratio, sw, v, e in zip(ratios, series["sparseweaver"], vm, em):
+            if not sw < v:
+                yield f"ratio {ratio}: SW beats S_vm ({sw} vs {v})"
+            # S_em's doubled edge traffic hurts more as memory slows; at
+            # ratio 1 the two are within noise of each other.
+            bound = 1.0 if ratio >= 2 else 1.05
+            if not sw < bound * e:
+                yield f"ratio {ratio}: SW below {bound}x S_em ({sw} vs {e})"
+
 
 @register
 class Fig13(Figure):
@@ -191,6 +223,11 @@ class Fig13(Figure):
             title="Fig 13: cycles vs work-table read overhead")
         return self.output({"fig13_table_latency": block},
                            cycles=cycles, latencies=latencies)
+
+    def check(self, out):
+        cycles = out.data["cycles"]
+        if not max(cycles) < 1.25 * min(cycles):
+            yield f"flat: 16x the latency costs under 25% more ({cycles})"
 
 
 @register
@@ -237,6 +274,11 @@ class Fig14(Figure):
             ["schedule", "L1&L2 cycles", "L1&L2&L3 cycles", "speedup"],
             rows, title="Fig 14: effect of an L3 cache")
         return self.output({"fig14_l3_cache": block}, results=outcomes)
+
+    def check(self, out):
+        for sched, (base, l3) in out.data["results"].items():
+            if not abs(l3 - base) / base < 0.12:
+                yield f"{sched}: an L3 moves cycles < 12% ({base} -> {l3})"
 
 
 @register
@@ -299,3 +341,13 @@ class Fig15(Figure):
         return self.output(blocks, results=values,
                            l1_sizes=l1_sizes, l2_sizes=l2_sizes,
                            graphs=list(graphs))
+
+    def check(self, out):
+        results = out.data["results"]
+        for gname in out.data["graphs"]:
+            values = [results[(gname, l1, l2)]
+                      for l1 in out.data["l1_sizes"]
+                      for l2 in out.data["l2_sizes"]]
+            spread = max(values) / min(values)
+            if not spread < 1.6:
+                yield f"{gname}: L1/L2 sizes move cycles < 1.6x ({spread:.2f})"

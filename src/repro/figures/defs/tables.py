@@ -27,6 +27,14 @@ class Table1(Figure):
         return self.output({"table1_schemes": table}, rows=rows,
                            graph_edges=graph.num_edges)
 
+    def check(self, out):
+        rows = out.data["rows"]
+        costs = rows["SparseWeaver"].distribution_costs
+        if costs != "0, 0, 0":
+            yield "SparseWeaver distributes with no search/atomic/sync"
+        if rows["S_em"].edge_mem_access != 2 * out.data["graph_edges"]:
+            yield "S_em reads 2|E| edge entries"
+
 
 @register
 class Table3(Figure):
@@ -63,6 +71,18 @@ class Table3(Figure):
             rows, title="Table III: datasets (paper scale vs analog)")
         return self.output({"table3_datasets": block}, rows=rows)
 
+    def check(self, out):
+        by_name = {r[0]: r for r in out.data["rows"]}
+        bio = by_name["bio-human-gene1 (D_bh)"]
+        road = by_name["roadNet-CA (D_rn)"]
+        holly = by_name["hollywood-2011 (D_hw)"]
+        if not bio[5] > road[5]:
+            yield f"bio is denser than road ({bio[5]} vs {road[5]})"
+        if not abs(road[6]) < 2.0:
+            yield f"the road analog is near-flat (skewness {road[6]})"
+        if not holly[6] > 1.0:
+            yield f"the hollywood analog is skewed (skewness {holly[6]})"
+
 
 @register
 class Table4(Figure):
@@ -88,6 +108,15 @@ class Table4(Figure):
             title="Table IV: FPGA area overhead")
         return self.output({"table4_area": block}, rows=rows)
 
+    def check(self, out):
+        one, sixteen = out.data["rows"]
+        for got, paper in ((one.sparseweaver_alms, 108_203),
+                           (sixteen.sparseweaver_alms, 591_971),
+                           (one.registers_added, 678),
+                           (one.block_memory_pct_increase, 0.0)):
+            if got != paper:
+                yield f"the model gives the paper's {paper}, not {got}"
+
 
 @register
 class Fig16(Figure):
@@ -105,6 +134,10 @@ class Fig16(Figure):
             model.utilization_summary(n) for n in (1, 16)
         ) + f"\nRTL lines added: +{model.rtl_line_overhead():.3f}%"
         return self.output({"fig16_utilization": text}, text=text)
+
+    def check(self, out):
+        if "0% block memory" not in out.data["text"]:
+            yield "the utilization summary reports 0% block memory added"
 
 
 @register
@@ -140,7 +173,6 @@ class Table5(Figure):
             rows.append([
                 name,
                 report.tuning_cycles,
-                round(report.tuning_wall_seconds, 2),
                 report.baseline_cycles,
                 report.best_cycles,
                 report.best_schedule,
@@ -149,8 +181,16 @@ class Table5(Figure):
                 round(report.baseline_cycles / sw, 2),
             ])
         block = format_table(
-            ["graph", "tuning cycles", "tuning sec", "S_vm cycles",
+            ["graph", "tuning cycles", "S_vm cycles",
              "best cycles", "best schedule", "tuner speedup",
              "SW cycles", "SW speedup"],
             rows, title="Table V: auto-tuner vs SparseWeaver (PR)")
         return self.output({"table5_autotuner": block}, rows=rows)
+
+    def check(self, out):
+        for (name, tuning_cycles, _base, _best, _schedule,
+             tuner_speedup, sw_cycles, sw_speedup) in out.data["rows"]:
+            if not tuning_cycles > sw_cycles:
+                yield f"{name}: tuning costs more than one SW run"
+            if name != "road-ca" and not sw_speedup >= 0.9 * tuner_speedup:
+                yield f"{name}: SW reaches >= 0.9x the tuned speedup"

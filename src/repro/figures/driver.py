@@ -13,14 +13,16 @@ cache keys, telemetry streams and emitted result rows are stable
 across runs and across ``--jobs`` values.  Figures look results up by
 spec, not by index, so the global ordering is invisible to them.
 
-Failure handling comes in two shapes: :func:`run_figures` raises on
-the first report of failed jobs (every figure or nothing), while
+Failure handling comes in two shapes: :func:`run_figures` raises when
+anything did not finish (every figure or nothing), while
 :func:`run_figures_report` degrades gracefully — it returns the
 figures whose jobs all completed plus a structured
-:class:`FailureReport` naming every failed job and every figure
-skipped because of one, so a long batch with one bad cell still
-yields the other N-1 figures, and a rerun against the same cache
-simulates only what did not finish.
+:class:`FailureReport` naming every failed job, every figure skipped
+because of one and, outside smoke runs, every paper-shape claim a
+figure's :meth:`~repro.figures.registry.Figure.check` found broken,
+so a long batch with one bad cell still yields the other N-1 figures,
+and a rerun against the same cache simulates only what did not
+finish.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from repro.errors import ConfigError, ReproError
 from repro.figures.registry import (Figure, FigureContext, FigureOutput,
                                     get_figure, resolve_figures)
 from repro.runtime.cache import ResultCache, RunSummary
-from repro.runtime.engine import (BatchEngine, JobOutcome,
-                                  raise_on_failures)
+from repro.runtime.engine import BatchEngine, JobOutcome
 from repro.runtime.jobspec import JobSpec
 from repro.runtime.telemetry import Telemetry
 from repro.sim.stats import KernelStats
@@ -147,18 +148,21 @@ class FailureReport:
 
     ``failures`` lists every failed/skipped job; ``skipped_figures``
     names the figures that could not summarize because one of their
-    jobs is in ``failures``.  An empty report (``ok``) means the batch
-    completed fully.
+    jobs is in ``failures``; ``broken_claims`` lists ``(figure,
+    claim)`` for each paper-shape claim a summarized figure's check
+    yielded.  An empty report (``ok``) means the batch completed fully
+    and every claim held.
     """
 
     total_jobs: int = 0
     completed_jobs: int = 0
     failures: List[JobFailure] = field(default_factory=list)
     skipped_figures: List[str] = field(default_factory=list)
+    broken_claims: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.broken_claims
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[JobOutcome]
@@ -178,16 +182,22 @@ class FailureReport:
 
     def format(self) -> str:
         """Human-readable failure table (for stderr)."""
-        lines = [
-            f"{len(self.failures)} of {self.total_jobs} job(s) did not "
-            f"complete ({self.completed_jobs} ok):"
-        ]
+        lines = []
+        if self.failures:
+            lines.append(
+                f"{len(self.failures)} of {self.total_jobs} job(s) did "
+                f"not complete ({self.completed_jobs} ok):")
         for f in self.failures:
             lines.append(f"  {f.status:<7} {f.label} [{f.job}]: "
                          f"{f.error}")
         if self.skipped_figures:
             lines.append("figures skipped: "
                          + ", ".join(self.skipped_figures))
+        if self.broken_claims:
+            lines.append(f"{len(self.broken_claims)} paper-shape "
+                         "claim(s) broken:")
+        for figure, claim in self.broken_claims:
+            lines.append(f"  {figure}: {claim}")
         return "\n".join(lines)
 
 
@@ -223,9 +233,11 @@ def run_figures_report(
 ) -> Tuple[Dict[str, FigureOutput], FailureReport]:
     """Regenerate figures with graceful degradation.
 
-    Like :func:`run_figures`, but failed jobs do not raise: the
-    figures whose jobs all completed are summarized and returned, the
-    rest are named in the accompanying :class:`FailureReport`.
+    Failed jobs do not raise: the figures whose jobs all completed are
+    summarized and returned, the rest are named in the accompanying
+    :class:`FailureReport`.  Unless ``ctx.smoke``, each summarized
+    figure's :meth:`~repro.figures.registry.Figure.check` runs on its
+    output and every claim it yields joins the report.
     ``policy`` is ``"keep_going"`` (default: run everything, report
     failures at the end) or ``"fail_fast"`` (stop scheduling at the
     first failure; unreached jobs come back ``"skipped"``).
@@ -259,10 +271,13 @@ def run_figures_report(
 
     outputs: Dict[str, FigureOutput] = {}
     for fig in ordered:
-        if all(results.ok(spec) for spec in per_figure[fig.name]):
-            outputs[fig.name] = fig.summarize(ctx, results)
-        else:
+        if not all(results.ok(spec) for spec in per_figure[fig.name]):
             report.skipped_figures.append(fig.name)
+            continue
+        out = outputs[fig.name] = fig.summarize(ctx, results)
+        if not ctx.smoke:
+            report.broken_claims.extend(
+                (fig.name, claim) for claim in fig.check(out))
     return outputs, report
 
 
@@ -273,35 +288,25 @@ def run_figures(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[BatchEngine] = None,
     sim_engine: Optional[str] = None,
 ) -> Dict[str, FigureOutput]:
     """Regenerate a set of figures; returns name -> output.
 
     ``figures`` may be Figure objects or names/prefixes (resolved via
     :func:`~repro.figures.registry.resolve_figures`).  ``jobs`` /
-    ``cache`` / ``telemetry`` configure the shared engine (or pass a
-    prebuilt ``engine``); a warm cache turns the whole batch into
-    lookups — a second identical run simulates nothing.  Any failed
-    job raises; use :func:`run_figures_report` to degrade gracefully
-    instead.
+    ``cache`` / ``telemetry`` configure the shared engine; a warm
+    cache turns the whole batch into lookups — a second identical run
+    simulates nothing.  A failed job or a broken claim raises
+    :class:`~repro.errors.ReproError` with the
+    :class:`FailureReport`'s text; use :func:`run_figures_report` to
+    degrade gracefully instead.
     """
-    ctx = ctx or FigureContext()
-    ordered = _resolve_figure_list(figures)
-
-    batch, _per_figure = expand_jobs(ordered, ctx)
-    batch = _apply_sim_engine(batch, sim_engine)
-    if engine is None:
-        engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry)
-    elif jobs is not None or cache is not None or telemetry is not None:
-        raise ReproError(
-            "pass either a prebuilt engine or jobs=/cache=/telemetry=, "
-            "not both")
-    outcomes = engine.run(batch)
-    raise_on_failures(outcomes)
-    results = ResultSet(outcomes)
-
-    return {fig.name: fig.summarize(ctx, results) for fig in ordered}
+    outputs, report = run_figures_report(
+        figures, ctx, jobs=jobs, cache=cache, telemetry=telemetry,
+        sim_engine=sim_engine)
+    if not report.ok:
+        raise ReproError(report.format())
+    return outputs
 
 
 def run_figure(
@@ -311,12 +316,10 @@ def run_figure(
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[BatchEngine] = None,
     sim_engine: Optional[str] = None,
 ) -> FigureOutput:
     """Regenerate one figure (name, prefix-unique name, or instance)."""
     figure = name if isinstance(name, Figure) else get_figure(name)
     outputs = run_figures([figure], ctx, jobs=jobs, cache=cache,
-                          telemetry=telemetry, engine=engine,
-                          sim_engine=sim_engine)
+                          telemetry=telemetry, sim_engine=sim_engine)
     return outputs[figure.name]

@@ -6,7 +6,9 @@ A :class:`Figure` names one regenerable paper artifact and declares
   :class:`~repro.runtime.jobspec.JobSpec` (possibly empty for analytic
   or model-only figures), and
 * :meth:`Figure.summarize` — the fold from engine summaries back into
-  the formatted rows/series the paper reports.
+  the formatted rows/series the paper reports, and
+* :meth:`Figure.check` — the paper-shape claims that output must keep,
+  evaluated by the driver on every non-smoke run.
 
 Declaring grids as data (instead of re-coding the loop per benchmark)
 is what lets one driver execute any subset of figures through the
@@ -21,7 +23,7 @@ loads lazily so ``import repro`` stays light.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.sim.config import GPUConfig
@@ -44,7 +46,8 @@ class FigureContext:
     :meth:`rescale`, so one knob shrinks every grid coherently).
     ``smoke`` asks figures to trim sweeps to a representative handful
     of points — CI uses it for a fast end-to-end pass whose outputs
-    are health checks, not paper shapes.  ``config`` overrides the
+    are health checks, not paper shapes, so the driver evaluates no
+    :meth:`Figure.check` under it.  ``config`` overrides the
     benchmark GPU preset for figures that do not pin their own.
     """
 
@@ -84,9 +87,9 @@ class FigureOutput:
     """What regenerating one figure produces.
 
     ``blocks`` maps artifact name -> formatted text — exactly the
-    ``benchmarks/results/<name>.txt`` files the benchmark suite has
-    always written.  ``data`` carries the structured values (cycles,
-    speedups, stats objects) the pytest shape gates assert on.
+    ``benchmarks/results/<name>.txt`` files ``repro bench`` writes.
+    ``data`` carries the structured values (cycles, speedups, stats
+    objects) the figure's :meth:`Figure.check` reads.
     """
 
     name: str
@@ -116,12 +119,22 @@ class Figure:
         return []
 
     def summarize(self, ctx: FigureContext, results) -> FigureOutput:
-        """Fold engine results into formatted blocks + assertable data.
+        """Fold engine results into formatted blocks + checkable data.
 
         ``results`` is a :class:`~repro.figures.driver.ResultSet`
         answering spec -> :class:`~repro.runtime.cache.RunSummary`;
         figures look their cells up by rebuilding the same specs.
         Model-only figures compute everything here.
+        """
+        raise NotImplementedError
+
+    def check(self, out: FigureOutput) -> Iterator[str]:
+        """Yield the text of each paper-shape claim ``out`` breaks.
+
+        The claims hold at the default scale; the driver evaluates
+        them on every non-smoke context, where a yielded claim fails
+        the run.  Compare explicitly: an ``assert`` vanishes under
+        ``python -O``.
         """
         raise NotImplementedError
 

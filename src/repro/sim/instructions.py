@@ -16,6 +16,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 
 class Op(IntEnum):
     """Warp instruction opcodes."""
@@ -200,7 +202,17 @@ def nop(phase: Phase = Phase.OTHER) -> Instr:
 
 
 def as_index_array(indices: Any) -> np.ndarray:
-    """Normalize scalar / list / array lane indices to an int64 array."""
+    """Normalize scalar / list / array lane indices to an int64 array.
+
+    Bool and float indices raise :class:`SimulationError`: a bool mask
+    would become the indices 0 and 1, and a float would be truncated.
+    An empty list, which NumPy types as float64, is accepted.
+    """
+    arr = np.asarray(indices)
+    kind = arr.dtype.kind
+    if kind == "b" or (kind == "f" and arr.size):
+        raise SimulationError(
+            f"lane indices must be integers, not {arr.dtype}")
     arr = np.asarray(indices, dtype=np.int64)
     if arr.ndim == 0:
         arr = arr.reshape(1)

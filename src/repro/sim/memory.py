@@ -15,12 +15,13 @@ it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.config import CacheConfig, GPUConfig
+from repro.sim.instructions import as_index_array
 from repro.sim.stats import CacheStats
 
 #: Tag of an empty way.  Line numbers are never negative, so it never
@@ -186,11 +187,12 @@ class MemoryHierarchy:
     def lines_of(self, region: Region, indices: np.ndarray) -> List[int]:
         """Sorted unique cache-line numbers touched by ``region[indices]``.
 
-        ``indices`` is a 1-D int64 array (the compiler passes anything
-        else through ``as_index_array`` first).  Element ``i`` lies in
-        line ``(base + i * itemsize) >> log2(line_bytes)`` for *every*
-        integer ``i``: an index outside ``[0, length)`` is not checked,
-        and gets the line that formula gives.
+        ``indices`` is a 1-D int64 array (the compiler and
+        :meth:`access` pass anything else through ``as_index_array``
+        first).  Element ``i`` lies in line ``(base + i * itemsize) >>
+        log2(line_bytes)`` for *every* integer ``i``: an index outside
+        ``[0, length)`` is not checked, and gets the line that formula
+        gives.
         """
         if indices.size == 1:
             return [(region.base + indices.item() * region.itemsize)
@@ -316,16 +318,16 @@ class MemoryHierarchy:
         return total
 
     def access(
-        self, core_id: int, region: Region, indices: np.ndarray,
-        now: int = 0,
+        self, core_id: int, region: Region, indices: Any, now: int = 0,
     ) -> Tuple[int, int]:
         """Charge a coalesced warp access at time ``now``.
 
-        Returns ``(latency_cycles, num_lines)``; see :meth:`walk`.
+        ``indices`` is anything ``as_index_array`` accepts.  Returns
+        ``(latency_cycles, num_lines)``; see :meth:`walk`.
         """
         if not 0 <= core_id < len(self.l1):
             raise SimulationError(f"core id {core_id} out of range")
-        lines = self.lines_of(region, indices)
+        lines = self.lines_of(region, as_index_array(indices))
         if not lines:
             return 0, 0
         return self.walk(core_id, lines, now), len(lines)

@@ -76,25 +76,6 @@ def test_compare_extended(capsys):
         assert sched in out
 
 
-def test_reproduce_lists_available_on_miss(capsys):
-    code, out = run_cli(capsys, "reproduce", "nonexistent-xyz")
-    assert code == 1
-    assert "available:" in out
-    assert "fig10_main_comparison" in out
-
-
-def test_reproduce_runs_matching_bench():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "reproduce", "table4"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0
-    assert "Table IV" in proc.stdout
-
-
 # ----------------------------------------------------------------------
 # --profile
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Covers the registry contract (every figure discoverable, grids
 picklable/hashable, summaries well-formed), the determinism guarantees
 (expansion order stable across runs and worker counts), parity with
 the pre-registry serial runner (bit-identical cycles for fig10 and
-table1), and warm-cache incrementality (second run simulates nothing).
+table1), warm-cache incrementality (second run simulates nothing), and
+the paper-shape checks (one per figure, failing non-smoke runs).
 """
 
 import pickle
@@ -12,9 +13,10 @@ import tempfile
 
 import pytest
 
-from repro.figures import (FigureContext, expand_jobs, figure_names,
-                           get_figure, list_figures, resolve_figures,
-                           run_figure, run_figures)
+from repro.figures import (Figure, FigureContext, expand_jobs,
+                           figure_names, get_figure, list_figures,
+                           resolve_figures, run_figure, run_figures,
+                           run_figures_report)
 from repro.errors import ReproError
 from repro.runtime import JobSpec, ResultCache, Telemetry
 
@@ -34,7 +36,8 @@ def test_registry_names_sorted_unique():
 
 
 def test_registry_covers_every_benchmark_family():
-    """Every bench_*.py family has registered figures."""
+    """Every paper table and figure, calibration microbenchmark and
+    ablation has a registered figure."""
     names = set(figure_names())
     expected = {
         "fig02a", "fig02b", "fig03", "fig04",
@@ -93,6 +96,7 @@ def test_figure_metadata_and_grid_contract(name):
     fig = get_figure(name)
     assert fig.title, name
     assert fig.paper, name
+    assert type(fig).check is not Figure.check, name
 
     jobs = fig.build_jobs(SMOKE)
     assert isinstance(jobs, list)
@@ -218,11 +222,6 @@ def test_second_run_is_all_cache_hits(tmp_path):
         assert first[name].blocks == second[name].blocks
 
 
-#: Figures whose artifact text embeds measured wall-clock seconds, so
-#: repeated summaries legitimately differ.
-WALL_CLOCK_FIGURES = {"table5"}
-
-
 @pytest.fixture(scope="module")
 def whole_registry(tmp_path_factory):
     """Every figure, cold then warm against one shared cache, with
@@ -251,8 +250,7 @@ def test_summarize_round_trips_engine_summaries(name, whole_registry):
     assert out.blocks, name
     for block_name, text in out.blocks.items():
         assert isinstance(text, str) and text.strip(), block_name
-    if name not in WALL_CLOCK_FIGURES:
-        assert warm[name].blocks == out.blocks
+    assert warm[name].blocks == out.blocks
 
 
 def test_whole_registry_warm_run_simulates_nothing(whole_registry):
@@ -285,14 +283,6 @@ def test_resultset_errors_on_unknown_spec():
         results.summary(spec)
 
 
-def test_driver_rejects_engine_plus_engine_opts():
-    from repro.runtime import BatchEngine
-
-    with pytest.raises(ReproError):
-        run_figures(["table1"], SMOKE, jobs=2,
-                    engine=BatchEngine(jobs=1))
-
-
 def test_figure_outputs_write_same_artifact_names(tmp_path):
     """CLI acceptance: blocks land as benchmarks/results-style files."""
     from repro.cli import main
@@ -317,7 +307,6 @@ def test_cli_bench_list(capsys):
 def test_run_figures_report_degrades_gracefully(tmp_path, monkeypatch):
     """One poisoned job skips its figure, not the whole batch."""
     import repro.runtime.engine as engine_mod
-    from repro.figures import run_figures_report
 
     def fail(spec):
         raise RuntimeError("job failed on purpose")
@@ -339,7 +328,6 @@ def test_run_figures_report_degrades_gracefully(tmp_path, monkeypatch):
 
 
 def test_run_figures_report_rejects_engine_plus_opts():
-    from repro.figures import run_figures_report
     from repro.runtime import BatchEngine, RunJournal
 
     with pytest.raises(ReproError):
@@ -350,7 +338,63 @@ def test_run_figures_report_rejects_engine_plus_opts():
 
 def test_run_figures_report_rejects_unknown_policy():
     from repro.errors import ConfigError
-    from repro.figures import run_figures_report
 
     with pytest.raises(ConfigError):
         run_figures_report(["table1"], SMOKE, policy="retry_forever")
+
+
+# ------------------------------------------------------------------ checks
+
+BROKEN = "a claim the output breaks"
+
+
+def test_broken_claim_fails_the_run(tmp_path, monkeypatch, capsys):
+    """At the default context a yielded claim makes the report not ok,
+    ``run_figures`` raise and ``repro bench`` exit 1 after writing the
+    artifacts, naming the figure and the claim on stderr."""
+    from repro.cli import main
+
+    monkeypatch.setattr(get_figure("table1"), "check",
+                        lambda out: iter([BROKEN]))
+    outputs, report = run_figures_report(["table1"], FigureContext(),
+                                         jobs=1)
+    assert "table1" in outputs
+    assert not report.ok
+    assert report.broken_claims == [("table1", BROKEN)]
+    assert f"table1: {BROKEN}" in report.format()
+    with pytest.raises(ReproError, match=BROKEN):
+        run_figures(["table1"], FigureContext(), jobs=1)
+
+    out_dir = tmp_path / "results"
+    rc = main(["bench", "--figures", "table1", "--jobs", "1",
+               "--no-cache", "--out", str(out_dir)])
+    assert rc == 1
+    assert f"table1: {BROKEN}" in capsys.readouterr().err
+    assert (out_dir / "table1_schemes.txt").exists()
+
+
+def test_smoke_context_evaluates_no_check(monkeypatch):
+    called = []
+
+    def check(out):
+        called.append(out.name)
+        yield BROKEN
+
+    monkeypatch.setattr(get_figure("table1"), "check", check)
+    outputs, report = run_figures_report(["table1"], SMOKE, jobs=1)
+    assert report.ok
+    assert "table1" in outputs
+    assert called == []
+
+
+#: The figures that simulate nothing: cheap enough to check at the
+#: default scale inside tier-1.
+SIMULATION_FREE = ["table1", "table3", "table4", "fig16", "fig02a"]
+
+
+def test_simulation_free_figures_pass_their_checks():
+    outputs, report = run_figures_report(SIMULATION_FREE, FigureContext(),
+                                         jobs=1)
+    assert sorted(outputs) == sorted(SIMULATION_FREE)
+    assert report.total_jobs == 0
+    assert report.broken_claims == [], report.format()

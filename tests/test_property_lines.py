@@ -5,12 +5,15 @@ log2(line_bytes)``, for every integer ``i``: an index outside ``[0,
 length)`` is not checked and gets that line too.  ``lines_of`` must
 return exactly the sorted set of those lines, and the compiler must
 turn every index input ``as_index_array`` accepts into the record the
-per-lane definition gives.
+per-lane definition gives.  Bool and float inputs are refused: they
+would otherwise become other indices.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import CacheConfig, GPUConfig
 from repro.sim.gpu import _FIXED, _READ, _WRITE, GPU
 from repro.sim.instructions import (Op, Phase, as_index_array, atomic, load,
@@ -81,8 +84,6 @@ def index_inputs(length: int):
             lambda a: np.array(a[0]).astype(a[1])),
         st.tuples(index_values(length, 0), unsigned).map(
             lambda a: np.array(a[0]).astype(a[1])),
-        index_values(length).map(lambda v: np.array(v, dtype=np.float64)),
-        st.lists(st.booleans(), max_size=80).map(np.array),
     )
 
 
@@ -126,3 +127,23 @@ def test_every_index_input_compiles_to_its_defined_record(region_line,
     assert dict(totals.op_counts) == dict(expected.op_counts)
     assert dict(totals.phase_cycles) == dict(expected.phase_cycles)
     assert dict(totals.counters) == dict(expected.counters)
+
+
+@given(regions(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bool_and_float_indices_are_refused(region_line, data):
+    region, line_bytes = region_line
+    # An empty list stays accepted: NumPy types it float64.
+    raw = data.draw(st.one_of(
+        index_values(region.length).filter(len).map(
+            lambda v: np.array(v, dtype=np.float64)),
+        st.lists(st.booleans(), min_size=1, max_size=80).map(np.array),
+    ))
+    with pytest.raises(SimulationError):
+        as_index_array(raw)
+    compile = GPU(config(line_bytes))._compiler(KernelStats(), 1000)
+    for helper in (load, store, atomic):
+        with pytest.raises(SimulationError):
+            compile(helper(Phase.GATHER, region, raw))
+    with pytest.raises(SimulationError):
+        MemoryHierarchy(config(line_bytes)).access(0, region, raw)

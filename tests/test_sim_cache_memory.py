@@ -167,6 +167,17 @@ def test_l2_shared_across_cores():
     assert lat == cfg.l2.hit_latency
 
 
+@pytest.mark.parametrize("raw, equivalent", [
+    ([1, 2, 40], np.array([1, 2, 40], dtype=np.int64)),
+    (3, np.array([3], dtype=np.int64)),
+])
+def test_access_normalizes_index_inputs(raw, equivalent):
+    """A list or a scalar costs what the equivalent int64 array does."""
+    r = MemoryMap().alloc("r", 64, 8)
+    assert (hierarchy()[0].access(0, r, raw)
+            == hierarchy()[0].access(0, r, equivalent))
+
+
 def test_coalescing_single_line():
     h, cfg = hierarchy()
     mm = MemoryMap()
