@@ -22,7 +22,6 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.sched` — scheduling schemes (software baselines + SW + EGHW).
 * :mod:`repro.frontend` — UDF model and the GraphProcessor driver.
 * :mod:`repro.algorithms` — PR, BFS, SSSP, CC, GCN.
-* :mod:`repro.autotune` — the auto-tuner baseline of Table V.
 * :mod:`repro.bench` — experiment runner and report formatting.
 * :mod:`repro.runtime` — parallel batch engine, result cache, telemetry.
 * :mod:`repro.figures` — the paper-figure registry and engine driver.

@@ -8,9 +8,8 @@ this module is that loop, once.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.frontend.framework import GraphProcessor, RunResult
@@ -23,9 +22,10 @@ from repro.sim.config import GPUConfig
 class ExperimentResult:
     """Cycles per (graph, schedule) cell plus full run objects.
 
-    ``runs`` cells are full :class:`RunResult` objects on the serial
-    path and :class:`~repro.runtime.cache.RunSummary` objects when the
-    grid went through the batch engine — both expose ``.stats`` /
+    ``runs`` cells are full :class:`RunResult` objects from
+    :func:`run_schedule_comparison` and
+    :class:`~repro.runtime.cache.RunSummary` objects when a figure
+    folds batch-engine cells — both expose ``.stats`` /
     ``.total_cycles``.
     """
 
@@ -98,41 +98,14 @@ def run_schedule_comparison(
     config: Optional[GPUConfig] = None,
     max_iterations: Optional[int] = None,
     symmetrize: bool = False,
-    jobs: Optional[int] = None,
-    cache=None,
-    telemetry=None,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
-    """The Fig. 10-style grid: every schedule on every graph.
+    """The Fig. 10-style grid: every schedule on every graph, serially.
 
     ``algorithm_factory`` is called per run so trials never share
     mutable state.  Everything after ``schedules`` is keyword-only.
-
-    The grid runs serially in-process by default.  Passing ``jobs=N``,
-    a :class:`~repro.runtime.cache.ResultCache`, or a
-    :class:`~repro.runtime.telemetry.Telemetry` routes every cell
-    through :class:`~repro.runtime.engine.BatchEngine` (as does setting
-    ``REPRO_JOBS``); the engine path needs a picklable, hashable
-    factory, i.e. an :class:`~repro.runtime.jobspec.AlgorithmSpec`.
-    Cell ordering and cycle counts are identical either way.
+    Parallel or cached grids go through
+    :class:`~repro.runtime.engine.BatchEngine`, as the figures do.
     """
-    if _engine_requested(jobs, cache, telemetry):
-        from repro.runtime import AlgorithmSpec
-
-        if isinstance(algorithm_factory, AlgorithmSpec):
-            return _run_grid_engine(
-                algorithm_factory, graphs, schedules, config,
-                max_iterations, symmetrize, jobs, cache, telemetry,
-                engine,
-            )
-        if jobs is not None or cache is not None or telemetry is not None:
-            raise ReproError(
-                "the engine path (jobs=/cache=/telemetry=) needs an "
-                "AlgorithmSpec, e.g. AlgorithmSpec.of('pagerank', "
-                "iterations=2), not an arbitrary callable"
-            )
-        # REPRO_JOBS is set globally but this caller only has a plain
-        # factory: quietly keep the serial path working.
     result = ExperimentResult()
     for graph_name, graph in graphs.items():
         result.cycles[graph_name] = {}
@@ -141,61 +114,7 @@ def run_schedule_comparison(
             run = run_single(
                 algorithm_factory(), graph, sched, config=config,
                 max_iterations=max_iterations, symmetrize=symmetrize,
-                engine=engine,
             )
             result.cycles[graph_name][sched] = run.stats.total_cycles
             result.runs[graph_name][sched] = run
-    return result
-
-
-def _engine_requested(jobs, cache, telemetry) -> bool:
-    """Whether any engine opt-in (argument or env) is present."""
-    return (jobs is not None or cache is not None
-            or telemetry is not None
-            or bool(os.environ.get("REPRO_JOBS", "").strip()))
-
-
-def _run_grid_engine(
-    algorithm_spec,
-    graphs: Dict[str, CSRGraph],
-    schedules: Sequence[str],
-    config: Optional[GPUConfig],
-    max_iterations: Optional[int],
-    symmetrize: bool,
-    jobs: Optional[int],
-    cache,
-    telemetry,
-    engine: Optional[str] = None,
-) -> ExperimentResult:
-    """Grid execution through the batch engine."""
-    from repro.runtime import (BatchEngine, GraphSpec, JobSpec,
-                               raise_on_failures)
-
-    specs = []
-    cells = []
-    for graph_name, graph in graphs.items():
-        graph_spec = (graph if isinstance(graph, GraphSpec)
-                      else GraphSpec.inline(graph, name=graph_name))
-        for sched in schedules:
-            specs.append(JobSpec(
-                algorithm=algorithm_spec,
-                graph=graph_spec,
-                schedule=sched,
-                config=config,
-                max_iterations=max_iterations,
-                symmetrize=symmetrize,
-                engine=engine,
-            ))
-            cells.append((graph_name, sched))
-
-    engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry)
-    outcomes = engine.run(specs)
-    raise_on_failures(outcomes)
-
-    result = ExperimentResult()
-    for (graph_name, sched), outcome in zip(cells, outcomes):
-        result.cycles.setdefault(graph_name, {})[sched] = (
-            outcome.summary.total_cycles
-        )
-        result.runs.setdefault(graph_name, {})[sched] = outcome.summary
     return result

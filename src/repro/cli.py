@@ -98,9 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--scale", type=float, default=None,
                          help="dataset analog scale (default: 0.25, "
                               "the benchmark scale)")
-    bench_p.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS "
-                              "or 1)")
+    bench_p.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default: 1)")
     bench_p.add_argument("--out", default=None, metavar="DIR",
                          help="artifact directory (default: "
                               "benchmarks/results)")
@@ -144,8 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="default: the paper's five (ALL_SCHEDULES)")
     batch_p.add_argument("--scale", type=float, default=0.25)
     batch_p.add_argument("--iterations", type=int, default=2)
-    batch_p.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or 1)")
+    batch_p.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default: 1)")
     batch_p.add_argument("--spec-file", default=None,
                          help="JSON file with a list of job objects "
                               "(overrides the grid flags)")
@@ -706,8 +705,9 @@ def _diff_live_spec(opts):
 
 
 def _diff_side(src: str, interval):
-    """One ``--a``/``--b`` source -> ``(label -> summary, spec, kind)``.
+    """One ``--a``/``--b`` source -> ``(runs, spec, kind)``.
 
+    ``runs`` maps each job's content hash to ``(label, summary)``.
     ``spec`` is the live-side JobSpec (``None`` for journal/cache
     sources — those can only be compared, not replayed).
     """
@@ -735,7 +735,8 @@ def _diff_side(src: str, interval):
     enable_digests(interval)
     from repro.runtime.engine import _execute_spec
 
-    return {spec.label: _execute_spec(spec)}, spec, "live"
+    return ({spec.content_hash(): (spec.label, _execute_spec(spec))},
+            spec, "live")
 
 
 def _diff_replay(path, spec_a, spec_b, kernel: int) -> str:
@@ -774,23 +775,35 @@ def _cmd_diff(args) -> int:
 
     runs_a, spec_a, kind_a = _diff_side(args.a, args.interval)
     runs_b, spec_b, kind_b = _diff_side(args.b, args.interval)
-    common = sorted(set(runs_a) & set(runs_b))
+    by_label = "live" in (kind_a, kind_b)
+    if by_label:
+        # A live job's twin may differ in config (the perturbation
+        # lever), so live sides pair by label, not by content hash.
+        runs_a, runs_b = ({label: (label, summary)
+                           for label, summary in runs.values()}
+                          for runs in (runs_a, runs_b))
+    common = sorted(set(runs_a) & set(runs_b),
+                    key=lambda key: (runs_a[key][0], key))
     if not common:
         raise ReproError(
-            f"no common job labels between --a ({kind_a}: "
-            f"{len(runs_a)} run(s)) and --b ({kind_b}: {len(runs_b)} "
-            "run(s)) — digest ledgers are matched by job label")
+            f"no common jobs between --a ({kind_a}: {len(runs_a)} "
+            f"run(s)) and --b ({kind_b}: {len(runs_b)} run(s)) — "
+            "journal and cache jobs pair by content hash, live ones "
+            "by label")
 
     jobs = []
     missing = 0
-    for label in common:
-        la = (runs_a[label] or {}).get("digest_ledger")
-        lb = (runs_b[label] or {}).get("digest_ledger")
+    for key in common:
+        label, summary_a = runs_a[key]
+        la = summary_a.get("digest_ledger")
+        lb = runs_b[key][1].get("digest_ledger")
         if la is None and lb is None:
             missing += 1
             continue
         diffs = diff_ledgers(la, lb)
         entry = {"label": label, "divergences": len(diffs)}
+        if not by_label:
+            entry["hash"] = key
         if diffs:
             first = diffs[0]
             coord = [int(v) for v in first["coord"]]
@@ -843,11 +856,13 @@ def _cmd_diff(args) -> int:
           f"({kind_a} vs {kind_b})"
           + (f", {missing} without ledgers skipped" if missing else ""))
     for job in jobs:
+        name = job["label"] + (f" [{job['hash'][:12]}]"
+                               if "hash" in job else "")
         if not job["divergences"]:
-            print(f"  {job['label']}: ledgers identical")
+            print(f"  {name}: ledgers identical")
             continue
         first = job["first"]
-        print(f"  {job['label']}: {job['divergences']} diverging "
+        print(f"  {name}: {job['divergences']} diverging "
               f"record(s); first at {first['where']} "
               f"(coord {tuple(first['coord'])})")
         print(f"    a={first['a'] or '(absent)'}  "

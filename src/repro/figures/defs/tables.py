@@ -1,9 +1,13 @@
-"""Tables I/III/IV/V and Fig. 16 — analytic and local-compute figures."""
+"""Tables I/III/IV/V and Fig. 16 — analytic, model and folded figures."""
 
 from __future__ import annotations
 
 from repro.bench import format_table
+from repro.figures.defs.common import (bench_graph_specs,
+                                       experiment_result, grid)
 from repro.figures.registry import Figure, register
+from repro.runtime import AlgorithmSpec
+from repro.sched.registry import SOFTWARE_SCHEDULES
 
 
 @register
@@ -142,7 +146,14 @@ class Fig16(Figure):
 
 @register
 class Table5(Figure):
-    """Auto-tuner vs SparseWeaver (Case Study 3, local tuning loop)."""
+    """Auto-tuner vs SparseWeaver (Case Study 3), folded from a grid.
+
+    The auto-tuner tries every software schedule and keeps the
+    fastest: its pick is the cheapest software cell (ties go to the
+    first in ``SOFTWARE_SCHEDULES`` order) and its bill is the summed
+    cycles of all four.  SparseWeaver needs one run.  The cells are
+    Fig. 10's PageRank cells, so a merged batch runs each once for both.
+    """
 
     name = "table5"
     paper = "Table V"
@@ -150,36 +161,26 @@ class Table5(Figure):
 
     DATASETS = ["hollywood", "web-uk", "collab", "road-ca"]
 
-    def summarize(self, ctx, results):
-        from repro.algorithms import make_algorithm
-        from repro.autotune import AutoTuner
-        from repro.bench import run_single
-        from repro.graph import dataset
+    def _cells(self, ctx):
+        return grid(
+            AlgorithmSpec.of("pagerank", iterations=2),
+            bench_graph_specs(ctx, self.DATASETS, smoke_count=2),
+            SOFTWARE_SCHEDULES + ["sparseweaver"],
+            config=ctx.gpu_config(), max_iterations=2,
+        )
 
-        config = ctx.gpu_config()
-        names = ctx.trim(self.DATASETS, 2)
+    def build_jobs(self, ctx):
+        return list(self._cells(ctx).values())
+
+    def summarize(self, ctx, results):
+        cycles = experiment_result(results, self._cells(ctx)).cycles
         rows = []
-        for name in names:
-            graph = dataset(name, scale=ctx.rescale(0.25))
-            tuner = AutoTuner(
-                lambda: make_algorithm("pagerank", iterations=2),
-                config=config,
-            )
-            report = tuner.tune(graph)
-            sw = run_single(
-                make_algorithm("pagerank", iterations=2), graph,
-                "sparseweaver", config=config,
-            ).stats.total_cycles
-            rows.append([
-                name,
-                report.tuning_cycles,
-                report.baseline_cycles,
-                report.best_cycles,
-                report.best_schedule,
-                round(report.best_speedup, 2),
-                sw,
-                round(report.baseline_cycles / sw, 2),
-            ])
+        for name, row in cycles.items():
+            best = min(SOFTWARE_SCHEDULES, key=row.__getitem__)
+            base, sw = row["vertex_map"], row["sparseweaver"]
+            rows.append([name, sum(row[s] for s in SOFTWARE_SCHEDULES),
+                         base, row[best], best, round(base / row[best], 2),
+                         sw, round(base / sw, 2)])
         block = format_table(
             ["graph", "tuning cycles", "S_vm cycles",
              "best cycles", "best schedule", "tuner speedup",

@@ -223,10 +223,9 @@ def run_figures_report(
     figures: Union[Sequence[str], Sequence[Figure]],
     ctx: Optional[FigureContext] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: Optional[BatchEngine] = None,
     journal=None,
     policy: str = "keep_going",
     sim_engine: Optional[str] = None,
@@ -256,15 +255,9 @@ def run_figures_report(
 
     batch, per_figure = expand_jobs(ordered, ctx)
     batch = _apply_sim_engine(batch, sim_engine)
-    if engine is None:
-        engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry,
-                             journal=journal,
-                             fail_fast=(policy == "fail_fast"))
-    elif (jobs is not None or cache is not None or telemetry is not None
-          or journal is not None):
-        raise ReproError(
-            "pass either a prebuilt engine or jobs=/cache=/telemetry=/"
-            "journal=, not both")
+    engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry,
+                         journal=journal,
+                         fail_fast=(policy == "fail_fast"))
     outcomes = engine.run(batch)
     results = ResultSet(outcomes)
     report = FailureReport.from_outcomes(outcomes)
@@ -285,7 +278,7 @@ def run_figures(
     figures: Union[Sequence[str], Sequence[Figure]],
     ctx: Optional[FigureContext] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[Telemetry] = None,
     sim_engine: Optional[str] = None,
@@ -313,7 +306,7 @@ def run_figure(
     name: Union[str, Figure],
     ctx: Optional[FigureContext] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     telemetry: Optional[Telemetry] = None,
     sim_engine: Optional[str] = None,

@@ -395,19 +395,20 @@ def describe_coord(coord: Coord) -> str:
 # ----------------------------------------------------------------------
 # Run-ledger loaders (``repro diff`` sources)
 # ----------------------------------------------------------------------
-def ledgers_from_journal(path) -> Dict[str, Dict[str, Any]]:
-    """``label -> summary dict`` from a run journal's completions.
+def ledgers_from_journal(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """``content hash -> (label, summary dict)`` from a run journal.
 
     A deliberately tolerant reader: torn or non-JSON lines, non-object
     records and records of any other type are skipped, and *no* schema
     or simulator-version gate is applied — diffing a ledger from an
-    older build against today's is precisely the point.  The label
-    (falling back to the content hash) keys the result so perturbed
-    re-runs, whose hashes differ by construction, still pair up.
+    older build against today's is precisely the point.  The content
+    hash (falling back to the label) keys the result: a label leaves
+    out config, scale and iteration cap, so one batch holds many jobs
+    per label.
     """
     import json
 
-    out: Dict[str, Dict[str, Any]] = {}
+    out: Dict[str, Tuple[str, Dict[str, Any]]] = {}
     with open(path) as handle:
         for line in handle:
             line = line.strip()
@@ -424,17 +425,22 @@ def ledgers_from_journal(path) -> Dict[str, Dict[str, Any]]:
             summary = record.get("summary")
             if not isinstance(summary, dict):
                 continue
-            label = record.get("label") or record.get("hash") or "?"
-            out[str(label)] = summary
+            key = str(record.get("hash") or record.get("label") or "?")
+            out[key] = (str(record.get("label") or key), summary)
     return out
 
 
-def ledgers_from_cache_dir(path) -> Dict[str, Dict[str, Any]]:
-    """``label -> summary dict`` from a result-cache directory."""
+def ledgers_from_cache_dir(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """``content hash -> (label, summary dict)`` from a result-cache
+    directory.  An entry's file name is its cache key, which layers
+    the simulator version on the spec, so the content hash comes from
+    the stored spec (the file name stands in when that is missing)."""
     import json
     from pathlib import Path
 
-    out: Dict[str, Dict[str, Any]] = {}
+    from repro.runtime.jobspec import spec_hash
+
+    out: Dict[str, Tuple[str, Dict[str, Any]]] = {}
     for entry_path in sorted(Path(path).glob("*.json")):
         try:
             entry = json.loads(entry_path.read_text())
@@ -445,8 +451,9 @@ def ledgers_from_cache_dir(path) -> Dict[str, Dict[str, Any]]:
         summary = entry.get("summary")
         if not isinstance(summary, dict):
             continue
-        label = entry.get("label") or entry_path.stem
-        out[str(label)] = summary
+        spec = entry.get("spec")
+        key = spec_hash(spec) if isinstance(spec, dict) else entry_path.stem
+        out[key] = (str(entry.get("label") or key), summary)
     return out
 
 

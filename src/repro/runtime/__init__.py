@@ -11,10 +11,10 @@ line per finished job (:mod:`~repro.runtime.journal`), and structured
 run telemetry with a crash-safe JSONL sink
 (:mod:`~repro.runtime.telemetry`).
 
-Opt in from the bench harness with ``jobs=`` / ``cache=`` or the
-``REPRO_JOBS`` environment variable; drive grids directly with
-``python -m repro batch`` and inspect the store with
-``python -m repro cache``.  An interrupted batch continues by
+Run a grid through ``BatchEngine(jobs=..., cache=...).run(specs)``
+(every paper figure does, through :mod:`repro.figures`), drive one
+from the shell with ``python -m repro batch`` and inspect the store
+with ``python -m repro cache``.  An interrupted batch continues by
 rerunning it against the same cache: nothing that finished is
 simulated again.
 """
@@ -36,8 +36,6 @@ from repro.runtime.cache import (
 from repro.runtime.engine import (
     BatchEngine,
     JobOutcome,
-    raise_on_failures,
-    resolve_jobs,
 )
 from repro.runtime.journal import RunJournal, append_jsonl
 from repro.runtime.telemetry import RunEvent, Telemetry
@@ -55,8 +53,6 @@ __all__ = [
     "values_digest",
     "BatchEngine",
     "JobOutcome",
-    "raise_on_failures",
-    "resolve_jobs",
     "RunJournal",
     "append_jsonl",
     "RunEvent",

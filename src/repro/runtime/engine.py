@@ -7,9 +7,9 @@ serial ones:
 * cache lookups happen first, so a warm batch never touches a worker
   and an interrupted batch continues by rerunning against the same
   cache;
-* ``jobs=1`` (the default, also via ``REPRO_JOBS``) runs every miss
-  serially in-process — no pool, no pickling — which is what the
-  benchmark suite and tier-1 tests use;
+* ``jobs=1`` (the default) runs every miss serially in-process — no
+  pool, no pickling — which is what the benchmark suite and tier-1
+  tests use;
 * ``jobs>1`` submits every miss to one ``ProcessPoolExecutor`` for
   the batch and collects results as they complete, so cache and
   journal writes land as each job ends.  A worker that dies (an OOM
@@ -25,14 +25,12 @@ serial ones:
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, ReproError
 from repro.obs.profile import get_profiler
 from repro.obs.provenance import get_digester
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -43,21 +41,6 @@ from repro.runtime.telemetry import Telemetry
 #: What one job hands back: its summary dict (``None`` on failure),
 #: its error (``None`` on success) and its wall seconds.
 JobResult = Tuple[Optional[Dict[str, Any]], Optional[str], float]
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REPRO_JOBS``, else 1."""
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_JOBS must be an integer, got {raw!r}"
-            ) from None
-    return max(1, int(jobs))
 
 
 def _execute_spec(spec: JobSpec) -> Dict[str, Any]:
@@ -153,7 +136,7 @@ class BatchEngine:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         telemetry: Optional[Telemetry] = None,
         tracer: Optional[Tracer] = None,
@@ -165,7 +148,7 @@ class BatchEngine:
         ``fail_fast`` stops at the first failure and marks the
         remainder ``"skipped"``.  ``tracer`` records one span per
         simulated job for Chrome trace export."""
-        self.jobs = resolve_jobs(jobs)
+        self.jobs = max(1, int(jobs))
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -285,17 +268,3 @@ class BatchEngine:
         for idx, spec in futures.values():
             self._skip(idx, spec, outcomes)
 
-
-# ----------------------------------------------------------------------
-def raise_on_failures(outcomes: Sequence[JobOutcome]) -> None:
-    """Raise one :class:`ReproError` naming every failed job."""
-    failed = [o for o in outcomes if not o.ok]
-    if not failed:
-        return
-    details = "; ".join(
-        f"{o.spec.label}: {o.error}" for o in failed[:5]
-    )
-    more = f" (+{len(failed) - 5} more)" if len(failed) > 5 else ""
-    raise ReproError(
-        f"{len(failed)} of {len(outcomes)} jobs failed: {details}{more}"
-    )

@@ -42,6 +42,17 @@ def _canonical_json(data: Dict[str, Any]) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def spec_hash(spec_dict: Dict[str, Any]) -> str:
+    """The content address of a :meth:`JobSpec.to_dict` form.
+
+    :meth:`JobSpec.content_hash` is this of the spec's own dict; a
+    reader holding only the stored dict (a result-cache entry) gets
+    the same address back.
+    """
+    return hashlib.sha256(
+        _canonical_json(spec_dict).encode("utf-8")).hexdigest()
+
+
 def graph_digest(graph: CSRGraph) -> str:
     """Content digest of a CSR graph's arrays.
 
@@ -322,9 +333,7 @@ class JobSpec:
         """
         cached = getattr(self, "_content_hash", None)
         if cached is None:
-            cached = hashlib.sha256(
-                _canonical_json(self.to_dict()).encode("utf-8")
-            ).hexdigest()
+            cached = spec_hash(self.to_dict())
             object.__setattr__(self, "_content_hash", cached)
         return cached
 

@@ -1,8 +1,7 @@
-"""Auto-tuner (Table V) and the benchmark harness utilities."""
+"""The benchmark harness utilities: runner and report formatting."""
 
 import pytest
 
-from repro.autotune import AutoTuner
 from repro.algorithms import make_algorithm
 from repro.bench import (
     format_breakdown,
@@ -12,59 +11,10 @@ from repro.bench import (
     run_schedule_comparison,
     run_single,
 )
-from repro.errors import ScheduleError
 from repro.graph import powerlaw_graph, star_graph
 from repro.sim import GPUConfig
 
 CFG = GPUConfig.vortex_tiny()
-
-
-# ----------------------------------------------------------------------
-# AutoTuner
-# ----------------------------------------------------------------------
-def test_tuner_tries_all_candidates(small_powerlaw):
-    tuner = AutoTuner(lambda: make_algorithm("pagerank", iterations=2),
-                      config=CFG)
-    report = tuner.tune(small_powerlaw)
-    assert len(report.trials) == 4
-    assert report.best_schedule in {t.schedule for t in report.trials}
-
-
-def test_tuner_best_is_minimum(small_powerlaw):
-    tuner = AutoTuner(lambda: make_algorithm("pagerank", iterations=2),
-                      config=CFG)
-    report = tuner.tune(small_powerlaw)
-    assert report.best_cycles == min(t.cycles for t in report.trials)
-
-
-def test_tuning_bill_sums_trials(small_powerlaw):
-    tuner = AutoTuner(lambda: make_algorithm("pagerank", iterations=2),
-                      config=CFG)
-    report = tuner.tune(small_powerlaw)
-    assert report.tuning_cycles == sum(t.cycles for t in report.trials)
-    assert report.tuning_cycles > report.best_cycles
-    assert report.tuning_wall_seconds > 0
-
-
-def test_tuner_speedup_on_skewed_graph():
-    g = star_graph(100)
-    tuner = AutoTuner(lambda: make_algorithm("pagerank", iterations=2),
-                      config=CFG)
-    report = tuner.tune(g)
-    assert report.best_speedup >= 1.0
-
-
-def test_tuner_custom_candidates(small_powerlaw):
-    tuner = AutoTuner(
-        lambda: make_algorithm("pagerank", iterations=1),
-        config=CFG, candidates=["vertex_map", "edge_map"],
-    )
-    assert len(tuner.tune(small_powerlaw).trials) == 2
-
-
-def test_tuner_empty_candidates_rejected():
-    with pytest.raises(ScheduleError):
-        AutoTuner(lambda: make_algorithm("pagerank"), candidates=[])
 
 
 # ----------------------------------------------------------------------

@@ -129,14 +129,17 @@ def test_batch_profile_folds_worker_snapshots(capsys, tmp_path):
 # ----------------------------------------------------------------------
 # repro diff — provenance divergence localization
 # ----------------------------------------------------------------------
-def _diff_journal(path, label, ledger):
+def _diff_journal(path, label, ledger, key=None):
     """One completion record carrying a digest ledger, as the engine
-    journals it (loader is schema-tolerant, so only the shape matters)."""
+    journals it (loader is schema-tolerant, so only the shape matters).
+    The content hash defaults to one derived from the label."""
+    import hashlib
     import json
 
     with open(path, "a") as handle:
         handle.write(json.dumps({
-            "hash": "ab" * 32, "label": label,
+            "hash": key or hashlib.sha256(label.encode()).hexdigest(),
+            "label": label,
             "summary": {"total_cycles": 10, "iterations": 1,
                         "stats": {}, "values_digest": "d",
                         "digest_ledger": ledger},
@@ -159,6 +162,30 @@ def test_diff_journals_clean_and_divergent(capsys, tmp_path):
     assert code == 1
     assert "FIRST DIVERGENCE: job-1 at kernel 0 interval 0 core 0 warp 0" in out
     assert "2 diverging record(s)" in out
+
+
+def test_diff_pairs_journals_by_content_hash(capsys, tmp_path):
+    """Two jobs share a label (labels leave out config and scale); the
+    first-journaled one diverges between the journals.  Pairing by
+    label would keep only the last of each and miss it."""
+    import json
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    _diff_journal(a, "pagerank/hollywood/vertex_map",
+                  [[0, 0, 0, 0, "aaaa", 3]], key="11" * 32)
+    _diff_journal(b, "pagerank/hollywood/vertex_map",
+                  [[0, 0, 0, 0, "XXXX", 3]], key="11" * 32)
+    for path in (a, b):
+        _diff_journal(path, "pagerank/hollywood/vertex_map",
+                      [[0, 0, 0, 0, "bbbb", 3]], key="22" * 32)
+
+    code, out = run_cli(capsys, "diff", "--a", str(a), "--b", str(b),
+                        "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["compared"] == 2 and doc["divergent"] == 1
+    diverging = [job for job in doc["jobs"] if job["divergences"]]
+    assert [job["hash"] for job in diverging] == ["11" * 32]
 
 
 def test_diff_json_output(capsys, tmp_path):
@@ -197,7 +224,7 @@ def test_diff_error_exits(capsys, tmp_path):
                          "--b", "engine=reference")
     assert code == 2
 
-    # No common labels between the two sides.
+    # No common jobs between the two sides.
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     _diff_journal(a, "job-1", [[0, 0, 0, 0, "aaaa", 1]])
     _diff_journal(b, "job-2", [[0, 0, 0, 0, "aaaa", 1]])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.autotune import AutoTuner
 from repro.bench import run_single
 from repro.frontend import GraphProcessor
 from repro.graph import dataset, powerlaw_graph, star_graph
@@ -86,15 +85,3 @@ def test_model_ordering_predicts_measured_ordering():
     )
     assert order_model == order_measured
 
-
-def test_autotuner_with_sparseweaver_option():
-    """Section VII-B: with the hardware option enabled, the tuner picks
-    SparseWeaver on skewed graphs."""
-    g = powerlaw_graph(400, 2400, exponent=1.9, seed=2)
-    tuner = AutoTuner(
-        lambda: make_algorithm("pagerank", iterations=2),
-        config=GPUConfig.vortex_bench(), include_sparseweaver=True,
-    )
-    report = tuner.tune(g)
-    assert len(report.trials) == 5
-    assert report.best_schedule == "sparseweaver"

@@ -199,6 +199,68 @@ def test_table1_parity_with_preport_analytic_path():
     assert out.blocks["table1_schemes"] == expected
 
 
+# ------------------------------------------------------------- Table V
+
+def test_table5_cells_are_fig10_pagerank_cells():
+    """Table V simulates nothing of its own: at the default scale its
+    cells dedup into Fig. 10's PageRank grid."""
+    ctx = FigureContext()
+    fig10, _ = expand_jobs(resolve_figures(["fig10_pagerank"]), ctx)
+    both, per_figure = expand_jobs(
+        resolve_figures(["fig10_pagerank", "table5"]), ctx)
+    assert len(fig10) == 45 and len(per_figure["table5"]) == 20
+    assert ([s.content_hash() for s in both]
+            == [s.content_hash() for s in fig10])
+
+
+def test_table5_folds_its_cells():
+    """The tuner's pick is the cheapest software cell, a tie going to
+    the first in SOFTWARE_SCHEDULES order; its bill is the four
+    software cells' sum; S_vm and SW come from their own cells."""
+    from repro.figures import ResultSet
+    from repro.runtime import JobOutcome, RunSummary
+    from repro.sim.stats import KernelStats
+
+    cycles = {
+        "hollywood": {"vertex_map": 800, "edge_map": 300,
+                      "warp_map": 200, "cta_map": 200,
+                      "sparseweaver": 100},
+        "web-uk": {"vertex_map": 400, "edge_map": 500, "warp_map": 600,
+                   "cta_map": 700, "sparseweaver": 500},
+    }
+    table5 = get_figure("table5")
+    results = ResultSet(
+        JobOutcome(spec, "ok", RunSummary(
+            total_cycles=cycles[spec.graph.name][spec.schedule],
+            iterations=2, stats=KernelStats(), values_digest="d"))
+        for spec in table5.build_jobs(SMOKE))
+    out = table5.summarize(SMOKE, results)
+    assert out.data["rows"] == [
+        ["hollywood", 1500, 800, 200, "warp_map", 4.0, 100, 8.0],
+        ["web-uk", 2200, 400, 400, "vertex_map", 1.0, 500, 0.8],
+    ]
+
+
+def test_table5_summarize_simulates_nothing(monkeypatch):
+    """Once its batch is done, Table V is a fold: summarize runs no
+    simulation."""
+    from repro.figures import ResultSet
+    from repro.frontend.framework import GraphProcessor
+    from repro.runtime import BatchEngine
+
+    table5 = get_figure("table5")
+    batch, _ = expand_jobs([table5], SMOKE)
+    results = ResultSet(BatchEngine().run(batch))
+
+    def no_simulation(self, *args, **kwargs):
+        raise AssertionError("Table V simulated inside summarize")
+
+    monkeypatch.setattr(GraphProcessor, "run", no_simulation)
+    out = table5.summarize(SMOKE, results)
+    assert out.blocks["table5_autotuner"].startswith("Table V")
+    assert [row[0] for row in out.data["rows"]] == ["hollywood", "web-uk"]
+
+
 # ------------------------------------------------------------ incremental
 
 def test_second_run_is_all_cache_hits(tmp_path):
@@ -325,15 +387,6 @@ def test_run_figures_report_degrades_gracefully(tmp_path, monkeypatch):
         ["table1", "fig13"], SMOKE, jobs=1)
     assert clean_report.ok
     assert sorted(clean_outputs) == ["fig13", "table1"]
-
-
-def test_run_figures_report_rejects_engine_plus_opts():
-    from repro.runtime import BatchEngine, RunJournal
-
-    with pytest.raises(ReproError):
-        run_figures_report(["table1"], SMOKE,
-                           journal=RunJournal("unused.jsonl"),
-                           engine=BatchEngine(jobs=1))
 
 
 def test_run_figures_report_rejects_unknown_policy():

@@ -28,7 +28,7 @@ from repro.obs.provenance import (DEFAULT_INTERVAL, DIGEST_ENV,
                                   resolve_interval, sort_key)
 from repro.runtime import (AlgorithmSpec, GraphSpec, JobSpec,
                            RunJournal)
-from repro.runtime.cache import RunSummary
+from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.engine import _execute_spec
 from repro.sim import GPUConfig
 
@@ -226,9 +226,11 @@ def test_ledger_rides_the_run_journal(tmp_path):
     journal = RunJournal(tmp_path / "run.jsonl")
     journal.record(spec, RunSummary.from_dict(data))
 
-    # The diff-side loader finds the same ledger, keyed by label.
+    # The diff-side loader finds the same ledger, keyed by content hash.
     runs = ledgers_from_journal(tmp_path / "run.jsonl")
-    assert runs[spec.label]["digest_ledger"] == data["digest_ledger"]
+    label, summary = runs[spec.content_hash()]
+    assert label == spec.label
+    assert summary["digest_ledger"] == data["digest_ledger"]
 
 
 def test_ledgers_from_journal_tolerates_garbage(tmp_path):
@@ -249,8 +251,10 @@ def test_ledgers_from_journal_tolerates_garbage(tmp_path):
         handle.write('{"type": "complete", "summary": 7}\n')
         handle.write('{"hash": "cd", "summary": {"total_cycles"')  # torn
     runs = ledgers_from_journal(path)
-    assert set(runs) == {"job-a"}
-    assert runs["job-a"]["digest_ledger"] == [[0, 0, 0, 0, "aa", 1]]
+    assert set(runs) == {"ab"}
+    label, summary = runs["ab"]
+    assert label == "job-a"
+    assert summary["digest_ledger"] == [[0, 0, 0, 0, "aa", 1]]
 
 
 def test_ledgers_from_cache_dir(tmp_path):
@@ -259,7 +263,20 @@ def test_ledgers_from_cache_dir(tmp_path):
     (tmp_path / "bb.json").write_text("{torn")
     (tmp_path / "cc.json").write_text(json.dumps({"summary": [1]}))
     runs = ledgers_from_cache_dir(tmp_path)
-    assert set(runs) == {"job-a"}
+    assert runs == {"aa": ("job-a", {"total_cycles": 1})}
+
+
+def test_cache_and_journal_ledgers_pair_by_content_hash(tmp_path):
+    """A cache entry's file name is its version-layered cache key; the
+    loader recovers the job's content hash from the stored spec, so
+    cache and journal sources pair up."""
+    spec = tiny_spec()
+    summary = RunSummary.from_dict(_execute_spec(spec))
+    ResultCache(tmp_path / "cache").put(spec, summary)
+    RunJournal(tmp_path / "run.jsonl").record(spec, summary)
+    cached = ledgers_from_cache_dir(tmp_path / "cache")
+    journaled = ledgers_from_journal(tmp_path / "run.jsonl")
+    assert set(cached) == set(journaled) == {spec.content_hash()}
 
 
 # --------------------------------------------------- end-to-end

@@ -11,11 +11,10 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro.runtime.engine as engine_mod
-from repro.bench import run_schedule_comparison
 from repro.errors import ReproError
 from repro.graph import powerlaw_graph
 from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobSpec,
-                           ResultCache, Telemetry, resolve_jobs)
+                           ResultCache, Telemetry)
 from repro.sim import GPUConfig
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
@@ -175,68 +174,6 @@ def test_parallel_wall_is_measured_in_the_worker():
 
 
 # ----------------------------------------------------------------------
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs() == 3
-    assert resolve_jobs(2) == 2  # explicit argument wins
-    monkeypatch.setenv("REPRO_JOBS", "zero")
-    with pytest.raises(ReproError):
-        resolve_jobs()
-
-
-def test_grid_comparison_engine_equals_serial():
-    algorithm = AlgorithmSpec.of("pagerank", iterations=2)
-    graphs = {
-        "pl-a": powerlaw_graph(120, 500, seed=1),
-        "pl-b": powerlaw_graph(150, 600, seed=2),
-    }
-    config = GPUConfig.vortex_tiny()
-    serial = run_schedule_comparison(
-        algorithm, graphs, SCHEDULES, config=config, max_iterations=2)
-    parallel = run_schedule_comparison(
-        algorithm, graphs, SCHEDULES, config=config, max_iterations=2,
-        jobs=4)
-    assert serial.cycles == parallel.cycles
-    assert serial.speedups() == parallel.speedups()
-
-
-def test_grid_comparison_warm_cache(tmp_path):
-    algorithm = AlgorithmSpec.of("pagerank", iterations=1)
-    graphs = {"pl": powerlaw_graph(100, 400, seed=7)}
-    cache = ResultCache(tmp_path)
-    first = run_schedule_comparison(
-        algorithm, graphs, SCHEDULES, config=GPUConfig.vortex_tiny(),
-        max_iterations=1, cache=cache)
-    telemetry = Telemetry()
-    second = run_schedule_comparison(
-        algorithm, graphs, SCHEDULES, config=GPUConfig.vortex_tiny(),
-        max_iterations=1, cache=cache, telemetry=telemetry)
-    assert telemetry.count("started") == 0
-    assert telemetry.count("cached") == len(SCHEDULES)
-    assert first.cycles == second.cycles
-
-
-def test_engine_args_with_plain_lambda_raise():
-    graphs = {"pl": powerlaw_graph(60, 200, seed=1)}
-    with pytest.raises(ReproError):
-        run_schedule_comparison(
-            lambda: None, graphs, ["vertex_map"], jobs=2)
-
-
-def test_repro_jobs_env_keeps_plain_factories_serial(monkeypatch):
-    from repro.algorithms import make_algorithm
-
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    graphs = {"pl": powerlaw_graph(60, 200, seed=1)}
-    result = run_schedule_comparison(
-        lambda: make_algorithm("pagerank", iterations=1), graphs,
-        ["vertex_map"], config=GPUConfig.vortex_tiny(),
-        max_iterations=1)
-    assert result.cycles["pl"]["vertex_map"] > 0
-
-
 def test_missing_baseline_raises_repro_error():
     from repro.bench.runner import ExperimentResult
 
@@ -245,23 +182,3 @@ def test_missing_baseline_raises_repro_error():
         result.speedups()
     assert "vertex_map" in str(excinfo.value)
     assert "edge_map" in str(excinfo.value)
-
-
-def test_autotuner_engine_matches_serial(tmp_path):
-    from repro.autotune import AutoTuner
-
-    graph = powerlaw_graph(120, 500, seed=4)
-    spec = AlgorithmSpec.of("pagerank", iterations=2)
-    config = GPUConfig.vortex_tiny()
-    serial = AutoTuner(spec, config=config, max_iterations=2).tune(graph)
-    cache = ResultCache(tmp_path)
-    engine = AutoTuner(spec, config=config, max_iterations=2, jobs=2,
-                       cache=cache).tune(graph)
-    assert serial.best_schedule == engine.best_schedule
-    assert serial.best_cycles == engine.best_cycles
-    assert ([t.cycles for t in serial.trials]
-            == [t.cycles for t in engine.trials])
-    warm = AutoTuner(spec, config=config, max_iterations=2, jobs=2,
-                     cache=cache).tune(graph)
-    assert warm.tuning_wall_seconds == 0.0  # every trial memoized
-    assert warm.best_cycles == serial.best_cycles

@@ -100,9 +100,7 @@ def test_sigint_then_rerun_resimulates_nothing(tmp_path):
     first_path = tmp_path / "first.jsonl"
     rerun_path = tmp_path / "rerun.jsonl"
     repo_root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ,
-               PYTHONPATH=str(repo_root / "src"),
-               REPRO_JOBS="1")
+    env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
     argv = [sys.executable, "-m", "repro", "batch",
             "--algorithm", "pagerank", "--datasets", "bio-human",
             "--scale", "0.3", "--iterations", "2",
