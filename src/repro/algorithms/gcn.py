@@ -364,9 +364,9 @@ def _graphsum_sw_factory(cfg: GPUConfig, regions, graph: CSRGraph,
                     if decoded.exhausted:
                         break
                     eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                    mask = decoded.mask
-                    bases = decoded.vids[mask]
-                    eids = eid_row[mask]
+                    work = decoded.work_count
+                    bases = decoded.vids[:work]
+                    eids = eid_row[:work]
                     yield load(Phase.EDGE_ACCESS, regions["col_idx"], eids)
                     srcs = col[eids]
                     # coefficient computed once per edge, reused for

@@ -213,9 +213,9 @@ def _sparseweaver_factory(cfg, regions, table, queries, starts, lengths,
                     if decoded.exhausted:
                         break
                     slot_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                    mask = decoded.mask
-                    owners = decoded.vids[mask]
-                    slots = slot_row[mask]
+                    work = decoded.work_count
+                    owners = decoded.vids[:work]
+                    slots = slot_row[:work]
                     yield load(Phase.EDGE_ACCESS, regions["table_keys"],
                                slots)
                     yield alu(Phase.GATHER)

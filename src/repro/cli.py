@@ -766,6 +766,28 @@ def _diff_replay(path, spec_a, spec_b, kernel: int) -> str:
     return str(out)
 
 
+def _pair_live(live: dict, stored: dict) -> dict:
+    """The stored runs a live diff side pairs with, keyed like it.
+
+    The stored job with the live job's content hash pairs first.
+    Without one, the only stored job with the live job's label pairs,
+    re-keyed to the live hash; several such jobs are ambiguous.
+    """
+    from repro.errors import ReproError
+
+    (key, (label, _summary)), = live.items()
+    if key in stored:
+        return stored
+    twins = sorted(other for other, (name, _s) in stored.items()
+                   if name == label)
+    if len(twins) > 1:
+        raise ReproError(
+            f"the live job {label} [{key[:12]}] has no stored twin "
+            f"with its content hash, and {len(twins)} stored jobs "
+            f"share its label: {', '.join(h[:12] for h in twins)}")
+    return {key: stored[twins[0]]} if twins else stored
+
+
 def _cmd_diff(args) -> int:
     import json as json_mod
 
@@ -775,21 +797,26 @@ def _cmd_diff(args) -> int:
 
     runs_a, spec_a, kind_a = _diff_side(args.a, args.interval)
     runs_b, spec_b, kind_b = _diff_side(args.b, args.interval)
-    by_label = "live" in (kind_a, kind_b)
+    by_label = kind_a == kind_b == "live"
     if by_label:
-        # A live job's twin may differ in config (the perturbation
-        # lever), so live sides pair by label, not by content hash.
+        # Two live jobs may differ in config (the perturbation lever),
+        # so they pair by label, not by content hash.
         runs_a, runs_b = ({label: (label, summary)
                            for label, summary in runs.values()}
                           for runs in (runs_a, runs_b))
+    elif kind_a == "live":
+        runs_b = _pair_live(runs_a, runs_b)
+    elif kind_b == "live":
+        runs_a = _pair_live(runs_b, runs_a)
     common = sorted(set(runs_a) & set(runs_b),
                     key=lambda key: (runs_a[key][0], key))
     if not common:
         raise ReproError(
             f"no common jobs between --a ({kind_a}: {len(runs_a)} "
             f"run(s)) and --b ({kind_b}: {len(runs_b)} run(s)) — "
-            "journal and cache jobs pair by content hash, live ones "
-            "by label")
+            "jobs pair by content hash; a live job without a stored "
+            "twin pairs with the one stored job of its label, and two "
+            "live jobs pair by label")
 
     jobs = []
     missing = 0

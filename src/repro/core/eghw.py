@@ -20,7 +20,6 @@ timeline run as live, only the reply is the batch's stored body.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, List, Optional, Tuple
 
 import numpy as np
@@ -31,21 +30,33 @@ from repro.sim.gpu import HOME
 from repro.sim.instructions import Op
 from repro.sim.memory import MemoryHierarchy, Region
 
+_PUSH, _FETCH = Op.EGHW_PUSH, Op.EGHW_FETCH
 
-@dataclass
+
 class EdgeBatch:
-    """One warp-wide batch of generated edge records."""
+    """One warp-wide batch of generated edge records.
 
-    vids: np.ndarray
-    eids: np.ndarray
-    others: np.ndarray   # opposite endpoint of each edge
-    weights: np.ndarray
-    mask: np.ndarray
+    Lane-wide arrays: the first ``count`` lanes hold the records,
+    which ``mask`` marks; the rest are padding (-1, weights 0.0).
+    """
+
+    __slots__ = ("vids", "eids", "others", "weights", "count", "exhausted")
+
+    def __init__(self, vids: np.ndarray, eids: np.ndarray,
+                 others: np.ndarray, weights: np.ndarray,
+                 count: int) -> None:
+        self.vids = vids
+        self.eids = eids
+        self.others = others      # opposite endpoint of each edge
+        self.weights = weights
+        self.count = count
+        #: True when the batch carries no work (unit drained).
+        self.exhausted = not count
 
     @property
-    def exhausted(self) -> bool:
-        """True when the batch carries no work (unit drained)."""
-        return not bool(self.mask.any())
+    def mask(self) -> np.ndarray:
+        """Lanes holding a record."""
+        return self.vids >= 0
 
 
 class EGHWUnit:
@@ -70,8 +81,10 @@ class EGHWUnit:
         self.col_region = col_region
         self.weight_region = weight_region
         self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.weights = weights
+        # A batch's ``others``/``weights`` gather these, so they stay
+        # int64/float64 whatever arrays the caller passes.
+        self.col_idx = np.asarray(col_idx, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=np.float64)
         self.lanes = config.threads_per_warp
         if not 0 <= core_id < len(memory.l1):
             raise SimulationError(f"core id {core_id} out of range")
@@ -89,6 +102,12 @@ class EGHWUnit:
         self._bodies: list = []
         self._batch = 0
         self.edges_generated = 0
+        # Every empty fetch gets the same batch; nothing writes to a
+        # reply's arrays.
+        lanes = self.lanes
+        idle = np.full(lanes, -1, dtype=np.int64)
+        self._empty = EdgeBatch(idle, idle, idle,
+                                np.zeros(lanes, dtype=np.float64), 0)
 
     # ------------------------------------------------------------------
     # Planned launches (fast engine)
@@ -114,106 +133,153 @@ class EGHWUnit:
         self, op: Op, warp_slot: int, now: int, payload: Any
     ) -> Tuple[int, Any]:
         """Serve EGHW_PUSH / EGHW_FETCH; returns ``(done_time, response)``."""
-        start = max(now, self._free_at)
-        if op == Op.EGHW_PUSH:
-            # GPU writes vertex ids into the unit's shared-memory buffer.
-            vids = [int(v) for v in payload]
-            self._inputs.extend(vids)
-            done = start + self.config.shmem_latency
-            self._unit_time = max(self._unit_time, done)
-            self._free_at = done
-            return done, None
-        if op == Op.EGHW_FETCH:
+        start = now if now > self._free_at else self._free_at
+        if op is _FETCH:
             batch, ready = self._fetch(start)
-            done = max(start, ready) + self.config.shmem_latency
+            done = ready + self.config.shmem_latency
             self._free_at = done
             return done, batch
+        if op is _PUSH:
+            # GPU writes vertex ids into the unit's shared-memory buffer.
+            self._inputs += map(int, payload)
+            done = start + self.config.shmem_latency
+            if done > self._unit_time:
+                self._unit_time = done
+            self._free_at = done
+            return done, None
         raise SimulationError(f"EGHWUnit cannot handle {op.name}")
 
     # ------------------------------------------------------------------
-    def _read(self, region: Region, first: int, end: int) -> None:
-        """Charge the contiguous element span ``region[first:end]`` on
-        the unit's timeline.
+    def _produce(self) -> None:
+        """Stage input vertices' edge records until a warp's worth is
+        staged or the inputs run out.
 
-        The unit keeps ``eghw_mlp`` memory requests in flight (a small
-        fixed MSHR budget), so its serial timeline advances by
-        ``latency / mlp`` per access — better than fully serial, but far
-        from the GPU pipeline's warp-level hiding, which is the paper's
-        point in Case Study 1.
+        Per vertex: a shared-memory read of the vid buffer, the topology
+        read ``row_ptr[vid:vid+2]``, then per warp-width chunk of its
+        edge list the edge-information reads (``col_idx`` and
+        ``weights``) and a shared-memory write staging the chunk.  Each
+        read walks the element span's cache lines on the unit's
+        timeline (a planning unit reads nothing).  The unit keeps
+        ``eghw_mlp`` memory requests in flight (a small fixed MSHR
+        budget), so its serial timeline advances by ``latency / mlp``
+        per access — better than fully serial, but far from the GPU
+        pipeline's warp-level hiding, which is the paper's point in
+        Case Study 1.
         """
-        if self._log is not None:
-            return
-        memory = self.memory
-        latency = memory.walk(self.core_id,
-                              memory.span_lines(region, first, end),
-                              self._unit_time)
-        self._unit_time += -(-latency // self._mlp)
-
-    def _produce_one(self) -> bool:
-        """Stage records for the next input vertex; False when drained."""
-        shmem = self.config.shmem_latency
+        inputs = self._inputs
+        pending = len(inputs)
+        i = self._next_input
         lanes = self.lanes
-        while self._next_input < len(self._inputs):
-            vid = self._inputs[self._next_input]
-            self._next_input += 1
-            # Shared-memory read of the vid buffer.
-            self._unit_time += shmem
-            # Topology read: row_ptr[vid], row_ptr[vid+1].
-            self._read(self.row_ptr_region, vid, vid + 2)
-            start, end = int(self.row_ptr[vid]), int(self.row_ptr[vid + 1])
+        staged = self._staged
+        if staged >= lanes or i >= pending:
+            return
+        t = self._unit_time
+        shmem = self.config.shmem_latency
+        endpoint = self.row_ptr.item
+        runs = self._runs
+        reads = self._log is None
+        if reads:
+            memory = self.memory
+            walk = memory.walk
+            core = self.core_id
+            mlp = self._mlp
+            # Each read is ``MemoryHierarchy.span_lines`` of its span.
+            shift = memory.line_shift
+            rp_base = self.row_ptr_region.base
+            rp_size = self.row_ptr_region.itemsize
+            col_base = self.col_region.base
+            col_size = self.col_region.itemsize
+            w_base = self.weight_region.base
+            w_size = self.weight_region.itemsize
+        generated = 0
+        while staged < lanes and i < pending:
+            vid = inputs[i]
+            i += 1
+            t += shmem
+            if reads:
+                a = rp_base + vid * rp_size
+                t += -(-walk(core, range(a >> shift,
+                                         ((a + rp_size) >> shift) + 1),
+                             t) // mlp)
+            start = endpoint(vid)
+            end = endpoint(vid + 1)
             if start == end:
                 continue
-            # Edge-information reads, one warp-width chunk at a time.
             for first in range(start, end, lanes):
-                last = min(first + lanes, end)
-                self._read(self.col_region, first, last)
-                self._read(self.weight_region, first, last)
-                # Stage the chunk into the shared-memory output buffer.
-                self._unit_time += shmem
-                self._runs.append([vid, first, last, self._unit_time])
-            self._staged += end - start
-            self.edges_generated += end - start
-            return True
-        return False
+                last = first + lanes
+                if last > end:
+                    last = end
+                if reads:
+                    t += -(-walk(core, range(
+                        (col_base + first * col_size) >> shift,
+                        ((col_base + (last - 1) * col_size) >> shift) + 1),
+                        t) // mlp)
+                    t += -(-walk(core, range(
+                        (w_base + first * w_size) >> shift,
+                        ((w_base + (last - 1) * w_size) >> shift) + 1),
+                        t) // mlp)
+                t += shmem
+                runs.append([vid, first, last, t])
+            staged += end - start
+            generated += end - start
+        self._next_input = i
+        self._staged = staged
+        self._unit_time = t
+        self.edges_generated += generated
 
     def _fetch(self, now: int) -> Tuple[Any, int]:
-        """Return up to one warp of records and their availability time."""
-        self._unit_time = max(self._unit_time, now)
+        """Return up to one warp of records and their availability time.
+
+        A replaying unit needs only the batch's first edge, record count
+        and ready time to pick the planned body; live and planning units
+        build the lane-wide :class:`EdgeBatch`.
+        """
+        if self._unit_time < now:
+            self._unit_time = now
+        self._produce()
         lanes = self.lanes
-        while self._staged < lanes and self._next_input < len(self._inputs):
-            self._produce_one()
-        vids: List[int] = []
-        eids: List[int] = []
-        ready = now
         runs = self._runs
-        while runs and len(eids) < lanes:
+        ready = now
+        take = 0
+        first_eid = runs[0][1] if runs else -1
+        batch = self._plan is None
+        if batch:
+            vids: List[int] = []
+            eids: List[int] = []
+        while runs and take < lanes:
             run = runs[0]
             vid, first, end, at = run
-            last = min(end, first + lanes - len(eids))
-            vids += [vid] * (last - first)
-            eids += range(first, last)
+            last = first + lanes - take
+            if last < end:
+                run[1] = last
+            else:
+                last = end
+                runs.popleft()
+            if batch:
+                vids += [vid] * (last - first)
+                eids += range(first, last)
+            take += last - first
             if at > ready:
                 ready = at
-            if last == end:
-                runs.popleft()
-            else:
-                run[1] = last
-        take = len(eids)
         self._staged -= take
-        if self._plan is not None:
-            return self._planned_body(eids[0] if take else -1, take), ready
-        if self._log is not None and take:
-            self._log.append((eids[0], take))
-        pad = [-1] * (lanes - take)
-        vid_row = np.array(vids + pad, dtype=np.int64)
-        eid_row = np.array(eids + pad, dtype=np.int64)
-        others = np.full(lanes, -1, dtype=np.int64)
-        weights = np.zeros(lanes, dtype=np.float64)
-        taken = eid_row[:take]
-        others[:take] = self.col_idx[taken]
-        weights[:take] = self.weights[taken]
-        batch = EdgeBatch(vid_row, eid_row, others, weights, vid_row >= 0)
-        return batch, ready
+        if not batch:
+            return self._planned_body(first_eid, take), ready
+        if not take:
+            return self._empty, ready
+        if self._log is not None:
+            self._log.append((first_eid, take))
+        if take < lanes:
+            pad = [-1] * (lanes - take)
+            vids += pad
+            eids += pad
+        eid_row = np.array(eids, dtype=np.int64)
+        others = self.col_idx[eid_row]
+        weights = self.weights[eid_row]
+        if take < lanes:
+            others[take:] = -1
+            weights[take:] = 0.0
+        return EdgeBatch(np.array(vids, dtype=np.int64), eid_row, others,
+                         weights, take), ready
 
     def _planned_body(self, first: int, take: int) -> Any:
         """The reply of a replaying unit, checked against the plan."""

@@ -22,14 +22,13 @@ the paper's worked example cycle by cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import WeaverError
-from repro.core.tables import STEntry, SparseWorkloadTable
+from repro.core.tables import SparseWorkloadTable
 
 
 class WeaverState(Enum):
@@ -46,6 +45,8 @@ class WeaverState(Enum):
     END = "S8"
 
 
+_INIT, _END = WeaverState.INIT, WeaverState.END
+
 #: State tails of one S2 visit: OD full (S5 -> S6), refill from the
 #: next ST entry (S3 -> S4), and ST exhausted (S7 -> S8).
 _OD_FULL = (WeaverState.UPDATE_DT, WeaverState.WAIT)
@@ -53,32 +54,53 @@ _REFILL = (WeaverState.FETCH, WeaverState.UPDATE_CED)
 _DRAIN = (WeaverState.DRAIN, WeaverState.END)
 
 
-@dataclass
 class DecodeResult:
     """What one ``WEAVER_DEC_ID`` request produced.
 
-    ``vids``/``eids`` are lane-wide arrays padded with -1; ``mask`` marks
-    lanes holding valid work (the hardware thread-activation clue).
-    ``fsm_cycles`` counts states visited and ``st_reads`` counts ST
-    fetches — the timed unit converts both into latency.
+    ``vids``/``eids`` are lane-wide arrays padded with -1: the first
+    ``work_count`` lanes hold work, which ``mask`` marks (the hardware
+    thread-activation clue).  ``exhausted`` is True when no lane holds
+    work (the distribution-loop exit).  ``fsm_cycles`` counts states
+    visited and ``st_reads`` counts ST fetches — the timed unit converts
+    both into latency.
+
+    ``states`` is the decode's Fig. 6 trail, rebuilt on request from
+    ``st_reads`` and how the decode started and ended: every trail is
+    ``[S1]`` (from S0 only), one ``S2 S3 S4`` per ST refill, then ``S2``
+    and the tail ``S5 S6`` (OD full) or ``S7 S8`` (ST drained).  A
+    request answered in S8 visits no state.
     """
 
-    vids: np.ndarray
-    eids: np.ndarray
-    mask: np.ndarray
-    fsm_cycles: int
-    st_reads: int
-    states: List[WeaverState] = field(default_factory=list)
+    __slots__ = ("vids", "eids", "fsm_cycles", "st_reads", "work_count",
+                 "exhausted", "_trail")
+
+    def __init__(self, vids: np.ndarray, eids: np.ndarray, fsm_cycles: int,
+                 st_reads: int, work_count: int,
+                 trail: Optional[Tuple[bool, tuple]] = None) -> None:
+        self.vids = vids
+        self.eids = eids
+        self.fsm_cycles = fsm_cycles
+        self.st_reads = st_reads
+        self.work_count = work_count
+        self.exhausted = not work_count
+        #: ``(started in S0, tail states)``; None for a request in S8.
+        self._trail = trail
 
     @property
-    def exhausted(self) -> bool:
-        """True when every lane returned -1 (distribution-loop exit)."""
-        return not bool(self.mask.any())
+    def mask(self) -> np.ndarray:
+        """Lanes holding valid work."""
+        return self.vids >= 0
 
     @property
-    def work_count(self) -> int:
-        """Number of valid lanes."""
-        return int(self.mask.sum())
+    def states(self) -> List[WeaverState]:
+        """The Fig. 6 states this decode visited, in order."""
+        if self._trail is None:
+            return []
+        from_init, tail = self._trail
+        head = [WeaverState.LOAD_FIRST] if from_init else []
+        refill = [WeaverState.DECODE, *_REFILL]
+        return (head + refill * (self.st_reads - from_init)
+                + [WeaverState.DECODE, *tail])
 
 
 class WeaverFSM:
@@ -105,7 +127,7 @@ class WeaverFSM:
         self.table = table
         self.lanes = lanes
         self.state = WeaverState.INIT
-        self._entries: List[STEntry] = []
+        self._entries: List[Tuple[int, int, int]] = []
         self._scan_pos = 0
         # Current Entry Data (CED) buffer: the in-flight ST entry's vid,
         # next edge id and remaining work items (vid None: no entry).
@@ -115,6 +137,10 @@ class WeaverFSM:
         self._skipped: Set[int] = set()
         self.total_fsm_cycles = 0
         self.total_st_reads = 0
+        # Every request in S8 gets the same all -1 reply; nothing writes
+        # to a reply's rows.
+        idle = np.full(lanes, -1, dtype=np.int64)
+        self._end_reply = DecodeResult(idle, idle, self.END_CYCLES, 0, 0)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -139,7 +165,7 @@ class WeaverFSM:
     @property
     def exhausted(self) -> bool:
         """True once the FSM has reached S8."""
-        return self.state == WeaverState.END
+        return self.state is _END
 
     # ------------------------------------------------------------------
     def decode(self) -> DecodeResult:
@@ -147,95 +173,85 @@ class WeaverFSM:
         scan ends, then emit the OD as a lane-wide result.
 
         Each S2 visit moves ``min(free lanes, CED remaining)`` work items
-        into the OD at once, as one ``(vid, first_eid, count)`` run, so
-        the host cost follows ST entries rather than work items.
+        into the OD at once, as one run of a vid and consecutive edge
+        ids, so the host cost follows ST entries rather than work items.
+        Before each ST fetch the valid bitmap steps over zero-degree and
+        skipped entries, ``zero_skip_width`` per cycle.
         """
-        if self.state == WeaverState.END:
-            return self._finish([], [], 0, self.END_CYCLES)
-        states: List[WeaverState] = []
-        st_reads = 0
-        bitmap_cycles = 0
-        if self.state == WeaverState.INIT:
-            self._entries = list(self.table.scan())
-            self._scan_pos = 0
-            bitmap_cycles += self._skip_zeros()
-            states.append(WeaverState.LOAD_FIRST)
-            st_reads += 1
-            self._load_ced()
-        # else WAIT: resume with the current CED at S2.
-
-        # Decode loop: S2 with refills (S3/S4) until OD full or drained.
-        od: List[Tuple[int, int, int]] = []
-        free = self.lanes
-        while True:
-            states.append(WeaverState.DECODE)
-            if self._ced_remaining > 0:
-                count = min(free, self._ced_remaining)
-                od.append((self._ced_vid, self._ced_cursor, count))
-                self._ced_cursor += count
-                self._ced_remaining -= count
-                free -= count
-            if not free:
-                states += _OD_FULL
-                break
-            bitmap_cycles += self._skip_zeros()
-            if self._scan_pos < len(self._entries):
-                states += _REFILL
-                st_reads += 1
-                self._load_ced()
-                continue
-            # ST exhausted: drain the partial OD and end.
-            states += _DRAIN
-            break
-        self.state = states[-1]
-        return self._finish(od, states, st_reads,
-                            len(states) + bitmap_cycles)
-
-    # ------------------------------------------------------------------
-    def _skip_zeros(self) -> int:
-        """Advance the scan cursor over zero-degree / skipped entries via
-        the valid bitmap; returns the bitmap cycles spent
-        (``zero_skip_width`` entries per cycle)."""
-        entries, skipped = self._entries, self._skipped
-        pos = start = self._scan_pos
-        while pos < len(entries):
-            vid, _, degree = entries[pos]
-            if degree > 0 and vid not in skipped:
-                break
-            pos += 1
-        self._scan_pos = pos
-        return -(-(pos - start) // self.zero_skip_width)
-
-    def _load_ced(self) -> None:
-        """Latch the entry under the scan cursor into the CED (none left:
-        the CED stays empty).  The entry is live: ``_skip_zeros`` just
-        stepped over every zero-degree or skipped one."""
-        if self._scan_pos < len(self._entries):
-            vid, loc, degree = self._entries[self._scan_pos]
-            self._scan_pos += 1
-            self._ced_vid, self._ced_cursor = vid, loc
-            self._ced_remaining = degree
+        if self.state is _END:
+            self.total_fsm_cycles += self.END_CYCLES
+            return self._end_reply
+        lanes = self.lanes
+        width = self.zero_skip_width
+        skipped = self._skipped
+        from_init = self.state is _INIT
+        if from_init:
+            # S1: scan the ST from its first live entry.
+            entries = self._entries = self.table.rows()
+            pos = 0
         else:
-            self._ced_vid, self._ced_remaining = None, 0
-
-    def _finish(
-        self, od: List[Tuple[int, int, int]], states: List[WeaverState],
-        st_reads: int, cycles: int,
-    ) -> DecodeResult:
+            # S6: resume with the current CED at S2.
+            entries = self._entries
+            pos = self._scan_pos
+        end = len(entries)
+        vid = self._ced_vid
+        cursor = self._ced_cursor
+        remaining = self._ced_remaining
         vids: List[int] = []
         eids: List[int] = []
-        for vid, first, count in od:
-            vids += [vid] * count
-            eids += range(first, first + count)
-        pad = [-1] * (self.lanes - len(vids))
-        vid_row = np.array(vids + pad, dtype=np.int64)
+        free = lanes
+        st_reads = 0
+        bitmap_cycles = 0
+        fetch = from_init
+        while True:
+            if fetch:
+                # The valid bitmap, then the S1/S3 fetch into the CED.
+                start = pos
+                while pos < end:
+                    entry = entries[pos]
+                    if entry[2] > 0 and entry[0] not in skipped:
+                        break
+                    pos += 1
+                bitmap_cycles += -(-(pos - start) // width)
+                if pos < end:
+                    vid, cursor, remaining = entries[pos]
+                    pos += 1
+                    st_reads += 1
+                elif from_init and not st_reads:
+                    # S1 with nothing live: the CED stays empty.
+                    vid, remaining = None, 0
+                    st_reads = 1
+                else:
+                    tail = _DRAIN
+                    break
+            fetch = True
+            # S2: move one run from the CED into the OD.
+            if remaining > 0:
+                count = free if free < remaining else remaining
+                vids += [vid] * count
+                eids += range(cursor, cursor + count)
+                cursor += count
+                remaining -= count
+                free -= count
+                if not free:
+                    tail = _OD_FULL
+                    break
+        self._scan_pos = pos
+        self._ced_vid = vid
+        self._ced_cursor = cursor
+        self._ced_remaining = remaining
+        self.state = tail[1]
+        # One cycle per state: S1 from S0, S2 S3 S4 per refill, then S2
+        # and the two tail states.
+        cycles = (from_init + 3 * (st_reads - from_init) + 3
+                  + bitmap_cycles)
         self.total_fsm_cycles += cycles
         self.total_st_reads += st_reads
-        return DecodeResult(
-            vids=vid_row,
-            eids=np.array(eids + pad, dtype=np.int64),
-            mask=vid_row >= 0,
-            fsm_cycles=cycles,
-            st_reads=st_reads,
-            states=states,
-        )
+        work = lanes - free
+        if free:
+            pad = [-1] * free
+            vids += pad
+            eids += pad
+        return DecodeResult(np.array(vids, dtype=np.int64),
+                            np.array(eids, dtype=np.int64), cycles,
+                            st_reads, work, (from_init, tail))

@@ -14,7 +14,7 @@ read it back.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +40,14 @@ class SparseWorkloadTable:
     Entries are written at explicit indices (``warp_id * threads_per_warp
     + thread_id``); unwritten slots are skipped during the scan, which
     happens when a thread's stride loop has no vertex left to register.
+    A slot holds its entry as a plain ``(vid, loc, degree)`` tuple.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise WeaverError("ST capacity must be at least 1")
         self.capacity = capacity
-        self._entries: List[Optional[STEntry]] = [None] * capacity
+        self._entries: List[Optional[Tuple[int, int, int]]] = [None] * capacity
         self._count = 0
         self.writes = 0
 
@@ -61,34 +62,64 @@ class SparseWorkloadTable:
     def register(self, index: int, vid: int, loc: int, degree: int) -> None:
         """Write an entry at ``index``; re-registering a slot is an error
         within one epoch (each thread owns exactly one slot)."""
-        if not 0 <= index < self.capacity:
-            raise WeaverError(
-                f"ST index {index} out of range [0, {self.capacity}); "
-                "the kernel must chunk registration into epochs"
-            )
-        if self._entries[index] is not None:
-            raise WeaverError(
-                f"ST slot {index} registered twice in one epoch"
-            )
-        self._entries[index] = STEntry(vid, loc, degree)
-        self._count += 1
-        self.writes += 1
+        self.register_warp(index, 1, ((0, vid, loc, degree),))
+
+    def register_warp(self, base: int, lanes: int,
+                      entries: Iterable[Tuple[int, int, int, int]]) -> int:
+        """Write one warp's ``(lane, vid, loc, degree)`` registrations at
+        ``base + lane``; returns how many were written.
+
+        A lane outside ``[0, lanes)``, an index outside the table, a slot
+        already written this epoch and a negative degree or location
+        are errors.
+        """
+        slots = self._entries
+        capacity = self.capacity
+        count = 0
+        try:
+            for lane, vid, loc, degree in entries:
+                if not 0 <= lane < lanes:
+                    raise WeaverError(
+                        f"lane {lane} out of range [0, {lanes})")
+                index = base + lane
+                if not 0 <= index < capacity:
+                    raise WeaverError(
+                        f"ST index {index} out of range [0, {capacity}); "
+                        "the kernel must chunk registration into epochs"
+                    )
+                if slots[index] is not None:
+                    raise WeaverError(
+                        f"ST slot {index} registered twice in one epoch"
+                    )
+                if degree < 0 or loc < 0:
+                    STEntry(vid, loc, degree)  # raises, naming the field
+                slots[index] = (vid, loc, degree)
+                count += 1
+        finally:
+            # Entries before a rejected one stay written, and counted.
+            self._count += count
+            self.writes += count
+        return count
 
     def get(self, index: int) -> Optional[STEntry]:
         """Entry at ``index`` or None."""
         if not 0 <= index < self.capacity:
             raise WeaverError(f"ST index {index} out of range")
-        return self._entries[index]
+        entry = self._entries[index]
+        return None if entry is None else STEntry._make(entry)
+
+    def rows(self) -> List[Tuple[int, int, int]]:
+        """Registered ``(vid, loc, degree)`` triples in index order (the
+        FSM's scan input)."""
+        return [entry for entry in self._entries if entry is not None]
 
     def scan(self) -> Iterator[STEntry]:
         """Iterate registered entries in index (== software thread) order."""
-        for entry in self._entries:
-            if entry is not None:
-                yield entry
+        return map(STEntry._make, self.rows())
 
     def total_degree(self) -> int:
         """Sum of registered degrees (total work items this epoch)."""
-        return sum(e.degree for e in self._entries if e is not None)
+        return sum(degree for _, _, degree in self.rows())
 
 
 class DenseWorkIDTable:
@@ -104,25 +135,29 @@ class DenseWorkIDTable:
         self.reads = 0
 
     def write(self, warp_id: int, eids: np.ndarray) -> None:
-        """Store a warp's EID row (padded with -1 for idle lanes)."""
+        """Park a warp's EID row (padded with -1 for idle lanes).
+
+        The table keeps the array itself: the writer hands over a row
+        it no longer writes to (the unit's rows are fresh per decode).
+        """
         self._check_warp(warp_id)
-        eids = np.asarray(eids, dtype=np.int64)
-        if eids.size != self.lanes:
+        if len(eids) != self.lanes:
             raise WeaverError(
-                f"DT row must have {self.lanes} lanes, got {eids.size}"
+                f"DT row must have {self.lanes} lanes, got {len(eids)}"
             )
-        self._rows[warp_id] = eids.copy()
+        self._rows[warp_id] = eids
         self.writes += 1
 
     def read(self, warp_id: int) -> np.ndarray:
         """Read back a warp's EID row; DEC_LOC before DEC_ID is an error."""
         self._check_warp(warp_id)
-        if warp_id not in self._rows:
+        row = self._rows.get(warp_id)
+        if row is None:
             raise WeaverError(
                 f"warp {warp_id} issued WEAVER_DEC_LOC before WEAVER_DEC_ID"
             )
         self.reads += 1
-        return self._rows[warp_id]
+        return row
 
     def clear(self) -> None:
         """Drop all rows (new epoch)."""

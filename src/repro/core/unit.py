@@ -34,6 +34,10 @@ from repro.sim.config import GPUConfig
 from repro.sim.gpu import HOME
 from repro.sim.instructions import Op
 
+_REG, _DEC_ID = Op.WEAVER_REG, Op.WEAVER_DEC_ID
+_DEC_LOC, _SKIP = Op.WEAVER_DEC_LOC, Op.WEAVER_SKIP
+_INIT, _END = WeaverState.INIT, WeaverState.END
+
 
 class WeaverUnit:
     """One core's Weaver, driven by the simulator's unit protocol.
@@ -69,9 +73,10 @@ class WeaverUnit:
         self.dt = DenseWorkIDTable(config.warps_per_core, self.lanes)
         self.fsm = WeaverFSM(self.st, self.lanes)
         self.prefetch_depth = max(1, prefetch_depth)
-        self._ready: list = []          # [(reply, ready_time)]
+        self._ready: deque = deque()    # (reply, ready_time) pairs
         self._scan_time = 0             # background FSM timeline
         self._scan_started = False
+        self._scan_end = False          # the epoch's scan reached S8
         self._free_at = 0
         self._epoch_open = False
         self._log: Optional[list] = None    # planning: per-epoch decodes
@@ -104,6 +109,7 @@ class WeaverUnit:
         """
         self._plan = iter(log)
         self._bodies = iter(bodies)
+        self._scan_end = True   # no epoch's decodes until a registration
 
     # ------------------------------------------------------------------
     # Simulator unit protocol
@@ -120,20 +126,13 @@ class WeaverUnit:
         latency but do not occupy the unit (the core reads the shared-
         memory-backed row directly).
         """
-        if op == Op.WEAVER_REG:
-            # Banked ST: one warp-wide row lands per cycle; the write
-            # latency itself is covered by the scan-fill charge.
-            start = max(now, self._free_at)
-            self._register(warp_slot, payload)
-            self._free_at = start + 1
-            return start + 1, None
-        if op == Op.WEAVER_DEC_ID:
-            start = max(now, self._free_at)
-            latency, response = self._decode_ids(warp_slot, start)
+        if op is _DEC_ID:
+            start = now if now > self._free_at else self._free_at
+            latency, reply = self._decode_ids(warp_slot, start)
             done = start + latency
             self._free_at = done
-            return done, response
-        if op == Op.WEAVER_DEC_LOC:
+            return done, reply
+        if op is _DEC_LOC:
             # The row was written by this warp's own DEC_ID moments ago;
             # a write-buffer bypass forwards it, capping the read cost.
             # (Without the bypass the full table latency would leak into
@@ -143,7 +142,14 @@ class WeaverUnit:
             if self._plan is not None:
                 return now + latency, None
             return now + latency, self.dt.read(warp_slot)
-        if op == Op.WEAVER_SKIP:
+        if op is _REG:
+            # Banked ST: one warp-wide row lands per cycle; the write
+            # latency itself is covered by the scan-fill charge.
+            start = now if now > self._free_at else self._free_at
+            self._register(warp_slot, payload)
+            self._free_at = start + 1
+            return start + 1, None
+        if op is _SKIP:
             if self._plan is not None:
                 raise SimulationError(
                     "WEAVER_SKIP reached a replaying Weaver: a skip "
@@ -154,7 +160,7 @@ class WeaverUnit:
         raise WeaverError(f"WeaverUnit cannot handle {op.name}")
 
     # ------------------------------------------------------------------
-    def _register(self, warp_slot: int, entries: Any) -> int:
+    def _register(self, warp_slot: int, entries: Any) -> None:
         """Write a warp's registration tuples into the ST.
 
         ``entries`` is an iterable of ``(lane, vid, loc, degree)``. A
@@ -166,48 +172,38 @@ class WeaverUnit:
             self._scan_started = False
             self._epoch_open = True
             if self._plan is not None:
+                # The planned decodes already hold this epoch's scan.
                 self._planned = deque(next(self._plan))
+                self._scan_end = not self._planned
             else:
                 self.st.clear()
                 self.dt.clear()
                 self.fsm.reset()
+                self._scan_end = False
                 if self._log is not None:
                     self._log.append([])
         if self._plan is not None:
-            # The planned decodes already hold this epoch's scan.
-            return self.config.weaver_table_latency if entries else 1
-        if self.fsm.state != WeaverState.INIT:
+            return
+        if self.fsm.state is not _INIT:
             raise WeaverError(
                 "WEAVER_REG received while distribution is in flight; "
                 "the kernel must synchronize between stages"
             )
-        base = warp_slot * self.lanes
-        count = 0
-        for lane, vid, loc, degree in entries:
-            if not 0 <= lane < self.lanes:
-                raise WeaverError(f"lane {lane} out of range [0, {self.lanes})")
-            self.st.register(base + lane, int(vid), int(loc), int(degree))
-            count += 1
-        self.registrations += count
-        # Parallel bank write: one table-write latency per warp request.
-        return self.config.weaver_table_latency if count else 1
-
-    @property
-    def _scan_done(self) -> bool:
-        """Whether the epoch's scan reached S8 (live: the FSM's END;
-        replaying: no planned decode left)."""
-        if self._plan is None:
-            return self.fsm.exhausted
-        return not self._planned
+        self.registrations += self.st.register_warp(
+            warp_slot * self.lanes, self.lanes, entries)
 
     def _decode(self) -> Tuple[int, Any]:
-        """The scan's next OD batch as ``(fsm_cycles, reply)``."""
+        """The scan's next OD batch as ``(fsm_cycles, reply)``; notes
+        when the scan reaches S8 (live: the FSM's END; replaying: no
+        planned decode left)."""
         if self._plan is not None:
             cycles, empty = self._planned.popleft()
+            self._scan_end = not self._planned
             return cycles, HOME if empty else next(self._bodies)
         result = self.fsm.decode()
         if self._log is not None:
             self._log[-1].append((result.fsm_cycles, result.exhausted))
+        self._scan_end = self.fsm.state is _END
         return result.fsm_cycles, result
 
     def _refill(self) -> None:
@@ -219,15 +215,21 @@ class WeaverUnit:
         paid once per epoch as pipeline fill, not per entry — which is
         what keeps Fig. 13 flat as the table latency grows.
         """
-        if not self._scan_started and not self._scan_done:
+        if self._scan_end:
+            return
+        if not self._scan_started:
             # Pipeline fill: first ST read of the epoch.
             self._scan_time += self.config.weaver_table_latency
             self._scan_started = True
+        ready = self._ready
+        depth = self.prefetch_depth
         # An exhausted batch leaves the FSM in S8, which ends the loop.
-        while len(self._ready) < self.prefetch_depth and not self._scan_done:
+        while len(ready) < depth:
             cycles, reply = self._decode()
             self._scan_time += cycles
-            self._ready.append((reply, self._scan_time))
+            ready.append((reply, self._scan_time))
+            if self._scan_end:
+                return
 
     def _decode_ids(self, warp_slot: int, now: int) -> Tuple[int, Any]:
         """Serve one DEC_ID request; park EIDs in the DT.
@@ -239,27 +241,28 @@ class WeaverUnit:
         arrival order (dynamic work distribution): the caller's
         ``_free_at`` serialization provides exactly that.
         """
-        self._scan_time = max(self._scan_time, now)
-        if not self._ready:
+        if self._scan_time < now:
+            self._scan_time = now
+        ready = self._ready
+        if not ready:
             self._refill()
-        if self._ready:
-            result, ready_time = self._ready.pop(0)
-            wait = max(0, ready_time - now)
+        if ready:
+            reply, ready_time = ready.popleft()
+            wait = ready_time - now if ready_time > now else 0
         elif self._plan is not None:
-            result, wait = HOME, WeaverFSM.END_CYCLES
+            reply, wait = HOME, WeaverFSM.END_CYCLES
         else:
             # FSM already exhausted: answer -1s in one cycle.
-            result = self.fsm.decode()
-            wait = result.fsm_cycles
+            reply = self.fsm.decode()
+            wait = reply.fsm_cycles
         self.decodes += 1
         if self._plan is None:
-            self.dt.write(warp_slot, result.eids)
-        latency = wait + 1
+            self.dt.write(warp_slot, reply.eids)
         self._refill()
-        if self._scan_done and not self._ready:
+        if self._scan_end and not ready:
             # Distribution drained: the next WEAVER_REG opens a new epoch.
             self._epoch_open = False
-        return latency, result
+        return wait + 1, reply
 
     # ------------------------------------------------------------------
     @property

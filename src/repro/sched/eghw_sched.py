@@ -90,14 +90,15 @@ class EGHWSchedule(Schedule):
                         batch = yield eghw_fetch(Phase.SCHEDULE)
                         if batch.exhausted:
                             break
-                        mask = batch.mask
                         # The unit already fetched endpoints + weights;
-                        # the GPU only gathers vertex properties.
+                        # the GPU only gathers vertex properties.  The
+                        # records fill the batch's first lanes.
+                        n = batch.count
                         yield from process_edge_batch(
-                            env, batch.vids[mask], batch.eids[mask],
+                            env, batch.vids[:n], batch.eids[:n],
                             accumulate="atomic", preloaded=True,
-                            others=batch.others[mask],
-                            weights=batch.weights[mask],
+                            others=batch.others[:n],
+                            weights=batch.weights[:n],
                         )
                     if epoch < num_epochs - 1:
                         yield sync(Phase.SCHEDULE)

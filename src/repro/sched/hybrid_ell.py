@@ -158,9 +158,9 @@ class HybridELLSchedule(Schedule):
                         if decoded.exhausted:
                             break
                         eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                        mask = decoded.mask
-                        bases = decoded.vids[mask]
-                        eids = eid_row[mask]
+                        work = decoded.work_count
+                        bases = decoded.vids[:work]
+                        eids = eid_row[:work]
                         yield load(Phase.EDGE_ACCESS,
                                    env.region("res_col_idx"), eids)
                         others = residue.col_idx[eids]

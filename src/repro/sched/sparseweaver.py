@@ -110,9 +110,10 @@ class SparseWeaverSchedule(Schedule):
                         if decoded.exhausted:
                             break
                         eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                        mask = decoded.mask
-                        bases = decoded.vids[mask]
-                        eids = eid_row[mask]
+                        # Work fills the first lanes of both rows.
+                        work = decoded.work_count
+                        bases = decoded.vids[:work]
+                        eids = eid_row[:work]
                         yield from process_edge_batch(
                             env, bases, eids, accumulate="atomic"
                         )

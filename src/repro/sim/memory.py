@@ -158,7 +158,9 @@ class MemoryHierarchy:
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self._line_shift = config.l1.line_bytes.bit_length() - 1
+        #: log2 of the line size: element ``i`` of a region lies in line
+        #: ``(base + i * itemsize) >> line_shift``.
+        self.line_shift = config.l1.line_bytes.bit_length() - 1
         self.l1: List[Cache] = [
             Cache(config.l1, f"L1[{core}]") for core in range(config.num_cores)
         ]
@@ -196,8 +198,8 @@ class MemoryHierarchy:
         """
         if indices.size == 1:
             return [(region.base + indices.item() * region.itemsize)
-                    >> self._line_shift]
-        lines = (indices * region.itemsize + region.base) >> self._line_shift
+                    >> self.line_shift]
+        lines = (indices * region.itemsize + region.base) >> self.line_shift
         if indices.size <= 64:
             # Warp-sized accesses dominate; a python-set dedup beats
             # np.unique at this size.
@@ -209,7 +211,7 @@ class MemoryHierarchy:
         (``end > first``): what :meth:`lines_of` returns for those
         indices, as a range, since consecutive elements leave no line
         untouched between the first and the last."""
-        shift = self._line_shift
+        shift = self.line_shift
         return range((region.base + first * region.itemsize) >> shift,
                      ((region.base + (end - 1) * region.itemsize)
                       >> shift) + 1)

@@ -188,6 +188,43 @@ def test_diff_pairs_journals_by_content_hash(capsys, tmp_path):
     assert [job["hash"] for job in diverging] == ["11" * 32]
 
 
+def test_diff_live_side_pairs_by_content_hash(capsys, tmp_path):
+    """A live side pairs with the stored job that has its content
+    hash, even when it is not the last of the jobs sharing its label;
+    with no such job, several label twins are an error naming them."""
+    from repro.cli import _diff_live_spec
+    from repro.obs.provenance import disable_digests, enable_digests
+    from repro.runtime.engine import _execute_spec
+
+    live = ("engine=fast,algorithm=pagerank,dataset=bio-human,"
+            "schedule=vertex_map,scale=0.05,iterations=1")
+    spec = _diff_live_spec(dict(kv.split("=") for kv in live.split(",")))
+    enable_digests()
+    try:
+        ledger = _execute_spec(spec)["digest_ledger"]
+    finally:
+        disable_digests(clear=True)
+    journal, twins = tmp_path / "journal.jsonl", tmp_path / "twins.jsonl"
+    _diff_journal(journal, spec.label, ledger, key=spec.content_hash())
+    for path in (journal, twins):
+        for key in ("33" * 32, "44" * 32):
+            _diff_journal(path, spec.label, [[0, 0, 0, 0, "XXXX", 3]],
+                          key=key)
+
+    try:
+        code, out = run_cli(capsys, "diff", "--a", live,
+                            "--b", str(journal))
+        assert code == 0, out
+        assert "no divergences" in out
+
+        code = main(["diff", "--a", str(twins), "--b", live])
+    finally:
+        disable_digests(clear=True)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "333333333333" in err and "444444444444" in err
+
+
 def test_diff_json_output(capsys, tmp_path):
     import json
 

@@ -139,6 +139,42 @@ def test_unknown_op_rejected():
         u.handle(Op.EGHW_FETCH, 0, 1, None)
 
 
+@pytest.mark.parametrize("entries", [
+    [(0, 0, 0, -1)],                  # negative degree
+    [(0, 0, -1, 1)],                  # negative location
+    [(0, 0, 0, 1), (0, 1, 1, 1)],     # one lane twice
+    [(4, 0, 0, 1)],                   # lane past the warp
+])
+def test_bad_registration_rejected(entries):
+    u, _ = unit()
+    with pytest.raises(WeaverError):
+        u.handle(Op.WEAVER_REG, 0, 1, entries)
+
+
+def test_slot_registered_twice_in_one_epoch_rejected():
+    u, _ = unit()
+    u.handle(Op.WEAVER_REG, 0, 1, [(0, 0, 0, 1)])
+    with pytest.raises(WeaverError, match="twice"):
+        u.handle(Op.WEAVER_REG, 0, 2, [(0, 1, 1, 1)])
+
+
+def test_registration_past_st_capacity_rejected():
+    cfg = GPUConfig(
+        num_sockets=1, cores_per_socket=1, warps_per_core=2,
+        threads_per_warp=4, weaver_entries=4,
+    )
+    u = WeaverUnit(cfg)
+    with pytest.raises(WeaverError, match="ST index 4 out of range"):
+        u.handle(Op.WEAVER_REG, 1, 1, [(0, 0, 0, 1)])
+
+
+def test_decode_from_unknown_warp_rejected():
+    u, _ = unit()
+    u.handle(Op.WEAVER_REG, 0, 1, [(0, 0, 0, 4)])
+    with pytest.raises(WeaverError, match="warp id 5 out of range"):
+        u.handle(Op.WEAVER_DEC_ID, 5, 10, None)
+
+
 def test_capacity_respects_weaver_entries():
     cfg = GPUConfig(
         num_sockets=1, cores_per_socket=1, warps_per_core=2,

@@ -17,6 +17,7 @@ from repro.errors import WeaverError
 from repro.graph.csr import CSRGraph
 from repro.sim import CacheConfig, GPUConfig, MemoryMap
 from repro.sim.config import KB
+from repro.sim.gpu import HOME
 from repro.sim.instructions import Op
 from repro.sim.memory import MemoryHierarchy
 
@@ -387,3 +388,157 @@ def test_eghw_unit_matches_per_record_model(run):
         assert _memory_counts(unit.memory) == _memory_counts(ref.memory)
     assert unit.drained
     assert unit.edges_generated == pushed
+
+
+# ----------------------------------------------------------------------
+# Planned and replayed units
+# ----------------------------------------------------------------------
+# With no WEAVER_SKIP a unit's batch contents follow from its requests'
+# order alone, so the fast engine plans a launch (every request at time
+# 0, as its drain issues them) and replays it on the real timeline.  A
+# replaying unit must answer every request at the live unit's time,
+# with the planned body of each work batch in order and HOME for each
+# empty one.
+@st.composite
+def weaver_streams(draw):
+    """One to three registration epochs, each drained by decodes with
+    DEC_LOC reads between them, and no skips."""
+    lanes = draw(st.sampled_from([1, 2, 4, 8]))
+    knobs = (draw(st.sampled_from([1, 4, 32])),      # zero_skip_width
+             draw(st.sampled_from([1, 4])),          # prefetch_depth
+             draw(st.sampled_from([2, 40])))         # table latency
+    degree = st.one_of(st.just(0), st.integers(0, 3),
+                       st.integers(0, 3 * lanes + 1))
+    epochs = []
+    for _ in range(draw(st.integers(1, 3))):
+        regs = []
+        loc = 0
+        for _warp in range(WARPS):
+            entries = []
+            for lane in sorted(draw(st.lists(st.integers(0, lanes - 1),
+                                             unique=True, max_size=lanes))):
+                d = draw(degree)
+                entries.append((lane, draw(st.integers(0, 11)), loc, d))
+                loc += d
+            regs.append(entries)
+        ops = draw(st.lists(st.tuples(
+            st.sampled_from(["dec", "dec", "loc"]),
+            st.integers(0, WARPS - 1),
+            st.integers(0, 60)), max_size=30))
+        # Decode past exhaustion so the next epoch may register.
+        ops += [("dec", w, 5) for w in range(WARPS)] * (4 + loc // lanes)
+        epochs.append((regs, ops))
+    return lanes, knobs, epochs
+
+
+def _drive_weaver(unit, epochs, timed):
+    """``(op, done, reply)`` per request of the stream; untimed, every
+    request comes at time 0.  DEC_LOC is only issued by a warp that
+    decoded in the epoch, as a kernel issues it."""
+    replies = []
+    now = 0
+    for regs, ops in epochs:
+        for warp, entries in enumerate(regs):
+            now += 1
+            replies.append(("reg",) + unit.handle(
+                Op.WEAVER_REG, warp, now if timed else 0, entries))
+        decoded = set()
+        for kind, warp, step in ops:
+            now += step
+            if kind == "loc" and warp not in decoded:
+                continue
+            op = Op.WEAVER_DEC_LOC if kind == "loc" else Op.WEAVER_DEC_ID
+            decoded.add(warp)
+            replies.append((kind,) + unit.handle(op, warp,
+                                                 now if timed else 0, None))
+    return replies
+
+
+def _check_bodies(live_batches, replayed, bodies):
+    """Replayed batch replies: the bodies in order for the live work
+    batches, HOME for the live empty ones."""
+    assert len(replayed) == len(live_batches)
+    expected = iter(bodies)
+    for live, got in zip(live_batches, replayed):
+        assert got is (HOME if live.exhausted else next(expected))
+    assert next(expected, None) is None
+
+
+@given(weaver_streams())
+@settings(max_examples=150, deadline=None)
+def test_weaver_plan_replays_live_timeline(stream):
+    lanes, (width, depth, latency), epochs = stream
+    cfg = GPUConfig(num_sockets=1, cores_per_socket=1,
+                    warps_per_core=WARPS, threads_per_warp=lanes,
+                    weaver_table_latency=latency)
+
+    def unit():
+        weaver = WeaverUnit(cfg, prefetch_depth=depth)
+        weaver.fsm.zero_skip_width = width
+        return weaver
+
+    live = _drive_weaver(unit(), epochs, timed=True)
+    planner = unit()
+    log = planner.plan()
+    planned = [reply for kind, _done, reply
+               in _drive_weaver(planner, epochs, timed=False)
+               if kind == "dec" and not reply.exhausted]
+    assert len(log) == len(epochs)
+    live_batches = [reply for kind, _done, reply in live if kind == "dec"]
+    # The plan's work batches are the live ones, in the same order.
+    assert [(r.vids.tolist(), r.eids.tolist()) for r in planned] == [
+        (r.vids.tolist(), r.eids.tolist())
+        for r in live_batches if not r.exhausted]
+
+    bodies = [("body", k) for k in range(len(planned))]
+    replayer = unit()
+    replayer.replay(log, bodies)
+    replayed = _drive_weaver(replayer, epochs, timed=True)
+    assert [(kind, done) for kind, done, _ in replayed] == [
+        (kind, done) for kind, done, _ in live]
+    _check_bodies(live_batches, [reply for kind, _done, reply in replayed
+                                 if kind == "dec"], bodies)
+
+
+def _drive_eghw(unit, ops, timed):
+    """``(done, reply, memory counts)`` per request; untimed, every
+    request comes at time 0."""
+    replies = []
+    now = 0
+    for kind, vids, step in ops:
+        now += step
+        op = Op.EGHW_PUSH if kind == "push" else Op.EGHW_FETCH
+        done, reply = unit.handle(op, 0, now if timed else 0, vids)
+        replies.append((done, reply, _memory_counts(unit.memory)))
+    return replies
+
+
+@given(eghw_runs())
+@settings(max_examples=150, deadline=None)
+def test_eghw_plan_replays_live_timeline(run):
+    graph, lanes, mlp, ops = run
+    pushed = sum(int(graph.row_ptr[v + 1] - graph.row_ptr[v])
+                 for kind, vids, _ in ops if kind == "push" for v in vids)
+    ops = ops + [("fetch", None, 50)] * (2 + pushed // lanes)
+    live_unit, _ = _eghw_pair(graph, lanes, mlp)
+    live = _drive_eghw(live_unit, ops, timed=True)
+    planner, _ = _eghw_pair(graph, lanes, mlp)
+    log = planner.plan()
+    planned = _drive_eghw(planner, ops, timed=False)
+    # Planning reads no memory.
+    assert planned[-1][2] == _memory_counts(MemoryHierarchy(planner.config))
+    live_batches = [reply for (kind, _, _), (_, reply, _) in zip(ops, live)
+                    if kind == "fetch"]
+    assert log == [(batch.eids[0], batch.count)
+                   for batch in live_batches if not batch.exhausted]
+
+    bodies = [("body", k) for k in range(len(log))]
+    replayer, _ = _eghw_pair(graph, lanes, mlp)
+    replayer.replay(log, bodies)
+    replayed = _drive_eghw(replayer, ops, timed=True)
+    # Same done times, cache and DRAM counts after every request.
+    assert [(done, counts) for done, _, counts in replayed] == [
+        (done, counts) for done, _, counts in live]
+    _check_bodies(live_batches,
+                  [reply for (kind, _, _), (_, reply, _)
+                   in zip(ops, replayed) if kind == "fetch"], bodies)
