@@ -23,7 +23,7 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.frontend` — UDF model and the GraphProcessor driver.
 * :mod:`repro.algorithms` — PR, BFS, SSSP, CC, GCN.
 * :mod:`repro.bench` — experiment runner and report formatting.
-* :mod:`repro.runtime` — parallel batch engine, result cache, telemetry.
+* :mod:`repro.runtime` — parallel batch engine, result cache, run journal.
 * :mod:`repro.figures` — the paper-figure registry and engine driver.
 """
 
@@ -63,7 +63,6 @@ from repro.runtime import (
     JobSpec,
     ResultCache,
     RunJournal,
-    Telemetry,
 )
 from repro.bench import run_schedule_comparison, run_single
 from repro.figures import (
@@ -118,7 +117,6 @@ __all__ = [
     "JobSpec",
     "ResultCache",
     "RunJournal",
-    "Telemetry",
     "run_single",
     "run_schedule_comparison",
     "FailureReport",

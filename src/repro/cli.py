@@ -10,8 +10,8 @@ Commands
 ``weaver``    replay the Fig. 6 FSM example
 ``batch``     run a job grid through the parallel runtime engine
 ``cache``     inspect or clear the content-addressed result cache
-``tail``      live dashboard over a batch telemetry JSONL file
-``report``    aggregate telemetry/profile files into one summary
+``tail``      live dashboard over a run journal
+``report``    aggregate run journals and profile files into one summary
 ``diff``      first-divergence localization between two runs' ledgers
 """
 
@@ -108,15 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "REPRO_CACHE_DIR or ~/.cache/repro)")
     bench_p.add_argument("--no-cache", action="store_true",
                          help="disable the result cache for this run")
-    bench_p.add_argument("--telemetry", default=None, metavar="PATH",
-                         help="append run events to this JSONL file")
     bench_p.add_argument("--keep-going", action="store_true",
                          help="finish the whole batch even when jobs "
                               "fail; emit the completed figures plus a "
                               "failure table on stderr (exit 1)")
     bench_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="record each finished job in this run "
-                              "journal (JSONL, started fresh)")
+                         help="record each job in this run journal "
+                              "(JSONL, started fresh)")
     bench_p.add_argument("--profile", default=None, metavar="DIR",
                          help="host-profile the simulator during the "
                               "bench; writes profile.json + "
@@ -153,8 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "REPRO_CACHE_DIR or ~/.cache/repro)")
     batch_p.add_argument("--no-cache", action="store_true",
                          help="disable the result cache for this batch")
-    batch_p.add_argument("--telemetry", default=None, metavar="PATH",
-                         help="append run events to this JSONL file")
     batch_p.add_argument("--trace", default=None, metavar="PATH",
                          help="write a Chrome trace of per-job engine "
                               "spans")
@@ -162,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="stop scheduling at the first failed job; "
                               "the rest of the batch is marked skipped")
     batch_p.add_argument("--journal", default=None, metavar="PATH",
-                         help="record each finished job in this run "
-                              "journal (JSONL, started fresh)")
+                         help="record each job in this run journal "
+                              "(JSONL, started fresh)")
     batch_p.add_argument("--profile", default=None, metavar="DIR",
                          help="host-profile the simulator across the "
                               "batch (worker snapshots fold into the "
@@ -181,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tail_p = sub.add_parser(
         "tail",
-        help="live dashboard over a batch telemetry JSONL file")
-    tail_p.add_argument("path", help="telemetry JSONL file to follow")
+        help="live dashboard over a run journal")
+    tail_p.add_argument("path", help="run journal (--journal) to follow")
     tail_p.add_argument("--interval", type=float, default=0.5,
                         help="poll interval in seconds")
     tail_p.add_argument("--once", action="store_true",
@@ -190,15 +186,16 @@ def _build_parser() -> argparse.ArgumentParser:
                              "and exit")
     tail_p.add_argument("--frames", type=int, default=None,
                         help="stop after this many polls (default: "
-                             "follow until the batch summary arrives)")
+                             "follow until every announced job ended)")
     tail_p.add_argument("--json", action="store_true",
                         help="print the final aggregate as JSON")
 
     rep2_p = sub.add_parser(
         "report",
-        help="aggregate telemetry JSONL and profile snapshot files")
+        help="aggregate run journals and profile snapshot files")
     rep2_p.add_argument("paths", nargs="+",
-                        help="telemetry .jsonl and/or profile .json files")
+                        help="run journal .jsonl and/or profile .json "
+                             "files")
     rep2_p.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON (CI artifacts)")
 
@@ -357,7 +354,7 @@ def _cmd_bench(args) -> int:
 
     from repro.figures import (FigureContext, list_figures,
                                resolve_figures, run_figures_report)
-    from repro.runtime import ResultCache, RunJournal, Telemetry
+    from repro.runtime import ResultCache, RunJournal
 
     if args.list_figures:
         rows = [[fig.name, fig.paper, fig.title]
@@ -380,12 +377,10 @@ def _cmd_bench(args) -> int:
 
     journal = RunJournal(args.journal) if args.journal else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    telemetry = Telemetry(args.telemetry)
     profiler, sampler = _start_profiling(args)
     start = time.perf_counter()
     outputs, report = run_figures_report(
-        figures, ctx, jobs=args.jobs, cache=cache, telemetry=telemetry,
-        journal=journal,
+        figures, ctx, jobs=args.jobs, cache=cache, journal=journal,
         policy="keep_going" if args.keep_going else "fail_fast",
         sim_engine=args.engine)
     elapsed = time.perf_counter() - start
@@ -404,7 +399,7 @@ def _cmd_bench(args) -> int:
         ["figure", "blocks", "artifacts"], rows,
         title=f"{len(outputs)} figure(s) in {elapsed:.1f}s -> "
               f"{out_dir}"))
-    print(telemetry.format_summary(cache))
+    print(report.format_summary(elapsed, cache))
     _finish_profiling(args, profiler, sampler)
     if not report.ok:
         _print_failures(report)
@@ -535,7 +530,10 @@ def _batch_specs(args):
 
 
 def _cmd_batch(args) -> int:
-    from repro.runtime import BatchEngine, ResultCache, RunJournal, Telemetry
+    import time
+
+    from repro.figures.driver import FailureReport
+    from repro.runtime import BatchEngine, ResultCache, RunJournal
 
     specs = _batch_specs(args)
     tracer = None
@@ -545,12 +543,12 @@ def _cmd_batch(args) -> int:
         tracer = Tracer()
     journal = RunJournal(args.journal) if args.journal else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    telemetry = Telemetry(args.telemetry)
-    engine = BatchEngine(jobs=args.jobs, cache=cache,
-                         telemetry=telemetry, tracer=tracer,
+    engine = BatchEngine(jobs=args.jobs, cache=cache, tracer=tracer,
                          journal=journal, fail_fast=args.fail_fast)
     profiler, sampler = _start_profiling(args)
+    start = time.perf_counter()
     outcomes = engine.run(specs)
+    elapsed = time.perf_counter() - start
     if sampler is not None:
         sampler.stop()
 
@@ -565,15 +563,13 @@ def _cmd_batch(args) -> int:
         ["algorithm", "graph", "schedule", "status", "cycles", "sec"],
         rows, title=f"batch of {len(specs)} jobs "
                     f"({engine.jobs} worker(s))"))
-    print(telemetry.format_summary(cache))
+    report = FailureReport.from_outcomes(outcomes)
+    print(report.format_summary(elapsed, cache))
     if tracer is not None:
         extra = (sampler.trace_events(epoch=tracer.epoch)
                  if sampler is not None else ())
         print(f"engine trace: {tracer.save(args.trace, extra)}")
     _finish_profiling(args, profiler, sampler)
-    from repro.figures.driver import FailureReport
-
-    report = FailureReport.from_outcomes(outcomes)
     if not report.ok:
         _print_failures(report)
         return 1

@@ -4,12 +4,12 @@ The driver is the one loop the 21 benchmark scripts used to re-code:
 collect every selected figure's grid, deduplicate cells shared between
 figures, submit the whole batch through one
 :class:`~repro.runtime.engine.BatchEngine` (parallel workers, shared
-:class:`~repro.runtime.cache.ResultCache`, one telemetry stream), then
-hand each figure its results to summarize.
+:class:`~repro.runtime.cache.ResultCache`, one optional run journal),
+then hand each figure its results to summarize.
 
 Grid expansion order is *deterministic*: the merged batch is sorted by
 :meth:`JobSpec.content_hash` — never by dict/registration order — so
-cache keys, telemetry streams and emitted result rows are stable
+cache keys, journal lines and emitted result rows are stable
 across runs and across ``--jobs`` values.  Figures look results up by
 spec, not by index, so the global ordering is invisible to them.
 
@@ -37,7 +37,6 @@ from repro.figures.registry import (Figure, FigureContext, FigureOutput,
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.engine import BatchEngine, JobOutcome
 from repro.runtime.jobspec import JobSpec
-from repro.runtime.telemetry import Telemetry
 from repro.sim.stats import KernelStats
 
 
@@ -144,8 +143,11 @@ class JobFailure:
 
 @dataclass
 class FailureReport:
-    """Structured account of what a figure batch did not finish.
+    """Structured account of what a batch did and did not finish.
 
+    ``completed_jobs`` counts ``ok`` and ``cached`` jobs,
+    ``cached_jobs`` the latter, and ``simulated_cycles`` sums their
+    cycles; :meth:`format_summary` draws them as the batch summary.
     ``failures`` lists every failed/skipped job; ``skipped_figures``
     names the figures that could not summarize because one of their
     jobs is in ``failures``; ``broken_claims`` lists ``(figure,
@@ -156,6 +158,8 @@ class FailureReport:
 
     total_jobs: int = 0
     completed_jobs: int = 0
+    cached_jobs: int = 0
+    simulated_cycles: int = 0
     failures: List[JobFailure] = field(default_factory=list)
     skipped_figures: List[str] = field(default_factory=list)
     broken_claims: List[Tuple[str, str]] = field(default_factory=list)
@@ -171,6 +175,8 @@ class FailureReport:
         for outcome in outcomes:
             if outcome.ok:
                 report.completed_jobs += 1
+                report.cached_jobs += outcome.status == "cached"
+                report.simulated_cycles += outcome.summary.total_cycles
             else:
                 report.failures.append(JobFailure(
                     label=outcome.spec.label,
@@ -179,6 +185,29 @@ class FailureReport:
                     error=outcome.error or "",
                 ))
         return report
+
+    def format_summary(self, wall_seconds: float,
+                       cache: Optional[ResultCache] = None) -> str:
+        """The batch summary block ``bench`` and ``batch`` print."""
+        failed = sum(f.status == "failed" for f in self.failures)
+        skipped = len(self.failures) - failed
+        jobs = (f"  jobs: {self.total_jobs} submitted, "
+                f"{self.completed_jobs - self.cached_jobs} simulated, "
+                f"{self.cached_jobs} cached, {failed} failed")
+        if skipped:
+            jobs += f", {skipped} skipped"
+        lines = ["batch summary:", jobs,
+                 f"  simulated cycles: {self.simulated_cycles:,}",
+                 f"  wall seconds: {wall_seconds:.3f}"]
+        if cache is not None:
+            cs = cache.stats()
+            line = (f"  cache: {cs['hits']} hits, {cs['misses']} misses, "
+                    f"{cs['stores']} stores, {cs['evictions']} evictions, "
+                    f"{cs['entries']} entries at {cs['dir']}")
+            if cs["quarantined"]:
+                line += f", {cs['quarantined']} quarantined"
+            lines.append(line)
+        return "\n".join(lines)
 
     def format(self) -> str:
         """Human-readable failure table (for stderr)."""
@@ -225,7 +254,6 @@ def run_figures_report(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    telemetry: Optional[Telemetry] = None,
     journal=None,
     policy: str = "keep_going",
     sim_engine: Optional[str] = None,
@@ -241,7 +269,7 @@ def run_figures_report(
     failures at the end) or ``"fail_fast"`` (stop scheduling at the
     first failure; unreached jobs come back ``"skipped"``).
     ``journal`` takes a :class:`~repro.runtime.journal.RunJournal`
-    that records each finished or cached job as it ends.
+    that records each job as it ends.
     ``sim_engine`` stamps a simulator engine name (``reference`` /
     ``fast`` / ``auto``) onto every job; engines are bit-identical, so
     it changes wall-clock speed only, never results or cache keys.
@@ -255,8 +283,7 @@ def run_figures_report(
 
     batch, per_figure = expand_jobs(ordered, ctx)
     batch = _apply_sim_engine(batch, sim_engine)
-    engine = BatchEngine(jobs=jobs, cache=cache, telemetry=telemetry,
-                         journal=journal,
+    engine = BatchEngine(jobs=jobs, cache=cache, journal=journal,
                          fail_fast=(policy == "fail_fast"))
     outcomes = engine.run(batch)
     results = ResultSet(outcomes)
@@ -280,14 +307,13 @@ def run_figures(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    telemetry: Optional[Telemetry] = None,
     sim_engine: Optional[str] = None,
 ) -> Dict[str, FigureOutput]:
     """Regenerate a set of figures; returns name -> output.
 
     ``figures`` may be Figure objects or names/prefixes (resolved via
     :func:`~repro.figures.registry.resolve_figures`).  ``jobs`` /
-    ``cache`` / ``telemetry`` configure the shared engine; a warm
+    ``cache`` configure the shared engine; a warm
     cache turns the whole batch into lookups — a second identical run
     simulates nothing.  A failed job or a broken claim raises
     :class:`~repro.errors.ReproError` with the
@@ -295,8 +321,7 @@ def run_figures(
     degrade gracefully instead.
     """
     outputs, report = run_figures_report(
-        figures, ctx, jobs=jobs, cache=cache, telemetry=telemetry,
-        sim_engine=sim_engine)
+        figures, ctx, jobs=jobs, cache=cache, sim_engine=sim_engine)
     if not report.ok:
         raise ReproError(report.format())
     return outputs
@@ -308,11 +333,10 @@ def run_figure(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    telemetry: Optional[Telemetry] = None,
     sim_engine: Optional[str] = None,
 ) -> FigureOutput:
     """Regenerate one figure (name, prefix-unique name, or instance)."""
     figure = name if isinstance(name, Figure) else get_figure(name)
     outputs = run_figures([figure], ctx, jobs=jobs, cache=cache,
-                          telemetry=telemetry, sim_engine=sim_engine)
+                          sim_engine=sim_engine)
     return outputs[figure.name]

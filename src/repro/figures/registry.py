@@ -13,7 +13,7 @@ A :class:`Figure` names one regenerable paper artifact and declares
 Declaring grids as data (instead of re-coding the loop per benchmark)
 is what lets one driver execute any subset of figures through the
 :class:`~repro.runtime.engine.BatchEngine` with a shared result cache
-and telemetry — the GraphIt-style "schedules are data" discipline
+and run journal — the GraphIt-style "schedules are data" discipline
 applied to the experiment harness itself.
 
 Figures register at import of :mod:`repro.figures.defs`; the registry

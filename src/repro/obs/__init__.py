@@ -8,10 +8,10 @@ stall breakdowns, Fig. 12 memory ratios):
   engine job lifecycle) plus simulated-cycle instruction/stall events,
   exported together as Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto.
-* :mod:`repro.obs.dashboard` — ``python -m repro tail events.jsonl``:
-  a live, refreshing terminal view of a running batch.
+* :mod:`repro.obs.dashboard` — ``python -m repro tail run.jsonl``:
+  a live, refreshing terminal view of a running batch's run journal.
 * :mod:`repro.obs.report` — ``python -m repro report`` aggregation of
-  telemetry sinks and profile snapshots into one text/JSON summary.
+  run journals and profile snapshots into one text/JSON summary.
 * :mod:`repro.obs.profile` — host-side self-profiler (wall-time per
   simulator phase, per-opcode latency histograms, flamegraph
   sampler).  Enable via ``REPRO_PROFILE=1`` or

@@ -1,27 +1,34 @@
-"""Live terminal dashboard over a telemetry JSONL sink.
+"""Live terminal dashboard over a run journal.
 
-``python -m repro tail events.jsonl`` follows a batch-engine telemetry
-file as it grows and redraws an in-terminal status table: jobs in
-flight, completion progress with an ETA, cache hit rate, simulated
-cycles per wall second.  The same machinery renders a single frame of
-a finished file (``--once``), which is what tests and CI use.
+``python -m repro tail run.jsonl`` follows a batch's run journal
+(``--journal``) as it grows and redraws an in-terminal status table:
+completion progress with an ETA, cache hit rate, simulated cycles per
+wall second and the last jobs to end.  The same machinery renders a
+single frame of a finished file (``--once``), which is what tests and
+CI use.
 
 The pieces compose: :class:`JSONLFollower` incrementally reads whole
-lines from a growing file (tolerating partial writes and truncation),
-:class:`BatchWatch` folds telemetry records into an aggregate view,
-and :func:`render` draws one frame.
+lines from a growing file (tolerating partial writes, truncation and
+replacement), :class:`BatchWatch` folds journal lines into an
+aggregate view, and :func:`render` draws one frame.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.errors import ReproError
+
 #: Terminal control: home the cursor and clear to end of screen.
 ANSI_CLEAR = "\x1b[H\x1b[J"
+
+#: The statuses a journal job line can carry.
+STATUSES = ("ok", "cached", "failed", "skipped")
 
 
 class JSONLFollower:
@@ -29,12 +36,14 @@ class JSONLFollower:
 
     Each :meth:`poll` returns the records appended since the last
     call.  A partial trailing line (a writer mid-``write``) stays
-    buffered until its newline arrives; a shrinking file (truncation /
-    rotation) resets the reader to the top.
+    buffered until its newline arrives; a shrinking file (truncation)
+    or a new file at the path (a new inode: ``RunJournal`` replaces
+    the file each run) resets the reader to the top.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self._inode = None
         self._pos = 0
         self._buf = ""
         self.bad_lines = 0
@@ -42,15 +51,16 @@ class JSONLFollower:
     def poll(self) -> List[Dict[str, Any]]:
         """Parse and return records appended since the last poll."""
         try:
-            size = self.path.stat().st_size
+            handle = self.path.open("r")
         except OSError:
             return []
-        if size < self._pos:  # truncated or rotated underneath us
-            self._pos = 0
-            self._buf = ""
-        if size == self._pos:
-            return []
-        with self.path.open("r") as handle:
+        with handle:
+            stat = os.fstat(handle.fileno())
+            inode = (stat.st_dev, stat.st_ino)
+            if inode != self._inode or stat.st_size < self._pos:
+                self._inode, self._pos, self._buf = inode, 0, ""
+            if stat.st_size == self._pos:
+                return []
             handle.seek(self._pos)
             chunk = handle.read()
             self._pos = handle.tell()
@@ -68,62 +78,72 @@ class JSONLFollower:
         return records
 
 
+def is_journal_record(record) -> bool:
+    """Whether ``record`` is a run-journal line: a ``batch`` header or
+    a job line (schema 1 lines carry a hash and a summary, no status)."""
+    return isinstance(record, dict) and (
+        record.get("type") == "batch"
+        or ("hash" in record and ("status" in record or "summary" in record)))
+
+
+def describe(job: Dict[str, Any]) -> str:
+    """One ended job as ``label status`` plus its wall time or error."""
+    text = f"{job['label']} {job['status']}"
+    if "error" in job:
+        return f"{text}: {job['error']}"
+    if job["status"] == "ok" and "wall" in job:
+        return f"{text} in {job['wall']:.3f}s"
+    return text
+
+
 class BatchWatch:
-    """Aggregate view of a batch run, fed one telemetry record at a time."""
+    """Aggregate view of a batch run, fed one journal line at a time."""
 
     def __init__(self, recent: int = 5) -> None:
-        self.counts: Dict[str, int] = {}
-        self.jobs: Dict[str, str] = {}  # job hash -> last known state
+        self.announced = 0  # jobs announced by batch headers
+        self.headers = 0
+        self.records = 0  # journal lines folded
+        self.counts = dict.fromkeys(STATUSES, 0)
         self.cycles = 0
-        #: Provenance digest-ledger records shipped with finishes
+        #: Provenance digest-ledger records of the journaled summaries
         #: (REPRO_DIGEST runs; zero otherwise).
         self.digest_records = 0
         self.first_ts: Optional[float] = None
         self.last_ts: Optional[float] = None
-        self.cache_stats: Optional[Dict[str, Any]] = None
-        self.batch_summary: Optional[Dict[str, Any]] = None
         self.recent: deque = deque(maxlen=recent)
         self.failures: List[Dict[str, Any]] = []
-        #: Host-profiler rollup (repro.obs.profile), when one was
-        #: emitted at batch end.
-        self.profile_summary: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     def update(self, record: Dict[str, Any]) -> None:
-        """Fold one telemetry record into the aggregate."""
-        kind = record.get("kind", "")
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        """Fold one journal line (anything else is ignored)."""
+        if not is_journal_record(record):
+            return
+        self.records += 1
         ts = record.get("time")
         if isinstance(ts, (int, float)):
             self.first_ts = ts if self.first_ts is None else min(
                 self.first_ts, ts)
             self.last_ts = ts if self.last_ts is None else max(
                 self.last_ts, ts)
-        job = record.get("job", "")
-        if kind == "submitted" and job:
-            self.jobs.setdefault(job, "pending")
-        elif kind == "started" and job:
-            self.jobs[job] = "running"
-        elif kind in ("finished", "cached", "resumed") and job:
-            # Older versions restored jobs from the run journal as
-            # "resumed"; such a job still counts done.
-            self.jobs[job] = "done"
-            self.cycles += int(record.get("cycles", 0))
-            self.digest_records += int(record.get("digests", 0))
-            self.recent.append(record)
-        elif kind == "failed" and job:
-            self.jobs[job] = "failed"
-            self.failures.append(record)
-            self.recent.append(record)
-        elif kind == "skipped" and job:
-            self.jobs[job] = "skipped"
-            self.recent.append(record)
-        elif kind == "batch_summary":
-            self.batch_summary = record
-            if isinstance(record.get("cache"), dict):
-                self.cache_stats = record["cache"]
-        elif kind == "profile_summary":
-            self.profile_summary = record
+        if record.get("type") == "batch":
+            self.headers += 1
+            self.announced += int(record.get("jobs", 0))
+            return
+        status = record.get("status", "ok")  # schema 1: a finished job
+        if status not in self.counts:
+            return
+        self.counts[status] += 1
+        summary = record.get("summary") or {}
+        self.cycles += int(summary.get("total_cycles", 0))
+        self.digest_records += len(summary.get("digest_ledger") or ())
+        job = {"label": record.get("label", "?"), "status": status}
+        if status in ("failed", "skipped"):
+            job["error"] = record.get("error") or "?"
+        elif "wall" in record:
+            job["wall"] = record["wall"]
+        if status == "failed":
+            self.failures.append(job)
+        self.recent.append(job)
 
     def update_all(self, records) -> None:
         """Fold a batch of records."""
@@ -131,49 +151,36 @@ class BatchWatch:
             self.update(record)
 
     # ------------------------------------------------------------------
-    def _job_states(self) -> Dict[str, int]:
-        out = {"pending": 0, "running": 0, "done": 0, "failed": 0,
-               "skipped": 0}
-        for state in self.jobs.values():
-            out[state] += 1
-        return out
+    @property
+    def ended(self) -> int:
+        """Jobs with a journal line."""
+        return sum(self.counts.values())
 
     @property
     def finished(self) -> bool:
-        """Whether the batch-end summary event has arrived."""
-        return self.batch_summary is not None
+        """Whether every job announced by the header(s) has ended."""
+        return self.headers > 0 and self.ended >= self.announced
 
     def snapshot(self) -> Dict[str, Any]:
         """The numbers one frame renders (also the ``--json`` output)."""
-        states = self._job_states()
-        total = len(self.jobs)
-        done = states["done"] + states["failed"] + states["skipped"]
+        c = self.counts
+        ended = self.ended
         elapsed = 0.0
         if self.first_ts is not None and self.last_ts is not None:
             elapsed = self.last_ts - self.first_ts
-        rate = done / elapsed if elapsed > 0 else 0.0
-        remaining = states["pending"] + states["running"]
-        eta = remaining / rate if rate > 0 else None
-        cached = self.counts.get("cached", 0)
-        lookups = cached + self.counts.get("started", 0)
         return {
-            "jobs_total": total,
-            "pending": states["pending"],
-            "running": states["running"],
-            "done": states["done"],
-            "failed": states["failed"],
-            "skipped": states["skipped"],
-            "cached": cached,
-            "elapsed_seconds": round(elapsed, 3),
-            "jobs_per_second": round(rate, 3),
-            "eta_seconds": None if eta is None else round(eta, 1),
+            "jobs_total": max(self.announced, ended),
+            "done": c["ok"] + c["cached"],
+            "failed": c["failed"],
+            "cached": c["cached"],
+            "skipped": c["skipped"],
             "simulated_cycles": self.cycles,
-            "cycles_per_second": round(self.cycles / elapsed, 1)
-            if elapsed > 0 else 0.0,
-            "cache_hit_rate": round(cached / lookups, 4)
-            if lookups else 0.0,
+            "elapsed_seconds": round(elapsed, 3),
+            "cache_hit_rate": round(c["cached"] / ended, 4) if ended
+            else 0.0,
             "finished": self.finished,
             "digest_records": self.digest_records,
+            "last": list(self.recent),
         }
 
 
@@ -189,72 +196,44 @@ def _progress_bar(done: int, total: int, width: int = 28) -> str:
 def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
     """Draw one dashboard frame as plain text."""
     snap = watch.snapshot()
-    done = snap["done"] + snap["failed"] + snap["skipped"]
+    total, ended = snap["jobs_total"], watch.ended
+    elapsed = snap["elapsed_seconds"]
     stamp = time.strftime(
         "%H:%M:%S", time.localtime(clock if clock is not None
                                    else time.time()))
-    eta = ("--" if snap["eta_seconds"] is None
-           else f"{snap['eta_seconds']:.1f}s")
     if snap["finished"]:
         eta = "done"
+    elif ended and elapsed > 0:
+        eta = f"{(total - ended) * elapsed / ended:.1f}s"
+    else:
+        eta = "--"
+    rate = snap["simulated_cycles"] / elapsed if elapsed > 0 else 0.0
     lines = [
-        f"batch telemetry — {stamp}",
-        (f"  jobs    : {snap['jobs_total']} total | "
-         f"{snap['running']} running | {snap['done']} done | "
+        f"batch journal — {stamp}",
+        (f"  jobs    : {total} total | {snap['done']} done | "
          f"{snap['failed']} failed | {snap['cached']} cached"
          + (f" | {snap['skipped']} skipped" if snap["skipped"] else "")),
-        (f"  progress: {_progress_bar(done, snap['jobs_total'])}"
-         f"  ETA {eta}"),
+        f"  progress: {_progress_bar(ended, total)}  ETA {eta}",
         (f"  cycles  : {snap['simulated_cycles']:,} simulated"
-         f" ({snap['cycles_per_second']:,.0f}/s over "
-         f"{snap['elapsed_seconds']:.1f}s)"),
+         f" ({rate:,.0f}/s over {elapsed:.1f}s)"),
         (f"  cache   : {snap['cached']} hits, "
          f"{snap['cache_hit_rate'] * 100:.1f}% hit rate"),
     ]
-    if watch.cache_stats:
-        cs = watch.cache_stats
-        store = (
-            f"  store   : {cs.get('entries', 0)} entries, "
-            f"{cs.get('stores', 0)} stores, "
-            f"{cs.get('evictions', 0)} evictions at {cs.get('dir', '?')}")
-        if cs.get("quarantined"):
-            store += f", {cs['quarantined']} quarantined"
-        lines.append(store)
-    if watch.profile_summary:
-        prof = watch.profile_summary
-        lines.append(
-            f"  profile : {prof.get('kernels', 0)} kernel(s), "
-            f"{prof.get('sim_wall_seconds', 0.0):.3f}s simulator wall, "
-            f"{prof.get('cycles_per_wall_second', 0.0):,.0f} cycles/s, "
-            f"{prof.get('coverage', 0.0) * 100:.1f}% coverage")
-        for entry in prof.get("top_phases", [])[:5]:
-            try:
-                name, seconds, calls = entry
-            except (TypeError, ValueError):
-                continue
-            lines.append(
-                f"    {name:<12} {float(seconds):>9.3f}s "
-                f"{int(calls):>12,} calls")
-    for record in watch.recent:
-        verb = record.get("kind", "?")
-        extra = ""
-        if verb == "finished" and "wall" in record:
-            extra = f" in {record['wall']:.3f}s"
-        if verb == "failed":
-            extra = f": {record.get('error', '?')}"
-        lines.append(f"  last    : {record.get('label', '?')} {verb}{extra}")
+    lines.extend(f"  last    : {describe(job)}" for job in snap["last"])
     return "\n".join(lines)
 
 
 def tail(path, follow: bool = True, interval: float = 0.5,
          max_frames: Optional[int] = None, out=None,
          use_ansi: Optional[bool] = None) -> BatchWatch:
-    """Follow a telemetry file, redrawing the dashboard as it grows.
+    """Follow a run journal, redrawing the dashboard as it grows.
 
-    Returns the final :class:`BatchWatch` state.  Exits when the
-    batch-summary event arrives (the batch is over), when ``max_frames``
-    frames have been drawn, or on Ctrl-C; ``follow=False`` reads the
-    current file content and draws exactly one frame.
+    Returns the final :class:`BatchWatch` state.  Exits when every job
+    the batch header(s) announced has a line, when ``max_frames``
+    polls have run, or on Ctrl-C; ``follow=False`` reads the current
+    file content and draws exactly one frame.  A file that has content
+    but no journal line (an old telemetry stream, say) raises
+    :class:`~repro.errors.ReproError` naming it.
     """
     import sys
 
@@ -269,12 +248,11 @@ def tail(path, follow: bool = True, interval: float = 0.5,
             records = follower.poll()
             polls += 1
             watch.update_all(records)
+            if not watch.records and (records or follower.bad_lines):
+                raise ReproError(f"{path} holds no run-journal line")
             if records or frames == 0:
                 frame = render(watch)
-                if use_ansi:
-                    out.write(ANSI_CLEAR + frame + "\n")
-                else:
-                    out.write(frame + "\n")
+                out.write((ANSI_CLEAR if use_ansi else "") + frame + "\n")
                 out.flush()
                 frames += 1
             if not follow or watch.finished:

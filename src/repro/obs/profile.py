@@ -207,21 +207,6 @@ class PhaseProfiler:
             "ops": ops,
         }
 
-    def summary_payload(self, top: int = 6) -> Dict[str, Any]:
-        """Compact summary for telemetry events (dashboard fodder)."""
-        full = self.summary()
-        return {
-            "kernels": full["kernels"],
-            "sim_wall_seconds": full["sim_wall_seconds"],
-            "cycles_per_wall_second": full["cycles_per_wall_second"],
-            "coverage": full["coverage"],
-            "peak_rss_bytes": full["peak_rss_bytes"],
-            "top_phases": [
-                [p["phase"], p["seconds"], p["calls"]]
-                for p in full["phases"] if not p["nested"]
-            ][:top],
-        }
-
     def format(self) -> str:
         """Human-readable profile block (CLI / report output)."""
         data = self.summary()

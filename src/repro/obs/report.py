@@ -1,10 +1,10 @@
-"""Offline aggregation of telemetry and profile files.
+"""Offline aggregation of run journals and profile files.
 
-``python -m repro report runs.jsonl profile.json [--json]`` folds any
-mix of telemetry JSONL sinks (batch-engine event streams) and host
-profile snapshots (:meth:`~repro.obs.profile.PhaseProfiler.save`
-output) into one summary — job counts, simulated cycles, wall time,
-cache counters, failure list, host profile — suitable for a CI
+``python -m repro report run.jsonl profile.json [--json]`` folds any
+mix of run journals (``--journal`` files) and host profile snapshots
+(:meth:`~repro.obs.profile.PhaseProfiler.save` output) into one
+summary — job counts, simulated cycles, elapsed time, cache hit rate,
+failures, the last jobs to end, host profile — suitable for a CI
 artifact or a quick terminal read after a long batch.
 """
 
@@ -15,18 +15,20 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import ReproError
-from repro.obs.dashboard import BatchWatch
+from repro.obs.dashboard import BatchWatch, describe, is_journal_record
 from repro.obs.profile import PhaseProfiler
 
 
 def classify_file(path) -> Tuple[str, Any]:
-    """Load one input file as ``("telemetry", records)`` or
+    """Load one input file as ``("journal", records)`` or
     ``("profile", snapshot)``.
 
-    Telemetry sinks are JSONL (one event object per line); host-profiler
+    Run journals are JSONL (one object per line); host-profiler
     snapshots (:meth:`~repro.obs.profile.PhaseProfiler.save`) are a
     single JSON object with a top-level ``"profile"`` key.  Anything
-    else is rejected with a :class:`ReproError`.
+    else — a non-empty file with no journal line, such as an old
+    telemetry stream — is rejected with a :class:`ReproError` naming
+    the file.
     """
     path = Path(path)
     try:
@@ -35,7 +37,7 @@ def classify_file(path) -> Tuple[str, Any]:
         raise ReproError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     if not stripped:
-        return "telemetry", []
+        return "journal", []
     if stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
@@ -52,13 +54,15 @@ def classify_file(path) -> Tuple[str, Any]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReproError(
-                f"{path}:{i + 1} is neither telemetry JSONL nor a "
+                f"{path}:{i + 1} is neither a run journal nor a "
                 f"profile snapshot: {exc}") from exc
         if not isinstance(record, dict):
             raise ReproError(
-                f"{path}:{i + 1}: telemetry records must be objects")
+                f"{path}:{i + 1}: journal lines must be objects")
         records.append(record)
-    return "telemetry", records
+    if not any(is_journal_record(r) for r in records):
+        raise ReproError(f"{path} holds no run-journal line")
+    return "journal", records
 
 
 def aggregate(paths: Iterable) -> Dict[str, Any]:
@@ -79,31 +83,16 @@ def aggregate(paths: Iterable) -> Dict[str, Any]:
         watch = BatchWatch()
         watch.update_all(payload)
         combined.update_all(payload)
-        entry = {"path": str(path), "kind": "telemetry",
-                 "events": len(payload)}
+        entry = {"path": str(path), "kind": "journal",
+                 "lines": watch.records}
         entry.update(watch.snapshot())
         files.append(entry)
 
     report: Dict[str, Any] = {"files": files}
     report.update(combined.snapshot())
-    report["failures"] = [
-        {"label": f.get("label", "?"), "error": f.get("error", "?")}
-        for f in combined.failures
-    ]
-    if combined.cache_stats:
-        report["cache"] = combined.cache_stats
+    report["failures"] = combined.failures
     if profile_files:
         report["host_profile"] = profiler.summary()
-    elif combined.profile_summary is not None:
-        # No standalone snapshot files, but the telemetry stream
-        # carried a batch-end rollup — surface that one instead.
-        report["host_profile"] = {
-            k: combined.profile_summary[k]
-            for k in ("kernels", "sim_wall_seconds",
-                      "cycles_per_wall_second", "coverage",
-                      "top_phases")
-            if k in combined.profile_summary
-        }
     return report
 
 
@@ -124,43 +113,25 @@ def format_report(report: Dict[str, Any]) -> str:
     if report.get("digest_records"):
         lines.append(
             f"  digests : {report['digest_records']:,} provenance "
-            f"ledger record(s) shipped (REPRO_DIGEST)")
-    if report.get("cache"):
-        cs = report["cache"]
-        store = (
-            f"  store   : {cs.get('entries', 0)} entries, "
-            f"{cs.get('hits', 0)} hits, {cs.get('misses', 0)} misses, "
-            f"{cs.get('evictions', 0)} evictions")
-        if cs.get("quarantined"):
-            store += f", {cs['quarantined']} quarantined"
-        lines.append(store)
+            f"ledger record(s) journaled (REPRO_DIGEST)")
     profile = report.get("host_profile")
     if profile:
         lines.append(
-            f"  profile : {profile.get('kernels', 0)} kernel(s), "
-            f"{profile.get('sim_wall_seconds', 0.0):.3f}s simulator "
-            f"wall, {profile.get('cycles_per_wall_second', 0.0):,.0f} "
-            f"cycles/s, {profile.get('coverage', 0.0) * 100:.1f}% "
-            f"coverage")
-        phases = profile.get("phases")
-        if phases:
-            for p in phases[:8]:
-                lines.append(
-                    f"    {p['phase']:<12} {p['seconds']:>9.3f}s "
-                    f"{p['share'] * 100:>5.1f}%  "
-                    f"{p['calls']:>12,} calls")
-        else:
-            for entry in profile.get("top_phases", [])[:8]:
-                name, seconds, calls = entry
-                lines.append(
-                    f"    {name:<12} {float(seconds):>9.3f}s "
-                    f"{int(calls):>12,} calls")
-    for failure in report.get("failures", []):
-        lines.append(f"  FAILED  : {failure['label']}: {failure['error']}")
-    for entry in report["files"]:
-        if entry["kind"] == "telemetry":
+            f"  profile : {profile['kernels']} kernel(s), "
+            f"{profile['sim_wall_seconds']:.3f}s simulator "
+            f"wall, {profile['cycles_per_wall_second']:,.0f} "
+            f"cycles/s, {profile['coverage'] * 100:.1f}% coverage")
+        for p in profile["phases"][:8]:
             lines.append(
-                f"  file    : {entry['path']} ({entry['events']} events)")
+                f"    {p['phase']:<12} {p['seconds']:>9.3f}s "
+                f"{p['share'] * 100:>5.1f}%  {p['calls']:>12,} calls")
+    for failure in report["failures"]:
+        lines.append(f"  FAILED  : {failure['label']}: {failure['error']}")
+    lines.extend(f"  last    : {describe(job)}" for job in report["last"])
+    for entry in report["files"]:
+        if entry["kind"] == "journal":
+            lines.append(
+                f"  file    : {entry['path']} ({entry['lines']} lines)")
         else:
             lines.append(
                 f"  file    : {entry['path']} "

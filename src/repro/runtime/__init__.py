@@ -6,10 +6,9 @@ content hashes (:mod:`~repro.runtime.jobspec`), an on-disk
 content-addressed, self-healing result cache
 (:mod:`~repro.runtime.cache`), a batch engine that runs one process
 pool per batch with keep-going and fail-fast policies
-(:mod:`~repro.runtime.engine`), an append-only run journal with one
-line per finished job (:mod:`~repro.runtime.journal`), and structured
-run telemetry with a crash-safe JSONL sink
-(:mod:`~repro.runtime.telemetry`).
+(:mod:`~repro.runtime.engine`), and an append-only run journal, the
+batch's one per-job record, with a crash-safe JSONL writer
+(:mod:`~repro.runtime.journal`).
 
 Run a grid through ``BatchEngine(jobs=..., cache=...).run(specs)``
 (every paper figure does, through :mod:`repro.figures`), drive one
@@ -38,7 +37,6 @@ from repro.runtime.engine import (
     JobOutcome,
 )
 from repro.runtime.journal import RunJournal, append_jsonl
-from repro.runtime.telemetry import RunEvent, Telemetry
 
 __all__ = [
     "AlgorithmSpec",
@@ -55,6 +53,4 @@ __all__ = [
     "JobOutcome",
     "RunJournal",
     "append_jsonl",
-    "RunEvent",
-    "Telemetry",
 ]

@@ -85,11 +85,6 @@ class RunSummary:
     #: produced before the field existed, so journal/cache schemas and
     #: checksums need no version bump.
     digest_ledger: Optional[Any] = None
-    #: Which simulator engine produced this summary (in-memory only —
-    #: deliberately absent from :meth:`to_dict`: engines are
-    #: bit-identical, so a summary's cache/journal identity must not
-    #: depend on which one ran; ``""`` when unknown, e.g. cache hits).
-    engine: str = ""
 
     @classmethod
     def from_run_result(cls, result) -> "RunSummary":
@@ -132,7 +127,8 @@ class ResultCache:
     """Content-addressed store of :class:`RunSummary` entries.
 
     Tracks ``hits`` / ``misses`` / ``stores`` / ``evictions`` counters
-    for the telemetry batch summary (:meth:`stats`).
+    for the batch summary ``bench`` and ``batch`` print and for
+    ``repro cache stats`` (:meth:`stats`).
 
     At most ``max_entries`` entries stay on disk: each store evicts the
     oldest (by mtime) beyond that bound.
@@ -292,7 +288,7 @@ class ResultCache:
         return sum(1 for _ in dest.glob("*.json"))
 
     def stats(self) -> Dict[str, Any]:
-        """Counter snapshot for telemetry and the CLI."""
+        """Counter snapshot for the batch summary and the CLI."""
         return {
             "dir": str(self.dir),
             "entries": self.entries(),

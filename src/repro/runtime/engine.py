@@ -17,6 +17,9 @@ serial ones:
   ``worker process crashed``;
 * each job's wall time is measured around :func:`_execute_spec` in
   the process that ran it;
+* with a :class:`~repro.runtime.journal.RunJournal`, each batch writes
+  a header line with its job count and each job one line as it ends;
+  without one the engine records nothing beyond the outcomes;
 * an exception raised by a job fails that job only.
   ``fail_fast=True`` stops at the first failure and marks the rest of
   the batch ``"skipped"``; the default keeps going and returns every
@@ -36,7 +39,6 @@ from repro.obs.provenance import get_digester
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.jobspec import JobSpec
-from repro.runtime.telemetry import Telemetry
 
 #: What one job hands back: its summary dict (``None`` on failure),
 #: its error (``None`` on success) and its wall seconds.
@@ -138,19 +140,17 @@ class BatchEngine:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        telemetry: Optional[Telemetry] = None,
         tracer: Optional[Tracer] = None,
         journal=None,
         fail_fast: bool = False,
     ) -> None:
         """``journal`` is a :class:`~repro.runtime.journal.RunJournal`
-        that records every finished or cached job as it ends.
+        that records every job as it ends.
         ``fail_fast`` stops at the first failure and marks the
         remainder ``"skipped"``.  ``tracer`` records one span per
         simulated job for Chrome trace export."""
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.fail_fast = fail_fast
@@ -158,35 +158,32 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobOutcome]:
         """Execute a batch; outcomes align index-for-index with specs."""
+        if self.journal is not None:
+            self.journal.start(len(specs))
         outcomes: Dict[int, JobOutcome] = {}
         pending: List[Tuple[int, JobSpec]] = []
         for idx, spec in enumerate(specs):
-            self.telemetry.emit("submitted", spec)
             summary = self.cache.get(spec) if self.cache is not None else None
             if summary is None:
                 pending.append((idx, spec))
-                continue
-            outcomes[idx] = JobOutcome(spec, "cached", summary)
-            self.telemetry.emit("cached", spec, cycles=summary.total_cycles)
-            if self.journal is not None:
-                self.journal.record(spec, summary)
+            else:
+                self._end(idx, JobOutcome(spec, "cached", summary), outcomes)
 
         if pending:
             if self.jobs <= 1:
                 self._run_serial(pending, outcomes)
             else:
                 self._run_parallel(pending, outcomes)
-
-        profiler = get_profiler()
-        if profiler.enabled and profiler.kernels:
-            # Before batch_summary: followers (repro tail) stop at the
-            # summary event, so the profile must already be on disk.
-            self.telemetry.emit("profile_summary", None,
-                                **profiler.summary_payload())
-        self.telemetry.emit_batch_summary(cache=self.cache)
         return [outcomes[i] for i in range(len(specs))]
 
     # ------------------------------------------------------------------
+    def _end(self, idx: int, outcome: JobOutcome,
+             outcomes: Dict[int, JobOutcome]) -> None:
+        """Record one ended job's outcome (and journal it)."""
+        outcomes[idx] = outcome
+        if self.journal is not None:
+            self.journal.record(outcome)
+
     def _finish(self, idx: int, spec: JobSpec, result: JobResult,
                 outcomes: Dict[int, JobOutcome]) -> bool:
         """Record one ended job; returns whether it failed."""
@@ -196,8 +193,8 @@ class BatchEngine:
                              tid="engine",
                              status="ok" if error is None else "failed")
         if error is not None:
-            outcomes[idx] = JobOutcome(spec, "failed", None, error, wall)
-            self.telemetry.emit("failed", spec, error=error)
+            self._end(idx, JobOutcome(spec, "failed", None, error, wall),
+                      outcomes)
             return True
         prof = data.pop("_profile", None)
         if prof:
@@ -205,36 +202,19 @@ class BatchEngine:
         summary = RunSummary.from_dict(data)
         if self.cache is not None:
             self.cache.put(spec, summary)
-        if self.journal is not None:
-            self.journal.record(spec, summary)
-        # Which engine ran is execution metadata, not job identity: it
-        # lands on the in-memory summary and in telemetry, never in the
-        # cache/journal payloads (engines are bit-identical).
-        from repro.sim.engines import resolve_engine_name
-
-        summary.engine = resolve_engine_name(spec.engine)
-        outcomes[idx] = JobOutcome(spec, "ok", summary, None, wall)
-        extra = {}
-        if summary.digest_ledger:
-            extra["digests"] = len(summary.digest_ledger)
-        self.telemetry.emit("finished", spec,
-                            cycles=summary.total_cycles,
-                            wall=round(wall, 6), engine=summary.engine,
-                            **extra)
+        self._end(idx, JobOutcome(spec, "ok", summary, None, wall), outcomes)
         return False
 
     def _skip(self, idx: int, spec: JobSpec,
               outcomes: Dict[int, JobOutcome]) -> None:
         """Abandon one job after an earlier failure under fail_fast."""
-        outcomes[idx] = JobOutcome(
+        self._end(idx, JobOutcome(
             spec, "skipped", None,
-            "skipped after an earlier failure (fail_fast)")
-        self.telemetry.emit("skipped", spec, reason="fail_fast")
+            "skipped after an earlier failure (fail_fast)"), outcomes)
 
     # ------------------------------------------------------------------
     def _run_serial(self, pending, outcomes) -> None:
         for n, (idx, spec) in enumerate(pending):
-            self.telemetry.emit("started", spec)
             if (self._finish(idx, spec, _run_job(spec), outcomes)
                     and self.fail_fast):
                 for rest_idx, rest_spec in pending[n + 1:]:
@@ -246,7 +226,6 @@ class BatchEngine:
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
         try:
             for idx, spec in pending:
-                self.telemetry.emit("started", spec)
                 try:
                     futures[pool.submit(_worker_entry, spec)] = (idx, spec)
                 except BrokenProcessPool as exc:

@@ -241,7 +241,7 @@ class JobSpec:
     #: hashing, ``to_dict`` and the content hash: every engine must
     #: produce bit-identical results, so the engine is an execution
     #: detail — same cycles, same cache address, same journal identity.
-    #: Telemetry and run metadata record which engine actually ran.
+    #: Each run-journal line records the engine outside its summary.
     engine: Optional[str] = field(default=None, compare=False)
 
     @classmethod
@@ -272,7 +272,7 @@ class JobSpec:
 
     @property
     def label(self) -> str:
-        """Short human-readable job name for telemetry and tables."""
+        """Short human-readable job name for journals and tables."""
         sched = self.schedule
         if self.schedule_params:
             sched += "[" + ",".join(
@@ -328,8 +328,8 @@ class JobSpec:
         produces a different hash; an inline graph contributes its
         array digest.  Simulator and cache-schema versions are *not*
         part of this hash; the cache layers them on top.  Specs are
-        frozen, so the digest is computed once and memoized (telemetry
-        hashes every event's spec).
+        frozen, so the digest is computed once and memoized (the
+        cache and the journal both hash every job's spec).
         """
         cached = getattr(self, "_content_hash", None)
         if cached is None:

@@ -1,13 +1,21 @@
-"""Append-only run journal: one line per job a batch finished.
+"""Append-only run journal: the batch's one per-job record.
 
-A journal is a JSONL file with one line per finished or cached job —
-the spec's content hash and label plus the full
-:class:`~repro.runtime.cache.RunSummary` dict — appended *atomically*
-(one ``os.write`` on an ``O_APPEND`` descriptor) the moment the job
-ends.  It is the per-job record of *one run*: the digest ledgers of a
-``REPRO_DIGEST=1`` run ride in it, and ``repro diff`` reads them from
-it.  The result cache, not the journal, is what lets an interrupted
-batch continue: a rerun against the same cache simulates nothing that
+A journal is a JSONL file.  Each :meth:`BatchEngine.run
+<repro.runtime.engine.BatchEngine.run>` appends one ``batch`` header
+line announcing its job count, then one line per job the moment the
+job ends: its status (``ok``, ``cached``, ``failed`` or ``skipped``),
+content hash, label, time, wall seconds measured in the process that
+ran it, simulator engine, and the full
+:class:`~repro.runtime.cache.RunSummary` dict (``ok``/``cached``) or
+the error (``failed``/``skipped``).  The engine name and wall time sit
+outside ``summary``, so the payload stays engine-blind.
+
+``repro tail`` and ``repro report`` fold these lines, and ``repro
+diff`` reads the digest ledgers of a ``REPRO_DIGEST=1`` run from the
+summaries.  Schema-1 journals (one line per finished or cached job, no
+header, no status) still load: each line counts as a done job.  The
+result cache, not the journal, is what lets an interrupted batch
+continue: a rerun against the same cache simulates nothing that
 finished.
 """
 
@@ -19,11 +27,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict
 
-from repro.runtime.cache import RunSummary
 from repro.sim import SIMULATOR_VERSION
+from repro.sim.engines import resolve_engine_name
 
-#: Bump when the journal line layout changes.
-JOURNAL_SCHEMA = 1
+#: Bump when the journal line layout changes (2: batch header, one
+#: line per ended job with its status, wall time and engine).
+JOURNAL_SCHEMA = 2
 
 
 def append_jsonl(path, record: Dict[str, Any]) -> None:
@@ -44,30 +53,42 @@ def append_jsonl(path, record: Dict[str, Any]) -> None:
 
 
 class RunJournal:
-    """Durable record of one run's finished jobs.
+    """Durable record of one run's jobs.
 
-    Constructing a journal starts a fresh file; hand it to a
+    Constructing a journal replaces any file at ``path`` with a new,
+    empty one (a new inode, so a follower of the old file starts over
+    from the top); hand it to a
     :class:`~repro.runtime.engine.BatchEngine` as ``journal=`` and the
-    engine records each finished or cached job as it ends.
+    engine writes the header and each job's line as it ends.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self.path.unlink(missing_ok=True)
-        self._recorded = set()
-
-    def record(self, spec, summary: RunSummary) -> None:
-        """Journal one job (idempotent per content hash)."""
-        key = spec.content_hash()
-        if key in self._recorded:
-            return
-        self._recorded.add(key)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fresh = self.path.with_name(self.path.name + ".new")
+        fresh.write_bytes(b"")
+        os.replace(fresh, self.path)
+
+    def start(self, jobs: int) -> None:
+        """Announce a batch of ``jobs`` jobs."""
         append_jsonl(self.path, {
-            "schema": JOURNAL_SCHEMA,
-            "sim": SIMULATOR_VERSION,
-            "hash": key,
+            "type": "batch", "schema": JOURNAL_SCHEMA,
+            "sim": SIMULATOR_VERSION, "jobs": jobs,
+            "time": round(time.time(), 6)})
+
+    def record(self, outcome) -> None:
+        """Journal one ended job (a :class:`JobOutcome`)."""
+        spec = outcome.spec
+        line = {
+            "status": outcome.status,
+            "hash": spec.content_hash(),
             "label": spec.label,
             "time": round(time.time(), 6),
-            "summary": summary.to_dict(),
-        })
+            "wall": round(outcome.wall_seconds, 6),
+            "engine": resolve_engine_name(spec.engine),
+        }
+        if outcome.summary is not None:
+            line["summary"] = outcome.summary.to_dict()
+        else:
+            line["error"] = outcome.error
+        append_jsonl(self.path, line)

@@ -14,8 +14,8 @@ An *engine* decides which execution loop a run's kernels go through:
 
 Engines are deliberately *excluded* from job identity: the same spec
 produces the same cycles under every engine, so cache keys and journal
-entries are engine-blind.  The engine choice is recorded in telemetry
-and run metadata instead.
+entries are engine-blind.  Each run-journal line records the engine
+outside its summary instead.
 
 Resolution precedence: explicit ``engine=`` argument, else the
 ``REPRO_ENGINE`` environment variable, else ``reference``.

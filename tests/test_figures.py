@@ -18,7 +18,7 @@ from repro.figures import (Figure, FigureContext, expand_jobs,
                            resolve_figures, run_figure, run_figures,
                            run_figures_report)
 from repro.errors import ReproError
-from repro.runtime import JobSpec, ResultCache, Telemetry
+from repro.runtime import JobSpec, ResultCache
 
 SMOKE = FigureContext.smoke_context()
 
@@ -172,17 +172,15 @@ def test_cross_engine_cache_identity(tmp_path):
     hit-only for the other — and the summaries are bit-identical."""
     cache = ResultCache(str(tmp_path))
 
-    cold = Telemetry()
     first = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache,
-                        telemetry=cold, sim_engine="reference")
-    submitted = cold.count("started")
-    assert submitted > 0 and cold.count("cached") == 0
+                        sim_engine="reference")
+    submitted = cache.stores
+    assert submitted > 0 and cache.hits == 0
 
-    warm = Telemetry()
     second = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache,
-                         telemetry=warm, sim_engine="fast")
-    assert warm.count("started") == 0
-    assert warm.count("cached") == submitted
+                         sim_engine="fast")
+    assert cache.stores == submitted  # the warm run simulated nothing
+    assert cache.hits == submitted
     for name in first:
         assert first[name].blocks == second[name].blocks
 
@@ -268,18 +266,14 @@ def test_second_run_is_all_cache_hits(tmp_path):
     same batch and simulates nothing."""
     cache = ResultCache(str(tmp_path))
 
-    cold = Telemetry()
-    first = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache,
-                        telemetry=cold)
-    submitted = cold.count("started")
+    first = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache)
+    submitted = cache.stores
     assert submitted > 0
-    assert cold.count("cached") == 0
+    assert cache.hits == 0
 
-    warm = Telemetry()
-    second = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache,
-                         telemetry=warm)
-    assert warm.count("started") == 0
-    assert warm.count("cached") == submitted
+    second = run_figures(FAST_FIGURES, SMOKE, jobs=1, cache=cache)
+    assert cache.stores == submitted  # the warm run simulated nothing
+    assert cache.hits == submitted
     for name in first:
         assert first[name].blocks == second[name].blocks
 
@@ -293,20 +287,17 @@ def whole_registry(tmp_path_factory):
     cache = ResultCache(str(tmp_path_factory.mktemp("figcache")))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tempfile, "tempdir", str(tempdir))
-        cold_tel = Telemetry()
-        cold = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
-                           telemetry=cold_tel)
-        warm_tel = Telemetry()
-        warm = run_figures(list_figures(), SMOKE, jobs=1, cache=cache,
-                           telemetry=warm_tel)
-    return cold, warm, cold_tel, warm_tel, tempdir
+        cold = run_figures(list_figures(), SMOKE, jobs=1, cache=cache)
+        cold_stores = cache.stores
+        warm = run_figures(list_figures(), SMOKE, jobs=1, cache=cache)
+    return cold, warm, cache, cold_stores, tempdir
 
 
 @pytest.mark.parametrize("name", figure_names())
 def test_summarize_round_trips_engine_summaries(name, whole_registry):
     """summarize() produces well-formed blocks from live summaries and
     reproduces them from cache-round-tripped summary dicts."""
-    cold, warm, _cold_tel, _warm_tel, _tempdir = whole_registry
+    cold, warm, _cache, _cold_stores, _tempdir = whole_registry
     out = cold[name]
     assert out.name == name
     assert out.blocks, name
@@ -316,10 +307,10 @@ def test_summarize_round_trips_engine_summaries(name, whole_registry):
 
 
 def test_whole_registry_warm_run_simulates_nothing(whole_registry):
-    _cold, _warm, cold_tel, warm_tel, _tempdir = whole_registry
-    assert cold_tel.count("started") > 0
-    assert warm_tel.count("started") == 0
-    assert warm_tel.count("cached") == cold_tel.count("started")
+    _cold, _warm, cache, cold_stores, _tempdir = whole_registry
+    assert cold_stores > 0
+    assert cache.stores == cold_stores  # the warm run simulated nothing
+    assert cache.hits == cold_stores
 
 
 def test_whole_registry_leaves_no_temp_files(whole_registry):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import threading
 import time
 
@@ -19,21 +20,17 @@ def write_jsonl(path, records):
             handle.write(json.dumps(record) + "\n")
 
 
-TELEMETRY = [
-    {"kind": "submitted", "job": "aaa", "label": "pr/g/vm", "time": 10.0},
-    {"kind": "submitted", "job": "bbb", "label": "pr/g/wm", "time": 10.0},
-    {"kind": "submitted", "job": "ccc", "label": "pr/g/sw", "time": 10.0},
-    {"kind": "cached", "job": "ccc", "label": "pr/g/sw", "time": 10.1,
-     "cycles": 500},
-    {"kind": "started", "job": "aaa", "label": "pr/g/vm", "time": 10.2},
-    {"kind": "started", "job": "bbb", "label": "pr/g/wm", "time": 10.2},
-    {"kind": "finished", "job": "aaa", "label": "pr/g/vm", "time": 11.0,
-     "cycles": 1000, "wall": 0.8},
-    {"kind": "failed", "job": "bbb", "label": "pr/g/wm", "time": 11.5,
-     "error": "SimulationError: boom"},
-    {"kind": "batch_summary", "time": 11.6,
-     "cache": {"entries": 2, "hits": 1, "misses": 2, "stores": 1,
-               "evictions": 0, "dir": "/tmp/c"}},
+def job(status, name, time_, **extra):
+    """One schema-2 journal job line."""
+    return {"status": status, "hash": name * 3, "label": f"pr/g/{name}",
+            "time": time_, "engine": "reference", **extra}
+
+
+JOURNAL = [
+    {"type": "batch", "schema": 2, "sim": 1, "jobs": 3, "time": 10.0},
+    job("cached", "sw", 10.1, wall=0.0, summary={"total_cycles": 500}),
+    job("ok", "vm", 11.0, wall=0.8, summary={"total_cycles": 1000}),
+    job("failed", "wm", 11.5, wall=0.1, error="SimulationError: boom"),
 ]
 
 
@@ -55,14 +52,28 @@ def test_follower_reads_incrementally(tmp_path):
 
 
 def test_follower_handles_truncation_and_garbage(tmp_path):
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, TELEMETRY[:4])
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL)
     follower = JSONLFollower(path)
     assert len(follower.poll()) == 4
-    path.write_text('not json\n{"kind": "submitted", "job": "x"}\n')
+    path.write_text('not json\n{"type": "batch", "jobs": 1}\n')
     records = follower.poll()  # reset to top after shrink
-    assert [r["kind"] for r in records] == ["submitted"]
+    assert records == [{"type": "batch", "jobs": 1}]
     assert follower.bad_lines == 1
+
+
+def test_follower_sees_a_replaced_file_from_the_top(tmp_path):
+    """A longer file put in place of the followed one (a new run's
+    journal) is read from its first line, not from the old offset."""
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, [{"i": i} for i in range(10)])
+    follower = JSONLFollower(path)
+    assert len(follower.poll()) == 10
+
+    fresh = tmp_path / "fresh.jsonl"
+    write_jsonl(fresh, [{"i": i} for i in range(25)])
+    os.replace(fresh, path)
+    assert [r["i"] for r in follower.poll()] == list(range(25))
 
 
 def test_follower_missing_file(tmp_path):
@@ -72,31 +83,40 @@ def test_follower_missing_file(tmp_path):
 # ----------------------------------------------------------------------
 def test_batchwatch_snapshot():
     watch = BatchWatch()
-    watch.update_all(TELEMETRY)
+    watch.update_all(JOURNAL)
     snap = watch.snapshot()
     assert snap["jobs_total"] == 3
     assert snap["done"] == 2 and snap["failed"] == 1
-    assert snap["cached"] == 1 and snap["running"] == 0
+    assert snap["cached"] == 1 and snap["skipped"] == 0
+    assert "running" not in snap
     assert snap["simulated_cycles"] == 1500
+    assert snap["elapsed_seconds"] == pytest.approx(1.5)
     assert snap["finished"] is True
     assert snap["cache_hit_rate"] == pytest.approx(1 / 3, abs=1e-4)
     assert watch.failures[0]["label"] == "pr/g/wm"
+    assert snap["last"] == [
+        {"label": "pr/g/sw", "status": "cached", "wall": 0.0},
+        {"label": "pr/g/vm", "status": "ok", "wall": 0.8},
+        {"label": "pr/g/wm", "status": "failed",
+         "error": "SimulationError: boom"},
+    ]
 
 
 def test_render_frame():
     watch = BatchWatch()
-    watch.update_all(TELEMETRY)
+    watch.update_all(JOURNAL)
     frame = render(watch, clock=0.0)
-    assert "3 total" in frame
-    assert "100%" in frame
+    assert "3 total | 2 done | 1 failed | 1 cached" in frame
+    assert "running" not in frame
+    assert "100%  ETA done" in frame
     assert "1,500 simulated" in frame
+    assert "pr/g/vm ok in 0.800s" in frame
     assert "pr/g/wm failed: SimulationError: boom" in frame
-    assert "2 entries" in frame
 
 
 def test_tail_once_reads_static_file(tmp_path):
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, TELEMETRY)
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL)
     out = io.StringIO()
     watch = tail(path, follow=False, out=out)
     assert watch.finished
@@ -105,11 +125,11 @@ def test_tail_once_reads_static_file(tmp_path):
 
 def test_tail_follows_growing_file(tmp_path):
     """The dashboard keeps up with a writer appending concurrently."""
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, TELEMETRY[:2])
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:1])
 
     def writer():
-        for record in TELEMETRY[2:]:
+        for record in JOURNAL[1:]:
             time.sleep(0.02)
             with open(path, "a") as handle:
                 handle.write(json.dumps(record) + "\n")
@@ -120,15 +140,15 @@ def test_tail_follows_growing_file(tmp_path):
     watch = tail(path, follow=True, interval=0.01, max_frames=500,
                  out=out, use_ansi=False)
     thread.join()
-    # Exited because batch_summary arrived, having seen every record.
+    # Exited because every announced job has a line.
     assert watch.finished
     assert watch.snapshot()["jobs_total"] == 3
-    assert out.getvalue().count("batch telemetry") >= 2
+    assert out.getvalue().count("batch journal") >= 2
 
 
 def test_tail_stops_at_max_frames(tmp_path):
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, TELEMETRY[:3])  # no batch_summary => never "done"
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:3])  # 2 of 3 announced jobs => not done
     watch = tail(path, follow=True, interval=0.001, max_frames=3,
                  out=io.StringIO(), use_ansi=False)
     assert not watch.finished
@@ -136,10 +156,10 @@ def test_tail_stops_at_max_frames(tmp_path):
 
 # ----------------------------------------------------------------------
 def test_classify_file(tmp_path):
-    events = tmp_path / "events.jsonl"
-    write_jsonl(events, TELEMETRY)
-    kind, records = classify_file(events)
-    assert kind == "telemetry" and len(records) == len(TELEMETRY)
+    journal = tmp_path / "run.jsonl"
+    write_jsonl(journal, JOURNAL)
+    kind, records = classify_file(journal)
+    assert kind == "journal" and len(records) == len(JOURNAL)
 
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("definitely not json\n")
@@ -150,26 +170,28 @@ def test_classify_file(tmp_path):
 
 
 def test_aggregate_telemetry_and_metrics(tmp_path):
-    events = tmp_path / "events.jsonl"
-    write_jsonl(events, TELEMETRY)
+    journal = tmp_path / "run.jsonl"
+    write_jsonl(journal, JOURNAL)
 
-    report = aggregate([events])
+    report = aggregate([journal])
     assert report["jobs_total"] == 3
     assert report["failed"] == 1
     assert report["simulated_cycles"] == 1500
-    assert [f["kind"] for f in report["files"]] == ["telemetry"]
+    assert [f["kind"] for f in report["files"]] == ["journal"]
     assert report["failures"] == [
-        {"label": "pr/g/wm", "error": "SimulationError: boom"}]
+        {"label": "pr/g/wm", "status": "failed",
+         "error": "SimulationError: boom"}]
 
     text = format_report(report)
     assert "3 total" in text and "1 failed" in text
+    assert "last    : pr/g/vm ok in 0.800s" in text
 
 
 def test_aggregate_merges_two_sinks(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    write_jsonl(a, TELEMETRY[:4])
-    write_jsonl(b, TELEMETRY[4:])
+    write_jsonl(a, JOURNAL[:2])
+    write_jsonl(b, JOURNAL[2:])
     report = aggregate([a, b])
     assert report["jobs_total"] == 3
     assert report["done"] == 2 and report["failed"] == 1
@@ -182,18 +204,21 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_tail_once(capsys, tmp_path):
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, TELEMETRY)
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL)
     code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
     assert code == 1  # one failed job
-    assert "batch telemetry" in out
+    assert "batch journal" in out
     last = out.strip().splitlines()[-1]
     assert json.loads(last)["jobs_total"] == 3
+    code, out = run_cli(capsys, "report", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["last"][-1]["error"] == "SimulationError: boom"
 
 
 def test_cli_report(capsys, tmp_path):
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, [r for r in TELEMETRY if r["kind"] != "failed"])
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, [r for r in JOURNAL if r.get("status") != "failed"])
     code, out = run_cli(capsys, "report", str(path))
     assert code == 0
     assert "observability report" in out
@@ -208,79 +233,87 @@ def test_cli_report(capsys, tmp_path):
     assert "profile snapshot" in capsys.readouterr().err
 
 
-# ---------------------------------------------------- resumed/skipped
-# A "resumed" event comes from a file written while the batch runtime
-# still restored jobs from its journal; it still counts its job done.
-RESUME_TELEMETRY = [
-    {"kind": "submitted", "job": "aaa", "label": "pr/g/vm", "time": 10.0},
-    {"kind": "submitted", "job": "bbb", "label": "pr/g/wm", "time": 10.0},
-    {"kind": "submitted", "job": "ccc", "label": "pr/g/sw", "time": 10.0},
-    {"kind": "resumed", "job": "aaa", "label": "pr/g/vm", "time": 10.1,
-     "cycles": 700},
-    {"kind": "started", "job": "bbb", "label": "pr/g/wm", "time": 10.2},
-    {"kind": "failed", "job": "bbb", "label": "pr/g/wm", "time": 10.5,
-     "error": "ScheduleError: unknown schedule"},
-    {"kind": "skipped", "job": "ccc", "label": "pr/g/sw", "time": 10.5},
-    {"kind": "batch_summary", "time": 10.6,
-     "cache": {"entries": 1, "hits": 0, "misses": 1, "stores": 1,
-               "evictions": 0, "quarantined": 2, "dir": "/tmp/c"}},
-]
+# ------------------------------------------------- schema 1 / skipped
+#: A journal line as schema 1 wrote it (here from a REPRO_DIGEST=1
+#: run): no header, no type, no status; one line per finished or
+#: cached job.
+SCHEMA1_LINE = (
+    '{"hash": "9f2c", "label": "pagerank/bio-human/vertex_map", '
+    '"schema": 1, "sim": 1, "summary": {"digest_ledger": '
+    '[[0, 0, 0, 0, "abcd", 2]], "iterations": 1, "stats": {}, '
+    '"total_cycles": 700, "values_digest": "d"}, "time": 10.1}\n')
 
 
 def test_batchwatch_counts_resumed_and_skipped():
+    """A schema-1 line (a job an older build journaled, as it also
+    logged jobs restored on resume) counts as done; a fail-fast
+    journal's skipped lines end their jobs."""
     watch = BatchWatch()
-    watch.update_all(RESUME_TELEMETRY)
+    watch.update(json.loads(SCHEMA1_LINE))
+    watch.update_all([
+        job("failed", "wm", 10.5, wall=0.1,
+            error="ScheduleError: unknown schedule"),
+        job("skipped", "sw", 10.5, wall=0.0,
+            error="skipped after an earlier failure (fail_fast)"),
+    ])
     snap = watch.snapshot()
     assert snap["jobs_total"] == 3
-    assert snap["done"] == 1  # the resumed job is terminal
+    assert snap["done"] == 1
     assert snap["skipped"] == 1
     assert snap["failed"] == 1
     assert snap["simulated_cycles"] == 700
-    assert "resumed" not in snap and "retried" not in snap
-    # One lookup (the started job), no cache hit.
     assert snap["cache_hit_rate"] == 0.0
 
 
-def test_render_shows_skipped_quarantined():
-    watch = BatchWatch()
-    watch.update_all(RESUME_TELEMETRY)
-    frame = render(watch, clock=0.0)
-    assert "1 skipped" in frame
-    assert "100%" in frame  # skipped jobs are finished, not pending
-    assert "2 quarantined" in frame
+def test_schema1_journal_still_loads(capsys, tmp_path):
+    """diff, tail --once and report all read a schema-1 journal and
+    count its job as done."""
+    path = tmp_path / "old.jsonl"
+    path.write_text(SCHEMA1_LINE)
+    code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
+    assert code == 0
+    snap = json.loads(out.strip().splitlines()[-1])
+    assert (snap["jobs_total"], snap["done"]) == (1, 1)
+    code, out = run_cli(capsys, "report", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["done"] == 1
+    code, out = run_cli(capsys, "diff", "--a", str(path), "--b", str(path),
+                        "--json")
+    assert code == 0
+    assert json.loads(out)["compared"] == 1
 
 
-def test_report_shows_skipped_and_quarantined(tmp_path):
+def test_old_telemetry_file_exits_2(capsys, tmp_path):
+    """A telemetry stream (the per-job record before the journal
+    replaced it) holds no journal line: tail and report name it."""
     path = tmp_path / "events.jsonl"
-    write_jsonl(path, RESUME_TELEMETRY)
-    report = aggregate([path])
-    assert report["done"] == 1
-    assert report["skipped"] == 1
-    text = format_report(report)
-    assert "1 skipped" in text
-    assert "2 quarantined" in text
+    write_jsonl(path, [
+        {"kind": "submitted", "job": "aaa", "label": "j1", "time": 0.0},
+        {"kind": "finished", "job": "aaa", "label": "j1", "time": 1.0,
+         "cycles": 100, "wall": 1.0},
+    ])
+    for argv in (["tail", str(path), "--once"], ["report", str(path)]):
+        assert main(argv) == 2
+        assert f"{path} holds no run-journal line" in capsys.readouterr().err
 
 
 # ------------------------------------------------- crash-safe appends
 def test_killed_writer_never_leaves_a_torn_line(tmp_path):
     """Regression: SIGKILL a process mid-stream; every line in the
-    sink must still parse (single-write O_APPEND emission)."""
-    import os
-    import signal
+    journal must still parse (single-write O_APPEND emission)."""
     import subprocess
     import sys
     from pathlib import Path
 
-    path = tmp_path / "events.jsonl"
+    path = tmp_path / "run.jsonl"
     repo_root = Path(__file__).resolve().parents[1]
     child = subprocess.Popen(
         [sys.executable, "-c", (
             "import sys\n"
-            "from repro.runtime.telemetry import Telemetry\n"
-            "t = Telemetry(sys.argv[1])\n"
+            "from repro.runtime.journal import append_jsonl\n"
             "i = 0\n"
             "while True:\n"
-            "    t.emit('started', None, seq=i, pad='x' * 200)\n"
+            "    append_jsonl(sys.argv[1], {'seq': i, 'pad': 'x' * 200})\n"
             "    i += 1\n"
         ), str(path)],
         env=dict(os.environ, PYTHONPATH=str(repo_root / "src")),
@@ -302,58 +335,3 @@ def test_killed_writer_never_leaves_a_torn_line(tmp_path):
     assert records
     assert [r["seq"] for r in records] == list(range(len(records)))
     assert path.read_text().endswith("\n")
-
-
-# -------------------------------------------------- legacy fleet events
-#: Telemetry as the since-removed worker fleet wrote it.  Its worker and
-#: lease event kinds are unknown to the dashboard now, so they fold like
-#: any other unknown kind; the job events among them still count.
-FLEET_TELEMETRY = [
-    {"kind": "worker_joined", "job": "", "label": "", "time": 0.0,
-     "worker": "w0", "addr": "127.0.0.1:50001"},
-    {"kind": "worker_joined", "job": "", "label": "", "time": 0.1,
-     "worker": "w1", "addr": "127.0.0.1:50002"},
-    {"kind": "started", "job": "aaa", "label": "j1", "time": 0.2,
-     "worker": "w0"},
-    {"kind": "lease_result", "job": "aaa", "label": "j1", "time": 1.2,
-     "worker": "w0", "status": "ok", "wall": 1.0},
-    {"kind": "finished", "job": "aaa", "label": "j1", "time": 1.2,
-     "cycles": 100, "wall": 1.0},
-    {"kind": "started", "job": "bbb", "label": "j2", "time": 0.3,
-     "worker": "w1"},
-    {"kind": "lease_expired", "job": "bbb", "label": "j2", "time": 2.0,
-     "worker": "w1", "reason": "expired"},
-    {"kind": "lease_reclaimed", "job": "bbb", "label": "j2",
-     "time": 2.0, "worker": "w1", "reason": "disconnect"},
-    {"kind": "started", "job": "bbb", "label": "j2", "time": 2.1,
-     "worker": "w0"},
-    {"kind": "lease_result", "job": "bbb", "label": "j2", "time": 3.0,
-     "worker": "w0", "status": "ok", "wall": 0.9},
-    {"kind": "finished", "job": "bbb", "label": "j2", "time": 3.0,
-     "cycles": 200, "wall": 0.9},
-    {"kind": "lease_result", "job": "ccc", "label": "j3", "time": 3.1,
-     "worker": "w1", "status": "stale", "wall": 0.1},
-    {"kind": "worker_left", "job": "", "label": "", "time": 3.2,
-     "worker": "w0", "jobs": 2},
-]
-
-
-def test_legacy_fleet_telemetry_folds_without_fleet_view(tmp_path,
-                                                         capsys):
-    watch = BatchWatch()
-    watch.update_all(FLEET_TELEMETRY)
-    snap = watch.snapshot()
-    assert snap["jobs_total"] == 2
-    assert snap["done"] == 2
-    assert snap["failed"] == 0
-    assert snap["simulated_cycles"] == 300
-    assert "fleet   :" not in render(watch, clock=0.0)
-
-    path = tmp_path / "events.jsonl"
-    write_jsonl(path, FLEET_TELEMETRY)
-    assert main(["report", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "2 done" in out
-    assert "fleet   :" not in out
-    assert "w0" not in out
-    assert "fleet" not in aggregate([path])

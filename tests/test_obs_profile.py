@@ -82,9 +82,7 @@ def test_summary_orders_phases_and_computes_op_percentiles():
     assert op["op"] == "LOAD" and op["calls"] == 100
     assert op["p50_us"] == pytest.approx(2.5)   # bucket upper bound
     assert op["p99_us"] == pytest.approx(2.5)
-    payload = p.summary_payload(top=1)
-    assert payload["kernels"] == 1
-    assert payload["top_phases"] == [["schedule", 0.1, 1]]
+    assert data["kernels"] == 1
     assert "schedule" in p.format()
 
 
@@ -166,21 +164,6 @@ def test_cycles_bit_identical_with_profiler_on_and_off():
     finally:
         get_profiler().clear()
         disable_profiling()
-
-
-def test_batch_engine_emits_profile_summary_before_batch_summary(
-        tmp_path, global_profiler):
-    from repro.runtime import Telemetry
-
-    sink = tmp_path / "events.jsonl"
-    engine = BatchEngine(jobs=1, cache=None, telemetry=Telemetry(sink))
-    outcomes = engine.run([tiny_job()])
-    assert all(o.status == "ok" for o in outcomes)
-    kinds = [json.loads(line)["kind"]
-             for line in sink.read_text().splitlines()]
-    assert "profile_summary" in kinds
-    # tail exits on batch_summary, so the profile must precede it.
-    assert kinds.index("profile_summary") < kinds.index("batch_summary")
 
 
 def test_pool_workers_ship_profile_snapshots(global_profiler):

@@ -26,7 +26,7 @@ from repro.obs.provenance import (DEFAULT_INTERVAL, DIGEST_ENV,
                                   ledgers_from_cache_dir,
                                   ledgers_from_journal,
                                   resolve_interval, sort_key)
-from repro.runtime import (AlgorithmSpec, GraphSpec, JobSpec,
+from repro.runtime import (AlgorithmSpec, GraphSpec, JobOutcome, JobSpec,
                            RunJournal)
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.engine import _execute_spec
@@ -224,7 +224,8 @@ def test_ledger_rides_the_run_journal(tmp_path):
         disable_digests(clear=True)
     assert data["digest_ledger"]
     journal = RunJournal(tmp_path / "run.jsonl")
-    journal.record(spec, RunSummary.from_dict(data))
+    journal.start(1)
+    journal.record(JobOutcome(spec, "ok", RunSummary.from_dict(data)))
 
     # The diff-side loader finds the same ledger, keyed by content hash.
     runs = ledgers_from_journal(tmp_path / "run.jsonl")
@@ -273,7 +274,8 @@ def test_cache_and_journal_ledgers_pair_by_content_hash(tmp_path):
     spec = tiny_spec()
     summary = RunSummary.from_dict(_execute_spec(spec))
     ResultCache(tmp_path / "cache").put(spec, summary)
-    RunJournal(tmp_path / "run.jsonl").record(spec, summary)
+    RunJournal(tmp_path / "run.jsonl").record(
+        JobOutcome(spec, "ok", summary))
     cached = ledgers_from_cache_dir(tmp_path / "cache")
     journaled = ledgers_from_journal(tmp_path / "run.jsonl")
     assert set(cached) == set(journaled) == {spec.content_hash()}

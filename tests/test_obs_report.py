@@ -9,14 +9,13 @@ from repro.obs.profile import PhaseProfiler
 from repro.obs.report import aggregate, classify_file, format_report
 
 
-def telemetry_lines():
+def journal_lines():
     return [
-        {"kind": "submitted", "job": "h-a", "label": "a"},
-        {"kind": "started", "job": "h-a", "label": "a"},
-        {"kind": "finished", "job": "h-a", "label": "a", "cycles": 500},
-        {"kind": "started", "job": "h-b", "label": "b"},
-        {"kind": "failed", "job": "h-b", "label": "b", "error": "boom"},
-        {"kind": "batch_summary", "jobs": 2},
+        {"type": "batch", "schema": 2, "jobs": 2},
+        {"status": "ok", "hash": "h-a", "label": "a", "wall": 0.5,
+         "summary": {"total_cycles": 500}},
+        {"status": "failed", "hash": "h-b", "label": "b", "wall": 0.1,
+         "error": "boom"},
     ]
 
 
@@ -31,21 +30,21 @@ def write_jsonl(path, records):
 def test_classify_empty_file_is_empty_telemetry(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert classify_file(path) == ("telemetry", [])
+    assert classify_file(path) == ("journal", [])
     path.write_text("  \n\n  ")
-    assert classify_file(path) == ("telemetry", [])
+    assert classify_file(path) == ("journal", [])
 
 
 def test_classify_telemetry_and_metrics_and_profile(tmp_path):
-    tele = write_jsonl(tmp_path / "t.jsonl", telemetry_lines())
-    kind, records = classify_file(tele)
-    assert kind == "telemetry" and len(records) == 6
+    journal = write_jsonl(tmp_path / "run.jsonl", journal_lines())
+    kind, records = classify_file(journal)
+    assert kind == "journal" and len(records) == 3
 
     # An indented object without a "profile" key is neither kind.
     metrics = tmp_path / "m.json"
     metrics.write_text(json.dumps(
         {"metrics": {"sim_cycles_total": {"kind": "counter"}}}, indent=1))
-    with pytest.raises(ReproError, match="neither telemetry JSONL nor a "
+    with pytest.raises(ReproError, match="neither a run journal nor a "
                                          "profile snapshot"):
         classify_file(metrics)
 
@@ -58,17 +57,17 @@ def test_classify_telemetry_and_metrics_and_profile(tmp_path):
 def test_classify_truncated_json_object_rejected(tmp_path):
     path = tmp_path / "torn.json"
     path.write_text('{"profile": {"phases"')
-    with pytest.raises(ReproError, match="neither telemetry JSONL"):
+    with pytest.raises(ReproError, match="neither a run journal"):
         classify_file(path)
 
 
 def test_classify_unknown_schema_object_rejected(tmp_path):
-    # A one-line JSON *object* without a profile key is read
-    # as single-record telemetry; a multi-line one with garbage fails.
+    # A JSON object that is neither a profile snapshot nor a journal
+    # line is rejected, naming the file; so is a line with garbage.
     path = tmp_path / "unknown.json"
     path.write_text('{"weights": [1, 2, 3]}')
-    kind, records = classify_file(path)
-    assert kind == "telemetry" and records == [{"weights": [1, 2, 3]}]
+    with pytest.raises(ReproError, match=f"{path} holds no run-journal"):
+        classify_file(path)
 
     path.write_text('{"weights": 1}\n[not, valid\n')
     with pytest.raises(ReproError, match="neither"):
@@ -77,7 +76,7 @@ def test_classify_unknown_schema_object_rejected(tmp_path):
 
 def test_classify_non_object_telemetry_line_rejected(tmp_path):
     path = tmp_path / "list.jsonl"
-    path.write_text('{"kind": "job"}\n[1, 2, 3]\n')
+    path.write_text('{"type": "batch", "jobs": 1}\n[1, 2, 3]\n')
     with pytest.raises(ReproError, match="must be objects"):
         classify_file(path)
 
@@ -91,7 +90,7 @@ def test_classify_unreadable_path_rejected(tmp_path):
 # aggregate over a mixed directory
 # ----------------------------------------------------------------------
 def test_aggregate_mixed_directory(tmp_path):
-    tele = write_jsonl(tmp_path / "events.jsonl", telemetry_lines())
+    journal = write_jsonl(tmp_path / "run.jsonl", journal_lines())
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
 
@@ -101,16 +100,17 @@ def test_aggregate_mixed_directory(tmp_path):
     profiler.end_kernel(cycles=2000, wall_seconds=1.0)
     profile = profiler.save(tmp_path / "profile.json")
 
-    report = aggregate([tele, empty, profile])
+    report = aggregate([journal, empty, profile])
     assert report["jobs_total"] == 2
     assert report["done"] == 1 and report["failed"] == 1
     assert report["simulated_cycles"] == 500
-    assert report["failures"] == [{"label": "b", "error": "boom"}]
+    assert report["failures"] == [
+        {"label": "b", "status": "failed", "error": "boom"}]
     host = report["host_profile"]
     assert host["kernels"] == 1
     assert host["phases"][0]["phase"] == "execute"
     kinds = {entry["path"]: entry["kind"] for entry in report["files"]}
-    assert kinds == {str(tele): "telemetry", str(empty): "telemetry",
+    assert kinds == {str(journal): "journal", str(empty): "journal",
                      str(profile): "profile"}
 
     text = format_report(report)
@@ -130,19 +130,3 @@ def test_aggregate_two_profiles_merge(tmp_path):
     assert host["kernels"] == 2
     assert host["sim_wall_seconds"] == pytest.approx(1.0)
     assert host["coverage"] == pytest.approx(1.0)
-
-
-def test_aggregate_profile_summary_from_telemetry_stream(tmp_path):
-    records = telemetry_lines()
-    records.insert(-1, {
-        "kind": "profile_summary", "kernels": 3,
-        "sim_wall_seconds": 0.5, "cycles_per_wall_second": 4000.0,
-        "coverage": 0.97,
-        "top_phases": [["execute", 0.3, 42]], "seq": 10,
-    })
-    tele = write_jsonl(tmp_path / "events.jsonl", records)
-    report = aggregate([tele])
-    host = report["host_profile"]
-    assert host["kernels"] == 3 and host["coverage"] == 0.97
-    text = format_report(report)
-    assert "3 kernel(s)" in text and "execute" in text

@@ -10,27 +10,30 @@ def run_cli(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def statuses(journal):
+    """Each journal line's status (``batch`` for a header)."""
+    return [line.get("status", line.get("type")) for line in
+            map(json.loads, journal.read_text().splitlines())]
+
+
 def test_batch_grid_cold_then_warm(capsys, tmp_path):
     argv = ["batch", "--algorithm", "pagerank", "--datasets",
             "bio-human", "--schedules", "vertex_map", "sparseweaver",
             "--scale", "0.2", "--iterations", "1", "--jobs", "1",
             "--cache-dir", str(tmp_path / "cache"),
-            "--telemetry", str(tmp_path / "events.jsonl")]
+            "--journal", str(tmp_path / "run.jsonl")]
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "vertex_map" in out and "sparseweaver" in out
     assert "2 submitted, 2 simulated, 0 cached" in out
+    assert statuses(tmp_path / "run.jsonl") == ["batch", "ok", "ok"]
 
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "2 submitted, 0 simulated, 2 cached" in out
-
-    events = [json.loads(line) for line in
-              (tmp_path / "events.jsonl").read_text().splitlines()]
-    kinds = [e["kind"] for e in events]
-    assert kinds.count("finished") == 2
-    assert kinds.count("cached") == 2
-    assert kinds.count("batch_summary") == 2
+    assert "cache: 2 hits, 0 misses, 0 stores" in out
+    assert statuses(tmp_path / "run.jsonl") == [
+        "batch", "cached", "cached"]
 
 
 def test_batch_no_cache(capsys, tmp_path):
@@ -141,7 +144,7 @@ def test_batch_journal_starts_fresh(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert "1 simulated" in out
-    assert len(journal.read_text().splitlines()) == 1
+    assert statuses(journal) == ["batch", "ok"]
 
 
 def test_bench_keep_going_emits_surviving_figures(capsys, tmp_path,
@@ -160,3 +163,33 @@ def test_bench_keep_going_emits_surviving_figures(capsys, tmp_path,
     assert "did not complete" in captured.err
     assert "figures skipped" in captured.err
     assert (tmp_path / "results" / "table1_schemes.txt").exists()
+
+
+def test_bench_and_batch_print_the_same_summary_block(capsys, tmp_path):
+    """Both commands fold their outcomes into one block: job counts,
+    simulated cycles, wall seconds and the cache line, quarantined
+    entries included."""
+    cache_dir = tmp_path / "cache"
+    argv = ["batch", "--datasets", "bio-human", "--schedules",
+            "vertex_map", "sparseweaver", "--scale", "0.2",
+            "--iterations", "1", "--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, *argv)[0] == 0
+    # A torn entry is quarantined and its job simulated again.
+    sorted(cache_dir.glob("*.json"))[0].write_text("{torn")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out[out.index("batch summary:"):].splitlines()
+    assert lines[1] == "  jobs: 2 submitted, 1 simulated, 1 cached, 0 failed"
+    assert lines[2].startswith("  simulated cycles: ")
+    assert lines[3].startswith("  wall seconds: ")
+    assert lines[4].startswith("  cache: 1 hits, 1 misses, 1 stores")
+    assert lines[4].endswith(", 1 quarantined")
+
+    code, out = run_cli(capsys, "bench", "--smoke", "--figures", "fig13",
+                        "--jobs", "1", "--cache-dir", str(cache_dir),
+                        "--out", str(tmp_path / "results"))
+    assert code == 0
+    bench = out[out.index("batch summary:"):].splitlines()
+    assert bench[1] == "  jobs: 2 submitted, 2 simulated, 0 cached, 0 failed"
+    assert [line.split(":")[0] for line in bench[2:]] == [
+        "  simulated cycles", "  wall seconds", "  cache"]

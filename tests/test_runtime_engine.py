@@ -4,6 +4,7 @@ The worker-crash helper lives at module top level so
 ``ProcessPoolExecutor`` can pickle it by reference.
 """
 
+import json
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -13,8 +14,9 @@ import pytest
 import repro.runtime.engine as engine_mod
 from repro.errors import ReproError
 from repro.graph import powerlaw_graph
+from repro.figures import FailureReport
 from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobSpec,
-                           ResultCache, Telemetry)
+                           ResultCache, RunJournal)
 from repro.sim import GPUConfig
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
@@ -77,48 +79,42 @@ def test_outcomes_preserve_submission_order():
 def test_warm_cache_runs_zero_simulations(tmp_path):
     specs = tiny_grid_specs()
     cache = ResultCache(tmp_path / "cache")
-    cold_tel = Telemetry()
-    cold = BatchEngine(jobs=4, cache=cache, telemetry=cold_tel).run(specs)
-    assert cold_tel.count("started") == len(specs)
-    assert cold_tel.count("cached") == 0
+    cold = BatchEngine(jobs=4, cache=cache).run(specs)
+    assert [o.status for o in cold] == ["ok"] * len(specs)
+    assert (cache.hits, cache.stores) == (0, len(specs))
 
-    warm_tel = Telemetry()
-    warm = BatchEngine(jobs=4, cache=cache, telemetry=warm_tel).run(specs)
-    assert warm_tel.count("started") == 0  # zero simulations
-    assert warm_tel.count("cached") == len(specs)
+    warm = BatchEngine(jobs=4, cache=cache).run(specs)
+    assert [o.status for o in warm] == ["cached"] * len(specs)
     assert cache.hits == len(specs)
+    assert cache.stores == len(specs)  # zero simulations
     assert ([o.summary.total_cycles for o in warm]
             == [o.summary.total_cycles for o in cold])
-    summary = warm_tel.summary(cache)
-    assert summary["cache"]["hits"] == len(specs)
-    assert summary["started"] == 0
+    summary = FailureReport.from_outcomes(warm).format_summary(0.0, cache)
+    assert f"0 simulated, {len(specs)} cached" in summary
+    assert f"cache: {len(specs)} hits" in summary
 
 
 def test_repeated_crash_becomes_structured_failure(monkeypatch):
     monkeypatch.setattr(engine_mod, "_execute_spec", _always_crash)
-    telemetry = Telemetry()
-    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(
-        tiny_grid_specs()[:1])
+    outcomes = BatchEngine(jobs=2).run(tiny_grid_specs()[:1])
     assert outcomes[0].status == "failed"
     assert "crashed" in outcomes[0].error
-    assert telemetry.count("failed") == 1
 
 
 def test_in_worker_exception_fails_without_retry():
-    telemetry = Telemetry()
-    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(
+    outcomes = BatchEngine(jobs=2).run(
         [bad_spec()] + tiny_grid_specs()[:1])
     assert [o.status for o in outcomes] == ["failed", "ok"]
     assert outcomes[0].error.startswith("ScheduleError:")
     assert "no_such_schedule" in outcomes[0].error
-    assert telemetry.count("started") == 2
-    assert "1 simulated, 0 cached, 1 failed" in telemetry.format_summary()
+    assert outcomes[0].wall_seconds > 0  # timed in the worker that ran it
+    report = FailureReport.from_outcomes(outcomes)
+    assert "1 simulated, 0 cached, 1 failed" in report.format_summary(0.0)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fail_fast_skips_unfinished_jobs(jobs):
-    telemetry = Telemetry()
-    engine = BatchEngine(jobs=jobs, telemetry=telemetry, fail_fast=True)
+    engine = BatchEngine(jobs=jobs, fail_fast=True)
     outcomes = engine.run([bad_spec()] + tiny_grid_specs()[:3])
     assert outcomes[0].status == "failed"
     assert all(o.status in ("ok", "skipped") for o in outcomes[1:])
@@ -127,9 +123,8 @@ def test_fail_fast_skips_unfinished_jobs(jobs):
     assert all(not o.ok and "fail_fast" in o.error for o in skipped)
     if jobs == 1:
         assert [o.status for o in outcomes] == ["failed"] + ["skipped"] * 3
-        assert telemetry.count("skipped") == 3
-        assert telemetry.summary()["skipped"] == 3
-        assert "3 skipped" in telemetry.format_summary()
+        summary = FailureReport.from_outcomes(outcomes).format_summary(0.0)
+        assert "0 simulated, 0 cached, 1 failed, 3 skipped" in summary
 
 
 def test_crash_during_submit_fails_only_that_job(monkeypatch):
@@ -146,30 +141,28 @@ def test_crash_during_submit_fails_only_that_job(monkeypatch):
 
     monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
                         BreaksOnSecondSubmit)
-    telemetry = Telemetry()
-    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(
-        tiny_grid_specs()[:3])
+    outcomes = BatchEngine(jobs=2).run(tiny_grid_specs()[:3])
     assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
     assert "crashed" in outcomes[1].error
-    assert telemetry.count("failed") == 1
 
 
-def test_parallel_wall_is_measured_in_the_worker():
+def test_parallel_wall_is_measured_in_the_worker(tmp_path):
     """Each job's wall time is its own run time, not its time since
     submission, so the walls of a parallel batch add up to no more
-    than the batch's wall time per worker."""
-    telemetry = Telemetry()
+    than the batch's wall time per worker; the journal carries it."""
     specs = tiny_grid_specs()
+    path = tmp_path / "run.jsonl"
     start = time.perf_counter()
-    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(specs)
+    outcomes = BatchEngine(jobs=2, journal=RunJournal(path)).run(specs)
     batch_wall = time.perf_counter() - start
     assert [o.status for o in outcomes] == ["ok"] * len(specs)
     assert all(o.wall_seconds > 0 for o in outcomes)
     assert sum(o.wall_seconds for o in outcomes) <= 2 * batch_wall
-    walls = {e.job: e.payload["wall"] for e in telemetry.events
-             if e.kind == "finished"}
+    walls = {line["hash"]: line["wall"]
+             for line in map(json.loads, path.read_text().splitlines())
+             if "hash" in line}
     for outcome in outcomes:
-        assert walls[outcome.spec.content_hash()[:12]] == pytest.approx(
+        assert walls[outcome.spec.content_hash()] == pytest.approx(
             outcome.wall_seconds, abs=1e-6)
 
 

@@ -5,15 +5,15 @@ and in a pool worker) fails that job alone, and the job runs once.  A
 cache entry torn or garbled on disk is quarantined and counted as a
 miss, and the next batch re-simulates it.
 
-The raising job body lives at module top level, like the engine tests'
-crash helper; pool workers are forked after the monkeypatch, so they
-run it too.
+Pool workers are forked after the job body is monkeypatched, so they
+run it too; it logs each call to a file, which every worker reaches.
 """
 
 import repro.runtime.engine as engine_mod
+from repro.figures import FailureReport
 from repro.graph import powerlaw_graph
 from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobSpec,
-                           ResultCache, Telemetry)
+                           ResultCache)
 from repro.sim import GPUConfig
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
@@ -38,6 +38,15 @@ def _fatal_first_schedule(spec):
     return _execute_spec(spec)
 
 
+def _logged(log):
+    """``_fatal_first_schedule``, logging each call to the file ``log``."""
+    def body(spec):
+        with open(log, "a") as handle:
+            handle.write(spec.schedule + "\n")
+        return _fatal_first_schedule(spec)
+    return body
+
+
 def _tear(path):
     """Cut a cache entry off mid-write."""
     path.write_text(path.read_text()[:40])
@@ -51,26 +60,28 @@ def _garble(path):
 
 
 # ------------------------------------------------------- failing jobs
-def test_serial_fatal_fails_without_retry(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_execute_spec", _fatal_first_schedule)
-    telemetry = Telemetry()
-    outcomes = BatchEngine(jobs=1, telemetry=telemetry).run(tiny_specs(2))
+def test_serial_fatal_fails_without_retry(monkeypatch, tmp_path):
+    log = tmp_path / "calls.txt"
+    monkeypatch.setattr(engine_mod, "_execute_spec", _logged(log))
+    outcomes = BatchEngine(jobs=1).run(tiny_specs(2))
     assert outcomes[0].status == "failed"
     assert outcomes[0].error == "RuntimeError: injected fatal"
-    assert telemetry.count("started") == 2  # each job runs once
+    assert log.read_text().split() == SCHEDULES[:2]  # each job runs once
     assert outcomes[1].status == "ok"  # keep_going default
-    assert "1 simulated, 0 cached, 1 failed" in telemetry.format_summary()
+    report = FailureReport.from_outcomes(outcomes)
+    assert "1 simulated, 0 cached, 1 failed" in report.format_summary(0.0)
 
 
-def test_pool_fatal_fails_without_retry(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_execute_spec", _fatal_first_schedule)
-    telemetry = Telemetry()
-    outcomes = BatchEngine(jobs=2, telemetry=telemetry).run(tiny_specs(2))
+def test_pool_fatal_fails_without_retry(monkeypatch, tmp_path):
+    log = tmp_path / "calls.txt"
+    monkeypatch.setattr(engine_mod, "_execute_spec", _logged(log))
+    outcomes = BatchEngine(jobs=2).run(tiny_specs(2))
     assert outcomes[0].status == "failed"
     assert outcomes[0].error == "RuntimeError: injected fatal"
-    assert telemetry.count("started") == 2  # each job runs once
+    assert sorted(log.read_text().split()) == sorted(SCHEDULES[:2])
     assert outcomes[1].status == "ok"
-    assert "1 simulated, 0 cached, 1 failed" in telemetry.format_summary()
+    report = FailureReport.from_outcomes(outcomes)
+    assert "1 simulated, 0 cached, 1 failed" in report.format_summary(0.0)
 
 
 # ------------------------------------------------- bad cache entries
@@ -111,9 +122,7 @@ def test_sabotaged_store_does_not_break_a_batch(tmp_path):
 
     # Second pass: two bad entries re-simulate, one hits.
     cache2 = ResultCache(tmp_path)
-    telemetry = Telemetry()
-    second = BatchEngine(jobs=1, cache=cache2,
-                         telemetry=telemetry).run(specs)
+    second = BatchEngine(jobs=1, cache=cache2).run(specs)
     assert [o.status for o in second].count("cached") == 1
     assert cache2.quarantined == 2
     assert ([o.summary.total_cycles for o in second]

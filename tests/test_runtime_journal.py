@@ -1,21 +1,27 @@
-"""Run journal: one line per finished job; interrupted batches.
+"""Run journal: a header per batch, one line per ended job;
+interrupted batches.
 
 The SIGINT round-trip at the bottom drives the real CLI in a
 subprocess, interrupts it mid-batch, and proves that a rerun against
 the same cache re-simulates nothing the interrupted run finished.
 """
 
+import dataclasses
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 from repro.graph import powerlaw_graph
-from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobSpec,
-                           ResultCache, RunJournal, append_jsonl)
+from repro.obs.dashboard import JSONLFollower, tail
+from repro.obs.report import aggregate, format_report
+from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobOutcome,
+                           JobSpec, ResultCache, RunJournal, append_jsonl)
 from repro.sim import GPUConfig
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
@@ -35,24 +41,42 @@ def journal_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def job_lines(path):
+    return [line for line in journal_lines(path)
+            if line.get("type") != "batch"]
+
+
 # ------------------------------------------------------------- basics
-def test_record_is_idempotent_per_hash(tmp_path):
+def test_record_writes_status_wall_and_engine(tmp_path):
+    """One line per recorded outcome, each carrying its status, wall
+    time and engine outside the engine-blind summary."""
     spec = tiny_specs(1)[0]
-    summary = BatchEngine(jobs=1).run([spec])[0].summary
+    outcome = BatchEngine(jobs=1).run([spec])[0]
     journal = RunJournal(tmp_path / "run.jsonl")
-    journal.record(spec, summary)
-    journal.record(spec, summary)
-    lines = (tmp_path / "run.jsonl").read_text().splitlines()
-    assert len(lines) == 1
+    journal.record(outcome)
+    journal.record(JobOutcome(spec, "cached", outcome.summary))
+    ok, cached = journal_lines(tmp_path / "run.jsonl")
+    assert (ok["status"], cached["status"]) == ("ok", "cached")
+    assert ok["hash"] == cached["hash"] == spec.content_hash()
+    assert ok["summary"] == cached["summary"] == outcome.summary.to_dict()
+    assert ok["wall"] == round(outcome.wall_seconds, 6) > 0
+    assert ok["engine"] == "reference"
+    assert "engine" not in ok["summary"] and "wall" not in ok["summary"]
 
 
 def test_new_journal_starts_fresh(tmp_path):
-    spec = tiny_specs(1)[0]
-    summary = BatchEngine(jobs=1).run([spec])[0].summary
+    """A new journal replaces the old file with an empty one at a new
+    inode, so a follower of the old run reads the new one from the
+    top."""
     path = tmp_path / "run.jsonl"
-    RunJournal(path).record(spec, summary)
-    RunJournal(path)
-    assert not path.exists()
+    BatchEngine(jobs=1, journal=RunJournal(path)).run(tiny_specs(3))
+    follower = JSONLFollower(path)
+    assert len(follower.poll()) == 4
+    journal = RunJournal(path)
+    assert path.read_text() == ""
+    journal.start(25)
+    assert follower.poll() == [journal_lines(path)[0]]
+    assert journal_lines(path)[0]["jobs"] == 25
 
 
 def test_append_jsonl_is_single_complete_lines(tmp_path):
@@ -71,7 +95,10 @@ def test_engine_journals_each_finished_job(tmp_path):
     path = tmp_path / "run.jsonl"
     outcomes = BatchEngine(jobs=1, journal=RunJournal(path)).run(specs)
     assert [o.status for o in outcomes] == ["ok"] * 3
-    lines = journal_lines(path)
+    header, *lines = journal_lines(path)
+    assert (header["type"], header["schema"], header["jobs"]) == (
+        "batch", 2, 3)
+    assert [line["status"] for line in lines] == ["ok"] * 3
     assert [line["hash"] for line in lines] == [
         s.content_hash() for s in specs]
     assert [line["label"] for line in lines] == [s.label for s in specs]
@@ -88,8 +115,32 @@ def test_cached_hits_are_journaled_too(tmp_path):
     outcomes = BatchEngine(jobs=1, cache=cache,
                            journal=RunJournal(path)).run(specs)
     assert [o.status for o in outcomes] == ["cached"] * 2
-    assert ([line["hash"] for line in journal_lines(path)]
-            == [s.content_hash() for s in specs])
+    assert ([(line["status"], line["hash"]) for line in job_lines(path)]
+            == [("cached", s.content_hash()) for s in specs])
+
+
+def test_tail_follows_a_fail_fast_journal_to_its_end(tmp_path):
+    """Failed and skipped jobs get lines too, with their errors; tail
+    stops once every announced job has one."""
+    path = tmp_path / "run.jsonl"
+    bad = dataclasses.replace(tiny_specs(1)[0], schedule="no_such_schedule")
+    engine = BatchEngine(jobs=1, journal=RunJournal(path), fail_fast=True)
+    thread = threading.Thread(target=engine.run,
+                              args=([bad] + tiny_specs(3),))
+    thread.start()
+    out = io.StringIO()
+    watch = tail(path, follow=True, interval=0.01, max_frames=3000,
+                 out=out, use_ansi=False)
+    thread.join()
+    assert watch.finished
+    snap = watch.snapshot()
+    assert (snap["jobs_total"], snap["failed"], snap["skipped"]) == (4, 1, 3)
+    assert "| 3 skipped" in out.getvalue()
+    assert "| 3 skipped" in format_report(aggregate([path]))
+    failed, *skipped = job_lines(path)
+    assert failed["error"].startswith("ScheduleError:")
+    assert "summary" not in failed
+    assert all("fail_fast" in line["error"] for line in skipped)
 
 
 # ------------------------------------------------- SIGINT round trip
@@ -106,39 +157,39 @@ def test_sigint_then_rerun_resimulates_nothing(tmp_path):
             "--scale", "0.3", "--iterations", "2",
             "--cache-dir", str(tmp_path / "cache")]
 
-    def events(path, kind):
+    def jobs(path, status):
         if not path.exists():
             return set()
-        return {e["job"] for e in map(json.loads,
-                                      path.read_text().splitlines())
-                if e["kind"] == kind}
+        return {e["hash"] for e in map(json.loads,
+                                       path.read_text().splitlines())
+                if e.get("status") == status}
 
-    proc = subprocess.Popen(argv + ["--telemetry", str(first_path)],
+    proc = subprocess.Popen(argv + ["--journal", str(first_path)],
                             env=env, cwd=repo_root,
                             stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     # Interrupt as soon as at least one job has finished.
     deadline = time.time() + 120
     while (time.time() < deadline and proc.poll() is None
-           and not events(first_path, "finished")):
+           and not jobs(first_path, "ok")):
         time.sleep(0.05)
     if proc.poll() is None:
         time.sleep(0.2)  # let it get partway into the next job
         proc.send_signal(signal.SIGINT)
     proc.wait(timeout=120)
     assert proc.returncode in (0, 130)
-    finished = events(first_path, "finished")
+    finished = jobs(first_path, "ok")
     assert finished, "nothing finished before SIGINT"
 
     rerun = subprocess.run(
-        argv + ["--telemetry", str(rerun_path)],
+        argv + ["--journal", str(rerun_path)],
         env=env, cwd=repo_root, capture_output=True, text=True,
         timeout=300)
     assert rerun.returncode == 0, rerun.stderr
-    cached = events(rerun_path, "cached")
-    started = events(rerun_path, "started")
+    cached = jobs(rerun_path, "cached")
+    simulated = jobs(rerun_path, "ok")
     from repro.sched import ALL_SCHEDULES
 
     assert cached == finished
-    assert not (cached & started)
-    assert len(cached) + len(started) == len(ALL_SCHEDULES)
+    assert not (cached & simulated)
+    assert len(cached) + len(simulated) == len(ALL_SCHEDULES)
