@@ -10,8 +10,6 @@ from repro.algorithms.bfs import bfs_algorithm
 from repro.algorithms.sssp import sssp_algorithm
 from repro.algorithms.cc import connected_components_algorithm
 from repro.algorithms.registry import algorithm_names, make_algorithm
-from repro.algorithms.dobfs import run_direction_optimizing_bfs
-from repro.algorithms.kcore import run_kcore, kcore_reference
 from repro.algorithms import gcn
 
 __all__ = [
@@ -21,8 +19,5 @@ __all__ = [
     "connected_components_algorithm",
     "algorithm_names",
     "make_algorithm",
-    "run_direction_optimizing_bfs",
-    "run_kcore",
-    "kcore_reference",
     "gcn",
 ]

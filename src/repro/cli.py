@@ -494,9 +494,10 @@ def _load_spec_file(path: str):
 def _batch_specs(args):
     """The ``batch`` grid (or spec file) as JobSpec objects.
 
-    ``--engine`` stamps every spec; the field is excluded from the
-    content hash, so stamped specs keep their engine-less cache and
-    journal identities.
+    A spec repeated in the grid or the file runs once: the first
+    occurrence of each content hash stays, in order.  ``--engine``
+    stamps every spec; the field is excluded from the content hash, so
+    stamped specs keep their engine-less cache and journal identities.
     """
     from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
 
@@ -521,6 +522,10 @@ def _batch_specs(args):
             for name in args.datasets
             for sched in schedules
         ]
+    unique = {}
+    for spec in specs:
+        unique.setdefault(spec.content_hash(), spec)
+    specs = list(unique.values())
     if getattr(args, "engine", None):
         import dataclasses
 
@@ -587,9 +592,9 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} cached result(s) from {cache.dir}")
         return 0
     if args.json:
-        print(json_mod.dumps(cache.stats(), sort_keys=True))
+        print(json_mod.dumps(cache.store_stats(), sort_keys=True))
         return 0
-    for key, value in cache.stats().items():
+    for key, value in cache.store_stats().items():
         print(f"  {key}: {value}")
     return 0
 

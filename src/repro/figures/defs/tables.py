@@ -1,4 +1,4 @@
-"""Tables I/III/IV/V and Fig. 16 — analytic, model and folded figures."""
+"""Tables I–V and Figs. 9 and 16 — analytic, model and folded figures."""
 
 from __future__ import annotations
 
@@ -38,6 +38,118 @@ class Table1(Figure):
             yield "SparseWeaver distributes with no search/atomic/sync"
         if rows["S_em"].edge_mem_access != 2 * out.data["graph_edges"]:
             yield "S_em reads 2|E| edge entries"
+
+
+@register
+class Table2(Figure):
+    """The Weaver ISA extension and one encoded word per instruction."""
+
+    name = "table2"
+    paper = "Table II"
+    title = "Weaver ISA extension (RISC-V CUSTOM encodings)"
+
+    #: The paper's (IType, opcode, funct) per instruction.
+    PAPER = {"WEAVER_REG": ("C", "CUSTOM1", 1),
+             "WEAVER_DEC_ID": ("R", "CUSTOM0", 7),
+             "WEAVER_DEC_LOC": ("R", "CUSTOM0", 8),
+             "WEAVER_SKIP": ("C", "CUSTOM1", 2)}
+    #: The registers each sample word encodes: rd=x1, rs1=x2, ...
+    REGS = {"rd": 1, "rs1": 2, "rs2": 3, "rs3": 4}
+
+    def summarize(self, ctx, results):
+        from repro.core.isa import WEAVER_INSTRUCTIONS, encode_weaver
+
+        words = {name: encode_weaver(name, **self.REGS)
+                 for name in WEAVER_INSTRUCTIONS}
+        block = format_table(
+            ["instruction", "IType", "opcode", "funct", "word",
+             "description"],
+            [[s.mnemonic, s.itype, s.opcode_name, s.funct,
+              f"0x{words[s.mnemonic]:08x}", s.description]
+             for s in WEAVER_INSTRUCTIONS.values()],
+            title="Table II: Weaver ISA extension "
+                  "(words encode rd=x1, rs1=x2, rs2=x3, rs3=x4)")
+        return self.output({"table2_isa": block},
+                           specs=dict(WEAVER_INSTRUCTIONS), words=words)
+
+    def check(self, out):
+        from repro.core.isa import (decode_custom_type, decode_r_type,
+                                    identify_weaver)
+        from repro.errors import ConfigError
+
+        specs, words = out.data["specs"], out.data["words"]
+        if sorted(specs) != sorted(self.PAPER):
+            yield "the extension is the paper's four instructions"
+            return
+        for name, paper in self.PAPER.items():
+            spec = specs[name]
+            got = (spec.itype, spec.opcode_name, spec.funct)
+            if got != paper:
+                yield f"{name} is {paper}, not {got}"
+            if spec.itype == "R":
+                fields = decode_r_type(words[name])
+                funct = fields.pop("funct7") << 3 | fields.pop("funct3")
+                regs = {r: self.REGS[r] for r in ("rd", "rs1", "rs2")}
+            else:
+                fields = decode_custom_type(words[name])
+                funct = fields.pop("funct2")
+                fields.pop("funct3")
+                regs = self.REGS
+            opcode = fields.pop("opcode")
+            if (opcode, funct, fields) != (spec.opcode, spec.funct, regs):
+                yield (f"{name}'s word 0x{words[name]:08x} decodes back "
+                       "to its opcode, funct and registers")
+            try:
+                named = identify_weaver(words[name])
+            except ConfigError:
+                named = None
+            if named != name:
+                yield f"identify_weaver names {name}'s word, not {named}"
+
+
+@register
+class Fig09(Figure):
+    """The kernel source the frontend compiler emits for a gather."""
+
+    name = "fig09"
+    paper = "Fig. 9"
+    title = "Generated gather kernels: sparseweaver vs vertex_map"
+
+    def summarize(self, ctx, results):
+        from repro.algorithms import make_algorithm
+        from repro.frontend.codegen import generate_kernel_source
+
+        listings = [
+            (f"{alg.name} / {schedule}", schedule, alg.has_early_exit,
+             generate_kernel_source(alg, schedule))
+            for alg in (make_algorithm("pagerank"),
+                        make_algorithm("bfs", source=0,
+                                       variant="bottom_up"))
+            for schedule in ("sparseweaver", "vertex_map")
+        ]
+        text = "\n\n".join(
+            ["Fig. 9: generated gather kernels"]
+            + [f"-- {label} --\n{source}"
+               for label, _, _, source in listings])
+        return self.output({"fig09_kernel_listing": text},
+                           listings=listings)
+
+    def check(self, out):
+        for label, schedule, early_exit, source in out.data["listings"]:
+            if schedule == "vertex_map":
+                if "WEAVER_" in source:
+                    yield f"{label}: the kernel calls no Weaver instruction"
+                continue
+            reg, barrier, dec_id, dec_loc = (
+                source.find(call) for call in
+                ("WEAVER_REG(", "synchronization(", "WEAVER_DEC_ID(",
+                 "WEAVER_DEC_LOC("))
+            if not -1 < reg < barrier < min(dec_id, dec_loc):
+                yield (f"{label}: WEAVER_REG, then the barrier, then "
+                       "WEAVER_DEC_ID/WEAVER_DEC_LOC")
+            if ("WEAVER_SKIP(" in source) != early_exit:
+                yield (f"{label}: WEAVER_SKIP appears if and only if the "
+                       "algorithm exits early")
 
 
 @register

@@ -127,8 +127,9 @@ class ResultCache:
     """Content-addressed store of :class:`RunSummary` entries.
 
     Tracks ``hits`` / ``misses`` / ``stores`` / ``evictions`` counters
-    for the batch summary ``bench`` and ``batch`` print and for
-    ``repro cache stats`` (:meth:`stats`).
+    for the batch summary ``bench`` and ``batch`` print (:meth:`stats`);
+    ``repro cache stats`` prints only what the store on disk holds
+    (:meth:`store_stats`).
 
     At most ``max_entries`` entries stay on disk: each store evicts the
     oldest (by mtime) beyond that bound.
@@ -287,21 +288,29 @@ class ResultCache:
             return 0
         return sum(1 for _ in dest.glob("*.json"))
 
-    def stats(self) -> Dict[str, Any]:
-        """Counter snapshot for the batch summary and the CLI."""
+    def store_stats(self) -> Dict[str, Any]:
+        """What the store on disk holds, the same from any process
+        (``repro cache stats``)."""
         return {
             "dir": str(self.dir),
             "entries": self.entries(),
             "bytes": self.bytes_used(),
+            "quarantined_entries": self.quarantined_entries(),
+            "max_entries": self.max_entries,
+            "schema": SCHEMA_VERSION,
+            "simulator_version": SIMULATOR_VERSION,
+        }
+
+    def stats(self) -> Dict[str, Any]:
+        """The store's stats plus this object's lookup and store
+        counters, for the batch summary."""
+        return {
+            **self.store_stats(),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
             "quarantined": self.quarantined,
-            "quarantined_entries": self.quarantined_entries(),
-            "max_entries": self.max_entries,
-            "schema": SCHEMA_VERSION,
-            "simulator_version": SIMULATOR_VERSION,
         }
 
     def clear(self) -> int:

@@ -24,15 +24,7 @@ Resolution precedence: explicit ``engine=`` argument, else the
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
-
-try:  # pragma: no cover - typing fallback for very old interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
 from repro.sim.config import GPUConfig

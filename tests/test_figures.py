@@ -40,11 +40,11 @@ def test_registry_covers_every_benchmark_family():
     ablation has a registered figure."""
     names = set(figure_names())
     expected = {
-        "fig02a", "fig02b", "fig03", "fig04",
+        "fig02a", "fig02b", "fig03", "fig04", "fig09",
         "fig10_pagerank", "fig10_bfs", "fig10_sssp", "fig10_cc",
         "fig11a", "fig11b", "fig12", "fig13", "fig14", "fig15",
         "fig16", "fig17", "fig18", "fig19",
-        "table1", "table3", "table4", "table5",
+        "table1", "table2", "table3", "table4", "table5",
         "paper_config", "robustness", "extended_ranking",
         "micro_pointer_chase", "micro_stream_bandwidth",
         "micro_issue_throughput", "micro_latency_hiding",
@@ -433,7 +433,8 @@ def test_smoke_context_evaluates_no_check(monkeypatch):
 
 #: The figures that simulate nothing: cheap enough to check at the
 #: default scale inside tier-1.
-SIMULATION_FREE = ["table1", "table3", "table4", "fig16", "fig02a"]
+SIMULATION_FREE = ["table1", "table2", "table3", "table4", "fig09",
+                   "fig16", "fig02a"]
 
 
 def test_simulation_free_figures_pass_their_checks():

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import kcore_reference, make_algorithm
+from repro.algorithms import make_algorithm
 from repro.frontend import GraphProcessor, reference
 from repro.graph import from_edge_list
 from repro.sim import GPUConfig
@@ -64,20 +64,6 @@ def test_cc_labels_are_component_minima(graph):
     assert np.all(labels[comp0] == 0)
     # labels are idempotent under another propagation round
     assert np.all(labels[labels] == labels)
-
-
-@given(symmetric_graphs())
-@settings(max_examples=30, deadline=None)
-def test_core_numbers_bounded_by_degree(graph):
-    core = kcore_reference(graph)
-    assert np.all(core <= graph.degrees)
-    assert np.all(core >= 0)
-    # a vertex in the k-core has >= k neighbors with core >= k
-    for v in range(graph.num_vertices):
-        k = core[v]
-        if k > 0:
-            strong = sum(1 for u in graph.neighbors(v) if core[u] >= k)
-            assert strong >= k
 
 
 @given(symmetric_graphs())

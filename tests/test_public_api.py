@@ -9,7 +9,7 @@ import repro
 
 SUBPACKAGES = [
     "repro.graph", "repro.sim", "repro.core", "repro.sched",
-    "repro.frontend", "repro.algorithms", "repro.bench", "repro.apps", "repro.cli", "repro.runtime",
+    "repro.frontend", "repro.algorithms", "repro.bench", "repro.cli", "repro.runtime",
     "repro.obs", "repro.figures",
 ]
 

@@ -46,6 +46,17 @@ def test_batch_no_cache(capsys, tmp_path):
     assert "cache:" not in out
 
 
+def test_batch_runs_a_repeated_spec_once(capsys, tmp_path):
+    journal = tmp_path / "run.jsonl"
+    code, out = run_cli(
+        capsys, "batch", "--datasets", "bio-human", "bio-human",
+        "--schedules", "vertex_map", "--scale", "0.05", "--iterations",
+        "1", "--no-cache", "--journal", str(journal))
+    assert code == 0
+    assert "1 submitted, 1 simulated" in out
+    assert statuses(journal) == ["batch", "ok"]
+
+
 def test_batch_spec_file(capsys, tmp_path):
     spec_file = tmp_path / "grid.json"
     spec_file.write_text(json.dumps({"jobs": [
@@ -95,7 +106,30 @@ def test_cache_stats_json(capsys, tmp_path):
     assert code == 0
     stats = json.loads(captured.out)
     assert stats["entries"] == 0
-    assert {"hits", "misses", "stores"} <= set(stats)
+    assert set(stats) == {"dir", "entries", "bytes", "quarantined_entries",
+                          "max_entries", "schema", "simulator_version"}
+
+
+def test_cache_stats_shows_the_store_not_process_counters(capsys,
+                                                          tmp_path):
+    """A fresh process has looked nothing up: ``cache stats`` prints
+    the quarantine a batch left on disk and no per-process counter."""
+    cache_dir = tmp_path / "cache"
+    argv = ["batch", "--datasets", "bio-human", "--schedules",
+            "vertex_map", "--scale", "0.05", "--iterations", "1",
+            "--cache-dir", str(cache_dir)]
+    assert run_cli(capsys, *argv)[0] == 0
+    sorted(cache_dir.glob("*.json"))[0].write_text("{torn")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.rstrip().endswith(", 1 quarantined")
+
+    code, out = run_cli(capsys, "cache", "stats", "--cache-dir",
+                        str(cache_dir))
+    assert code == 0
+    keys = [line.split(":")[0].strip() for line in out.splitlines()]
+    assert keys == ["dir", "entries", "bytes", "quarantined_entries",
+                    "max_entries", "schema", "simulator_version"]
+    assert "  quarantined_entries: 1" in out.splitlines()
 
 
 # ------------------------------------------------------ failures

@@ -16,6 +16,7 @@ from repro.graph import (
 )
 from repro.sched import ALL_SCHEDULES
 from repro.sim import GPUConfig
+from repro.sim.instructions import Op
 
 CFG = GPUConfig.vortex_tiny()
 
@@ -50,6 +51,20 @@ def test_bfs_matches_reference(schedule, graph_name):
     )
     res = proc.run(g)
     assert res.values.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_bottom_up_bfs_skips_through_the_live_weaver(engine):
+    """Bottom-up BFS is the one early-exit algorithm: under
+    ``sparseweaver`` a lane that finds a parent sends ``WEAVER_SKIP``
+    to the unit, which the fast engine serves live."""
+    g = GRAPHS["powerlaw"]
+    proc = GraphProcessor(
+        make_algorithm("bfs", source=0, variant="bottom_up"),
+        schedule="sparseweaver", config=CFG, engine=engine)
+    res = proc.run(g)
+    assert res.values.tolist() == reference.bfs_levels(g, 0).tolist()
+    assert res.stats.op_counts[Op.WEAVER_SKIP] > 0
 
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES)
