@@ -203,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "diff",
         help="compare two runs' provenance digest ledgers "
              "(REPRO_DIGEST=1 runs) and localize the first diverging "
-             "(kernel, interval, core, warp) coordinate")
+             "(kernel, interval, core, warp) coordinate; jobs paired "
+             "by content hash must also have equal result values")
     diff_p.add_argument("--a", required=True, metavar="SRC",
                         help="side A: a run-journal JSONL file, a "
                              "result-cache directory, or live "
@@ -799,6 +800,10 @@ def _cmd_diff(args) -> int:
     runs_a, spec_a, kind_a = _diff_side(args.a, args.interval)
     runs_b, spec_b, kind_b = _diff_side(args.b, args.interval)
     by_label = kind_a == kind_b == "live"
+    # Jobs paired by content hash ran one spec, so their result values
+    # must match too; a label pairing may join two configs, whose
+    # accumulation order (and so values) may differ.
+    by_hash = not by_label
     if by_label:
         # Two live jobs may differ in config (the perturbation lever),
         # so they pair by label, not by content hash.
@@ -806,8 +811,10 @@ def _cmd_diff(args) -> int:
                            for label, summary in runs.values()}
                           for runs in (runs_a, runs_b))
     elif kind_a == "live":
+        by_hash = next(iter(runs_a)) in runs_b
         runs_b = _pair_live(runs_a, runs_b)
     elif kind_b == "live":
+        by_hash = next(iter(runs_b)) in runs_a
         runs_a = _pair_live(runs_b, runs_a)
     common = sorted(set(runs_a) & set(runs_b),
                     key=lambda key: (runs_a[key][0], key))
@@ -823,8 +830,9 @@ def _cmd_diff(args) -> int:
     missing = 0
     for key in common:
         label, summary_a = runs_a[key]
+        summary_b = runs_b[key][1]
         la = summary_a.get("digest_ledger")
-        lb = runs_b[key][1].get("digest_ledger")
+        lb = summary_b.get("digest_ledger")
         if la is None and lb is None:
             missing += 1
             continue
@@ -832,6 +840,11 @@ def _cmd_diff(args) -> int:
         entry = {"label": label, "divergences": len(diffs)}
         if not by_label:
             entry["hash"] = key
+        values = [summary.get("values_digest")
+                  for summary in (summary_a, summary_b)]
+        if by_hash and values[0] != values[1]:
+            entry["divergences"] += 1
+            entry["values"] = {"a": values[0], "b": values[1]}
         if diffs:
             first = diffs[0]
             coord = [int(v) for v in first["coord"]]
@@ -861,6 +874,7 @@ def _cmd_diff(args) -> int:
             raise ReproError(
                 "--replay needs both sides to be live 'key=value' "
                 "sources (journal/cache entries cannot be re-executed)")
+        # Two live sides pair by label, so only ledgers can diverge.
         kernel = divergent[0]["first"]["coord"][0]
         if kernel < 0:
             kernel = 0  # merge-stream divergence: replay kernel 0
@@ -873,6 +887,7 @@ def _cmd_diff(args) -> int:
             "b": {"source": args.b, "kind": kind_b,
                   "runs": len(runs_b)},
             "compared": len(jobs),
+            "values_compared": by_hash,
             "without_ledgers": missing,
             "divergent": len(divergent),
             "jobs": jobs,
@@ -887,7 +902,13 @@ def _cmd_diff(args) -> int:
         name = job["label"] + (f" [{job['hash'][:12]}]"
                                if "hash" in job else "")
         if not job["divergences"]:
-            print(f"  {name}: ledgers identical")
+            print(f"  {name}: ledgers identical"
+                  + (", values identical" if by_hash else ""))
+            continue
+        if "values" in job:
+            print(f"  {name}: values differ "
+                  f"(a={job['values']['a']}, b={job['values']['b']})")
+        if "first" not in job:
             continue
         first = job["first"]
         print(f"  {name}: {job['divergences']} diverging "
@@ -903,10 +924,13 @@ def _cmd_diff(args) -> int:
         print(f"  replay trace: {replay_path} — open in "
               "chrome://tracing or https://ui.perfetto.dev")
     if divergent:
-        print(f"FIRST DIVERGENCE: {divergent[0]['label']} at "
-              f"{divergent[0]['first']['where']}")
+        job = divergent[0]
+        print(f"FIRST DIVERGENCE: {job['label']} at "
+              + (job["first"]["where"] if "first" in job
+                 else "its result values"))
         return 1
-    print("no divergences: every compared ledger matches")
+    print("no divergences: every compared ledger matches"
+          + (", and so do the values" if by_hash else ""))
     return 0
 
 

@@ -171,8 +171,12 @@ class FailureReport:
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[JobOutcome]
                       ) -> "FailureReport":
-        report = cls(total_jobs=len(outcomes))
-        for outcome in outcomes:
+        """Fold a batch's outcomes; positions that repeat a content
+        hash are one job, as :meth:`BatchEngine.run` runs them."""
+        jobs = {outcome.spec.content_hash(): outcome
+                for outcome in outcomes}
+        report = cls(total_jobs=len(jobs))
+        for outcome in jobs.values():
             if outcome.ok:
                 report.completed_jobs += 1
                 report.cached_jobs += outcome.status == "cached"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -139,8 +140,9 @@ class GraphProcessor:
         # filters / early exit); a hardware unit's replies then only
         # pick which stored batch body runs next.  During the trace
         # drain a recording ``edge_update`` captures argument tuples
-        # instead of mutating state; every replay re-executes them in
-        # issue order, so float accumulation order matches reference.
+        # instead of mutating state; every replay collects them in
+        # issue order and applies them in one call on their
+        # concatenation, so float accumulation order matches reference.
         # Init/apply are grid-stride elementwise kernels, so a replay
         # GPU compiles their traces analytically (contiguous per-warp
         # index ranges) and never needs the warp generators.
@@ -173,12 +175,12 @@ class GraphProcessor:
 
             def recording_edge_update(state, bases, others, weights,
                                       eids):
-                record((state, bases, others, weights, eids))
+                record((bases, others, weights, eids))
 
             recording_alg = dc_replace(alg,
                                        edge_update=recording_edge_update)
             gather_hint = ReplayHint("gather", capture=gather_capture,
-                                     effect=alg.edge_update)
+                                     effect=partial(alg.edge_update, state))
 
         total = KernelStats()
         per_iteration: List[KernelStats] = []

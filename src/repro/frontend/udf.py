@@ -50,7 +50,11 @@ class Algorithm:
         Allocate and initialize all state arrays.
     ``edge_update(state, bases, others, weights, eids)``
         The gather+sum step for a batch of edges (duplicate bases must
-        be handled with ``np.add.at``-style unbuffered ops).
+        be handled with ``np.add.at``-style unbuffered ops).  One call
+        on several batches concatenated must leave the state the calls
+        one batch at a time, in order, leave: an in-order ``ufunc.at``
+        scatter or an idempotent store does.  A replayed launch of the
+        fast engine applies a whole launch's batches in one such call.
     ``base_filter(state, vids) -> bool mask``
         True where the base vertex is *filtered out* (registration-time
         degree-zeroing). ``None`` when the algorithm has no base filter.

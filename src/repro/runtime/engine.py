@@ -4,6 +4,8 @@ The engine runs a list of specs and returns one :class:`JobOutcome`
 per spec, in submission order, so parallel grids are drop-in equal to
 serial ones:
 
+* a spec whose content hash repeats an earlier spec's runs once, and
+  every position holding it gets that job's outcome;
 * cache lookups happen first, so a warm batch never touches a worker
   and an interrupted batch continues by rerunning against the same
   cache;
@@ -18,7 +20,8 @@ serial ones:
 * each job's wall time is measured around :func:`_execute_spec` in
   the process that ran it;
 * with a :class:`~repro.runtime.journal.RunJournal`, each batch writes
-  a header line with its job count and each job one line as it ends;
+  a header line with its count of distinct jobs and each job one line
+  as it ends;
   without one the engine records nothing beyond the outcomes;
 * an exception raised by a job fails that job only.
   ``fail_fast=True`` stops at the first failure and marks the rest of
@@ -157,12 +160,20 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> List[JobOutcome]:
-        """Execute a batch; outcomes align index-for-index with specs."""
+        """Execute a batch; outcomes align index-for-index with specs.
+
+        Specs with one content hash are one job: it runs once, under
+        its first position, and every position gets its outcome.
+        """
+        first: Dict[str, int] = {}
+        for idx, spec in enumerate(specs):
+            first.setdefault(spec.content_hash(), idx)
         if self.journal is not None:
-            self.journal.start(len(specs))
+            self.journal.start(len(first))
         outcomes: Dict[int, JobOutcome] = {}
         pending: List[Tuple[int, JobSpec]] = []
-        for idx, spec in enumerate(specs):
+        for idx in first.values():
+            spec = specs[idx]
             summary = self.cache.get(spec) if self.cache is not None else None
             if summary is None:
                 pending.append((idx, spec))
@@ -174,7 +185,7 @@ class BatchEngine:
                 self._run_serial(pending, outcomes)
             else:
                 self._run_parallel(pending, outcomes)
-        return [outcomes[i] for i in range(len(specs))]
+        return [outcomes[first[spec.content_hash()]] for spec in specs]
 
     # ------------------------------------------------------------------
     def _end(self, idx: int, outcome: JobOutcome,

@@ -12,7 +12,10 @@ feeding them to the one event loop on every later launch:
 * **Drain** — run every warp generator once with ``next()`` (no
   simulation), compiling each instruction through the loop's own
   compiler into the same records a live launch issues, and keeping
-  the static totals compiling folds.  The drain is *barrier-aware*:
+  the static totals compiling folds.  Memory records' line sets are
+  computed per chunk of accesses in one vectorized pass
+  (:meth:`~repro.sim.memory.MemoryHierarchy.lines_of_many`), not one
+  NumPy pass per access.  The drain is *barrier-aware*:
   warps advance in slot order one SYNC segment at a time, so schedules
   that coordinate through shared per-launch registries (cta_map, twc,
   twce) observe every sibling's registration before computing
@@ -34,8 +37,11 @@ feeding them to the one event loop on every later launch:
   release, stall attribution, memory walk and observers, so cycles,
   stall cells, cache stats and provenance ledgers are
   **bit-identical** to the reference engine.  Captured edge updates
-  are re-applied in issue order against live state, preserving float
-  accumulation order.
+  are collected in issue order and applied against live state in one
+  ``edge_update`` call on their concatenation after the loop: stored
+  records never read algorithm state, and the ``edge_update``
+  contract makes one call on concatenated batches equal to the batches
+  in order, so float accumulation order is the reference's.
 
 Launches without a replay hint (filtered or early-exit gathers, whose
 streams read kernel-mutated state, and direct unit callers) run live.
@@ -53,15 +59,21 @@ from repro.sim.stats import KernelStats, stall_category
 #: Unit requests whose reply hands the warp a batch of work.
 _BATCH_OPS = (Op.WEAVER_DEC_ID, Op.EGHW_FETCH)
 
+#: Memory accesses a drain collects before it computes their line sets
+#: in one batch: enough to amortize the NumPy calls, few enough that a
+#: scale-1.0 drain's temporary arrays stay small.
+_LINE_CHUNK = 1024
+
 
 class ReplayHint:
     """Replay directive one kernel launch hands to :class:`FastGPU`.
 
     ``key`` identifies the kernel within the GPU's trace store (the
     driver uses ``"init"`` / ``"gather"`` / ``"apply"``).  ``capture``
-    is the list a recording ``edge_update`` appends argument tuples to
-    during the trace drain; ``effect`` is the callable replay invokes
-    (in issue order) to apply each captured tuple against live state.
+    is the list a recording ``edge_update`` appends tuples of argument
+    arrays to during the trace drain; ``effect`` is the callable a
+    replay invokes once, after its loop, with each argument's arrays
+    concatenated in issue order, to apply them against live state.
     Both are ``None`` for kernels without functional side effects.
 
     ``elementwise`` is an optional ``(reads, writes, alu_ops, phase,
@@ -210,8 +222,30 @@ class FastGPU(GPU):
             capture = []
         capture.clear()
         totals = KernelStats()
+        # Memory records get an empty line list on compile; every
+        # _LINE_CHUNK accesses, and at the end, their lines are
+        # computed in one batch and filled in.  The drain reads no
+        # record's lines, and a kernel never writes to an index array
+        # it has yielded (docs/extending.md).
+        pending, accesses = [], []
+        lines_of_many = self.memory.lines_of_many
+
+        def fill_lines():
+            for lines, found in zip(pending, lines_of_many(accesses)):
+                lines += found
+            pending.clear()
+            accesses.clear()
+
+        def defer_lines(region, indices):
+            lines = []
+            pending.append(lines)
+            accesses.append((region, indices))
+            if len(pending) == _LINE_CHUNK:
+                fill_lines()
+            return lines
+
         compile = self._compiler(totals, max_instructions,
-                                 unit_factory is not None)
+                                 unit_factory is not None, defer_lines)
         cores = []
         plans = [] if unit_factory is not None else None
         for core_id in range(cfg.num_cores):
@@ -270,4 +304,5 @@ class FastGPU(GPU):
             if plans is not None:
                 plans.append((log, [(tuple(recs), eff or None)
                                     for recs, eff in bodies]))
+        fill_lines()
         return KernelTrace(cores, totals, plans)

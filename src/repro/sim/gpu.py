@@ -119,8 +119,9 @@ class KernelTrace:
 
     ``cores[c]`` lists ``(slot, records, effects)`` per launched warp of
     core ``c``: ``records`` is a tuple ending in the end-of-stream
-    marker; ``effects`` maps a record index to the captured functional
-    updates to re-apply before that record issues (or ``None``).
+    marker; ``effects`` maps a record index to the functional updates
+    captured before that record (or ``None``): a replay collects them
+    as the record issues and applies them all once its loop ends.
     ``totals`` is the :class:`KernelStats` compiling them folded.
 
     A hardware-unit kernel also stores ``plans[c] = (log, bodies)``:
@@ -206,7 +207,9 @@ class GPU:
 
     # ------------------------------------------------------------------
     def _compiler(self, totals: KernelStats, max_instructions: int,
-                  has_unit: bool = False) -> Callable[[Instr], tuple]:
+                  has_unit: bool = False,
+                  lines_of: Optional[Callable[[Any, np.ndarray], list]]
+                  = None) -> Callable[[Instr], tuple]:
         """The per-opcode cost table, as a ``compile(instr)`` function.
 
         ``compile`` returns the instruction's record (see the module
@@ -216,9 +219,15 @@ class GPU:
         fold their value and compile to a zero-cost record — it still
         resets the warp's ready time to *now*, which steers warp
         selection, so it stays in the stream.
+
+        ``lines_of(region, indices)`` gives a memory record its line
+        list; it defaults to :meth:`MemoryHierarchy.lines_of`.  The fast
+        engine's drain passes one that returns an empty list and fills
+        it later, batched with other accesses.
         """
         cfg = self.config
-        lines_of = self.memory.lines_of
+        if lines_of is None:
+            lines_of = self.memory.lines_of
         op_counts = totals.op_counts
         phase_cycles = totals.phase_cycles
         counters = totals.counters
@@ -364,6 +373,7 @@ class GPU:
         units: Dict[int, Any] = {}
         cores = []
         compile = effect = None
+        updates = []
         trace = self._stored_trace(warp_factory, unit_factory, replay,
                                    max_instructions)
         if trace is None:
@@ -389,6 +399,7 @@ class GPU:
             stats.phase_cycles.update(totals.phase_cycles)
             stats.counters.update(totals.counters)
             effect = replay.effect
+            collect = updates.extend
             cores = [[_Warp(slot, recs=recs, eff=eff)
                       for slot, recs, eff in entries]
                      for entries in trace.cores]
@@ -475,10 +486,10 @@ class GPU:
             else:
                 i = warp.i
                 if warp.eff is not None:
-                    # Functional updates captured at trace time run in
-                    # issue order, as the live generator ran them.
-                    for args in warp.eff.get(i, ()):
-                        effect(*args)
+                    # Functional updates captured at trace time are
+                    # collected in issue order, the order the live
+                    # generators would have applied them in.
+                    collect(warp.eff.get(i, ()))
                 rec = warp.recs[i]
                 warp.i = i + 1
             if rec is _END:
@@ -548,6 +559,12 @@ class GPU:
                 profiler.add("account", perf_counter() - account_start)
 
         finalize_start = perf_counter() if prof_on else 0.0
+        if updates:
+            # Stored records never read algorithm state, and one
+            # ``edge_update`` on the updates concatenated in issue order
+            # leaves the state applying them one by one leaves (see
+            # ``frontend.udf.Algorithm``), so they apply in one call.
+            effect(*map(np.concatenate, zip(*updates)))
         mem.observers = ()
         for core_id, warps in enumerate(cores):
             if waiting[core_id]:

@@ -206,6 +206,50 @@ class MemoryHierarchy:
             return sorted(set(lines.tolist()))
         return np.unique(lines).tolist()
 
+    def lines_of_many(self, accesses: Sequence[Tuple[Region, np.ndarray]]
+                      ) -> List[List[int]]:
+        """:meth:`lines_of` of every ``(region, indices)`` access, in one
+        vectorized pass instead of one NumPy pass per access.
+
+        Each element's line comes from the same formula; one sort of a
+        packed ``(access, line)`` key orders and dedups every access's
+        lines at once.  The key offsets lines by the smallest, since
+        out-of-range indices may give negative ones.  Lines spread wider
+        than the key holds, which only indices far outside every region
+        give, go through :meth:`lines_of` one access at a time.
+        """
+        count = len(accesses)
+        if not count:
+            return []
+        regions, arrays = zip(*accesses)
+        sizes = np.fromiter(map(len, arrays), np.int64, count)
+        itemsizes = np.fromiter((r.itemsize for r in regions), np.int64,
+                                count)
+        bases = np.fromiter((r.base for r in regions), np.int64, count)
+        lines = np.concatenate(arrays)
+        lines *= np.repeat(itemsizes, sizes)
+        lines += np.repeat(bases, sizes)
+        lines >>= self.line_shift
+        if not lines.size:
+            return [[] for _ in accesses]
+        low = int(lines.min())
+        width = (int(lines.max()) - low).bit_length()
+        if (count - 1).bit_length() + width > 63:
+            return [self.lines_of(region, indices)
+                    for region, indices in accesses]
+        key = np.repeat(np.arange(count, dtype=np.int64), sizes)
+        key <<= width
+        lines -= low
+        key |= lines
+        key.sort()
+        fresh = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        flat = ((key & ((1 << width) - 1)) + low).tolist()
+        ends = np.cumsum(np.bincount(key >> width, minlength=count)).tolist()
+        return list(map(flat.__getitem__,
+                        map(slice, [0] + ends[:-1], ends)))
+
     def span_lines(self, region: Region, first: int, end: int) -> range:
         """Cache lines of the contiguous element span ``region[first:end]``
         (``end > first``): what :meth:`lines_of` returns for those

@@ -129,7 +129,7 @@ def test_batch_profile_folds_worker_snapshots(capsys, tmp_path):
 # ----------------------------------------------------------------------
 # repro diff — provenance divergence localization
 # ----------------------------------------------------------------------
-def _diff_journal(path, label, ledger, key=None):
+def _diff_journal(path, label, ledger, key=None, values="d"):
     """One completion record carrying a digest ledger, as the engine
     journals it (loader is schema-tolerant, so only the shape matters).
     The content hash defaults to one derived from the label."""
@@ -141,7 +141,7 @@ def _diff_journal(path, label, ledger, key=None):
             "hash": key or hashlib.sha256(label.encode()).hexdigest(),
             "label": label,
             "summary": {"total_cycles": 10, "iterations": 1,
-                        "stats": {}, "values_digest": "d",
+                        "stats": {}, "values_digest": values,
                         "digest_ledger": ledger},
         }) + "\n")
 
@@ -201,11 +201,12 @@ def test_diff_live_side_pairs_by_content_hash(capsys, tmp_path):
     spec = _diff_live_spec(dict(kv.split("=") for kv in live.split(",")))
     enable_digests()
     try:
-        ledger = _execute_spec(spec)["digest_ledger"]
+        summary = _execute_spec(spec)
     finally:
         disable_digests(clear=True)
     journal, twins = tmp_path / "journal.jsonl", tmp_path / "twins.jsonl"
-    _diff_journal(journal, spec.label, ledger, key=spec.content_hash())
+    _diff_journal(journal, spec.label, summary["digest_ledger"],
+                  key=spec.content_hash(), values=summary["values_digest"])
     for path in (journal, twins):
         for key in ("33" * 32, "44" * 32):
             _diff_journal(path, spec.label, [[0, 0, 0, 0, "XXXX", 3]],
@@ -223,6 +224,33 @@ def test_diff_live_side_pairs_by_content_hash(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "333333333333" in err and "444444444444" in err
+
+
+def test_diff_compares_values_of_jobs_paired_by_hash(capsys, tmp_path):
+    """Identical ledgers with one edited values digest are a divergence;
+    two live sides pair by label, so their values are not compared."""
+    import json
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    ledger = [[0, 0, 0, 0, "aaaa", 3]]
+    for path, values in ((a, "v1"), (b, "v2")):
+        _diff_journal(path, "job-1", ledger, key="55" * 32)
+        _diff_journal(path, "job-2", ledger, key="66" * 32, values=values)
+
+    code, out = run_cli(capsys, "diff", "--a", str(a), "--b", str(b))
+    assert code == 1
+    assert "values differ (a=v1, b=v2)" in out
+    assert "FIRST DIVERGENCE: job-2 at its result values" in out
+
+    code, out = run_cli(capsys, "diff", "--a", str(a), "--b", str(b),
+                        "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["values_compared"] and doc["divergent"] == 1
+    (job,) = [job for job in doc["jobs"] if job["divergences"]]
+    assert job["hash"] == "66" * 32 and job["divergences"] == 1
+    assert job["values"] == {"a": "v1", "b": "v2"}
+    assert "first" not in job
 
 
 def test_diff_json_output(capsys, tmp_path):

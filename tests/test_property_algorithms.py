@@ -1,9 +1,10 @@
 """Cross-algorithm invariants on random graphs (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import make_algorithm
+from repro.algorithms import algorithm_names, make_algorithm
 from repro.frontend import GraphProcessor, reference
 from repro.graph import from_edge_list
 from repro.sim import GPUConfig
@@ -80,3 +81,53 @@ def test_simulated_bfs_equals_simulated_sssp_on_unit_weights(graph):
     reached = bfs.values >= 0
     np.testing.assert_allclose(sssp.values[reached],
                                bfs.values[reached])
+
+
+#: Every registered algorithm, plus the direction and variant each
+#: factory also builds.
+EDGE_UPDATE_ALGORITHMS = [(name, {}) for name in algorithm_names()] + [
+    ("pagerank", {"direction": "push"}), ("bfs", {"variant": "bottom_up"})]
+
+
+@st.composite
+def edge_batches(draw, graph):
+    """Warp-sized edge batches whose targets repeat within and across
+    batches, as a wide hub's updates do."""
+    n = graph.num_vertices
+    batches = []
+    for size in draw(st.lists(st.integers(1, 40), min_size=1, max_size=6)):
+        ids = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+        batches.append((
+            np.array(draw(ids), dtype=np.int64),
+            np.array(draw(ids), dtype=np.int64),
+            np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=size,
+                                   max_size=size))),
+            np.arange(size, dtype=np.int64)))
+    return batches
+
+
+@pytest.mark.parametrize("name,params", EDGE_UPDATE_ALGORITHMS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_edge_update_on_concatenated_batches_equals_batches_in_order(
+        name, params, data):
+    """The ``edge_update`` contract a replayed launch relies on when it
+    applies a launch's updates in one call."""
+    graph = data.draw(symmetric_graphs())
+    alg = make_algorithm(name, **params)
+    state = alg.make_state(graph)
+    # Float state gets values of mixed magnitude, so an accumulation
+    # in another order rounds differently.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for array in state.values():
+        if array.dtype.kind == "f":
+            array[:] = rng.standard_normal(array.size) * 10.0 ** rng.integers(
+                -6, 7, array.size)
+    batches = data.draw(edge_batches(graph))
+    in_order = {key: array.copy() for key, array in state.items()}
+    for batch in batches:
+        alg.edge_update(in_order, *batch)
+    at_once = {key: array.copy() for key, array in state.items()}
+    alg.edge_update(at_once, *map(np.concatenate, zip(*batches)))
+    for key in state:
+        assert at_once[key].tobytes() == in_order[key].tobytes(), key

@@ -3,10 +3,12 @@
 Element ``i`` of a region lies in line ``(base + i * itemsize) >>
 log2(line_bytes)``, for every integer ``i``: an index outside ``[0,
 length)`` is not checked and gets that line too.  ``lines_of`` must
-return exactly the sorted set of those lines, and the compiler must
-turn every index input ``as_index_array`` accepts into the record the
-per-lane definition gives.  Bool and float inputs are refused: they
-would otherwise become other indices.
+return exactly the sorted set of those lines, ``lines_of_many`` (the
+fast engine's drain computes a chunk of accesses with it) exactly what
+``lines_of`` returns per access, and the compiler must turn every index
+input ``as_index_array`` accepts into the record the per-lane
+definition gives.  Bool and float inputs are refused: they would
+otherwise become other indices.
 """
 
 import numpy as np
@@ -67,6 +69,53 @@ def test_lines_of_matches_definition(region_line, data):
     lines = MemoryHierarchy(config(line_bytes)).lines_of(region, indices)
     assert lines == defined_lines(region, line_bytes, values)
     assert all(type(line) is int for line in lines)
+
+
+@st.composite
+def access_lists(draw):
+    """A line size and a list of accesses over several regions: one-lane
+    and 80-lane ones, empty ones, in-range and out-of-range indices."""
+    line_bytes = draw(st.sampled_from(LINE_BYTES))
+    pool = []
+    for name in "abc":
+        base = draw(st.integers(min_value=0, max_value=1 << 34))
+        length = draw(st.integers(min_value=1, max_value=300))
+        pool.append(Region(name, base, draw(st.sampled_from(ITEMSIZES)),
+                           length))
+    accesses = []
+    for region in draw(st.lists(st.sampled_from(pool), max_size=40)):
+        values = draw(st.one_of(
+            index_values(region.length),
+            index_values(region.length).filter(len).map(lambda v: v[:1]),
+            st.lists(st.integers(-2 * region.length - 3,
+                                 2 * region.length + 3),
+                     min_size=80, max_size=80)))
+        accesses.append((region, np.array(values, dtype=np.int64)))
+    return accesses, line_bytes
+
+
+@given(access_lists())
+@settings(max_examples=300, deadline=None)
+def test_lines_of_many_matches_lines_of(case):
+    accesses, line_bytes = case
+    memory = MemoryHierarchy(config(line_bytes))
+    batched = memory.lines_of_many(accesses)
+    assert batched == [memory.lines_of(region, indices)
+                       for region, indices in accesses]
+    assert all(type(line) is int for lines in batched for line in lines)
+
+
+def test_lines_of_many_takes_lines_too_wide_to_pack():
+    """Indices of +-2**62 spread lines over 59 bits, and 40 accesses
+    need 6 more: too many for a packed ``access << width | line`` key."""
+    memory = MemoryHierarchy(config(32))
+    region = Region("r", 0, 1, 100)
+    wide = np.array([1 << 62, -(1 << 62), 3, 3], dtype=np.int64)
+    accesses = [(region, wide)] + [
+        (region, np.array([k, 40 - k, k], dtype=np.int64))
+        for k in range(39)]
+    assert memory.lines_of_many(accesses) == [
+        memory.lines_of(region, indices) for _region, indices in accesses]
 
 
 def index_inputs(length: int):

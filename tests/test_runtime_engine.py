@@ -76,6 +76,37 @@ def test_outcomes_preserve_submission_order():
     ]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repeated_spec_runs_once(jobs, tmp_path, monkeypatch):
+    """A spec given twice is one job: one simulation, one journal line
+    under a header that counts one job, and its outcome at both
+    positions."""
+    if jobs == 1:
+        runs = []
+        execute = engine_mod._execute_spec
+
+        def counting_execute(spec):
+            runs.append(spec.label)
+            return execute(spec)
+
+        monkeypatch.setattr(engine_mod, "_execute_spec", counting_execute)
+    spec, other = tiny_grid_specs()[:2]
+    path = tmp_path / "run.jsonl"
+    outcomes = BatchEngine(jobs=jobs, journal=RunJournal(path)).run(
+        [spec, other, spec])
+    assert [o.status for o in outcomes] == ["ok"] * 3
+    assert outcomes[2] is outcomes[0]
+    assert outcomes[1].spec is other
+    header, *lines = map(json.loads, path.read_text().splitlines())
+    assert header["jobs"] == 2
+    assert sorted(line["hash"] for line in lines) == sorted(
+        s.content_hash() for s in (spec, other))
+    if jobs == 1:
+        assert runs == [spec.label, other.label]
+    summary = FailureReport.from_outcomes(outcomes).format_summary(0.0)
+    assert "2 submitted, 2 simulated" in summary
+
+
 def test_warm_cache_runs_zero_simulations(tmp_path):
     specs = tiny_grid_specs()
     cache = ResultCache(tmp_path / "cache")
