@@ -56,61 +56,6 @@ class GCNResult:
     kernel_stats: Dict[str, KernelStats]
 
 
-class GCNModel:
-    """Multi-layer GCN forward pass on the simulator.
-
-    ``layers`` is a list of weight matrices; ReLU is applied between
-    layers (not after the last). Every layer runs the init/SpMM/
-    GraphSum kernel trio under the chosen strategy and all per-layer
-    statistics are merged.
-    """
-
-    def __init__(self, layers, strategy: str = "sparseweaver") -> None:
-        if not layers:
-            raise AlgorithmError("GCNModel needs at least one layer")
-        for i, (a, b) in enumerate(zip(layers, layers[1:])):
-            if a.shape[1] != b.shape[0]:
-                raise AlgorithmError(
-                    f"layer {i} output dim {a.shape[1]} does not feed "
-                    f"layer {i + 1} input dim {b.shape[0]}"
-                )
-        self.layers = [np.asarray(w, dtype=np.float64) for w in layers]
-        self.strategy = strategy
-
-    def forward(
-        self,
-        graph: CSRGraph,
-        features: np.ndarray,
-        config: Optional[GPUConfig] = None,
-    ) -> GCNResult:
-        """Run the full forward pass; returns final features + stats."""
-        h = np.asarray(features, dtype=np.float64)
-        total = KernelStats()
-        kernel_stats: Dict[str, KernelStats] = {}
-        for i, weight in enumerate(self.layers):
-            result = run_gcn_operator(graph, h, weight,
-                                      strategy=self.strategy,
-                                      config=config)
-            total.merge(result.stats)
-            for name, st in result.kernel_stats.items():
-                kernel_stats[f"layer{i}/{name}"] = st
-            h = result.features
-            if i < len(self.layers) - 1:
-                h = np.maximum(h, 0.0)  # ReLU between layers
-        return GCNResult(features=h, stats=total,
-                         kernel_stats=kernel_stats)
-
-    def reference(self, graph: CSRGraph,
-                  features: np.ndarray) -> np.ndarray:
-        """Pure-numpy forward pass oracle."""
-        h = np.asarray(features, dtype=np.float64)
-        for i, weight in enumerate(self.layers):
-            h = gcn_reference(graph, h, weight)
-            if i < len(self.layers) - 1:
-                h = np.maximum(h, 0.0)
-        return h
-
-
 def _normalization(graph: CSRGraph) -> np.ndarray:
     """Symmetric-normalization coefficient per edge:
     ``1 / sqrt(deg_out(src) * deg_in(dst))``."""

@@ -11,7 +11,7 @@ Commands
 ``batch``     run a job grid through the parallel runtime engine
 ``cache``     inspect or clear the content-addressed result cache
 ``tail``      live dashboard over a run journal
-``report``    aggregate run journals and profile files into one summary
+``report``    aggregate run journals into one summary
 ``diff``      first-divergence localization between two runs' ledgers
 """
 
@@ -57,16 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scale", type=float, default=0.25)
     run_p.add_argument("--iterations", type=int, default=3)
     run_p.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace (kernel spans + "
-                            "per-warp instruction/stall timeline) "
+                       help="write a Chrome trace of the simulated-cycle "
+                            "per-warp instruction/stall timeline, "
                             "loadable in chrome://tracing or Perfetto")
     run_p.add_argument("--trace-events", type=int, default=200_000,
                        help="instruction-trace bound for --trace")
-    run_p.add_argument("--profile", default=None, metavar="DIR",
-                       help="host-profile the simulator: per-phase "
-                            "wall-time table on stdout, profile.json + "
-                            "flamegraph.collapsed in DIR; sampler "
-                            "spans merge into --trace output")
     _add_engine_flag(run_p)
 
     cmp_p = sub.add_parser("compare", help="all schedules, one workload")
@@ -115,10 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--journal", default=None, metavar="PATH",
                          help="record each job in this run journal "
                               "(JSONL, started fresh)")
-    bench_p.add_argument("--profile", default=None, metavar="DIR",
-                         help="host-profile the simulator during the "
-                              "bench; writes profile.json + "
-                              "flamegraph.collapsed to DIR")
     _add_engine_flag(bench_p)
 
     sub.add_parser("datasets", help="Table III analog inventory")
@@ -151,21 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
                               "REPRO_CACHE_DIR or ~/.cache/repro)")
     batch_p.add_argument("--no-cache", action="store_true",
                          help="disable the result cache for this batch")
-    batch_p.add_argument("--trace", default=None, metavar="PATH",
-                         help="write a Chrome trace of per-job engine "
-                              "spans")
     batch_p.add_argument("--fail-fast", action="store_true",
                          help="stop scheduling at the first failed job; "
                               "the rest of the batch is marked skipped")
     batch_p.add_argument("--journal", default=None, metavar="PATH",
                          help="record each job in this run journal "
                               "(JSONL, started fresh)")
-    batch_p.add_argument("--profile", default=None, metavar="DIR",
-                         help="host-profile the simulator across the "
-                              "batch (worker snapshots fold into the "
-                              "parent); writes profile.json + "
-                              "flamegraph.collapsed to DIR; sampler "
-                              "spans merge into --trace output")
     _add_engine_flag(batch_p)
 
     cache_p = sub.add_parser(
@@ -191,11 +173,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the final aggregate as JSON")
 
     rep2_p = sub.add_parser(
-        "report",
-        help="aggregate run journals and profile snapshot files")
+        "report", help="aggregate run journals into one summary")
     rep2_p.add_argument("paths", nargs="+",
-                        help="run journal .jsonl and/or profile .json "
-                             "files")
+                        help="run journal (--journal) files")
     rep2_p.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON (CI artifacts)")
 
@@ -241,23 +221,17 @@ def _make_alg(name: str, iterations: int):
 
 def _cmd_run(args) -> int:
     graph = dataset(args.dataset, scale=args.scale)
-    tracer = exec_tracer = None
+    exec_tracer = None
     if args.trace:
-        from repro.obs.tracing import Tracer
         from repro.sim.trace import ExecutionTracer
 
-        tracer = Tracer()
         exec_tracer = ExecutionTracer(max_events=args.trace_events)
-    profiler, sampler = _start_profiling(args)
     result = run_single(
         _make_alg(args.algorithm, args.iterations), graph,
         args.schedule, config=GPUConfig.vortex_bench(),
-        max_iterations=args.iterations,
-        tracer=tracer, exec_tracer=exec_tracer,
+        max_iterations=args.iterations, exec_tracer=exec_tracer,
         engine=args.engine,
     )
-    if sampler is not None:
-        sampler.stop()
     print(f"{args.algorithm} on {args.dataset} (analog {graph}) "
           f"under {args.schedule}:")
     print(f"  cycles:     {result.stats.total_cycles:,}")
@@ -267,21 +241,27 @@ def _cmd_run(args) -> int:
     print("  stalls:     " + ", ".join(
         f"{k}={v}" for k, v in result.stats.stall_breakdown().items()))
     if args.trace:
-        from repro.obs.tracing import execution_trace_events
+        from repro.sim.trace import execution_trace_events
 
-        extra = list(execution_trace_events(exec_tracer))
-        if sampler is not None:
-            # Host sampler spans share the tracer's perf_counter
-            # origin, so both clocks line up in one Perfetto view.
-            extra.extend(sampler.trace_events(epoch=tracer.epoch))
-        path = tracer.save(args.trace, extra)
+        path = _write_trace(args.trace,
+                            execution_trace_events(exec_tracer))
         summary = exec_tracer.summary()
         note = (f" ({summary['dropped']} instruction events dropped "
                 "at the trace bound)" if summary["dropped"] else "")
         print(f"  trace:      {path} — open in chrome://tracing or "
               f"https://ui.perfetto.dev{note}")
-    _finish_profiling(args, profiler, sampler)
     return 0
+
+
+def _write_trace(path, events) -> str:
+    """Write Chrome trace-event JSON (``{"traceEvents": [...]}``)."""
+    import json
+    from pathlib import Path
+
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps({"traceEvents": events}))
+    return str(out)
 
 
 def _cmd_compare(args) -> int:
@@ -309,44 +289,6 @@ def _cmd_compare(args) -> int:
 def _print_failures(report, stream=None) -> None:
     """Emit a failure report table on stderr."""
     print(report.format(), file=stream or sys.stderr)
-
-
-def _start_profiling(args):
-    """``--profile`` -> ``(profiler, sampler)``, both live.
-
-    Returns ``(None, None)`` when the flag is absent.  Enabling the
-    profiler also exports ``REPRO_PROFILE=1`` so pool workers spawned
-    later come up profiling and their snapshots fold back here.
-    """
-    if not getattr(args, "profile", None):
-        return None, None
-    from repro.obs.profile import StackSampler, enable_profiling
-
-    profiler = enable_profiling()
-    sampler = StackSampler()
-    sampler.start()
-    return profiler, sampler
-
-
-def _finish_profiling(args, profiler, sampler) -> None:
-    """Stop the sampler, print the phase table, write artifacts.
-
-    Writes ``profile.json`` (mergeable snapshot, accepted by
-    ``repro report``) and ``flamegraph.collapsed`` (collapsed stacks
-    for any flamegraph renderer) into the ``--profile`` directory.
-    """
-    if profiler is None:
-        return
-    from pathlib import Path
-
-    sampler.stop()
-    out = Path(args.profile)
-    out.mkdir(parents=True, exist_ok=True)
-    profile_path = profiler.save(out / "profile.json")
-    flame_path = sampler.save_collapsed(out / "flamegraph.collapsed")
-    print(profiler.format())
-    print(f"profile:    {profile_path}")
-    print(f"flamegraph: {flame_path}")
 
 
 def _cmd_bench(args) -> int:
@@ -378,7 +320,6 @@ def _cmd_bench(args) -> int:
 
     journal = RunJournal(args.journal) if args.journal else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    profiler, sampler = _start_profiling(args)
     start = time.perf_counter()
     outputs, report = run_figures_report(
         figures, ctx, jobs=args.jobs, cache=cache, journal=journal,
@@ -401,7 +342,6 @@ def _cmd_bench(args) -> int:
         title=f"{len(outputs)} figure(s) in {elapsed:.1f}s -> "
               f"{out_dir}"))
     print(report.format_summary(elapsed, cache))
-    _finish_profiling(args, profiler, sampler)
     if not report.ok:
         _print_failures(report)
         return 1
@@ -542,21 +482,13 @@ def _cmd_batch(args) -> int:
     from repro.runtime import BatchEngine, ResultCache, RunJournal
 
     specs = _batch_specs(args)
-    tracer = None
-    if args.trace:
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
     journal = RunJournal(args.journal) if args.journal else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    engine = BatchEngine(jobs=args.jobs, cache=cache, tracer=tracer,
-                         journal=journal, fail_fast=args.fail_fast)
-    profiler, sampler = _start_profiling(args)
+    engine = BatchEngine(jobs=args.jobs, cache=cache, journal=journal,
+                         fail_fast=args.fail_fast)
     start = time.perf_counter()
     outcomes = engine.run(specs)
     elapsed = time.perf_counter() - start
-    if sampler is not None:
-        sampler.stop()
 
     rows = [
         [o.spec.algorithm.name, o.spec.graph.name, o.spec.schedule,
@@ -571,11 +503,6 @@ def _cmd_batch(args) -> int:
                     f"({engine.jobs} worker(s))"))
     report = FailureReport.from_outcomes(outcomes)
     print(report.format_summary(elapsed, cache))
-    if tracer is not None:
-        extra = (sampler.trace_events(epoch=tracer.epoch)
-                 if sampler is not None else ())
-        print(f"engine trace: {tracer.save(args.trace, extra)}")
-    _finish_profiling(args, profiler, sampler)
     if not report.ok:
         _print_failures(report)
         return 1
@@ -742,13 +669,10 @@ def _diff_side(src: str, interval):
 
 
 def _diff_replay(path, spec_a, spec_b, kernel: int) -> str:
-    """Re-run both live sides recording only ``kernel``; write a
-    side-by-side Chrome trace and return its path."""
-    import json as json_mod
-    from pathlib import Path
-
+    """Re-run both live sides, each on its own engine, recording only
+    ``kernel``; write a side-by-side Chrome trace and return its path."""
     from repro.obs.provenance import KernelWindowTracer
-    from repro.obs.tracing import execution_trace_events
+    from repro.sim.trace import execution_trace_events
 
     events = []
     for spec, label, pid_base in ((spec_a, "A", 1000),
@@ -758,14 +682,12 @@ def _diff_replay(path, spec_a, spec_b, kernel: int) -> str:
             spec.algorithm.build(), spec.graph.build(), spec.schedule,
             config=spec.effective_config(),
             max_iterations=spec.max_iterations,
-            symmetrize=spec.symmetrize, exec_tracer=window)
+            symmetrize=spec.symmetrize, engine=spec.engine,
+            exec_tracer=window)
         events.extend(execution_trace_events(
             window.inner, pid_base=pid_base,
             label=f"{label}:{spec.label}"))
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json_mod.dumps({"traceEvents": events}))
-    return str(out)
+    return _write_trace(path, events)
 
 
 def _pair_live(live: dict, stored: dict) -> dict:

@@ -59,7 +59,6 @@ class GraphProcessor:
         time_init: bool = True,
         time_apply: bool = True,
         validate: bool = False,
-        tracer=None,
         exec_tracer=None,
         engine: Optional[str] = None,
     ) -> None:
@@ -69,13 +68,10 @@ class GraphProcessor:
         exactly once. Catches schedules that drop or double-process
         work (they would otherwise just produce subtly wrong floats).
 
-        ``tracer`` (a :class:`repro.obs.tracing.Tracer`) records one
-        wall-clock span per kernel launch — init, gather and apply per
-        iteration — each carrying simulated cycles and breakdowns as
-        span args.  ``exec_tracer`` (a
-        :class:`repro.sim.trace.ExecutionTracer`) is handed to every
-        kernel launch to capture the simulated-cycle instruction/stall
-        timeline.  Both default to off and add no per-instruction work.
+        ``exec_tracer`` (a :class:`repro.sim.trace.ExecutionTracer`) is
+        handed to every kernel launch to capture the simulated-cycle
+        instruction/stall timeline.  It defaults to off and then adds
+        no per-instruction work.
 
         ``engine`` selects the simulator execution engine by name
         (``reference``, ``fast``, ``auto``, or any registered engine;
@@ -97,11 +93,6 @@ class GraphProcessor:
         self.time_init = time_init
         self.time_apply = time_apply
         self.validate = validate
-        if tracer is None:
-            from repro.obs.tracing import NULL_TRACER
-
-            tracer = NULL_TRACER
-        self.tracer = tracer
         self.exec_tracer = exec_tracer
 
     # ------------------------------------------------------------------
@@ -185,17 +176,12 @@ class GraphProcessor:
         total = KernelStats()
         per_iteration: List[KernelStats] = []
         if self.time_init:
-            with self.tracer.span("init", cat="kernel",
-                                  schedule=self.schedule.name) as sp:
-                init_stats = gpu.run_kernel(
-                    None if fast_elementwise
-                    else _init_kernel_factory(env),
-                    flush_caches=flush_caches,
-                    tracer=self.exec_tracer,
-                    replay=init_hint,
-                )
-                sp.args["cycles"] = init_stats.total_cycles
-            total.merge(init_stats)
+            total.merge(gpu.run_kernel(
+                None if fast_elementwise else _init_kernel_factory(env),
+                flush_caches=flush_caches,
+                tracer=self.exec_tracer,
+                replay=init_hint,
+            ))
         cap = max_iterations if max_iterations is not None else (
             alg.max_iterations
         )
@@ -222,34 +208,23 @@ class GraphProcessor:
                 )
                 if edge_counter is not None:
                     edge_counter["count"] = 0
-                with self.tracer.span("gather", cat="kernel",
-                                      iteration=iterations,
-                                      schedule=self.schedule.name) as sp:
-                    gather_stats = gpu.run_kernel(
-                        warp_factory, unit_factory=unit_factory,
-                        tracer=self.exec_tracer,
-                        replay=gather_hint,
-                    )
-                    sp.args["cycles"] = gather_stats.total_cycles
-                    sp.args["phases"] = gather_stats.phase_breakdown()
-                    sp.args["stalls"] = gather_stats.stall_breakdown()
+                gather_stats = gpu.run_kernel(
+                    warp_factory, unit_factory=unit_factory,
+                    tracer=self.exec_tracer,
+                    replay=gather_hint,
+                )
             finally:
                 if swap:
                     env.algorithm = alg
             if edge_counter is not None:
                 _check_edge_coverage(alg, env, edge_counter["count"])
             if self.time_apply:
-                with self.tracer.span("apply", cat="kernel",
-                                      iteration=iterations,
-                                      schedule=self.schedule.name) as sp:
-                    apply_stats = gpu.run_kernel(
-                        None if (fast_elementwise
-                                 or gpu.has_trace("apply"))
-                        else _apply_kernel_factory(env),
-                        tracer=self.exec_tracer,
-                        replay=apply_hint,
-                    )
-                    sp.args["cycles"] = apply_stats.total_cycles
+                apply_stats = gpu.run_kernel(
+                    None if (fast_elementwise or gpu.has_trace("apply"))
+                    else _apply_kernel_factory(env),
+                    tracer=self.exec_tracer,
+                    replay=apply_hint,
+                )
             else:
                 apply_stats = KernelStats()
             changed = alg.apply_update(state, work_graph, iterations)

@@ -1,52 +1,36 @@
-"""Offline aggregation of run journals and profile files.
+"""Offline aggregation of run journals.
 
-``python -m repro report run.jsonl profile.json [--json]`` folds any
-mix of run journals (``--journal`` files) and host profile snapshots
-(:meth:`~repro.obs.profile.PhaseProfiler.save` output) into one
-summary — job counts, simulated cycles, elapsed time, cache hit rate,
-failures, the last jobs to end, host profile — suitable for a CI
-artifact or a quick terminal read after a long batch.
+``python -m repro report run.jsonl [more.jsonl ...] [--json]`` folds
+run journals (``--journal`` files) into one summary — job counts,
+simulated cycles, elapsed time, cache hit rate, failures, the last jobs
+to end — suitable for a CI artifact or a quick terminal read after a
+long batch.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 from repro.errors import ReproError
 from repro.obs.dashboard import BatchWatch, describe, is_journal_record
-from repro.obs.profile import PhaseProfiler
 
 
-def classify_file(path) -> Tuple[str, Any]:
-    """Load one input file as ``("journal", records)`` or
-    ``("profile", snapshot)``.
+def load_journal(path) -> List[Dict[str, Any]]:
+    """Load one run journal's records (JSONL, one object per line).
 
-    Run journals are JSONL (one object per line); host-profiler
-    snapshots (:meth:`~repro.obs.profile.PhaseProfiler.save`) are a
-    single JSON object with a top-level ``"profile"`` key.  Anything
-    else — a non-empty file with no journal line, such as an old
-    telemetry stream — is rejected with a :class:`ReproError` naming
-    the file.
+    An empty file holds no records.  Anything else without a journal
+    line — a profile snapshot or an old telemetry stream — is rejected
+    with a :class:`ReproError` naming the file.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ReproError(f"cannot read {path}: {exc}") from exc
-    stripped = text.strip()
-    if not stripped:
-        return "journal", []
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(stripped)
-        except json.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict) and "profile" in doc:
-            return "profile", doc
     records = []
-    for i, line in enumerate(stripped.splitlines()):
+    for i, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line:
             continue
@@ -54,45 +38,33 @@ def classify_file(path) -> Tuple[str, Any]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReproError(
-                f"{path}:{i + 1} is neither a run journal nor a "
-                f"profile snapshot: {exc}") from exc
+                f"{path}:{i + 1} is not a run journal line: {exc}"
+            ) from exc
         if not isinstance(record, dict):
             raise ReproError(
                 f"{path}:{i + 1}: journal lines must be objects")
         records.append(record)
-    if not any(is_journal_record(r) for r in records):
+    if records and not any(is_journal_record(r) for r in records):
         raise ReproError(f"{path} holds no run-journal line")
-    return "journal", records
+    return records
 
 
 def aggregate(paths: Iterable) -> Dict[str, Any]:
-    """Fold every input file into one report dict."""
-    profiler = PhaseProfiler(enabled=True)
+    """Fold every input journal into one report dict."""
     combined = BatchWatch()
     files: List[Dict[str, Any]] = []
-    profile_files = 0
     for path in paths:
-        kind, payload = classify_file(path)
-        if kind == "profile":
-            profiler.merge_snapshot(payload)
-            profile_files += 1
-            files.append({"path": str(path), "kind": "profile",
-                          "phases": len(payload.get("profile", {})
-                                        .get("phases", {}))})
-            continue
+        records = load_journal(path)
         watch = BatchWatch()
-        watch.update_all(payload)
-        combined.update_all(payload)
-        entry = {"path": str(path), "kind": "journal",
-                 "lines": watch.records}
+        watch.update_all(records)
+        combined.update_all(records)
+        entry = {"path": str(path), "lines": watch.records}
         entry.update(watch.snapshot())
         files.append(entry)
 
     report: Dict[str, Any] = {"files": files}
     report.update(combined.snapshot())
     report["failures"] = combined.failures
-    if profile_files:
-        report["host_profile"] = profiler.summary()
     return report
 
 
@@ -114,26 +86,9 @@ def format_report(report: Dict[str, Any]) -> str:
         lines.append(
             f"  digests : {report['digest_records']:,} provenance "
             f"ledger record(s) journaled (REPRO_DIGEST)")
-    profile = report.get("host_profile")
-    if profile:
-        lines.append(
-            f"  profile : {profile['kernels']} kernel(s), "
-            f"{profile['sim_wall_seconds']:.3f}s simulator "
-            f"wall, {profile['cycles_per_wall_second']:,.0f} "
-            f"cycles/s, {profile['coverage'] * 100:.1f}% coverage")
-        for p in profile["phases"][:8]:
-            lines.append(
-                f"    {p['phase']:<12} {p['seconds']:>9.3f}s "
-                f"{p['share'] * 100:>5.1f}%  {p['calls']:>12,} calls")
     for failure in report["failures"]:
         lines.append(f"  FAILED  : {failure['label']}: {failure['error']}")
     lines.extend(f"  last    : {describe(job)}" for job in report["last"])
-    for entry in report["files"]:
-        if entry["kind"] == "journal":
-            lines.append(
-                f"  file    : {entry['path']} ({entry['lines']} lines)")
-        else:
-            lines.append(
-                f"  file    : {entry['path']} "
-                f"({entry['phases']} profiled phase(s))")
+    lines.extend(f"  file    : {entry['path']} ({entry['lines']} lines)"
+                 for entry in report["files"])
     return "\n".join(lines)

@@ -37,9 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.profile import get_profiler
 from repro.obs.provenance import get_digester
-from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.jobspec import JobSpec
 
@@ -76,9 +74,10 @@ def _execute_spec(spec: JobSpec) -> Dict[str, Any]:
 def _run_job(spec: JobSpec) -> JobResult:
     """Run and time one job in the process that runs it.
 
-    An exception fails the job, not the batch: it comes back as the
-    error string.  Dispatches through the module global so tests can
-    monkeypatch ``_execute_spec`` for both paths.
+    The serial path calls it in-process and the pool submits it to
+    its workers.  An exception fails the job, not the batch: it comes
+    back as the error string.  Dispatches through the module global so
+    tests can monkeypatch ``_execute_spec`` for both paths.
     """
     start = time.perf_counter()
     try:
@@ -87,22 +86,6 @@ def _run_job(spec: JobSpec) -> JobResult:
         return (None, f"{type(exc).__name__}: {exc}",
                 time.perf_counter() - start)
     return data, None, time.perf_counter() - start
-
-
-def _worker_entry(spec: JobSpec) -> JobResult:
-    """Pool worker entry point: run one job, then ship its profile.
-
-    With profiling on, attaches the worker profiler's snapshot under
-    ``"_profile"`` and clears it, so the parent's profiler aggregates
-    every worker's phases.  Only pool workers ship: on the serial
-    path the job already accumulates into the parent profiler.
-    """
-    data, error, wall = _run_job(spec)
-    profiler = get_profiler()
-    if data is not None and profiler.enabled and profiler.kernels:
-        data["_profile"] = profiler.snapshot()
-        profiler.clear()
-    return data, error, wall
 
 
 def _lost(exc: BaseException) -> JobResult:
@@ -137,24 +120,21 @@ class JobOutcome:
 
 
 class BatchEngine:
-    """Schedule, parallelize, cache, journal and observe a batch."""
+    """Schedule, parallelize, cache and journal a batch."""
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        tracer: Optional[Tracer] = None,
         journal=None,
         fail_fast: bool = False,
     ) -> None:
         """``journal`` is a :class:`~repro.runtime.journal.RunJournal`
         that records every job as it ends.
         ``fail_fast`` stops at the first failure and marks the
-        remainder ``"skipped"``.  ``tracer`` records one span per
-        simulated job for Chrome trace export."""
+        remainder ``"skipped"``."""
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.fail_fast = fail_fast
 
@@ -199,17 +179,10 @@ class BatchEngine:
                 outcomes: Dict[int, JobOutcome]) -> bool:
         """Record one ended job; returns whether it failed."""
         data, error, wall = result
-        self.tracer.add_span(f"job:{spec.label}", "job",
-                             self.tracer.now_us() - wall * 1e6, wall * 1e6,
-                             tid="engine",
-                             status="ok" if error is None else "failed")
         if error is not None:
             self._end(idx, JobOutcome(spec, "failed", None, error, wall),
                       outcomes)
             return True
-        prof = data.pop("_profile", None)
-        if prof:
-            get_profiler().merge_snapshot(prof)
         summary = RunSummary.from_dict(data)
         if self.cache is not None:
             self.cache.put(spec, summary)
@@ -238,7 +211,7 @@ class BatchEngine:
         try:
             for idx, spec in pending:
                 try:
-                    futures[pool.submit(_worker_entry, spec)] = (idx, spec)
+                    futures[pool.submit(_run_job, spec)] = (idx, spec)
                 except BrokenProcessPool as exc:
                     # A worker died while the batch was being submitted;
                     # every later submit fails the same way.

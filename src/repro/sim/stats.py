@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, Tuple
 
-from repro.obs.profile import phase as _host_phase
 from repro.obs.provenance import get_digester
 from repro.sim.instructions import Op, Phase, PHASE_LABELS
 
@@ -125,9 +124,6 @@ class KernelStats:
         """Accumulate another kernel's stats (multi-kernel algorithms).
 
         ``total_cycles`` adds because kernels run back-to-back.
-        Host-profiled as ``stats/merge`` — iterative algorithms merge
-        per-iteration stats thousands of times, and the stall-cell
-        dict can dominate that cost.
         """
         digester = get_digester()
         if digester.enabled:
@@ -135,10 +131,6 @@ class KernelStats:
             # an aggregation bug diverges here even when every kernel's
             # own records agree.
             digester.note_merge(other.total_cycles, other.instructions)
-        with _host_phase("stats/merge"):
-            self._merge(other)
-
-    def _merge(self, other: "KernelStats") -> None:
         self.total_cycles += other.total_cycles
         self.instructions += other.instructions
         self.warps_launched += other.warps_launched

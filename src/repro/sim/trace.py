@@ -5,8 +5,8 @@ record every issued instruction — (time, core, warp, op, phase,
 completion) — and every attributed stall gap — (time, core, warp,
 stall class, cycles). Used for debugging kernels, for the
 pipeline-diagram style inspection the SimX simulator offers, and as
-the simulated-cycle source for Chrome trace export
-(:func:`repro.obs.tracing.execution_trace_events`).
+the source of the Chrome trace ``repro run --trace`` and ``repro diff
+--replay`` write (:func:`execution_trace_events`).
 
 A tracer is an event-loop *observer*: it implements ``on_issue``,
 ``on_stall``, ``on_mem`` and ``on_kernel``, the one hook surface the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.instructions import Op, Phase
 from repro.sim.stats import StallCat
@@ -182,3 +182,60 @@ class ExecutionTracer:
         return (f"ExecutionTracer(events={len(self.events)}, "
                 f"stalls={len(self.stalls)}, "
                 f"max_events={self.max_events}{extra})")
+
+
+def execution_trace_events(exec_tracer, pid_base: int = 1000,
+                           ts_offset: int = 0,
+                           label: str = "sim") -> List[Dict[str, Any]]:
+    """Convert an :class:`ExecutionTracer` to Chrome trace events.
+
+    One Perfetto process per simulated core (``pid_base + core``); one
+    thread row per warp carrying instruction spans (name = opcode,
+    category = execution phase), plus one row per stall class carrying
+    the attributed stall spans recorded by the simulator.  Timestamps
+    are simulated cycles (rendered as microseconds by the viewer).
+
+    ``label`` names the process rows (``"<label> core N"``) so two
+    tracers rendered into one file — ``repro diff --replay`` puts run A
+    and run B side by side under distinct ``pid_base`` ranges — stay
+    tellable apart in the viewer.
+    """
+    events: List[Dict[str, Any]] = []
+    cores = sorted({e.core for e in exec_tracer.events}
+                   | {s.core for s in exec_tracer.stalls})
+    for core in cores:
+        events.append({
+            "ph": "M", "name": "process_name", "pid": pid_base + core,
+            "tid": 0, "args": {"name": f"{label} core {core}"},
+        })
+    named: set = set()
+    for e in exec_tracer.events:
+        pid = pid_base + e.core
+        if (pid, e.warp) not in named:
+            named.add((pid, e.warp))
+            events.append({
+                "ph": "M", "name": "thread_name", "pid": pid,
+                "tid": e.warp, "args": {"name": f"warp {e.warp}"},
+            })
+        events.append({
+            "ph": "X", "name": e.op.name, "cat": e.phase.name,
+            "ts": e.time + ts_offset, "dur": max(e.latency, 1),
+            "pid": pid, "tid": e.warp,
+            "args": {"warp": e.warp, "core": e.core},
+        })
+    for s in exec_tracer.stalls:
+        pid = pid_base + s.core
+        tid = 100 + int(s.cat)
+        if (pid, tid) not in named:
+            named.add((pid, tid))
+            events.append({
+                "ph": "M", "name": "thread_name", "pid": pid,
+                "tid": tid, "args": {"name": f"stall:{s.cat.name}"},
+            })
+        events.append({
+            "ph": "X", "name": f"stall:{s.cat.name}", "cat": "stall",
+            "ts": s.time + ts_offset, "dur": max(s.cycles, 1),
+            "pid": pid, "tid": tid,
+            "args": {"warp": s.warp, "cycles": s.cycles},
+        })
+    return events

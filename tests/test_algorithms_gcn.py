@@ -116,55 +116,3 @@ def test_gcn_validation(gcn_inputs):
         run_gcn_operator(g, feats[:5], weight, config=CFG)
     with pytest.raises(AlgorithmError):
         run_gcn_operator(g, feats, np.ones((9, 2)), config=CFG)
-
-
-# ----------------------------------------------------------------------
-# GCNModel (multi-layer forward)
-# ----------------------------------------------------------------------
-def test_gcn_model_matches_reference(gcn_inputs):
-    from repro.algorithms.gcn import GCNModel
-
-    g, feats, w1 = gcn_inputs
-    rng = np.random.default_rng(3)
-    w2 = rng.normal(size=(w1.shape[1], 2))
-    for strategy in ("vertex_map", "sparseweaver"):
-        model = GCNModel([w1, w2], strategy=strategy)
-        out = model.forward(g, feats, config=CFG)
-        np.testing.assert_allclose(out.features,
-                                   model.reference(g, feats), atol=1e-9)
-
-
-def test_gcn_model_stats_merge_layers(gcn_inputs):
-    from repro.algorithms.gcn import GCNModel
-
-    g, feats, w1 = gcn_inputs
-    rng = np.random.default_rng(4)
-    w2 = rng.normal(size=(w1.shape[1], 2))
-    model = GCNModel([w1, w2], strategy="sparseweaver")
-    out = model.forward(g, feats, config=CFG)
-    assert set(out.kernel_stats) == {
-        "layer0/init", "layer0/spmm", "layer0/graphsum",
-        "layer1/init", "layer1/spmm", "layer1/graphsum",
-    }
-    assert out.stats.total_cycles == sum(
-        s.total_cycles for s in out.kernel_stats.values())
-
-
-def test_gcn_model_relu_between_layers(gcn_inputs):
-    from repro.algorithms.gcn import GCNModel
-
-    g, feats, w1 = gcn_inputs
-    model = GCNModel([w1], strategy="vertex_map")
-    single = model.forward(g, feats, config=CFG)
-    # single-layer: no ReLU applied at the end
-    assert (single.features < 0).any()
-
-
-def test_gcn_model_validation(gcn_inputs):
-    from repro.algorithms.gcn import GCNModel
-
-    _, _, w1 = gcn_inputs
-    with pytest.raises(AlgorithmError):
-        GCNModel([])
-    with pytest.raises(AlgorithmError):
-        GCNModel([w1, np.ones((w1.shape[1] + 1, 2))])

@@ -77,53 +77,24 @@ def test_compare_extended(capsys):
 
 
 # ----------------------------------------------------------------------
-# --profile
+# run --trace
 # ----------------------------------------------------------------------
-def test_run_profile_writes_artifacts(capsys, tmp_path):
-    from repro.obs.profile import (disable_profiling, get_profiler,
-                                   profiling_enabled)
-
-    assert not profiling_enabled()
-    try:
-        code, out = run_cli(
-            capsys, "run", "--dataset", "bio-human", "--scale", "0.2",
-            "--iterations", "1",
-            "--profile", str(tmp_path / "prof"),
-            "--trace", str(tmp_path / "trace.json"))
-    finally:
-        get_profiler().clear()
-        disable_profiling()
-    assert code == 0
-    assert "host profile:" in out
-    assert "% phase coverage" in out
-    assert (tmp_path / "prof" / "profile.json").exists()
-    assert (tmp_path / "prof" / "flamegraph.collapsed").exists()
+def test_run_trace_writes_the_simulated_timeline(capsys, tmp_path):
     import json
 
-    doc = json.loads((tmp_path / "trace.json").read_text())
-    cats = {e.get("cat") for e in doc["traceEvents"]}
-    # Simulated-cycle rows and host-sampler rows share the file.
-    assert "stall" in cats
-
-
-def test_batch_profile_folds_worker_snapshots(capsys, tmp_path):
-    from repro.obs.profile import (disable_profiling, get_profiler,
-                                   profiling_enabled)
-
-    assert not profiling_enabled()
-    try:
-        code, out = run_cli(
-            capsys, "batch", "--datasets", "bio-human",
-            "--schedules", "vertex_map", "--scale", "0.2",
-            "--iterations", "1", "--jobs", "2", "--no-cache",
-            "--profile", str(tmp_path / "prof"))
-    finally:
-        get_profiler().clear()
-        disable_profiling()
+    trace = tmp_path / "trace.json"
+    code, out = run_cli(capsys, "run", "--dataset", "bio-human",
+                        "--scale", "0.2", "--iterations", "1",
+                        "--trace", str(trace))
     assert code == 0
-    assert "host profile:" in out
-    assert "execute" in out
-    assert (tmp_path / "prof" / "profile.json").exists()
+    assert f"trace:      {trace}" in out
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert isinstance(events, list)
+    spans = [e for e in events if e["ph"] == "X"]
+    # Only simulated-cycle rows: per-core processes, instruction and
+    # stall spans.
+    assert spans and all(e["pid"] >= 1000 for e in events)
+    assert "stall" in {e["cat"] for e in spans}
 
 
 # ----------------------------------------------------------------------
@@ -340,3 +311,30 @@ def test_diff_live_perturbation_localizes_and_replays(capsys, tmp_path):
     # Both sides' kernels land in one trace, labeled A: and B:.
     assert any(n.startswith("A:") for n in names)
     assert any(n.startswith("B:") for n in names)
+
+
+def test_diff_replay_runs_each_side_on_its_engine(monkeypatch, tmp_path):
+    """Both live sides name the fast engine, so the replay re-runs build
+    a fast GPU each, not the default engine's."""
+    import json
+
+    from repro.cli import _diff_live_spec, _diff_replay
+    from repro.sim.fast import FastGPU
+
+    builds = []
+    init = FastGPU.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastGPU, "__init__", counting_init)
+    opts = {"engine": "fast", "algorithm": "pagerank",
+            "dataset": "bio-human", "schedule": "vertex_map",
+            "scale": "0.05", "iterations": "1"}
+    spec_a = _diff_live_spec(opts)
+    spec_b = _diff_live_spec(dict(opts, alu_latency="3"))
+    path = _diff_replay(tmp_path / "replay.json", spec_a, spec_b, 0)
+    assert len(builds) == 2
+    events = json.loads(open(path).read())["traceEvents"]
+    assert any(e["ph"] == "X" for e in events)

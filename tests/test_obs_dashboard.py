@@ -11,7 +11,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.obs.dashboard import BatchWatch, JSONLFollower, render, tail
-from repro.obs.report import aggregate, classify_file, format_report
+from repro.obs.report import aggregate, format_report, load_journal
 
 
 def write_jsonl(path, records):
@@ -158,15 +158,14 @@ def test_tail_stops_at_max_frames(tmp_path):
 def test_classify_file(tmp_path):
     journal = tmp_path / "run.jsonl"
     write_jsonl(journal, JOURNAL)
-    kind, records = classify_file(journal)
-    assert kind == "journal" and len(records) == len(JOURNAL)
+    assert len(load_journal(journal)) == len(JOURNAL)
 
     garbage = tmp_path / "garbage.txt"
     garbage.write_text("definitely not json\n")
     with pytest.raises(ReproError):
-        classify_file(garbage)
+        load_journal(garbage)
     with pytest.raises(ReproError):
-        classify_file(tmp_path / "missing.jsonl")
+        load_journal(tmp_path / "missing.jsonl")
 
 
 def test_aggregate_telemetry_and_metrics(tmp_path):
@@ -177,7 +176,7 @@ def test_aggregate_telemetry_and_metrics(tmp_path):
     assert report["jobs_total"] == 3
     assert report["failed"] == 1
     assert report["simulated_cycles"] == 1500
-    assert [f["kind"] for f in report["files"]] == ["journal"]
+    assert [f["path"] for f in report["files"]] == [str(journal)]
     assert report["failures"] == [
         {"label": "pr/g/wm", "status": "failed",
          "error": "SimulationError: boom"}]
@@ -226,11 +225,11 @@ def test_cli_report(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["done"] == 2
 
-    # An indented object without a "profile" key is neither kind.
+    # An indented JSON object is not a journal.
     old = tmp_path / "metrics.json"
     old.write_text(json.dumps({"metrics": {}}, indent=1))
     assert main(["report", str(old)]) == 2
-    assert "profile snapshot" in capsys.readouterr().err
+    assert "not a run journal line" in capsys.readouterr().err
 
 
 # ------------------------------------------------- schema 1 / skipped
