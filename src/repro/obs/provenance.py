@@ -129,14 +129,14 @@ class StateDigester:
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
 
-    def on_kernel(self, stats, cache) -> None:
+    def on_kernel(self, stats) -> None:
         """Close the kernel: flush streams, emit its summary record.
 
         ``stats`` is the kernel's :class:`~repro.sim.stats.KernelStats`
         (duck-typed; only plain counters are read), captured after the
-        engine folded stall cells and the DRAM delta; ``cache`` maps
-        each level (``"L1"``...) to its per-kernel
-        :class:`~repro.sim.stats.CacheStats` delta.
+        engine folded stall cells, the DRAM delta and the per-level
+        cache counts (``stats.cache``: ``"L1"``... to the kernel's
+        :class:`~repro.sim.stats.CacheStats`).
         """
         self._flush_streams()
         h = _FNV_OFFSET
@@ -151,7 +151,7 @@ class StateDigester:
             h = fold(h, warp)
             h = fold(h, cat)
             h = fold(h, cycles)
-        for level, counts in sorted(cache.items()):
+        for level, counts in sorted(stats.cache.items()):
             if not counts.accesses:
                 continue  # a level the kernel never looked up
             for ch in ("mem/" + level.lower()).encode("utf-8"):
@@ -482,7 +482,7 @@ class KernelWindowTracer:
         """Whether events are currently being captured."""
         return self.kernel == self.target
 
-    def on_kernel(self, stats, cache) -> None:
+    def on_kernel(self, stats) -> None:
         self.kernel += 1
 
     def on_issue(self, time, core, warp, op, phase, done) -> None:

@@ -14,7 +14,7 @@ and a stall taxonomy, not an RTL-equivalent simulator.
 #: Timing-model version. Bump whenever a change alters simulated cycle
 #: counts; the runtime result cache (:mod:`repro.runtime.cache`) keys
 #: entries on it, so a bump invalidates every memoized result at once.
-SIMULATOR_VERSION = 1
+SIMULATOR_VERSION = 2
 
 from repro.sim.config import CacheConfig, GPUConfig
 from repro.sim.instructions import Instr, Op, Phase

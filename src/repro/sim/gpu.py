@@ -340,10 +340,9 @@ class GPU:
             ExecutionTracer`): ``on_issue(t, core, warp, op, phase,
             done)`` per issued instruction, ``on_stall(t, core, warp,
             cat, cycles)`` per attributed stall gap, ``on_mem(t, core,
-            lines, latency)`` per memory walk and ``on_kernel(stats,
-            cache)`` at kernel end, with ``cache`` the per-level
-            :class:`~repro.sim.stats.CacheStats` deltas.  The enabled
-            provenance digester observes through the same hooks.
+            lines, latency)`` per memory walk and ``on_kernel(stats)``
+            at kernel end.  The enabled provenance digester observes
+            through the same hooks.
         replay:
             Optional :class:`repro.sim.fast.ReplayHint`.  The reference
             engine ignores it (every launch runs live); it exists so
@@ -357,6 +356,7 @@ class GPU:
         mem.begin_kernel()
         stats = KernelStats()
         dram_before = mem.dram_accesses
+        cache_before = mem.cache_counts()
         # Host-side profiler: every section timer below hides behind
         # this one local truth test, so a disabled profiler reads no
         # clocks — simulated cycles are bit-identical either way
@@ -367,7 +367,6 @@ class GPU:
         digester = get_digester()
         obs = tuple(o for o in (tracer, digester if digester.enabled
                                 else None) if o is not None)
-        cache_before = mem.cache_counts() if obs else None
         mem.observers = obs
 
         units: Dict[int, Any] = {}
@@ -578,14 +577,15 @@ class GPU:
         stats.total_cycles = max(core_time)
         for (_core, _warp, cat), cycles in stall_cells.items():
             stats.stall_cycles[cat] += cycles
-        stats.cache = mem.cache_stats()
+        # Cache tag state (and so its counters) persists across the
+        # kernels of one GPU; a kernel's stats hold its own increments.
+        stats.cache = {name: CacheStats(hits - cache_before[name][0],
+                                        misses - cache_before[name][1])
+                       for name, (hits, misses)
+                       in mem.cache_counts().items()}
         stats.dram_accesses = mem.dram_accesses - dram_before
-        if cache_before is not None:
-            cache = {name: CacheStats(cs.hits - cache_before[name][0],
-                                      cs.misses - cache_before[name][1])
-                     for name, cs in stats.cache.items()}
-            for o in obs:
-                o.on_kernel(stats, cache)
+        for o in obs:
+            o.on_kernel(stats)
         if prof_on:
             profiler.add("finalize", perf_counter() - finalize_start)
         return stats

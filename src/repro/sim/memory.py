@@ -393,12 +393,9 @@ class MemoryHierarchy:
         return merged
 
     def cache_counts(self) -> Dict[str, Tuple[int, int]]:
-        """Cumulative ``(hits, misses)`` per merged level.
-
-        The delta baseline for per-kernel cache counts — cache tag
-        state (and so its counters) persists across kernels on one
-        GPU, but tracers and digests want per-kernel increments.
-        """
+        """Cumulative ``(hits, misses)`` per merged level, since the
+        hierarchy was built: ``GPU.run_kernel`` subtracts the counts at
+        kernel start to give each kernel its own."""
         return {name: (cs.hits, cs.misses)
                 for name, cs in self.cache_stats().items()}
 

@@ -99,7 +99,7 @@ class ExecutionTracer:
                latency: int) -> None:
         """Memory walks are not traced."""
 
-    def on_kernel(self, stats, cache) -> None:
+    def on_kernel(self, stats) -> None:
         """Kernel boundaries are not traced."""
 
     # ------------------------------------------------------------------
@@ -185,7 +185,6 @@ class ExecutionTracer:
 
 
 def execution_trace_events(exec_tracer, pid_base: int = 1000,
-                           ts_offset: int = 0,
                            label: str = "sim") -> List[Dict[str, Any]]:
     """Convert an :class:`ExecutionTracer` to Chrome trace events.
 
@@ -219,7 +218,7 @@ def execution_trace_events(exec_tracer, pid_base: int = 1000,
             })
         events.append({
             "ph": "X", "name": e.op.name, "cat": e.phase.name,
-            "ts": e.time + ts_offset, "dur": max(e.latency, 1),
+            "ts": e.time, "dur": max(e.latency, 1),
             "pid": pid, "tid": e.warp,
             "args": {"warp": e.warp, "core": e.core},
         })
@@ -234,7 +233,7 @@ def execution_trace_events(exec_tracer, pid_base: int = 1000,
             })
         events.append({
             "ph": "X", "name": f"stall:{s.cat.name}", "cat": "stall",
-            "ts": s.time + ts_offset, "dur": max(s.cycles, 1),
+            "ts": s.time, "dur": max(s.cycles, 1),
             "pid": pid, "tid": tid,
             "args": {"warp": s.warp, "cycles": s.cycles},
         })

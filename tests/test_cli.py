@@ -317,6 +317,7 @@ def test_diff_replay_runs_each_side_on_its_engine(monkeypatch, tmp_path):
     """Both live sides name the fast engine, so the replay re-runs build
     a fast GPU each, not the default engine's."""
     import json
+    from pathlib import Path
 
     from repro.cli import _diff_live_spec, _diff_replay
     from repro.sim.fast import FastGPU
@@ -336,5 +337,5 @@ def test_diff_replay_runs_each_side_on_its_engine(monkeypatch, tmp_path):
     spec_b = _diff_live_spec(dict(opts, alu_latency="3"))
     path = _diff_replay(tmp_path / "replay.json", spec_a, spec_b, 0)
     assert len(builds) == 2
-    events = json.loads(open(path).read())["traceEvents"]
+    events = json.loads(Path(path).read_text())["traceEvents"]
     assert any(e["ph"] == "X" for e in events)

@@ -341,14 +341,14 @@ def test_kernel_window_tracer_gates_on_target():
     window.on_issue(1, 0, 0, 7, 0, 0)
     window.on_stall(2, 0, 0, 1, 3)
     assert not window.inner.events and not window.inner.stalls
-    window.on_kernel(None, {})   # kernel 0 ends: capture window opens
+    window.on_kernel(None)   # kernel 0 ends: capture window opens
     assert window.active
     window.on_issue(5, 0, 0, 7, 0, 0)
     window.on_stall(6, 0, 0, 1, 3)
     window.on_mem(7, 0, 2, 40)
     assert len(window.inner.events) == 1
     assert len(window.inner.stalls) == 1
-    window.on_kernel(None, {})   # kernel 1 ends: window closed again
+    window.on_kernel(None)   # kernel 1 ends: window closed again
     assert not window.active
     window.on_issue(9, 0, 0, 7, 0, 0)
     assert len(window.inner.events) == 1

@@ -314,3 +314,32 @@ def test_dram_accesses_per_kernel():
     second = gpu.run_kernel(factory)
     assert first.dram_accesses == 1
     assert second.dram_accesses == 0
+
+
+def test_cache_counts_per_kernel():
+    """``stats.cache`` holds the kernel's own increments in objects of
+    its own: a later kernel on the same GPU leaves it unchanged."""
+    cfg = one_core_config(warps=1)
+    gpu = GPU(cfg)
+    mm = MemoryMap()
+    r = mm.alloc("r", 256, 8)
+    per_line = cfg.l1.line_bytes // 8
+
+    def factory(lines):
+        def make(ctx):
+            def k():
+                yield load(Phase.GATHER, r, np.arange(lines) * per_line)
+            return k()
+        return make
+
+    first = gpu.run_kernel(factory(4))
+    counts = {name: (cs.hits, cs.misses) for name, cs in first.cache.items()}
+    second = gpu.run_kernel(factory(6))
+    assert {name: (cs.hits, cs.misses)
+            for name, cs in first.cache.items()} == counts
+    assert (first.cache["L1"].hits, first.cache["L1"].misses) == (0, 4)
+    assert (second.cache["L1"].hits, second.cache["L1"].misses) == (4, 2)
+    for stats in (first, second):
+        last = stats.cache[max(stats.cache)]
+        assert last.misses == stats.dram_accesses
+    assert (first.dram_accesses, second.dram_accesses) == (4, 2)
