@@ -14,8 +14,7 @@ per-dataset tuning.
 
 import numpy as np
 
-from repro import (GraphProcessor, GPUConfig, make_algorithm,
-                   run_schedule_comparison)
+from repro import GraphProcessor, GPUConfig, make_algorithm
 from repro.graph import road_grid_graph
 from repro.graph.builder import from_edge_arrays
 from repro.sched import SOFTWARE_SCHEDULES
@@ -56,10 +55,13 @@ def main() -> None:
     # Tuning confirms it: on flat graphs the naive schedule wins.  The
     # tuner keeps the schedule with the fewest cycles and pays for
     # every trial.
-    trials = run_schedule_comparison(
-        lambda: make_algorithm("sssp", source=depot), {"road": graph},
-        SOFTWARE_SCHEDULES, config=config, max_iterations=10,
-    ).cycles["road"]
+    trials = {
+        schedule: GraphProcessor(
+            make_algorithm("sssp", source=depot), schedule=schedule,
+            config=config,
+        ).run(graph, max_iterations=10).total_cycles
+        for schedule in SOFTWARE_SCHEDULES
+    }
     best = min(trials, key=trials.get)
     print(f"\nauto-tuner verdict: {best} (tuning cost "
           f"{sum(trials.values()):,} simulated cycles)")

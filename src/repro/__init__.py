@@ -22,7 +22,7 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.sched` — scheduling schemes (software baselines + SW + EGHW).
 * :mod:`repro.frontend` — UDF model and the GraphProcessor driver.
 * :mod:`repro.algorithms` — PR, BFS, SSSP, CC, GCN.
-* :mod:`repro.bench` — experiment runner and report formatting.
+* :mod:`repro.bench` — schedule-comparison results and report formatting.
 * :mod:`repro.runtime` — parallel batch engine, result cache, run journal.
 * :mod:`repro.figures` — the paper-figure registry and engine driver.
 """
@@ -64,7 +64,6 @@ from repro.runtime import (
     ResultCache,
     RunJournal,
 )
-from repro.bench import run_schedule_comparison, run_single
 from repro.figures import (
     FailureReport,
     Figure,
@@ -117,8 +116,6 @@ __all__ = [
     "JobSpec",
     "ResultCache",
     "RunJournal",
-    "run_single",
-    "run_schedule_comparison",
     "FailureReport",
     "Figure",
     "FigureContext",

@@ -14,8 +14,8 @@ two parallelization strategies:
   each work item iterates the weight dimension with atomic updates.
 
 ``run_gcn_operator`` executes either strategy on the simulator and
-returns both timing and the computed feature matrix, which tests check
-against :func:`repro.frontend.reference.gcn_layer`-style math.
+returns both timing and the computed feature matrix, which Fig. 19 and
+the tests check against :func:`gcn_reference`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,11 @@
-"""Benchmark harness: experiment runner and table/series formatting."""
+"""Benchmark harness: schedule-comparison results and report formatting."""
 
-from repro.bench.runner import (
-    ExperimentResult,
-    run_schedule_comparison,
-    run_single,
-    geomean,
-)
+from repro.bench.runner import ExperimentResult, geomean
 from repro.bench.report import (format_table, format_series,
                                 format_breakdown, format_bar_chart)
 
 __all__ = [
     "ExperimentResult",
-    "run_schedule_comparison",
-    "run_single",
     "geomean",
     "format_table",
     "format_series",

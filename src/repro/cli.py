@@ -21,12 +21,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.algorithms import algorithm_names, make_algorithm
-from repro.bench import format_table, run_schedule_comparison, run_single
+from repro.algorithms import algorithm_names
+from repro.bench import ExperimentResult, format_table
 from repro.core import SparseWorkloadTable, WeaverAreaModel, WeaverFSM
+from repro.errors import ReproError
 from repro.graph import dataset, dataset_names
 from repro.graph.datasets import dataset_spec
 from repro.graph.metrics import average_degree, degree_skewness
+from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
 from repro.sched import ALL_SCHEDULES, EXTENDED_SCHEDULES, schedule_names
 from repro.sim import GPUConfig
 
@@ -35,9 +37,9 @@ def _add_engine_flag(p) -> None:
     """The shared ``--engine`` flag (simulator execution engine)."""
     p.add_argument("--engine", default=None, metavar="NAME",
                    help="simulator execution engine (reference/fast/"
-                        "auto; default: $REPRO_ENGINE, then "
-                        "reference); engines are bit-identical, this "
-                        "changes wall-clock speed only")
+                        "auto; default: fast); engines are "
+                        "bit-identical, this changes wall-clock speed "
+                        "only")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,27 +213,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_alg(name: str, iterations: int):
-    if name == "pagerank":
-        return make_algorithm("pagerank", iterations=iterations)
-    if name in ("bfs", "sssp"):
-        return make_algorithm(name, source=0)
-    return make_algorithm(name)
+def _job_spec(algorithm: str, dataset_name: str, schedule: str,
+              scale: float, iterations: int,
+              config: Optional[GPUConfig] = None,
+              engine: Optional[str] = None) -> JobSpec:
+    """The job of one CLI simulation: ``algorithm`` on a dataset analog.
+
+    ``run``, ``compare``, the ``batch`` grid and ``diff``'s live sides
+    all describe their jobs here.  PageRank runs ``iterations``
+    iterations, BFS and SSSP start at vertex 0, and ``iterations`` caps
+    every algorithm.  ``config=None`` is the benchmark preset.
+    """
+    params = ({"iterations": iterations} if algorithm == "pagerank"
+              else {"source": 0} if algorithm in ("bfs", "sssp") else {})
+    return JobSpec(
+        algorithm=AlgorithmSpec.of(algorithm, **params),
+        graph=GraphSpec.from_dataset(dataset_name, scale=scale),
+        schedule=schedule,
+        config=config,
+        max_iterations=iterations,
+        engine=engine,
+    )
 
 
 def _cmd_run(args) -> int:
-    graph = dataset(args.dataset, scale=args.scale)
+    spec = _job_spec(args.algorithm, args.dataset, args.schedule,
+                     args.scale, args.iterations, engine=args.engine)
     exec_tracer = None
     if args.trace:
         from repro.sim.trace import ExecutionTracer
 
         exec_tracer = ExecutionTracer(max_events=args.trace_events)
-    result = run_single(
-        _make_alg(args.algorithm, args.iterations), graph,
-        args.schedule, config=GPUConfig.vortex_bench(),
-        max_iterations=args.iterations, exec_tracer=exec_tracer,
-        engine=args.engine,
-    )
+    result = spec.execute(tracer=exec_tracer)
+    graph = spec.graph.build()
     print(f"{args.algorithm} on {args.dataset} (analog {graph}) "
           f"under {args.schedule}:")
     print(f"  cycles:     {result.stats.total_cycles:,}")
@@ -265,24 +279,25 @@ def _write_trace(path, events) -> str:
 
 
 def _cmd_compare(args) -> int:
-    graph = dataset(args.dataset, scale=args.scale)
-    schedules = (EXTENDED_SCHEDULES if getattr(args, "extended", False)
-                 else ALL_SCHEDULES)
-    result = run_schedule_comparison(
-        lambda: _make_alg(args.algorithm, args.iterations),
-        {args.dataset: graph}, schedules,
-        config=GPUConfig.vortex_bench(),
-        max_iterations=args.iterations,
-    )
-    speedups = result.speedups()[args.dataset]
-    cycles = result.cycles[args.dataset]
+    from repro.figures.driver import ResultSet
+    from repro.runtime import BatchEngine
+
+    schedules = EXTENDED_SCHEDULES if args.extended else ALL_SCHEDULES
+    specs = [_job_spec(args.algorithm, args.dataset, sched, args.scale,
+                       args.iterations) for sched in schedules]
+    # A failed job raises ReproError here (exit 2), as a direct run does.
+    results = ResultSet(BatchEngine().run(specs))
+    cycles = {spec.schedule: results.cycles(spec) for spec in specs}
+    speedups = ExperimentResult(
+        cycles={args.dataset: cycles}).speedups()[args.dataset]
     rows = [
         [sched, cycles[sched], round(speedups[sched], 2)]
         for sched in schedules
     ]
     print(format_table(
         ["schedule", "cycles", "speedup over S_vm"], rows,
-        title=f"{args.algorithm} on {args.dataset} ({graph})"))
+        title=f"{args.algorithm} on {args.dataset} "
+              f"({specs[0].graph.build()})"))
     return 0
 
 
@@ -386,48 +401,62 @@ def _cmd_weaver(_args) -> int:
     return 0
 
 
-def _load_spec_file(path: str):
+def _load_spec_file(path: str, engine: Optional[str] = None):
     """Load a JSON batch file into :class:`JobSpec` objects.
 
     Accepts a list (or ``{"jobs": [...]}``) of objects with the keys
     ``algorithm``, ``params``, ``dataset`` (or ``generator`` +
     ``graph_params``), ``scale``, ``schedule``, ``max_iterations``,
-    ``symmetrize``.
+    ``symmetrize``; ``algorithm`` and ``schedule`` are required.  A
+    malformed file raises :class:`ReproError` naming the entry.
     """
     import json
 
-    from repro.errors import ReproError
-    from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
-
     known = {"algorithm", "params", "dataset", "generator", "graph_params",
              "scale", "schedule", "max_iterations", "symmetrize"}
-    with open(path) as handle:
-        data = json.load(handle)
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read spec file {path}: {exc}") from None
     if isinstance(data, dict):
         data = data.get("jobs", [])
+    if not isinstance(data, list):
+        raise ReproError(f"{path} must hold a list of job objects or "
+                         "{\"jobs\": [...]}")
     specs = []
     for i, entry in enumerate(data):
+        where = f"job {i} in {path}"
+        if not isinstance(entry, dict):
+            raise ReproError(f"{where} is not a JSON object")
         unknown = sorted(set(entry) - known)
         if unknown:
             raise ReproError(
-                f"job {i} in {path} has unknown key(s) {unknown}; "
+                f"{where} has unknown key(s) {unknown}; "
                 f"expected a subset of {sorted(known)}")
-        if "dataset" in entry:
-            graph = GraphSpec.from_dataset(
-                entry["dataset"], scale=float(entry.get("scale", 1.0)))
-        elif "generator" in entry:
-            graph = GraphSpec.from_generator(
-                entry["generator"], **entry.get("graph_params", {}))
-        else:
-            raise ReproError(
-                f"job {i} in {path} needs a 'dataset' or 'generator'")
+        missing = sorted({"algorithm", "schedule"} - set(entry))
+        if missing:
+            raise ReproError(f"{where} lacks required key(s) {missing}")
+        try:
+            if "dataset" in entry:
+                graph = GraphSpec.from_dataset(
+                    entry["dataset"], scale=float(entry.get("scale", 1.0)))
+            elif "generator" in entry:
+                graph = GraphSpec.from_generator(
+                    entry["generator"], **entry.get("graph_params", {}))
+            else:
+                raise ReproError(f"{where} needs a 'dataset' or 'generator'")
+            algorithm = AlgorithmSpec.of(entry["algorithm"],
+                                         **entry.get("params", {}))
+        except (TypeError, ValueError) as exc:
+            raise ReproError(f"{where} is malformed: {exc}") from None
         specs.append(JobSpec(
-            algorithm=AlgorithmSpec.of(
-                entry["algorithm"], **entry.get("params", {})),
+            algorithm=algorithm,
             graph=graph,
             schedule=entry["schedule"],
             max_iterations=entry.get("max_iterations"),
             symmetrize=bool(entry.get("symmetrize", False)),
+            engine=engine,
         ))
     return specs
 
@@ -437,42 +466,20 @@ def _batch_specs(args):
 
     A spec repeated in the grid or the file runs once: the first
     occurrence of each content hash stays, in order.  ``--engine``
-    stamps every spec; the field is excluded from the content hash, so
-    stamped specs keep their engine-less cache and journal identities.
+    names every spec's engine; the field is excluded from the content
+    hash, so specs keep their engine-less cache and journal identities.
     """
-    from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
-
     if args.spec_file:
-        specs = _load_spec_file(args.spec_file)
+        specs = _load_spec_file(args.spec_file, args.engine)
     else:
-        schedules = args.schedules or list(ALL_SCHEDULES)
-        algorithm = AlgorithmSpec.of(
-            args.algorithm,
-            **({"iterations": args.iterations}
-               if args.algorithm == "pagerank" else
-               {"source": 0} if args.algorithm in ("bfs", "sssp")
-               else {}))
-        specs = [
-            JobSpec(
-                algorithm=algorithm,
-                graph=GraphSpec.from_dataset(name, scale=args.scale),
-                schedule=sched,
-                config=GPUConfig.vortex_bench(),
-                max_iterations=args.iterations,
-            )
-            for name in args.datasets
-            for sched in schedules
-        ]
+        specs = [_job_spec(args.algorithm, name, sched, args.scale,
+                           args.iterations, engine=args.engine)
+                 for name in args.datasets
+                 for sched in args.schedules or ALL_SCHEDULES]
     unique = {}
     for spec in specs:
         unique.setdefault(spec.content_hash(), spec)
-    specs = list(unique.values())
-    if getattr(args, "engine", None):
-        import dataclasses
-
-        specs = [dataclasses.replace(s, engine=args.engine)
-                 for s in specs]
-    return specs
+    return list(unique.values())
 
 
 def _cmd_batch(args) -> int:
@@ -554,8 +561,6 @@ def _cmd_report(args) -> int:
 
 def _parse_diff_options(src: str):
     """``'key=val,key=val'`` live-source grammar -> an options dict."""
-    from repro.errors import ReproError
-
     opts = {}
     for part in src.split(","):
         part = part.strip()
@@ -575,62 +580,47 @@ def _diff_live_spec(opts):
 
     Recognized keys: ``engine`` (any registered simulator engine —
     ``reference``, ``fast``, ``auto``; this is how divergence bisection
-    compares two engines live), ``algorithm``, ``dataset``,
-    ``schedule``, ``scale``, ``iterations``, plus any numeric
-    :class:`GPUConfig` field as an override (``alu_latency=2``) — the
-    deliberate-perturbation lever.
+    compares two engines live; default ``fast``), ``algorithm``,
+    ``dataset``, ``schedule``, ``scale``, ``iterations``, plus any
+    numeric :class:`GPUConfig` field as an override (``alu_latency=2``)
+    — the deliberate-perturbation lever.
     """
     import dataclasses
 
-    from repro.errors import ReproError
-    from repro.runtime import AlgorithmSpec, GraphSpec, JobSpec
     from repro.sim.engines import available_engines
 
+    def number(key, raw, kinds):
+        """``raw`` parsed by the first of ``kinds`` that accepts it."""
+        for kind in kinds:
+            try:
+                return kind(raw)
+            except ValueError:
+                pass
+        raise ReproError(f"diff option {key}={raw!r} must be "
+                         + " or ".join(kind.__name__ for kind in kinds))
+
     opts = dict(opts)
-    engine = opts.pop("engine", "reference")
-    if engine not in available_engines():
+    engine = opts.pop("engine", None)
+    if engine is not None and engine not in available_engines():
         raise ReproError(
             f"unknown engine {engine!r}; available: "
             f"{available_engines()}")
     algorithm = opts.pop("algorithm", "pagerank")
     dataset_name = opts.pop("dataset", "bio-human")
     schedule = opts.pop("schedule", "sparseweaver")
-    scale = float(opts.pop("scale", 0.25))
-    iterations = int(opts.pop("iterations", 2))
-    config = GPUConfig.vortex_bench()
-    overrides = {}
+    scale = number("scale", opts.pop("scale", "0.25"), (float,))
+    iterations = number("iterations", opts.pop("iterations", "2"), (int,))
     config_fields = {f.name for f in dataclasses.fields(GPUConfig)}
-    for key in list(opts):
-        if key in config_fields:
-            raw = opts.pop(key)
-            try:
-                overrides[key] = int(raw)
-            except ValueError:
-                try:
-                    overrides[key] = float(raw)
-                except ValueError:
-                    raise ReproError(
-                        f"config override {key}={raw!r} is not "
-                        "numeric") from None
+    overrides = {key: number(key, opts.pop(key), (int, float))
+                 for key in list(opts) if key in config_fields}
     if opts:
         raise ReproError(
             f"unknown diff option(s) {sorted(opts)}; expected engine/"
             "algorithm/dataset/schedule/scale/iterations or a numeric "
             "GPUConfig field")
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return JobSpec(
-        algorithm=AlgorithmSpec.of(
-            algorithm,
-            **({"iterations": iterations} if algorithm == "pagerank"
-               else {"source": 0} if algorithm in ("bfs", "sssp")
-               else {})),
-        graph=GraphSpec.from_dataset(dataset_name, scale=scale),
-        schedule=schedule,
-        config=config,
-        max_iterations=iterations,
-        engine=engine,
-    )
+    config = dataclasses.replace(GPUConfig.vortex_bench(), **overrides)
+    return _job_spec(algorithm, dataset_name, schedule, scale, iterations,
+                     config=config, engine=engine)
 
 
 def _diff_side(src: str, interval):
@@ -642,7 +632,6 @@ def _diff_side(src: str, interval):
     """
     from pathlib import Path
 
-    from repro.errors import ReproError
     from repro.obs.provenance import (enable_digests,
                                       ledgers_from_cache_dir,
                                       ledgers_from_journal)
@@ -678,12 +667,7 @@ def _diff_replay(path, spec_a, spec_b, kernel: int) -> str:
     for spec, label, pid_base in ((spec_a, "A", 1000),
                                   (spec_b, "B", 5000)):
         window = KernelWindowTracer(kernel)
-        run_single(
-            spec.algorithm.build(), spec.graph.build(), spec.schedule,
-            config=spec.effective_config(),
-            max_iterations=spec.max_iterations,
-            symmetrize=spec.symmetrize, engine=spec.engine,
-            exec_tracer=window)
+        spec.execute(tracer=window)
         events.extend(execution_trace_events(
             window.inner, pid_base=pid_base,
             label=f"{label}:{spec.label}"))
@@ -697,8 +681,6 @@ def _pair_live(live: dict, stored: dict) -> dict:
     Without one, the only stored job with the live job's label pairs,
     re-keyed to the live hash; several such jobs are ambiguous.
     """
-    from repro.errors import ReproError
-
     (key, (label, _summary)), = live.items()
     if key in stored:
         return stored
@@ -715,7 +697,6 @@ def _pair_live(live: dict, stored: dict) -> dict:
 def _cmd_diff(args) -> int:
     import json as json_mod
 
-    from repro.errors import ReproError
     from repro.obs.provenance import (context_window, describe_coord,
                                       diff_ledgers)
 
@@ -879,8 +860,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     130 interrupted (SIGINT) — rerunning against the same result cache
     simulates only the jobs that did not finish.
     """
-    from repro.errors import ReproError
-
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -23,7 +23,7 @@ loads lazily so ``import repro`` stays light.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 from repro.errors import ReproError
 from repro.sim.config import GPUConfig
@@ -47,13 +47,11 @@ class FigureContext:
     ``smoke`` asks figures to trim sweeps to a representative handful
     of points — CI uses it for a fast end-to-end pass whose outputs
     are health checks, not paper shapes, so the driver evaluates no
-    :meth:`Figure.check` under it.  ``config`` overrides the
-    benchmark GPU preset for figures that do not pin their own.
+    :meth:`Figure.check` under it.
     """
 
     scale: float = DEFAULT_SCALE
     smoke: bool = False
-    config: Optional[GPUConfig] = None
 
     @classmethod
     def smoke_context(cls, scale: float = SMOKE_SCALE) -> "FigureContext":
@@ -62,7 +60,7 @@ class FigureContext:
 
     def gpu_config(self) -> GPUConfig:
         """The default GPU preset for figures without their own."""
-        return self.config or GPUConfig.vortex_bench()
+        return GPUConfig.vortex_bench()
 
     def rescale(self, scale: float) -> float:
         """Map a figure's literal scale onto this context's base.

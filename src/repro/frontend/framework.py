@@ -75,9 +75,8 @@ class GraphProcessor:
 
         ``engine`` selects the simulator execution engine by name
         (``reference``, ``fast``, ``auto``, or any registered engine;
-        ``None`` resolves via ``REPRO_ENGINE`` then the default).  The
-        engine never changes simulated results — only how fast they
-        are produced.
+        ``None`` runs the default, ``fast``).  The engine never changes
+        simulated results — only how fast they are produced.
         """
         self._engine = get_engine(engine)
         self.engine_name = self._engine.name

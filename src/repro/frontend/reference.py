@@ -113,37 +113,3 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
         changed = not np.array_equal(new_label, label)
         label = new_label
     return label
-
-
-def gcn_layer(
-    graph: CSRGraph,
-    features: np.ndarray,
-    weight: np.ndarray,
-    add_self_loops: bool = True,
-) -> np.ndarray:
-    """One GCN layer: ``D^-1/2 (A [+ I]) D^-1/2 X W`` (Kipf & Welling).
-
-    Matches the two simulated kernels: SpMM (feature transform +
-    neighbor aggregation) and GraphSum (degree-normalized mean).
-    """
-    n = graph.num_vertices
-    if features.shape[0] != n:
-        raise AlgorithmError(
-            f"features must have {n} rows, got {features.shape[0]}"
-        )
-    if weight.shape[0] != features.shape[1]:
-        raise AlgorithmError("weight rows must match feature columns")
-    src = graph.edge_sources()
-    dst = graph.col_idx
-    if add_self_loops:
-        loops = np.arange(n, dtype=np.int64)
-        src = np.concatenate([src, loops])
-        dst = np.concatenate([dst, loops])
-    deg = np.bincount(dst, minlength=n).astype(np.float64)
-    deg_src = np.bincount(src, minlength=n).astype(np.float64)
-    norm = 1.0 / np.sqrt(np.where(deg_src > 0, deg_src, 1.0))[src]
-    norm = norm / np.sqrt(np.where(deg > 0, deg, 1.0))[dst]
-    transformed = features @ weight
-    out = np.zeros((n, weight.shape[1]))
-    np.add.at(out, dst, transformed[src] * norm[:, None])
-    return out

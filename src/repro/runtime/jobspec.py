@@ -237,33 +237,12 @@ class JobSpec:
     seed: int = 0
     schedule_params: Params = ()
     #: Simulator execution engine (``reference``/``fast``/``auto``;
-    #: ``None`` resolves via ``REPRO_ENGINE``).  Excluded from equality,
+    #: ``None`` runs the default, ``fast``).  Excluded from equality,
     #: hashing, ``to_dict`` and the content hash: every engine must
     #: produce bit-identical results, so the engine is an execution
     #: detail — same cycles, same cache address, same journal identity.
     #: Each run-journal line records the engine outside its summary.
     engine: Optional[str] = field(default=None, compare=False)
-
-    @classmethod
-    def create(
-        cls,
-        algorithm: AlgorithmSpec,
-        graph,
-        schedule: str,
-        config: Optional[GPUConfig] = None,
-        max_iterations: Optional[int] = None,
-        symmetrize: bool = False,
-        seed: int = 0,
-        graph_name: str = "inline",
-        schedule_params: Optional[Dict[str, Any]] = None,
-        engine: Optional[str] = None,
-    ) -> "JobSpec":
-        """Build a spec, coercing a raw :class:`CSRGraph` to inline."""
-        if isinstance(graph, CSRGraph):
-            graph = GraphSpec.inline(graph, name=graph_name)
-        return cls(algorithm, graph, schedule, config, max_iterations,
-                   symmetrize, seed,
-                   _freeze_params(schedule_params or {}), engine)
 
     # ------------------------------------------------------------------
     def effective_config(self) -> GPUConfig:
@@ -338,25 +317,26 @@ class JobSpec:
         return cached
 
     # ------------------------------------------------------------------
-    def execute(self):
+    def execute(self, tracer=None):
         """Run this job in-process and return the full ``RunResult``.
 
-        This is the single execution path shared by the serial
-        fallback and the engine's worker processes, so parallel runs
-        cannot drift from serial ones.
+        The one place a job becomes a
+        :class:`~repro.frontend.framework.GraphProcessor` run: the batch
+        engine (serial and pool workers alike), ``repro run`` and
+        ``repro diff``'s live sides all come through here, so no path
+        can drift from another.  ``tracer`` (an
+        :class:`~repro.sim.trace.ExecutionTracer` or another loop
+        observer) records the simulated-cycle timeline.
         """
-        from repro.bench.runner import run_single
+        from repro.frontend.framework import GraphProcessor
         from repro.sched import make_schedule
 
         schedule = (make_schedule(self.schedule,
                                   **dict(self.schedule_params))
                     if self.schedule_params else self.schedule)
-        return run_single(
-            self.algorithm.build(),
-            self.graph.build(),
-            schedule,
-            config=self.effective_config(),
-            max_iterations=self.max_iterations,
-            symmetrize=self.symmetrize,
-            engine=self.engine,
-        )
+        proc = GraphProcessor(
+            self.algorithm.build(), schedule=schedule,
+            config=self.effective_config(), symmetrize=self.symmetrize,
+            exec_tracer=tracer, engine=self.engine)
+        return proc.run(self.graph.build(),
+                        max_iterations=self.max_iterations)

@@ -24,7 +24,6 @@ from repro.sim.gpu import GPU, WarpContext
 from repro.sim.fast import FastGPU, ReplayHint
 from repro.sim.engines import (
     DEFAULT_ENGINE,
-    ENGINE_ENV,
     SimulatorEngine,
     available_engines,
     build_gpu,
@@ -57,5 +56,4 @@ __all__ = [
     "register_engine",
     "resolve_engine_name",
     "DEFAULT_ENGINE",
-    "ENGINE_ENV",
 ]

@@ -17,13 +17,14 @@ produces the same cycles under every engine, so cache keys and journal
 entries are engine-blind.  Each run-journal line records the engine
 outside its summary instead.
 
-Resolution precedence: explicit ``engine=`` argument, else the
-``REPRO_ENGINE`` environment variable, else ``reference``.
+A run names its engine through ``--engine``, ``engine=`` or
+:attr:`~repro.runtime.jobspec.JobSpec.engine`; naming none runs
+``fast``.  ``reference`` stays the oracle that parity checks select
+by name.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
@@ -31,11 +32,8 @@ from repro.sim.config import GPUConfig
 from repro.sim.fast import FastGPU
 from repro.sim.gpu import GPU
 
-#: Environment variable consulted when no explicit engine is given.
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: Engine used when neither argument nor environment selects one.
-DEFAULT_ENGINE = "reference"
+#: Engine used when a run names none.
+DEFAULT_ENGINE = "fast"
 
 
 @runtime_checkable
@@ -95,15 +93,12 @@ def available_engines() -> List[str]:
 
 
 def resolve_engine_name(name: Optional[str] = None) -> str:
-    """Apply the argument > ``REPRO_ENGINE`` > default precedence."""
-    if name is not None:
-        return str(name)
-    env = os.environ.get(ENGINE_ENV, "").strip()
-    return env or DEFAULT_ENGINE
+    """The engine a run names, else :data:`DEFAULT_ENGINE`."""
+    return DEFAULT_ENGINE if name is None else str(name)
 
 
 def get_engine(name: Optional[str] = None) -> SimulatorEngine:
-    """Look an engine up by name (``None`` = resolve from environment)."""
+    """Look an engine up by name (``None`` = :data:`DEFAULT_ENGINE`)."""
     resolved = resolve_engine_name(name)
     try:
         return _ENGINES[resolved]

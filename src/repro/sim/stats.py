@@ -188,31 +188,12 @@ class KernelStats:
             out[cat] += cycles
         return dict(out)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (for tooling and archival)."""
-        return {
-            "total_cycles": self.total_cycles,
-            "instructions": self.instructions,
-            "warps_launched": self.warps_launched,
-            "dram_accesses": self.dram_accesses,
-            "phases": self.phase_breakdown(),
-            "stalls": self.stall_breakdown(),
-            "ops": {op.name: count for op, count in
-                    sorted(self.op_counts.items())},
-            "counters": dict(self.counters),
-            "cache": {
-                name: {"hits": cs.hits, "misses": cs.misses}
-                for name, cs in self.cache.items()
-            },
-        }
-
     def to_summary_dict(self) -> Dict[str, object]:
         """Lossless, picklable/JSON-able snapshot for process transport.
 
-        Unlike :meth:`to_dict` (whose phase/stall keys are display
-        labels), keys here are enum *names* so
-        :meth:`from_summary_dict` can rebuild an equivalent object on
-        the other side of a process or cache-file boundary.
+        Keys are enum *names*, so :meth:`from_summary_dict` can rebuild
+        an equivalent object on the other side of a process or
+        cache-file boundary.
         """
         out = {
             "total_cycles": self.total_cycles,
@@ -265,23 +246,3 @@ class KernelStats:
             stats.stall_cells[(int(core), int(warp),
                                StallCat[cat])] = int(cycles)
         return stats
-
-    def summary(self) -> str:
-        """Multi-line textual summary for reports."""
-        lines = [
-            f"cycles={self.total_cycles} instructions={self.instructions} "
-            f"warps={self.warps_launched}",
-            "phases: "
-            + ", ".join(f"{k}={v}" for k, v in self.phase_breakdown().items()),
-            "stalls: "
-            + ", ".join(f"{k}={v}" for k, v in self.stall_breakdown().items()),
-        ]
-        if self.cache:
-            lines.append(
-                "cache: "
-                + ", ".join(
-                    f"{name} {cs.hits}/{cs.accesses} hits"
-                    for name, cs in self.cache.items()
-                )
-            )
-        return "\n".join(lines)

@@ -1,60 +1,67 @@
-"""The benchmark harness utilities: runner and report formatting."""
+"""The benchmark harness utilities: grid results and report formatting."""
 
 import pytest
 
 from repro.algorithms import make_algorithm
 from repro.bench import (
+    ExperimentResult,
     format_breakdown,
     format_series,
     format_table,
     geomean,
-    run_schedule_comparison,
-    run_single,
 )
+from repro.frontend import GraphProcessor
 from repro.graph import powerlaw_graph, star_graph
+from repro.runtime import AlgorithmSpec, BatchEngine, GraphSpec
 from repro.sim import GPUConfig
 
 CFG = GPUConfig.vortex_tiny()
 
 
 # ----------------------------------------------------------------------
-# Bench runner
+# Runs and grid results
 # ----------------------------------------------------------------------
 def test_run_single(small_powerlaw):
-    res = run_single(make_algorithm("pagerank", iterations=1),
-                     small_powerlaw, "vertex_map", config=CFG)
+    res = GraphProcessor(make_algorithm("pagerank", iterations=1),
+                         schedule="vertex_map", config=CFG).run(
+        small_powerlaw)
     assert res.total_cycles > 0
 
 
 def test_schedule_comparison_grid():
-    graphs = {"a": star_graph(30), "b": powerlaw_graph(60, 240, seed=1)}
-    result = run_schedule_comparison(
-        lambda: make_algorithm("pagerank", iterations=1),
-        graphs, ["vertex_map", "edge_map"], config=CFG,
-    )
+    """Every schedule on every graph: the figures' grid, run by the
+    batch engine and folded back into an :class:`ExperimentResult`."""
+    from repro.figures.defs.common import experiment_result, grid
+    from repro.figures.driver import ResultSet
+
+    graphs = {"a": GraphSpec.inline(star_graph(30), name="a"),
+              "b": GraphSpec.inline(powerlaw_graph(60, 240, seed=1),
+                                    name="b")}
+    cells = grid(AlgorithmSpec.of("pagerank", iterations=1), graphs,
+                 ["vertex_map", "edge_map"], config=CFG)
+    result = experiment_result(
+        ResultSet(BatchEngine().run(list(cells.values()))), cells)
     assert set(result.cycles) == {"a", "b"}
     assert set(result.cycles["a"]) == {"vertex_map", "edge_map"}
+    assert all(result.runs[g][s].total_cycles == c > 0
+               for g, row in result.cycles.items() for s, c in row.items())
 
 
 def test_speedups_baseline_is_one():
-    graphs = {"a": star_graph(30)}
-    result = run_schedule_comparison(
-        lambda: make_algorithm("pagerank", iterations=1),
-        graphs, ["vertex_map", "edge_map"], config=CFG,
-    )
+    result = ExperimentResult(cycles={"a": {"vertex_map": 300,
+                                            "edge_map": 200}})
     sp = result.speedups()
     assert sp["a"]["vertex_map"] == 1.0
+    assert sp["a"]["edge_map"] == pytest.approx(1.5)
 
 
 def test_geomean_speedups():
-    graphs = {"a": star_graph(30), "b": star_graph(50)}
-    result = run_schedule_comparison(
-        lambda: make_algorithm("pagerank", iterations=1),
-        graphs, ["vertex_map", "edge_map"], config=CFG,
-    )
+    result = ExperimentResult(cycles={
+        "a": {"vertex_map": 100, "edge_map": 50},
+        "b": {"vertex_map": 100, "edge_map": 200}})
     gm = result.geomean_speedups()
     assert gm["vertex_map"] == pytest.approx(1.0)
-    assert gm["edge_map"] > 0
+    assert gm["edge_map"] == pytest.approx(1.0)  # sqrt(2 * 0.5)
 
 
 def test_geomean_function():

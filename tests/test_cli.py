@@ -278,6 +278,17 @@ def test_diff_error_exits(capsys, tmp_path):
     assert run_cli(capsys, "diff", "--a", str(c), "--b", str(d))[0] == 2
 
 
+@pytest.mark.parametrize("option", ["scale=abc", "iterations=x"])
+def test_diff_malformed_live_number_exits_2(capsys, option):
+    """A live option that does not parse as its number is a usage
+    error naming the option, not a traceback."""
+    code = main(["diff", "--a", option, "--b", "scale=0.1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: diff option " + option.replace(
+        "=", "='") + "'")
+
+
 def test_diff_live_perturbation_localizes_and_replays(capsys, tmp_path):
     """The acceptance walkthrough end-to-end: an identical live pair
     diffs clean; a perturbed opcode latency produces a first-divergence
@@ -314,28 +325,28 @@ def test_diff_live_perturbation_localizes_and_replays(capsys, tmp_path):
 
 
 def test_diff_replay_runs_each_side_on_its_engine(monkeypatch, tmp_path):
-    """Both live sides name the fast engine, so the replay re-runs build
-    a fast GPU each, not the default engine's."""
+    """Both live sides name the reference engine, so the replay re-runs
+    build a reference GPU each, not the default engine's."""
     import json
     from pathlib import Path
 
     from repro.cli import _diff_live_spec, _diff_replay
-    from repro.sim.fast import FastGPU
+    from repro.sim.gpu import GPU
 
     builds = []
-    init = FastGPU.__init__
+    init = GPU.__init__
 
     def counting_init(self, *args, **kwargs):
-        builds.append(self)
+        builds.append(type(self))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FastGPU, "__init__", counting_init)
-    opts = {"engine": "fast", "algorithm": "pagerank",
+    monkeypatch.setattr(GPU, "__init__", counting_init)
+    opts = {"engine": "reference", "algorithm": "pagerank",
             "dataset": "bio-human", "schedule": "vertex_map",
             "scale": "0.05", "iterations": "1"}
     spec_a = _diff_live_spec(opts)
     spec_b = _diff_live_spec(dict(opts, alu_latency="3"))
     path = _diff_replay(tmp_path / "replay.json", spec_a, spec_b, 0)
-    assert len(builds) == 2
+    assert builds == [GPU, GPU]
     events = json.loads(Path(path).read_text())["traceEvents"]
     assert any(e["ph"] == "X" for e in events)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.bench import run_single
 from repro.frontend import GraphProcessor
 from repro.graph import dataset, powerlaw_graph, star_graph
 from repro.sched import analytic
@@ -47,10 +46,10 @@ def test_measured_rounds_match_model_exactly(schedule):
     """For schemes without filters the counter must equal the model."""
     g = powerlaw_graph(120, 600, seed=14).undirected()
     predicted = analytic.expected_warp_iterations(g, schedule, CFG)
-    run = run_single(
-        make_algorithm("pagerank", iterations=1), g, schedule,
+    run = GraphProcessor(
+        make_algorithm("pagerank", iterations=1), schedule=schedule,
         config=CFG, time_init=False, time_apply=False,
-    )
+    ).run(g)
     assert run.stats.warp_iterations == predicted
 
 
@@ -59,10 +58,10 @@ def test_sparseweaver_rounds_close_to_block_model():
     final -1 answer), so measured = model + O(warps)."""
     g = powerlaw_graph(120, 600, seed=14).undirected()
     predicted = analytic.expected_warp_iterations(g, "sparseweaver", CFG)
-    run = run_single(
-        make_algorithm("pagerank", iterations=1), g, "sparseweaver",
+    run = GraphProcessor(
+        make_algorithm("pagerank", iterations=1), schedule="sparseweaver",
         config=CFG, time_init=False, time_apply=False,
-    )
+    ).run(g)
     block = CFG.threads_per_core
     epochs = -(-g.num_vertices // (CFG.num_cores * block))
     # one drain round (-1 answer) per warp per epoch
@@ -78,10 +77,10 @@ def test_model_ordering_predicts_measured_ordering():
     )
     order_measured = sorted(
         ("vertex_map", "warp_map", "edge_map"),
-        key=lambda s: run_single(
-            make_algorithm("pagerank", iterations=1), g, s, config=CFG,
-            time_init=False, time_apply=False,
-        ).stats.warp_iterations,
+        key=lambda s: GraphProcessor(
+            make_algorithm("pagerank", iterations=1), schedule=s,
+            config=CFG, time_init=False, time_apply=False,
+        ).run(g).stats.warp_iterations,
     )
     assert order_model == order_measured
 

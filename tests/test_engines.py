@@ -16,10 +16,9 @@ from repro.errors import ConfigError
 from repro.frontend import GraphProcessor
 from repro.graph import dataset
 from repro.sim import GPUConfig
-from repro.sim.engines import (DEFAULT_ENGINE, ENGINE_ENV,
-                               SimulatorEngine, available_engines,
-                               build_gpu, get_engine, register_engine,
-                               resolve_engine_name)
+from repro.sim.engines import (DEFAULT_ENGINE, SimulatorEngine,
+                               available_engines, build_gpu, get_engine,
+                               register_engine, resolve_engine_name)
 from repro.sim.fast import FastGPU
 from repro.sim.gpu import GPU
 
@@ -63,18 +62,17 @@ def test_register_engine_validates_shape():
         register_engine(NoName())
 
 
-def test_resolution_precedence(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine_name(None) == DEFAULT_ENGINE
-    monkeypatch.setenv(ENGINE_ENV, "fast")
-    assert resolve_engine_name(None) == "fast"
-    # An explicit argument beats the environment.
+def test_resolution_precedence():
+    # Naming no engine runs fast; a named engine is taken as named.
+    assert resolve_engine_name(None) == DEFAULT_ENGINE == "fast"
     assert resolve_engine_name("reference") == "reference"
+    assert resolve_engine_name("fast") == "fast"
 
 
 def test_build_gpu_routes_through_registry():
     cfg = GPUConfig.vortex_bench()
-    assert type(build_gpu(cfg)) is GPU
+    assert type(build_gpu(cfg, engine="reference")) is GPU
+    assert isinstance(build_gpu(cfg), FastGPU)
     assert isinstance(build_gpu(cfg, engine="fast"), FastGPU)
 
 

@@ -145,25 +145,31 @@ def test_grid_stable_across_worker_counts(tmp_path):
 
 @pytest.mark.parametrize("sim_engine", ["reference", "fast"])
 def test_fig10_parity_with_preport_serial_runner(sim_engine):
-    """The registry path reproduces run_schedule_comparison's cycles
-    bit-for-bit (acceptance criterion) — under every simulator
-    execution engine."""
-    from repro.bench import run_schedule_comparison
+    """The registry path reproduces a serial loop of GraphProcessor
+    runs' cycles bit-for-bit (acceptance criterion) — under every
+    simulator execution engine."""
+    from repro.algorithms import make_algorithm
     from repro.figures.defs import fig10 as fig10_defs
+    from repro.frontend import GraphProcessor
     from repro.graph import dataset, dataset_names
-    from repro.runtime import AlgorithmSpec
     from repro.sim import GPUConfig
 
     out = run_figure("fig10_pagerank", SMOKE, jobs=1,
                      sim_engine=sim_engine)
 
     names = dataset_names()[:3]  # SMOKE trims to three datasets
-    graphs = {n: dataset(n, scale=SMOKE.rescale(0.25)) for n in names}
-    result = run_schedule_comparison(
-        AlgorithmSpec.of("pagerank", iterations=2), graphs,
-        fig10_defs.SCHEDULES, config=GPUConfig.vortex_bench(),
-        max_iterations=2)
-    assert out.data["cycles"] == result.cycles
+    cycles = {
+        name: {
+            sched: GraphProcessor(
+                make_algorithm("pagerank", iterations=2), schedule=sched,
+                config=GPUConfig.vortex_bench(), engine="reference",
+            ).run(dataset(name, scale=SMOKE.rescale(0.25)),
+                  max_iterations=2).total_cycles
+            for sched in fig10_defs.SCHEDULES
+        }
+        for name in names
+    }
+    assert out.data["cycles"] == cycles
 
 
 def test_cross_engine_cache_identity(tmp_path):

@@ -63,22 +63,6 @@ def test_cc_on_two_components():
     assert reference.connected_components(g).tolist() == [0, 0, 2, 2]
 
 
-def test_gcn_layer_shapes(small_powerlaw):
-    n = small_powerlaw.num_vertices
-    x = np.ones((n, 3))
-    w = np.eye(3)
-    out = reference.gcn_layer(small_powerlaw, x, w)
-    assert out.shape == (n, 3)
-
-
-def test_gcn_layer_validation(small_powerlaw):
-    with pytest.raises(AlgorithmError):
-        reference.gcn_layer(small_powerlaw, np.ones((3, 2)), np.eye(2))
-    n = small_powerlaw.num_vertices
-    with pytest.raises(AlgorithmError):
-        reference.gcn_layer(small_powerlaw, np.ones((n, 2)), np.eye(3))
-
-
 # ----------------------------------------------------------------------
 # Algorithm spec
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.bench import run_single
 from repro.frontend import GraphProcessor
 from repro.graph import powerlaw_graph, road_grid_graph
 from repro.sim import GPUConfig
@@ -21,10 +20,15 @@ SKEWED = powerlaw_graph(800, 4800, exponent=1.9, seed=3)
 ROAD = road_grid_graph(22, seed=5)
 
 
+def run(algorithm, graph, schedule, config=CFG, **kw):
+    return GraphProcessor(algorithm, schedule=schedule, config=config,
+                          **kw).run(graph)
+
+
 def cycles(schedule, graph=SKEWED, alg=None, config=CFG, **kw):
     algorithm = alg or make_algorithm("pagerank", iterations=2)
-    return run_single(algorithm, graph, schedule, config=config,
-                      **kw).stats.total_cycles
+    return run(algorithm, graph, schedule, config=config,
+               **kw).stats.total_cycles
 
 
 @pytest.fixture(scope="module")
@@ -156,18 +160,18 @@ def test_bfs_filters_favor_sparseweaver():
 def test_stall_taxonomy_differs_by_schedule():
     """Fig. 4: scheduling schemes introduce *different* stall mixes —
     shared-memory stalls appear only in schemes that use shared memory."""
-    vm = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                    "vertex_map", config=CFG).stats
-    wm = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                    "warp_map", config=CFG).stats
+    vm = run(make_algorithm("pagerank", iterations=1), SKEWED,
+             "vertex_map", config=CFG).stats
+    wm = run(make_algorithm("pagerank", iterations=1), SKEWED,
+             "warp_map", config=CFG).stats
     assert vm.stall_cycles.get(StallCat.SHARED, 0) == 0
     assert wm.stall_cycles.get(StallCat.SHARED, 0) > 0
 
 
 def test_phase_breakdown_has_five_stages():
     """Fig. 17's stages all appear for a SparseWeaver run."""
-    stats = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                       "sparseweaver", config=CFG).stats
+    stats = run(make_algorithm("pagerank", iterations=1), SKEWED,
+                "sparseweaver", config=CFG).stats
     for phase in (Phase.INIT, Phase.REGISTRATION, Phase.SCHEDULE,
                   Phase.EDGE_ACCESS, Phase.GATHER, Phase.APPLY):
         assert stats.phase_cycles.get(phase, 0) > 0, phase
@@ -176,18 +180,18 @@ def test_phase_breakdown_has_five_stages():
 def test_eghw_time_sits_in_unit_stalls():
     """Fig. 18: EGHW loses in the distribution stage (waiting on the
     unit's serial memory reads)."""
-    stats = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                       "eghw", config=CFG).stats
+    stats = run(make_algorithm("pagerank", iterations=1), SKEWED,
+                "eghw", config=CFG).stats
     assert stats.stall_cycles.get(StallCat.EGHW, 0) > 0
 
 
 def test_warp_iteration_counter_tracks_analytic_ordering():
     from repro.sched import analytic
 
-    vm_run = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                        "vertex_map", config=CFG,
-                        time_init=False, time_apply=False)
-    sw_run = run_single(make_algorithm("pagerank", iterations=1), SKEWED,
-                        "sparseweaver", config=CFG,
-                        time_init=False, time_apply=False)
+    vm_run = run(make_algorithm("pagerank", iterations=1), SKEWED,
+                 "vertex_map", config=CFG,
+                 time_init=False, time_apply=False)
+    sw_run = run(make_algorithm("pagerank", iterations=1), SKEWED,
+                 "sparseweaver", config=CFG,
+                 time_init=False, time_apply=False)
     assert vm_run.stats.warp_iterations > sw_run.stats.warp_iterations

@@ -3,7 +3,7 @@
 import json
 
 from repro.algorithms import make_algorithm
-from repro.bench import run_single
+from repro.frontend import GraphProcessor
 from repro.graph import powerlaw_graph
 from repro.sim import GPUConfig
 from repro.sim.trace import ExecutionTracer, execution_trace_events
@@ -11,10 +11,10 @@ from repro.sim.trace import ExecutionTracer, execution_trace_events
 
 def run_traced_kernel():
     tracer = ExecutionTracer()
-    run_single(make_algorithm("pagerank", iterations=1),
-               powerlaw_graph(60, 240, seed=5), "warp_map",
-               config=GPUConfig.vortex_tiny(), max_iterations=1,
-               exec_tracer=tracer)
+    GraphProcessor(make_algorithm("pagerank", iterations=1),
+                   schedule="warp_map", config=GPUConfig.vortex_tiny(),
+                   exec_tracer=tracer).run(
+        powerlaw_graph(60, 240, seed=5), max_iterations=1)
     return tracer
 
 

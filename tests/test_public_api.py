@@ -72,20 +72,20 @@ def test_algorithm_registry_consistent():
 
 
 def test_figure_facade_stable():
-    """The five names the README promises stay importable from repro."""
-    from repro import (BatchEngine, ResultCache, list_figures,
-                       run_figure, run_schedule_comparison)
+    """The names the README promises stay importable from repro."""
+    from repro import (BatchEngine, JobSpec, ResultCache, list_figures,
+                       run_figure)
 
     assert callable(run_figure)
-    assert callable(run_schedule_comparison)
+    assert callable(JobSpec.execute)
     assert callable(BatchEngine)
     assert callable(ResultCache)
     figs = list_figures()
     assert figs, "figure registry is empty"
     for name in ("list_figures", "run_figure", "run_figures",
                  "figure_names", "Figure", "FigureContext",
-                 "FigureOutput", "run_schedule_comparison",
-                 "run_single", "BatchEngine", "ResultCache"):
+                 "FigureOutput", "JobSpec", "BatchEngine",
+                 "ResultCache"):
         assert name in repro.__all__, name
 
 
@@ -98,30 +98,6 @@ def test_figure_registry_names_unique_and_sorted():
     assert [f.name for f in list_figures()] == names
     for name in names:
         assert get_figure(name).name == name
-
-
-def test_run_schedule_comparison_keyword_only_tail():
-    """Everything after ``schedules`` is keyword-only: a positional
-    (config, max_iterations, symmetrize) tail raises ``TypeError``."""
-    from repro.bench import runner
-    from repro.graph import powerlaw_graph
-    from repro.runtime import AlgorithmSpec
-    from repro.sim import GPUConfig
-
-    graph = powerlaw_graph(64, 256, seed=3)
-    cfg = GPUConfig.vortex_bench()
-    alg = AlgorithmSpec.of("pagerank", iterations=1)
-
-    kw = runner.run_schedule_comparison(
-        alg, {"g": graph}, ["vertex_map"], config=cfg,
-        max_iterations=1)
-    assert kw.cycles["g"]["vertex_map"] > 0
-    with pytest.raises(TypeError):
-        runner.run_schedule_comparison(
-            alg, {"g": graph}, ["vertex_map"], cfg, 1)
-    with pytest.raises(TypeError):
-        runner.run_schedule_comparison(
-            alg, {"g": graph}, ["vertex_map"], cfg)
 
 
 def test_robustness_facade_stable():

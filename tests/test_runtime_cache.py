@@ -36,7 +36,7 @@ def test_kernel_stats_summary_round_trip(summary):
     assert rebuilt.warps_launched == stats.warps_launched
     assert rebuilt.phase_breakdown() == stats.phase_breakdown()
     assert rebuilt.stall_breakdown() == stats.stall_breakdown()
-    assert rebuilt.to_dict() == stats.to_dict()
+    assert rebuilt.to_summary_dict() == stats.to_summary_dict()
     # The summary dict itself is JSON-safe.
     json.dumps(stats.to_summary_dict())
 
@@ -47,7 +47,8 @@ def test_run_summary_round_trip(summary):
     assert again.total_cycles == summary.total_cycles
     assert again.iterations == summary.iterations
     assert again.values_digest == summary.values_digest
-    assert again.stats.to_dict() == summary.stats.to_dict()
+    assert (again.stats.to_summary_dict()
+            == summary.stats.to_summary_dict())
 
 
 def test_miss_then_hit(tmp_path, spec, summary):

@@ -75,6 +75,38 @@ def test_batch_spec_file(capsys, tmp_path):
     assert "2 submitted, 2 simulated" in out
 
 
+def run_spec_file(capsys, tmp_path, data):
+    """``batch --spec-file`` over ``data``; returns (exit code, stderr)."""
+    spec_file = tmp_path / "grid.json"
+    spec_file.write_text(json.dumps(data))
+    code = main(["batch", "--spec-file", str(spec_file), "--no-cache"])
+    return code, capsys.readouterr().err
+
+
+GOOD_JOB = {"algorithm": "pagerank", "dataset": "bio-human",
+            "scale": 0.05, "schedule": "vertex_map"}
+
+
+def test_batch_spec_file_non_numeric_scale_exits_2(capsys, tmp_path):
+    code, err = run_spec_file(capsys, tmp_path,
+                              [GOOD_JOB, dict(GOOD_JOB, scale="abc")])
+    assert code == 2
+    assert err.startswith("error: job 1 in ") and "'abc'" in err
+
+
+def test_batch_spec_file_job_without_algorithm_exits_2(capsys, tmp_path):
+    job = {k: v for k, v in GOOD_JOB.items() if k != "algorithm"}
+    code, err = run_spec_file(capsys, tmp_path, [GOOD_JOB, job])
+    assert code == 2
+    assert err.startswith("error: job 1 in ") and "'algorithm'" in err
+
+
+def test_batch_spec_file_jobs_not_a_list_exits_2(capsys, tmp_path):
+    code, err = run_spec_file(capsys, tmp_path, {"jobs": 5})
+    assert code == 2
+    assert err.startswith("error: ") and "list of job objects" in err
+
+
 def test_cache_stats_and_clear(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     code, _ = run_cli(

@@ -111,11 +111,11 @@ def test_inline_spec_refuses_json_round_trip():
 
 
 def test_execute_matches_direct_run():
-    from repro.bench import run_single
+    from repro.frontend import GraphProcessor
 
     g = powerlaw_graph(100, 400, seed=1)
     spec = make_spec(graph=GraphSpec.inline(g))
-    direct = run_single(spec.algorithm.build(), g, spec.schedule,
-                        config=spec.config,
-                        max_iterations=spec.max_iterations)
+    direct = GraphProcessor(spec.algorithm.build(), schedule=spec.schedule,
+                            config=spec.config).run(
+        g, max_iterations=spec.max_iterations)
     assert spec.execute().stats.total_cycles == direct.stats.total_cycles

@@ -10,7 +10,7 @@ for edge mapping (both endpoints per edge, no topology reads).
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.bench import run_single
+from repro.frontend import GraphProcessor
 from repro.graph import powerlaw_graph
 from repro.sim import GPUConfig
 
@@ -20,8 +20,8 @@ GRAPH = powerlaw_graph(100, 400, exponent=2.0, seed=33).undirected()
 
 def traffic(schedule, algorithm=None):
     alg = algorithm or make_algorithm("pagerank", iterations=1)
-    run = run_single(alg, GRAPH, schedule, config=CFG,
-                     time_init=False, time_apply=False)
+    run = GraphProcessor(alg, schedule=schedule, config=CFG,
+                         time_init=False, time_apply=False).run(GRAPH)
     return {
         k.split(":", 1)[1]: v
         for k, v in run.stats.counters.items()
@@ -68,9 +68,9 @@ def test_eghw_gpu_side_reads_no_topology_or_edges():
 
 def test_weighted_algorithm_adds_weight_traffic():
     alg = make_algorithm("sssp", source=0)
-    run = run_single(alg, GRAPH, "sparseweaver", config=CFG,
-                     time_init=False, time_apply=False,
-                     max_iterations=1)
+    run = GraphProcessor(alg, schedule="sparseweaver", config=CFG,
+                         time_init=False, time_apply=False).run(
+        GRAPH, max_iterations=1)
     t = {
         k.split(":", 1)[1]: v
         for k, v in run.stats.counters.items()
@@ -82,9 +82,9 @@ def test_weighted_algorithm_adds_weight_traffic():
 def test_bfs_frontier_rounds_read_less():
     """Top-down BFS reads far fewer edges than |E| per early round."""
     alg = make_algorithm("bfs", source=0)
-    run = run_single(alg, GRAPH, "sparseweaver", config=CFG,
-                     time_init=False, time_apply=False,
-                     max_iterations=1)
+    run = GraphProcessor(alg, schedule="sparseweaver", config=CFG,
+                         time_init=False, time_apply=False).run(
+        GRAPH, max_iterations=1)
     t = {
         k.split(":", 1)[1]: v
         for k, v in run.stats.counters.items()

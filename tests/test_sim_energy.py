@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.bench import run_single
+from repro.frontend import GraphProcessor
 from repro.graph import powerlaw_graph
 from repro.sim import GPUConfig
 from repro.sim.energy import EnergyBreakdown, EnergyModel, estimate_energy
@@ -57,10 +57,10 @@ def test_summary_mentions_total():
 
 
 def run_energy(schedule):
-    stats = run_single(
-        make_algorithm("pagerank", iterations=2), GRAPH, schedule,
+    stats = GraphProcessor(
+        make_algorithm("pagerank", iterations=2), schedule=schedule,
         config=CFG,
-    ).stats
+    ).run(GRAPH).stats
     return estimate_energy(stats)
 
 

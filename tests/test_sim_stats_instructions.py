@@ -132,35 +132,8 @@ def test_breakdowns_use_labels():
     assert s.stall_breakdown() == {"Weaver unit": 3}
 
 
-def test_summary_mentions_counts():
-    s = KernelStats(total_cycles=9, instructions=2, warps_launched=1)
-    s.cache["L1"] = CacheStats(hits=1, misses=1)
-    text = s.summary()
-    assert "cycles=9" in text
-    assert "L1 1/2 hits" in text
-
-
 def test_cache_stats_properties():
     cs = CacheStats(hits=3, misses=1)
     assert cs.accesses == 4
     assert cs.hit_rate == pytest.approx(0.75)
     assert CacheStats().hit_rate == 0.0
-
-
-def test_to_dict_is_json_serializable():
-    import json
-
-    s = KernelStats(total_cycles=10, instructions=3, warps_launched=1)
-    s.phase_cycles[Phase.GATHER] = 7
-    s.stall_cycles[StallCat.MEMORY] = 2
-    s.op_counts[Op.LOAD] = 3
-    s.counters["warp_iterations"] = 4
-    s.cache["L1"] = CacheStats(hits=2, misses=1)
-    s.dram_accesses = 1
-    blob = json.dumps(s.to_dict())
-    data = json.loads(blob)
-    assert data["total_cycles"] == 10
-    assert data["phases"]["Gather & Sum"] == 7
-    assert data["stalls"]["Memory (long scoreboard)"] == 2
-    assert data["ops"]["LOAD"] == 3
-    assert data["cache"]["L1"]["hits"] == 2
