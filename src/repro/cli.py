@@ -10,8 +10,7 @@ Commands
 ``weaver``    replay the Fig. 6 FSM example
 ``batch``     run a job grid through the parallel runtime engine
 ``cache``     inspect or clear the content-addressed result cache
-``tail``      live dashboard over a run journal
-``report``    aggregate run journals into one summary
+``tail``      live dashboard over run journals (one frame or JSON once)
 ``diff``      first-divergence localization between two runs' ledgers
 """
 
@@ -24,7 +23,7 @@ from typing import List, Optional
 from repro.algorithms import algorithm_names
 from repro.bench import ExperimentResult, format_table
 from repro.core import SparseWorkloadTable, WeaverAreaModel, WeaverFSM
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.graph import dataset, dataset_names
 from repro.graph.datasets import dataset_spec
 from repro.graph.metrics import average_degree, degree_skewness
@@ -161,25 +160,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tail_p = sub.add_parser(
         "tail",
-        help="live dashboard over a run journal")
-    tail_p.add_argument("path", help="run journal (--journal) to follow")
+        help="live dashboard over run journals; exits 1 when a "
+             "journaled job failed")
+    tail_p.add_argument("paths", nargs="+", metavar="path",
+                        help="run journal (--journal) files, re-read "
+                             "whole on every poll")
     tail_p.add_argument("--interval", type=float, default=0.5,
                         help="poll interval in seconds")
     tail_p.add_argument("--once", action="store_true",
-                        help="render one frame of the current file "
+                        help="render one frame of the current files "
                              "and exit")
     tail_p.add_argument("--frames", type=int, default=None,
                         help="stop after this many polls (default: "
                              "follow until every announced job ended)")
     tail_p.add_argument("--json", action="store_true",
-                        help="print the final aggregate as JSON")
-
-    rep2_p = sub.add_parser(
-        "report", help="aggregate run journals into one summary")
-    rep2_p.add_argument("paths", nargs="+",
-                        help="run journal (--journal) files")
-    rep2_p.add_argument("--json", action="store_true",
-                        help="emit the aggregate as JSON (CI artifacts)")
+                        help="print the final numbers as one JSON "
+                             "document instead of frames")
 
     diff_p = sub.add_parser(
         "diff",
@@ -461,6 +457,27 @@ def _load_spec_file(path: str, engine: Optional[str] = None):
     return specs
 
 
+def _check_specs(specs) -> None:
+    """Raise, before any job runs, what would fail a job: an algorithm
+    or schedule that does not build (each distinct one is built once)
+    or an iteration cap that is not a positive integer or null."""
+    from repro.sched import make_schedule
+
+    for algorithm in dict.fromkeys(spec.algorithm for spec in specs):
+        try:
+            algorithm.build()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"algorithm {algorithm.name}: {exc}") from None
+    for schedule in dict.fromkeys(spec.schedule for spec in specs):
+        make_schedule(schedule)
+    for spec in specs:
+        cap = spec.max_iterations
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, int) or cap < 1):
+            raise ConfigError(f"{spec.label}: max_iterations must be a "
+                              f"positive integer or null, got {cap!r}")
+
+
 def _batch_specs(args):
     """The ``batch`` grid (or spec file) as JobSpec objects.
 
@@ -468,6 +485,7 @@ def _batch_specs(args):
     occurrence of each content hash stays, in order.  ``--engine``
     names every spec's engine; the field is excluded from the content
     hash, so specs keep their engine-less cache and journal identities.
+    Every spec passes :func:`_check_specs` before any job runs.
     """
     if args.spec_file:
         specs = _load_spec_file(args.spec_file, args.engine)
@@ -479,6 +497,7 @@ def _batch_specs(args):
     unique = {}
     for spec in specs:
         unique.setdefault(spec.content_hash(), spec)
+    _check_specs(unique.values())
     return list(unique.values())
 
 
@@ -539,24 +558,13 @@ def _cmd_tail(args) -> int:
 
     from repro.obs.dashboard import tail
 
-    watch = tail(args.path, follow=not args.once,
-                 interval=args.interval, max_frames=args.frames)
+    watch = tail(args.paths, follow=not args.once,
+                 interval=args.interval, max_frames=args.frames,
+                 out=None if args.json else sys.stdout)
+    snap = watch.snapshot()
     if args.json:
-        print(json_mod.dumps(watch.snapshot(), sort_keys=True))
-    return 1 if watch.snapshot()["failed"] else 0
-
-
-def _cmd_report(args) -> int:
-    import json as json_mod
-
-    from repro.obs.report import aggregate, format_report
-
-    report = aggregate(args.paths)
-    if args.json:
-        print(json_mod.dumps(report, sort_keys=True, indent=1))
-    else:
-        print(format_report(report))
-    return 1 if report["failed"] else 0
+        print(json_mod.dumps(snap, sort_keys=True, indent=1))
+    return 1 if snap["failed"] else 0
 
 
 def _parse_diff_options(src: str):
@@ -847,7 +855,6 @@ _COMMANDS = {
     "batch": _cmd_batch,
     "cache": _cmd_cache,
     "tail": _cmd_tail,
-    "report": _cmd_report,
     "diff": _cmd_diff,
 }
 

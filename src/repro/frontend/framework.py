@@ -11,7 +11,7 @@ vertex properties and the merged :class:`~repro.sim.stats.KernelStats`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from functools import partial
 from typing import Dict, List, Optional, Union
@@ -38,7 +38,6 @@ class RunResult:
     iterations: int
     stats: KernelStats
     state: Dict[str, np.ndarray]
-    per_iteration: List[KernelStats] = field(default_factory=list)
 
     @property
     def total_cycles(self) -> int:
@@ -54,19 +53,18 @@ class GraphProcessor:
         algorithm: Algorithm,
         schedule: Union[str, Schedule] = "sparseweaver",
         config: Optional[GPUConfig] = None,
-        apply_weaver_penalty: bool = True,
         symmetrize: bool = False,
         time_init: bool = True,
         time_apply: bool = True,
-        validate: bool = False,
         exec_tracer=None,
         engine: Optional[str] = None,
     ) -> None:
-        """``validate=True`` arms the edge-coverage check: every gather
-        launch must hand each traversal edge to ``edge_update`` at most
-        once — and, for algorithms without filters or early exit,
-        exactly once. Catches schedules that drop or double-process
-        work (they would otherwise just produce subtly wrong floats).
+        """Every run checks edge coverage: each gather launch must hand
+        each traversal edge to ``edge_update`` at most once — and, for
+        algorithms without filters or early exit, exactly once. A
+        schedule that drops or double-processes work raises
+        :class:`~repro.errors.SimulationError` instead of producing
+        subtly wrong floats.
 
         ``exec_tracer`` (a :class:`repro.sim.trace.ExecutionTracer`) is
         handed to every kernel launch to capture the simulated-cycle
@@ -83,7 +81,7 @@ class GraphProcessor:
         self.algorithm = algorithm
         self.schedule = make_schedule(schedule)
         base_config = config or GPUConfig.vortex_bench()
-        if apply_weaver_penalty and self.schedule.name == "sparseweaver":
+        if self.schedule.name == "sparseweaver":
             # Section V: SparseWeaver runs are charged half the L1 to
             # pay for the 512-entry ST/DT tables.
             base_config = base_config.with_weaver_penalty()
@@ -91,7 +89,6 @@ class GraphProcessor:
         self.symmetrize = symmetrize
         self.time_init = time_init
         self.time_apply = time_apply
-        self.validate = validate
         self.exec_tracer = exec_tracer
 
     # ------------------------------------------------------------------
@@ -99,8 +96,6 @@ class GraphProcessor:
         self,
         graph: CSRGraph,
         max_iterations: Optional[int] = None,
-        collect_per_iteration: bool = False,
-        flush_caches: bool = False,
     ) -> RunResult:
         """Execute the algorithm to convergence (or the iteration cap)."""
         alg = self.algorithm
@@ -110,9 +105,7 @@ class GraphProcessor:
             else work_graph
         )
         state = alg.make_state(work_graph)
-        edge_counter = None
-        if self.validate:
-            alg, edge_counter = _counting_algorithm(alg)
+        alg, edge_counter = _counting_algorithm(alg)
         gpu = self._engine.build_gpu(self.config, schedule=self.schedule)
         env = KernelEnv(
             graph=traversal,
@@ -173,11 +166,9 @@ class GraphProcessor:
                                      effect=partial(alg.edge_update, state))
 
         total = KernelStats()
-        per_iteration: List[KernelStats] = []
         if self.time_init:
             total.merge(gpu.run_kernel(
                 None if fast_elementwise else _init_kernel_factory(env),
-                flush_caches=flush_caches,
                 tracer=self.exec_tracer,
                 replay=init_hint,
             ))
@@ -205,8 +196,7 @@ class GraphProcessor:
                     self.schedule.unit_factory(env)
                     if self.schedule.uses_hardware_unit else None
                 )
-                if edge_counter is not None:
-                    edge_counter["count"] = 0
+                edge_counter["count"] = 0
                 gather_stats = gpu.run_kernel(
                     warp_factory, unit_factory=unit_factory,
                     tracer=self.exec_tracer,
@@ -215,8 +205,7 @@ class GraphProcessor:
             finally:
                 if swap:
                     env.algorithm = alg
-            if edge_counter is not None:
-                _check_edge_coverage(alg, env, edge_counter["count"])
+            _check_edge_coverage(alg, env, edge_counter["count"])
             if self.time_apply:
                 apply_stats = gpu.run_kernel(
                     None if (fast_elementwise or gpu.has_trace("apply"))
@@ -231,8 +220,6 @@ class GraphProcessor:
             iter_stats.merge(gather_stats)
             iter_stats.merge(apply_stats)
             total.merge(iter_stats)
-            if collect_per_iteration:
-                per_iteration.append(iter_stats)
             iterations += 1
             if alg.converged(state, iterations - 1, changed):
                 break
@@ -243,17 +230,14 @@ class GraphProcessor:
             iterations=iterations,
             stats=total,
             state=state,
-            per_iteration=per_iteration,
         )
 
 
 # ----------------------------------------------------------------------
-# Validation (edge-coverage failure detection)
+# Edge-coverage check
 # ----------------------------------------------------------------------
 def _counting_algorithm(alg: Algorithm):
     """Wrap ``edge_update`` so every handed-over edge is counted."""
-    from dataclasses import replace as dc_replace
-
     counter = {"count": 0}
     original = alg.edge_update
 

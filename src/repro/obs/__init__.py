@@ -1,4 +1,4 @@
-"""Unified observability: dashboards, reports, provenance, timers.
+"""Unified observability: the journal view, provenance, timers.
 
 The layer that explains where cycles go — the repo-side analog of the
 profiling views the paper's evaluation leans on (Fig. 4 stall
@@ -7,10 +7,9 @@ breakdowns, Fig. 12 memory ratios).  The simulated-cycle timeline
 :class:`~repro.sim.trace.ExecutionTracer` and
 :func:`~repro.sim.trace.execution_trace_events`.
 
-* :mod:`repro.obs.dashboard` — ``python -m repro tail run.jsonl``:
-  a live, refreshing terminal view of a running batch's run journal.
-* :mod:`repro.obs.report` — ``python -m repro report`` aggregation of
-  run journals into one text/JSON summary.
+* :mod:`repro.obs.dashboard` — ``python -m repro tail run.jsonl ...``:
+  a refreshing terminal view of run journals, one frame of them
+  (``--once``) or the same numbers as JSON (``--json``).
 * :mod:`repro.obs.profile` — section timers in the simulator's event
   loop; their one reader is the repository benchmark
   (``perfbench --trace 1``), which imports the module directly.
@@ -30,8 +29,6 @@ from repro.obs.provenance import (
     first_divergence,
     get_digester,
 )
-from repro.obs.dashboard import BatchWatch, JSONLFollower, render, tail
-from repro.obs.report import aggregate, format_report
 
 __all__ = [
     "KernelWindowTracer",
@@ -42,10 +39,4 @@ __all__ = [
     "enable_digests",
     "first_divergence",
     "get_digester",
-    "BatchWatch",
-    "JSONLFollower",
-    "render",
-    "tail",
-    "aggregate",
-    "format_report",
 ]

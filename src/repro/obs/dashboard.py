@@ -1,89 +1,23 @@
-"""Live terminal dashboard over a run journal.
+"""Terminal view of run journals: ``repro tail``.
 
-``python -m repro tail run.jsonl`` follows a batch's run journal
-(``--journal``) as it grows and redraws an in-terminal status table:
-completion progress with an ETA, cache hit rate, simulated cycles per
-wall second and the last jobs to end.  The same machinery renders a
-single frame of a finished file (``--once``), which is what tests and
-CI use.
-
-The pieces compose: :class:`JSONLFollower` incrementally reads whole
-lines from a growing file (tolerating partial writes, truncation and
-replacement), :class:`BatchWatch` folds journal lines into an
-aggregate view, and :func:`render` draws one frame.
+``python -m repro tail run.jsonl [more.jsonl ...]`` re-reads the
+journals (``--journal`` files) on every poll and redraws a frame when
+they change; ``--once`` draws one frame of the files as they stand,
+``--json`` prints the same numbers as one JSON document instead.
+:class:`BatchWatch` folds the lines :func:`read_journal` returns and
+:func:`render` draws a frame.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.runtime.journal import STATUSES, read_journal
 
 #: Terminal control: home the cursor and clear to end of screen.
 ANSI_CLEAR = "\x1b[H\x1b[J"
-
-#: The statuses a journal job line can carry.
-STATUSES = ("ok", "cached", "failed", "skipped")
-
-
-class JSONLFollower:
-    """Incremental reader of a (possibly still growing) JSONL file.
-
-    Each :meth:`poll` returns the records appended since the last
-    call.  A partial trailing line (a writer mid-``write``) stays
-    buffered until its newline arrives; a shrinking file (truncation)
-    or a new file at the path (a new inode: ``RunJournal`` replaces
-    the file each run) resets the reader to the top.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._inode = None
-        self._pos = 0
-        self._buf = ""
-        self.bad_lines = 0
-
-    def poll(self) -> List[Dict[str, Any]]:
-        """Parse and return records appended since the last poll."""
-        try:
-            handle = self.path.open("r")
-        except OSError:
-            return []
-        with handle:
-            stat = os.fstat(handle.fileno())
-            inode = (stat.st_dev, stat.st_ino)
-            if inode != self._inode or stat.st_size < self._pos:
-                self._inode, self._pos, self._buf = inode, 0, ""
-            if stat.st_size == self._pos:
-                return []
-            handle.seek(self._pos)
-            chunk = handle.read()
-            self._pos = handle.tell()
-        self._buf += chunk
-        *lines, self._buf = self._buf.split("\n")
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                self.bad_lines += 1
-        return records
-
-
-def is_journal_record(record) -> bool:
-    """Whether ``record`` is a run-journal line: a ``batch`` header or
-    a job line (schema 1 lines carry a hash and a summary, no status)."""
-    return isinstance(record, dict) and (
-        record.get("type") == "batch"
-        or ("hash" in record and ("status" in record or "summary" in record)))
 
 
 def describe(job: Dict[str, Any]) -> str:
@@ -97,58 +31,54 @@ def describe(job: Dict[str, Any]) -> str:
 
 
 class BatchWatch:
-    """Aggregate view of a batch run, fed one journal line at a time."""
+    """Aggregate view of run journals, fed one journal line at a time."""
 
     def __init__(self, recent: int = 5) -> None:
         self.announced = 0  # jobs announced by batch headers
         self.headers = 0
-        self.records = 0  # journal lines folded
         self.counts = dict.fromkeys(STATUSES, 0)
         self.cycles = 0
         #: Provenance digest-ledger records of the journaled summaries
         #: (REPRO_DIGEST runs; zero otherwise).
         self.digest_records = 0
+        #: Lines the journal reader skipped.
+        self.unreadable = 0
         self.first_ts: Optional[float] = None
         self.last_ts: Optional[float] = None
         self.recent: deque = deque(maxlen=recent)
         self.failures: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
-    def update(self, record: Dict[str, Any]) -> None:
-        """Fold one journal line (anything else is ignored)."""
-        if not is_journal_record(record):
-            return
-        self.records += 1
-        ts = record.get("time")
-        if isinstance(ts, (int, float)):
+    def update(self, line: Dict[str, Any]) -> None:
+        """Fold one journal line, as ``read_journal`` returns it."""
+        ts = line.get("time")
+        if ts is not None:
             self.first_ts = ts if self.first_ts is None else min(
                 self.first_ts, ts)
             self.last_ts = ts if self.last_ts is None else max(
                 self.last_ts, ts)
-        if record.get("type") == "batch":
+        if line.get("type") == "batch":
             self.headers += 1
-            self.announced += int(record.get("jobs", 0))
+            self.announced += line.get("jobs", 0)
             return
-        status = record.get("status", "ok")  # schema 1: a finished job
-        if status not in self.counts:
-            return
+        status = line.get("status", "ok")  # schema 1: a finished job
         self.counts[status] += 1
-        summary = record.get("summary") or {}
-        self.cycles += int(summary.get("total_cycles", 0))
+        summary = line.get("summary", {})
+        self.cycles += summary.get("total_cycles", 0)
         self.digest_records += len(summary.get("digest_ledger") or ())
-        job = {"label": record.get("label", "?"), "status": status}
+        job = {"label": line.get("label", "?"), "status": status}
         if status in ("failed", "skipped"):
-            job["error"] = record.get("error") or "?"
-        elif "wall" in record:
-            job["wall"] = record["wall"]
+            job["error"] = line.get("error") or "?"
+        elif "wall" in line:
+            job["wall"] = line["wall"]
         if status == "failed":
             self.failures.append(job)
         self.recent.append(job)
 
-    def update_all(self, records) -> None:
-        """Fold a batch of records."""
-        for record in records:
-            self.update(record)
+    def update_all(self, lines) -> None:
+        """Fold a batch of lines."""
+        for line in lines:
+            self.update(line)
 
     # ------------------------------------------------------------------
     @property
@@ -180,8 +110,24 @@ class BatchWatch:
             else 0.0,
             "finished": self.finished,
             "digest_records": self.digest_records,
+            "unreadable_lines": self.unreadable,
+            "failures": list(self.failures),
             "last": list(self.recent),
         }
+
+
+def watch_journals(paths) -> BatchWatch:
+    """Fold every line of the run journals at ``paths``, in order.
+
+    Raises :class:`~repro.errors.ReproError` for a file that cannot be
+    read or has content but no journal line.
+    """
+    watch = BatchWatch()
+    for path in paths:
+        lines, skipped = read_journal(path)
+        watch.unreadable += skipped
+        watch.update_all(lines)
+    return watch
 
 
 def _progress_bar(done: int, total: int, width: int = 28) -> str:
@@ -219,42 +165,45 @@ def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
         (f"  cache   : {snap['cached']} hits, "
          f"{snap['cache_hit_rate'] * 100:.1f}% hit rate"),
     ]
+    if snap["digest_records"]:
+        lines.append(
+            f"  digests : {snap['digest_records']:,} provenance "
+            f"ledger record(s) journaled (REPRO_DIGEST)")
+    if snap["unreadable_lines"]:
+        lines.append(f"  lines   : {snap['unreadable_lines']} unreadable "
+                     "line(s) skipped")
+    lines.extend(f"  FAILED  : {job['label']}: {job['error']}"
+                 for job in snap["failures"])
     lines.extend(f"  last    : {describe(job)}" for job in snap["last"])
     return "\n".join(lines)
 
 
-def tail(path, follow: bool = True, interval: float = 0.5,
+def tail(paths, follow: bool = True, interval: float = 0.5,
          max_frames: Optional[int] = None, out=None,
          use_ansi: Optional[bool] = None) -> BatchWatch:
-    """Follow a run journal, redrawing the dashboard as it grows.
+    """Watch run journals, drawing a frame to ``out`` (none when it is
+    ``None``, as for ``--json``) whenever they change.
 
-    Returns the final :class:`BatchWatch` state.  Exits when every job
-    the batch header(s) announced has a line, when ``max_frames``
-    polls have run, or on Ctrl-C; ``follow=False`` reads the current
-    file content and draws exactly one frame.  A file that has content
-    but no journal line (an old telemetry stream, say) raises
-    :class:`~repro.errors.ReproError` naming it.
+    Every poll re-reads the files whole.  Returns the final
+    :class:`BatchWatch`.  Exits when every job the batch header(s)
+    announced has a line, when ``max_frames`` polls have run, or on
+    Ctrl-C; ``follow=False`` reads the files once.
     """
-    import sys
-
-    out = out if out is not None else sys.stdout
     if use_ansi is None:
         use_ansi = follow and getattr(out, "isatty", lambda: False)()
-    follower = JSONLFollower(path)
     watch = BatchWatch()
-    frames = polls = 0
+    shown = None
+    polls = 0
     try:
         while True:
-            records = follower.poll()
+            watch = watch_journals(paths)
             polls += 1
-            watch.update_all(records)
-            if not watch.records and (records or follower.bad_lines):
-                raise ReproError(f"{path} holds no run-journal line")
-            if records or frames == 0:
-                frame = render(watch)
-                out.write((ANSI_CLEAR if use_ansi else "") + frame + "\n")
+            snap = watch.snapshot()
+            if out is not None and snap != shown:
+                out.write((ANSI_CLEAR if use_ansi else "") + render(watch)
+                          + "\n")
                 out.flush()
-                frames += 1
+                shown = snap
             if not follow or watch.finished:
                 break
             if max_frames is not None and polls >= max_frames:

@@ -396,65 +396,26 @@ def describe_coord(coord: Coord) -> str:
 # Run-ledger loaders (``repro diff`` sources)
 # ----------------------------------------------------------------------
 def ledgers_from_journal(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
-    """``content hash -> (label, summary dict)`` from a run journal.
+    """``content hash -> (label, summary dict)`` of the job lines
+    :func:`~repro.runtime.journal.read_journal` reads with a summary,
+    from any simulator version: diffing a ledger from an older build
+    against today's is precisely the point."""
+    from repro.runtime.journal import read_journal
 
-    A deliberately tolerant reader: torn or non-JSON lines, non-object
-    records and records of any other type are skipped, and *no* schema
-    or simulator-version gate is applied — diffing a ledger from an
-    older build against today's is precisely the point.  The content
-    hash (falling back to the label) keys the result: a label leaves
-    out config, scale and iteration cap, so one batch holds many jobs
-    per label.
-    """
-    import json
-
-    out: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn line
-            if not isinstance(record, dict):
-                continue
-            if record.get("type", "complete") != "complete":
-                continue
-            summary = record.get("summary")
-            if not isinstance(summary, dict):
-                continue
-            key = str(record.get("hash") or record.get("label") or "?")
-            out[key] = (str(record.get("label") or key), summary)
-    return out
+    lines, _skipped = read_journal(path)
+    return {line["hash"]: (line.get("label") or line["hash"],
+                           line["summary"])
+            for line in lines if "summary" in line}
 
 
 def ledgers_from_cache_dir(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
-    """``content hash -> (label, summary dict)`` from a result-cache
-    directory.  An entry's file name is its cache key, which layers
-    the simulator version on the spec, so the content hash comes from
-    the stored spec (the file name stands in when that is missing)."""
-    import json
-    from pathlib import Path
+    """``content hash -> (label, summary dict)`` of a result-cache
+    directory's checksum-verified entries, from any simulator version
+    (:meth:`~repro.runtime.cache.ResultCache.stored_runs`)."""
+    from repro.runtime.cache import ResultCache
 
-    from repro.runtime.jobspec import spec_hash
-
-    out: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-    for entry_path in sorted(Path(path).glob("*.json")):
-        try:
-            entry = json.loads(entry_path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(entry, dict):
-            continue
-        summary = entry.get("summary")
-        if not isinstance(summary, dict):
-            continue
-        spec = entry.get("spec")
-        key = spec_hash(spec) if isinstance(spec, dict) else entry_path.stem
-        out[key] = (str(entry.get("label") or key), summary)
-    return out
+    return {key: (label, summary) for key, label, summary
+            in ResultCache(path).stored_runs()}
 
 
 # ----------------------------------------------------------------------

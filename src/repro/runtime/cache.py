@@ -21,13 +21,13 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.sim import SIMULATOR_VERSION
 from repro.sim.stats import KernelStats
-from repro.runtime.jobspec import JobSpec
+from repro.runtime.jobspec import JobSpec, spec_hash
 
 log = logging.getLogger("repro.runtime.cache")
 
@@ -60,6 +60,22 @@ def summary_checksum(summary_dict: Dict[str, Any]) -> str:
     raw = json.dumps(summary_dict, sort_keys=True,
                      separators=(",", ":"))
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
+def _parse_entry(data: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
+    """An entry file's JSON object and what is wrong with it: ``""``
+    when its summary's checksum verifies, else the fault."""
+    try:
+        entry = json.loads(data)
+    except ValueError:
+        return None, "undecodable"
+    if not isinstance(entry, dict):
+        return None, "malformed"
+    summary = entry.get("summary")
+    if (not isinstance(summary, dict)
+            or entry.get("checksum") != summary_checksum(summary)):
+        return entry, "checksum"
+    return entry, ""
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +147,9 @@ class ResultCache:
     ``repro cache stats`` prints only what the store on disk holds
     (:meth:`store_stats`).
 
-    At most ``max_entries`` entries stay on disk: each store evicts the
-    oldest (by mtime) beyond that bound.
+    A store writes one file.  :meth:`trim` evicts the oldest entries
+    (by mtime) beyond ``max_entries``; the batch engine calls it once
+    after a batch's last store.
 
     Corrupt entries self-heal: a file that fails to decode, fails its
     stored checksum, or is structurally wrong is *quarantined* (moved
@@ -203,26 +220,20 @@ class ResultCache:
     def _load_entry(self, path: Path) -> Optional[RunSummary]:
         """Decode + verify one entry file; quarantine on corruption."""
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return None  # raced with eviction, or unreadable: a miss
-        try:
-            entry = json.loads(text)
-        except json.JSONDecodeError:
-            self._quarantine(path, "undecodable")
-            return None
-        if not isinstance(entry, dict):
-            self._quarantine(path, "malformed")
-            return None
-        if (entry.get("schema") != SCHEMA_VERSION
+        entry, fault = _parse_entry(data)
+        if entry is not None and (
+                entry.get("schema") != SCHEMA_VERSION
                 or entry.get("simulator_version") != SIMULATOR_VERSION):
             # Expected churn after a version bump — drop, don't hoard.
             path.unlink(missing_ok=True)
             return None
+        if fault:
+            self._quarantine(path, fault)
+            return None
         try:
-            if entry["checksum"] != summary_checksum(entry["summary"]):
-                self._quarantine(path, "checksum")
-                return None
             return RunSummary.from_dict(entry["summary"],
                                         from_cache=True)
         except (ValueError, KeyError, TypeError):
@@ -246,9 +257,8 @@ class ResultCache:
         tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
         os.replace(tmp, path)
         self.stores += 1
-        self._evict_overflow()
 
-    def _evict_overflow(self) -> None:
+    def trim(self) -> None:
         """Delete the oldest entries beyond ``max_entries``."""
         entries = []
         for path in self.dir.glob("*.json"):
@@ -261,6 +271,22 @@ class ResultCache:
         for _mtime, path in entries[:max(0, excess)]:
             path.unlink(missing_ok=True)
             self.evictions += 1
+
+    def stored_runs(self) -> Iterator[Tuple[str, str, Dict[str, Any]]]:
+        """``(content hash, label, summary dict)`` of each entry whose
+        checksum verifies, from any simulator version, quarantining and
+        deleting nothing (``repro diff``'s cache-directory source).  The
+        hash comes from the stored spec, else the file name."""
+        for path in sorted(self.dir.glob("*.json")):
+            try:
+                entry, fault = _parse_entry(path.read_bytes())
+            except OSError:
+                continue
+            if fault:
+                continue
+            spec = entry.get("spec")
+            key = spec_hash(spec) if isinstance(spec, dict) else path.stem
+            yield key, str(entry.get("label") or key), entry["summary"]
 
     # ------------------------------------------------------------------
     def entries(self) -> int:

@@ -8,7 +8,8 @@ serial ones:
   every position holding it gets that job's outcome;
 * cache lookups happen first, so a warm batch never touches a worker
   and an interrupted batch continues by rerunning against the same
-  cache;
+  cache; each simulated job's store writes one file, and the cache is
+  trimmed to its bound once, after the batch's last store;
 * ``jobs=1`` (the default) runs every miss serially in-process — no
   pool, no pickling — which is what the benchmark suite and tier-1
   tests use;
@@ -165,6 +166,8 @@ class BatchEngine:
                 self._run_serial(pending, outcomes)
             else:
                 self._run_parallel(pending, outcomes)
+            if self.cache is not None:
+                self.cache.trim()
         return [outcomes[first[spec.content_hash()]] for spec in specs]
 
     # ------------------------------------------------------------------

@@ -10,13 +10,13 @@ ran it, simulator engine, and the full
 the error (``failed``/``skipped``).  The engine name and wall time sit
 outside ``summary``, so the payload stays engine-blind.
 
-``repro tail`` and ``repro report`` fold these lines, and ``repro
-diff`` reads the digest ledgers of a ``REPRO_DIGEST=1`` run from the
-summaries.  Schema-1 journals (one line per finished or cached job, no
-header, no status) still load: each line counts as a done job.  The
-result cache, not the journal, is what lets an interrupted batch
-continue: a rerun against the same cache simulates nothing that
-finished.
+:func:`read_journal` is the one reader: ``repro tail`` folds its lines
+and ``repro diff`` reads the digest ledgers of a ``REPRO_DIGEST=1`` run
+from their summaries.  Schema-1 journals (one line per finished or
+cached job, no header, no status) still load: ``tail`` counts each
+line as a done job.  The result cache, not the journal, is what lets an
+interrupted batch continue: a rerun against the same cache simulates
+nothing that finished.
 """
 
 from __future__ import annotations
@@ -25,14 +25,18 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
+from repro.errors import ReproError
 from repro.sim import SIMULATOR_VERSION
 from repro.sim.engines import resolve_engine_name
 
 #: Bump when the journal line layout changes (2: batch header, one
 #: line per ended job with its status, wall time and engine).
 JOURNAL_SCHEMA = 2
+
+#: The statuses a job line can carry.
+STATUSES = ("ok", "cached", "failed", "skipped")
 
 
 def append_jsonl(path, record: Dict[str, Any]) -> None:
@@ -41,8 +45,8 @@ def append_jsonl(path, record: Dict[str, Any]) -> None:
     POSIX guarantees ``O_APPEND`` writes of modest size are not
     interleaved, and issuing the entire line (payload + newline) in
     one unbuffered syscall means a process killed at any instant
-    leaves either the whole line or nothing — never a torn prefix for
-    a follower to buffer forever.
+    leaves either the whole line or nothing — never a torn prefix that
+    :func:`read_journal` would wait on forever.
     """
     data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
     fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -56,8 +60,8 @@ class RunJournal:
     """Durable record of one run's jobs.
 
     Constructing a journal replaces any file at ``path`` with a new,
-    empty one (a new inode, so a follower of the old file starts over
-    from the top); hand it to a
+    empty one (a new inode, so a reader holding the old file open
+    keeps the old run's lines); hand it to a
     :class:`~repro.runtime.engine.BatchEngine` as ``journal=`` and the
     engine writes the header and each job's line as it ends.
     """
@@ -92,3 +96,69 @@ class RunJournal:
         else:
             line["error"] = outcome.error
         append_jsonl(self.path, line)
+
+
+def _typed(value, *kinds) -> bool:
+    """``isinstance`` that takes no bool for a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_journal_line(record) -> bool:
+    """Whether ``record`` is a journal line with well-typed fields: a
+    ``batch`` header, or a job line (schema-1 job lines carry a hash
+    and a summary, no status)."""
+    if (not isinstance(record, dict)
+            or not _typed(record.get("time", 0), int, float)):
+        return False
+    if record.get("type") == "batch":
+        return _typed(record.get("jobs", 0), int)
+    if "status" not in record and "summary" not in record:
+        return False
+    summary = record.get("summary", {})
+    ledger = isinstance(summary, dict) and summary.get("digest_ledger")
+    return (isinstance(record.get("hash"), str)
+            and record.get("status", "ok") in STATUSES
+            and isinstance(record.get("label", ""), str)
+            and isinstance(record.get("error", ""), str)
+            and _typed(record.get("wall", 0), int, float)
+            and isinstance(summary, dict)
+            and _typed(summary.get("total_cycles", 0), int)
+            and isinstance(ledger or [], list)
+            and all(isinstance(r, list) and len(r) == 6
+                    and isinstance(r[4], str)
+                    and all(_typed(v, int) for v in r[:4] + r[5:])
+                    for r in ledger or ()))
+
+
+def read_journal(path) -> Tuple[List[Dict[str, Any]], int]:
+    """A run journal's lines, in file order, and how many it skipped.
+
+    Only newline-terminated lines count, so a line still being written
+    is read once its newline lands.  A line that is not a JSON object,
+    or not a journal line with well-typed fields, is skipped and
+    counted.  Schema-1 job lines (no status) load as written.  An
+    unreadable file, or one with content but no journal line (an old
+    telemetry stream, a profile snapshot), raises
+    :class:`~repro.errors.ReproError` naming it.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from exc
+    lines: List[Dict[str, Any]] = []
+    skipped = 0
+    for raw in text.split("\n")[:-1]:
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except ValueError:
+            record = None
+        if _is_journal_line(record):
+            lines.append(record)
+        else:
+            skipped += 1
+    if text.strip() and not lines:
+        raise ReproError(f"{path} holds no run-journal line")
+    return lines, skipped

@@ -153,14 +153,6 @@ def test_weaver_penalty_applied_only_to_sparseweaver():
     assert vm.config.l1.size_bytes == CFG.l1.size_bytes
 
 
-def test_weaver_penalty_can_be_disabled():
-    proc = GraphProcessor(
-        make_algorithm("pagerank"), schedule="sparseweaver", config=CFG,
-        apply_weaver_penalty=False,
-    )
-    assert proc.config.l1.size_bytes == CFG.l1.size_bytes
-
-
 def test_run_result_fields(small_star):
     proc = GraphProcessor(
         make_algorithm("pagerank", iterations=2), schedule="vertex_map",
@@ -171,16 +163,6 @@ def test_run_result_fields(small_star):
     assert res.values.shape == (small_star.num_vertices,)
     assert res.total_cycles > 0
     assert isinstance(res.stats, KernelStats)
-
-
-def test_per_iteration_stats(small_star):
-    proc = GraphProcessor(
-        make_algorithm("pagerank", iterations=3), schedule="vertex_map",
-        config=CFG,
-    )
-    res = proc.run(small_star, collect_per_iteration=True)
-    assert len(res.per_iteration) == 3
-    assert sum(s.total_cycles for s in res.per_iteration) <= res.total_cycles
 
 
 def test_max_iterations_caps_run(small_star):

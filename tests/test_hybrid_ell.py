@@ -135,7 +135,7 @@ def test_hybrid_registers_residue_by_st_capacity():
     g = powerlaw_graph(1500, 6000, exponent=2.1, seed=3)
     res = GraphProcessor(
         make_algorithm("pagerank", iterations=2), schedule="hybrid_ell",
-        config=cfg, validate=True,
+        config=cfg,
     ).run(g)
     ref = reference.pagerank(g, iterations=2)
     np.testing.assert_allclose(res.values, ref, atol=1e-9)

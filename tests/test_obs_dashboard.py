@@ -1,4 +1,4 @@
-"""Dashboard follower/renderer, report aggregation, tail/report CLI."""
+"""Journal view: BatchWatch folds, the rendered frame, the tail CLI."""
 
 import io
 import json
@@ -9,9 +9,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.errors import ReproError
-from repro.obs.dashboard import BatchWatch, JSONLFollower, render, tail
-from repro.obs.report import aggregate, format_report, load_journal
+from repro.obs.dashboard import BatchWatch, render, tail, watch_journals
 
 
 def write_jsonl(path, records):
@@ -32,52 +30,6 @@ JOURNAL = [
     job("ok", "vm", 11.0, wall=0.8, summary={"total_cycles": 1000}),
     job("failed", "wm", 11.5, wall=0.1, error="SimulationError: boom"),
 ]
-
-
-# ----------------------------------------------------------------------
-def test_follower_reads_incrementally(tmp_path):
-    path = tmp_path / "events.jsonl"
-    path.write_text('{"kind": "submitted", "job": "a"}\n')
-    follower = JSONLFollower(path)
-    assert [r["kind"] for r in follower.poll()] == ["submitted"]
-    assert follower.poll() == []  # nothing new
-
-    with open(path, "a") as handle:
-        handle.write('{"kind": "started", "job": "a"}\n{"kind": "fin')
-    assert [r["kind"] for r in follower.poll()] == ["started"]
-    with open(path, "a") as handle:  # complete the partial line
-        handle.write('ished", "job": "a"}\n')
-    assert [r["kind"] for r in follower.poll()] == ["finished"]
-    assert follower.bad_lines == 0
-
-
-def test_follower_handles_truncation_and_garbage(tmp_path):
-    path = tmp_path / "run.jsonl"
-    write_jsonl(path, JOURNAL)
-    follower = JSONLFollower(path)
-    assert len(follower.poll()) == 4
-    path.write_text('not json\n{"type": "batch", "jobs": 1}\n')
-    records = follower.poll()  # reset to top after shrink
-    assert records == [{"type": "batch", "jobs": 1}]
-    assert follower.bad_lines == 1
-
-
-def test_follower_sees_a_replaced_file_from_the_top(tmp_path):
-    """A longer file put in place of the followed one (a new run's
-    journal) is read from its first line, not from the old offset."""
-    path = tmp_path / "run.jsonl"
-    write_jsonl(path, [{"i": i} for i in range(10)])
-    follower = JSONLFollower(path)
-    assert len(follower.poll()) == 10
-
-    fresh = tmp_path / "fresh.jsonl"
-    write_jsonl(fresh, [{"i": i} for i in range(25)])
-    os.replace(fresh, path)
-    assert [r["i"] for r in follower.poll()] == list(range(25))
-
-
-def test_follower_missing_file(tmp_path):
-    assert JSONLFollower(tmp_path / "absent.jsonl").poll() == []
 
 
 # ----------------------------------------------------------------------
@@ -112,13 +64,15 @@ def test_render_frame():
     assert "1,500 simulated" in frame
     assert "pr/g/vm ok in 0.800s" in frame
     assert "pr/g/wm failed: SimulationError: boom" in frame
+    assert "FAILED  : pr/g/wm: SimulationError: boom" in frame
+    assert "digests" not in frame and "unreadable" not in frame
 
 
 def test_tail_once_reads_static_file(tmp_path):
     path = tmp_path / "run.jsonl"
     write_jsonl(path, JOURNAL)
     out = io.StringIO()
-    watch = tail(path, follow=False, out=out)
+    watch = tail([path], follow=False, out=out)
     assert watch.finished
     assert "3 total" in out.getvalue()
 
@@ -137,7 +91,7 @@ def test_tail_follows_growing_file(tmp_path):
     thread = threading.Thread(target=writer)
     thread.start()
     out = io.StringIO()
-    watch = tail(path, follow=True, interval=0.01, max_frames=500,
+    watch = tail([path], follow=True, interval=0.01, max_frames=500,
                  out=out, use_ansi=False)
     thread.join()
     # Exited because every announced job has a line.
@@ -149,39 +103,39 @@ def test_tail_follows_growing_file(tmp_path):
 def test_tail_stops_at_max_frames(tmp_path):
     path = tmp_path / "run.jsonl"
     write_jsonl(path, JOURNAL[:3])  # 2 of 3 announced jobs => not done
-    watch = tail(path, follow=True, interval=0.001, max_frames=3,
+    watch = tail([path], follow=True, interval=0.001, max_frames=3,
                  out=io.StringIO(), use_ansi=False)
     assert not watch.finished
 
 
-# ----------------------------------------------------------------------
-def test_classify_file(tmp_path):
+def test_tail_waits_for_a_line_to_end(tmp_path):
+    """A line still being written counts once its newline lands."""
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:2])
+    with open(path, "a") as handle:
+        handle.write(json.dumps(JOURNAL[2])[:20])
+    assert watch_journals([path]).ended == 1
+    with open(path, "a") as handle:
+        handle.write(json.dumps(JOURNAL[2])[20:] + "\n")
+    watch = watch_journals([path])
+    assert watch.ended == 2 and watch.unreadable == 0
+
+
+def test_tail_json_reports_counts_failures_and_last_jobs(capsys,
+                                                        tmp_path):
     journal = tmp_path / "run.jsonl"
     write_jsonl(journal, JOURNAL)
-    assert len(load_journal(journal)) == len(JOURNAL)
-
-    garbage = tmp_path / "garbage.txt"
-    garbage.write_text("definitely not json\n")
-    with pytest.raises(ReproError):
-        load_journal(garbage)
-    with pytest.raises(ReproError):
-        load_journal(tmp_path / "missing.jsonl")
-
-
-def test_aggregate_telemetry_and_metrics(tmp_path):
-    journal = tmp_path / "run.jsonl"
-    write_jsonl(journal, JOURNAL)
-
-    report = aggregate([journal])
+    code, out = run_cli(capsys, "tail", str(journal), "--once", "--json")
+    assert code == 1
+    report = json.loads(out)
     assert report["jobs_total"] == 3
     assert report["failed"] == 1
     assert report["simulated_cycles"] == 1500
-    assert [f["path"] for f in report["files"]] == [str(journal)]
     assert report["failures"] == [
         {"label": "pr/g/wm", "status": "failed",
          "error": "SimulationError: boom"}]
 
-    text = format_report(report)
+    code, text = run_cli(capsys, "tail", str(journal), "--once")
     assert "3 total" in text and "1 failed" in text
     assert "last    : pr/g/vm ok in 0.800s" in text
 
@@ -191,9 +145,26 @@ def test_aggregate_merges_two_sinks(tmp_path):
     b = tmp_path / "b.jsonl"
     write_jsonl(a, JOURNAL[:2])
     write_jsonl(b, JOURNAL[2:])
-    report = aggregate([a, b])
+    report = watch_journals([a, b]).snapshot()
     assert report["jobs_total"] == 3
     assert report["done"] == 2 and report["failed"] == 1
+
+
+def test_aggregate_mixed_directory(capsys, tmp_path):
+    """A journal and an empty file: the empty one adds nothing."""
+    journal = tmp_path / "run.jsonl"
+    write_jsonl(journal, JOURNAL)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+
+    report = watch_journals([journal, empty]).snapshot()
+    assert report["jobs_total"] == 3
+    assert report["done"] == 2 and report["failed"] == 1
+    assert report["simulated_cycles"] == 1500
+    code, text = run_cli(capsys, "tail", str(journal), str(empty),
+                         "--once")
+    assert code == 1
+    assert "FAILED  : pr/g/wm: SimulationError: boom" in text
 
 
 # ----------------------------------------------------------------------
@@ -203,33 +174,55 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_tail_once(capsys, tmp_path):
+    """``--once`` draws one frame; with ``--json`` it prints one JSON
+    document and no frame."""
     path = tmp_path / "run.jsonl"
     write_jsonl(path, JOURNAL)
-    code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
+    code, out = run_cli(capsys, "tail", str(path), "--once")
     assert code == 1  # one failed job
-    assert "batch journal" in out
-    last = out.strip().splitlines()[-1]
-    assert json.loads(last)["jobs_total"] == 3
-    code, out = run_cli(capsys, "report", str(path), "--json")
+    assert out.count("batch journal") == 1
+    code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
     assert code == 1
+    assert "batch journal" not in out
     assert json.loads(out)["last"][-1]["error"] == "SimulationError: boom"
 
 
 def test_cli_report(capsys, tmp_path):
+    """``tail --once`` prints the whole report: counts and journaled
+    digest-ledger records; a file that is not a journal exits 2."""
+    ledger = {"total_cycles": 500,
+              "digest_ledger": [[0, 0, 0, 0, "aa", 1]] * 3}
     path = tmp_path / "run.jsonl"
-    write_jsonl(path, [r for r in JOURNAL if r.get("status") != "failed"])
-    code, out = run_cli(capsys, "report", str(path))
+    write_jsonl(path, [JOURNAL[0], job("ok", "vm", 11.0, wall=0.8,
+                                       summary=ledger)])
+    code, out = run_cli(capsys, "tail", str(path), "--once")
     assert code == 0
-    assert "observability report" in out
-    code, out = run_cli(capsys, "report", str(path), "--json")
+    assert "digests : 3 provenance ledger record(s)" in out
+    code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
     assert code == 0
-    assert json.loads(out)["done"] == 2
+    assert json.loads(out)["digest_records"] == 3
 
     # An indented JSON object is not a journal.
     old = tmp_path / "metrics.json"
     old.write_text(json.dumps({"metrics": {}}, indent=1))
-    assert main(["report", str(old)]) == 2
-    assert "not a run journal line" in capsys.readouterr().err
+    assert main(["tail", str(old), "--once"]) == 2
+    assert f"{old} holds no run-journal line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summary", [7, {"total_cycles": "x"}],
+                         ids=["summary_not_an_object", "cycles_not_an_int"])
+def test_tail_once_skips_a_mistyped_job_line(capsys, tmp_path, summary):
+    """A job line whose fields have the wrong types is skipped and
+    counted in the frame, not a traceback."""
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:2] + [job("ok", "bad", 10.5,
+                                         summary=summary)])
+    code, out = run_cli(capsys, "tail", str(path), "--once")
+    assert code == 0
+    assert "1 unreadable line(s) skipped" in out
+    assert "3 total | 1 done" in out
+    code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
+    assert json.loads(out)["unreadable_lines"] == 1
 
 
 # ------------------------------------------------- schema 1 / skipped
@@ -265,17 +258,14 @@ def test_batchwatch_counts_resumed_and_skipped():
 
 
 def test_schema1_journal_still_loads(capsys, tmp_path):
-    """diff, tail --once and report all read a schema-1 journal and
-    count its job as done."""
+    """diff and tail --once both read a schema-1 journal; tail counts
+    its job as done."""
     path = tmp_path / "old.jsonl"
     path.write_text(SCHEMA1_LINE)
     code, out = run_cli(capsys, "tail", str(path), "--once", "--json")
     assert code == 0
-    snap = json.loads(out.strip().splitlines()[-1])
+    snap = json.loads(out)
     assert (snap["jobs_total"], snap["done"]) == (1, 1)
-    code, out = run_cli(capsys, "report", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)["done"] == 1
     code, out = run_cli(capsys, "diff", "--a", str(path), "--b", str(path),
                         "--json")
     assert code == 0
@@ -284,14 +274,14 @@ def test_schema1_journal_still_loads(capsys, tmp_path):
 
 def test_old_telemetry_file_exits_2(capsys, tmp_path):
     """A telemetry stream (the per-job record before the journal
-    replaced it) holds no journal line: tail and report name it."""
+    replaced it) holds no journal line: tail names it."""
     path = tmp_path / "events.jsonl"
     write_jsonl(path, [
         {"kind": "submitted", "job": "aaa", "label": "j1", "time": 0.0},
         {"kind": "finished", "job": "aaa", "label": "j1", "time": 1.0,
          "cycles": 100, "wall": 1.0},
     ])
-    for argv in (["tail", str(path), "--once"], ["report", str(path)]):
+    for argv in (["tail", str(path), "--once"], ["tail", str(path)]):
         assert main(argv) == 2
         assert f"{path} holds no run-journal line" in capsys.readouterr().err
 
@@ -328,9 +318,8 @@ def test_killed_writer_never_leaves_a_torn_line(tmp_path):
         child.kill()  # SIGKILL: no cleanup, no flush handlers
         child.wait(timeout=60)
 
-    follower = JSONLFollower(path)
-    records = follower.poll()
-    assert follower.bad_lines == 0  # no torn lines, ever
+    text = path.read_text()
+    assert text.endswith("\n")  # no torn line, ever
+    records = [json.loads(line) for line in text.splitlines()]
     assert records
     assert [r["seq"] for r in records] == list(range(len(records)))
-    assert path.read_text().endswith("\n")

@@ -259,12 +259,26 @@ def test_ledgers_from_journal_tolerates_garbage(tmp_path):
 
 
 def test_ledgers_from_cache_dir(tmp_path):
-    (tmp_path / "aa.json").write_text(json.dumps(
-        {"label": "job-a", "summary": {"total_cycles": 1}}))
+    """Entries whose checksum verifies are read, from any simulator
+    version; nothing is quarantined or deleted."""
+    from repro.runtime.cache import summary_checksum
+
+    def entry(summary, **fields):
+        return json.dumps({"summary": summary,
+                           "checksum": summary_checksum(summary),
+                           **fields})
+
+    (tmp_path / "aa.json").write_text(entry(
+        {"total_cycles": 1}, label="job-a", simulator_version=-1))
     (tmp_path / "bb.json").write_text("{torn")
     (tmp_path / "cc.json").write_text(json.dumps({"summary": [1]}))
+    (tmp_path / "dd.json").write_text(json.dumps(
+        {"label": "job-d", "summary": {"total_cycles": 1},
+         "checksum": "0" * 64}))
     runs = ledgers_from_cache_dir(tmp_path)
     assert runs == {"aa": ("job-a", {"total_cycles": 1})}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "aa.json", "bb.json", "cc.json", "dd.json"]
 
 
 def test_cache_and_journal_ledgers_pair_by_content_hash(tmp_path):

@@ -91,8 +91,7 @@ def _assert_fast_matches_reference(graph, algorithm, schedule, config):
     try:
         for engine in ("reference", spy.name):
             results[engine] = GraphProcessor(
-                algorithm, schedule=schedule, config=config, engine=engine,
-                validate=True).run(graph)
+                algorithm, schedule=schedule, config=config, engine=engine).run(graph)
     finally:
         engines._ENGINES.pop(spy.name, None)
     (gpu,) = spy.built

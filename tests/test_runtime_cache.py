@@ -107,8 +107,52 @@ def test_eviction_bounds_entries(tmp_path, summary):
     )
     for i in range(4):
         cache.put(dataclasses.replace(base, seed=i), summary)
+    cache.trim()
     assert cache.entries() <= 2
     assert cache.evictions == 2
+
+
+def test_non_utf8_entry_is_quarantined_not_fatal(tmp_path, spec):
+    cache = ResultCache(tmp_path)
+    path = cache._path(cache.key(spec))
+    path.write_bytes(b"\xff\xfe\xfd not text")
+    assert cache.get(spec) is None
+    assert cache.quarantined == 1 and not path.exists()
+
+
+def test_store_lists_nothing_and_the_batch_trims(tmp_path, summary,
+                                                 monkeypatch):
+    """A store writes one file without listing the directory; the
+    engine trims to the bound once, after the batch, oldest first."""
+    import os
+    from pathlib import Path
+
+    import repro.runtime.engine as engine_mod
+    from repro.runtime import BatchEngine
+
+    cache = ResultCache(tmp_path, max_entries=3)
+    specs = _seeded_specs(7)
+    old, lone, batch = specs[:4], specs[4], specs[5:]
+    for age, spec in enumerate(old):
+        cache.put(spec, summary)
+        os.utime(cache._path(cache.key(spec)), (1000 + age, 1000 + age))
+
+    listed = []
+    real_glob = Path.glob
+    monkeypatch.setattr(Path, "glob", lambda self, pattern: (
+        listed.append(pattern), real_glob(self, pattern))[1])
+    cache.put(lone, summary)
+    assert listed == []
+    assert cache.stores == 5 and cache.evictions == 0
+
+    monkeypatch.setattr(engine_mod, "_execute_spec",
+                        lambda spec: summary.to_dict())
+    outcomes = BatchEngine(cache=cache).run(batch)
+    assert [o.status for o in outcomes] == ["ok", "ok"]
+    assert cache.entries() == 3 and cache.evictions == 4
+    kept = [spec for spec in specs
+            if cache._path(cache.key(spec)).exists()]
+    assert kept == [lone, *batch]
 
 
 def _seeded_specs(n):

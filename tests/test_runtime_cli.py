@@ -107,6 +107,59 @@ def test_batch_spec_file_jobs_not_a_list_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "list of job objects" in err
 
 
+def test_batch_grid_with_zero_iterations_exits_2(capsys):
+    code = main(["batch", "--datasets", "bio-human", "--schedules",
+                 "vertex_map", "--scale", "0.05", "--iterations", "0",
+                 "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: iterations must be at least 1\n"
+    assert captured.out == ""  # nothing ran
+
+
+def test_batch_spec_file_zero_iterations_param_exits_2(capsys, tmp_path):
+    code, err = run_spec_file(capsys, tmp_path, [
+        GOOD_JOB, dict(GOOD_JOB, params={"iterations": 0})])
+    assert code == 2
+    assert err == "error: iterations must be at least 1\n"
+
+
+def test_batch_spec_file_non_integer_max_iterations_exits_2(capsys,
+                                                           tmp_path):
+    code, err = run_spec_file(capsys, tmp_path, [
+        GOOD_JOB, dict(GOOD_JOB, max_iterations="x")])
+    assert code == 2
+    assert err == ("error: pagerank/bio-human/vertex_map: max_iterations "
+                   "must be a positive integer or null, got 'x'\n")
+
+
+def test_batch_spec_file_unknown_schedule_exits_2(capsys, tmp_path):
+    code, err = run_spec_file(capsys, tmp_path, [
+        GOOD_JOB, dict(GOOD_JOB, schedule="nope")])
+    assert code == 2
+    assert err.startswith("error: unknown schedule 'nope'")
+
+
+def test_batch_builds_each_algorithm_and_schedule_once(capsys, tmp_path,
+                                                       monkeypatch):
+    import repro.sched as sched_mod
+    from repro.runtime import AlgorithmSpec
+
+    built = []
+    make_schedule = sched_mod.make_schedule
+    monkeypatch.setattr(sched_mod, "make_schedule", lambda name, **kw: (
+        built.append(name), make_schedule(name, **kw))[1])
+    build = AlgorithmSpec.build
+    monkeypatch.setattr(AlgorithmSpec, "build", lambda self: (
+        built.append(self.name), build(self))[1])
+    monkeypatch.setattr(
+        "repro.runtime.engine.BatchEngine.run", lambda self, specs: [])
+    code, _err = run_spec_file(capsys, tmp_path, [
+        GOOD_JOB, dict(GOOD_JOB, scale=0.1), dict(GOOD_JOB, scale=0.2)])
+    assert code == 0
+    assert built == ["pagerank", "vertex_map"]
+
+
 def test_cache_stats_and_clear(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     code, _ = run_cli(
@@ -166,12 +219,13 @@ def test_cache_stats_shows_the_store_not_process_counters(capsys,
 
 # ------------------------------------------------------ failures
 def bad_schedule_spec_file(tmp_path):
-    """Two jobs; the first fails inside the run (unknown schedule)."""
+    """Two jobs; the first fails inside the run: its graph generator
+    does not exist, which only building the graph finds out."""
     spec_file = tmp_path / "grid.json"
     spec_file.write_text(json.dumps([
         {"algorithm": "pagerank", "params": {"iterations": 1},
-         "dataset": "bio-human", "scale": 0.2,
-         "schedule": "no_such_schedule", "max_iterations": 1},
+         "generator": "no_such_generator",
+         "schedule": "vertex_map", "max_iterations": 1},
         {"algorithm": "pagerank", "params": {"iterations": 1},
          "dataset": "bio-human", "scale": 0.2,
          "schedule": "vertex_map", "max_iterations": 1},
@@ -186,7 +240,7 @@ def test_batch_failure_exits_nonzero_with_stderr_table(capsys,
     captured = capsys.readouterr()
     assert code == 1
     assert "did not complete" in captured.err
-    assert "no_such_schedule" in captured.err
+    assert "no_such_generator" in captured.err
     # Summary still printed; the failed job is not counted simulated.
     assert "2 submitted, 1 simulated, 0 cached, 1 failed" in captured.out
 

@@ -68,6 +68,22 @@ def test_parallel_matches_serial_cycles():
             == [o.summary.values_digest for o in parallel])
 
 
+def test_parallel_metrics_match_serial():
+    """Each job carries its simulator metrics home in its
+    ``KernelStats`` summary (cycles, phase and stall cycles, op counts,
+    cache hits and misses), across the pool's process boundary as well
+    as in-process."""
+    specs = tiny_grid_specs()[:2]
+    serial = BatchEngine(jobs=1).run(specs)
+    parallel = BatchEngine(jobs=2).run(specs)
+    assert [o.status for o in serial] == ["ok"] * len(specs)
+    assert [o.status for o in parallel] == ["ok"] * len(specs)
+    serial_stats = [o.summary.stats.to_summary_dict() for o in serial]
+    parallel_stats = [o.summary.stats.to_summary_dict() for o in parallel]
+    assert all(s["total_cycles"] > 0 for s in serial_stats)
+    assert serial_stats == parallel_stats
+
+
 def test_outcomes_preserve_submission_order():
     specs = tiny_grid_specs()
     outcomes = BatchEngine(jobs=4).run(specs)

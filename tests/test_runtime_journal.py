@@ -1,5 +1,5 @@
-"""Run journal: a header per batch, one line per ended job;
-interrupted batches.
+"""Run journal: a header per batch, one line per ended job; the
+journal reader; interrupted batches.
 
 The SIGINT round-trip at the bottom drives the real CLI in a
 subprocess, interrupts it mid-batch, and proves that a rerun against
@@ -17,11 +17,14 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
+from repro.errors import ReproError
 from repro.graph import powerlaw_graph
-from repro.obs.dashboard import JSONLFollower, tail
-from repro.obs.report import aggregate, format_report
+from repro.obs.dashboard import render, tail
 from repro.runtime import (AlgorithmSpec, BatchEngine, GraphSpec, JobOutcome,
                            JobSpec, ResultCache, RunJournal, append_jsonl)
+from repro.runtime.journal import read_journal
 from repro.sim import GPUConfig
 
 SCHEDULES = ["vertex_map", "edge_map", "warp_map", "sparseweaver"]
@@ -66,16 +69,17 @@ def test_record_writes_status_wall_and_engine(tmp_path):
 
 def test_new_journal_starts_fresh(tmp_path):
     """A new journal replaces the old file with an empty one at a new
-    inode, so a follower of the old run reads the new one from the
+    inode, so a reader of the old run reads the new one from the
     top."""
     path = tmp_path / "run.jsonl"
     BatchEngine(jobs=1, journal=RunJournal(path)).run(tiny_specs(3))
-    follower = JSONLFollower(path)
-    assert len(follower.poll()) == 4
+    assert len(read_journal(path)[0]) == 4
+    inode = path.stat().st_ino
     journal = RunJournal(path)
     assert path.read_text() == ""
+    assert path.stat().st_ino != inode
     journal.start(25)
-    assert follower.poll() == [journal_lines(path)[0]]
+    assert read_journal(path) == ([journal_lines(path)[0]], 0)
     assert journal_lines(path)[0]["jobs"] == 25
 
 
@@ -129,18 +133,102 @@ def test_tail_follows_a_fail_fast_journal_to_its_end(tmp_path):
                               args=([bad] + tiny_specs(3),))
     thread.start()
     out = io.StringIO()
-    watch = tail(path, follow=True, interval=0.01, max_frames=3000,
+    watch = tail([path], follow=True, interval=0.01, max_frames=3000,
                  out=out, use_ansi=False)
     thread.join()
     assert watch.finished
     snap = watch.snapshot()
     assert (snap["jobs_total"], snap["failed"], snap["skipped"]) == (4, 1, 3)
     assert "| 3 skipped" in out.getvalue()
-    assert "| 3 skipped" in format_report(aggregate([path]))
+    assert "FAILED  : " in render(watch)
     failed, *skipped = job_lines(path)
     assert failed["error"].startswith("ScheduleError:")
     assert "summary" not in failed
     assert all("fail_fast" in line["error"] for line in skipped)
+
+
+# ------------------------------------------------------ the reader
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+READER_LINES = [
+    {"type": "batch", "schema": 2, "jobs": 2},
+    {"status": "ok", "hash": "h-a", "label": "a", "wall": 0.5,
+     "summary": {"total_cycles": 500}},
+    {"status": "failed", "hash": "h-b", "label": "b", "wall": 0.1,
+     "error": "boom"},
+]
+
+
+def test_read_journal_of_an_empty_file_is_empty(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    assert read_journal(path) == ([], 0)
+    path.write_text("  \n\n  ")
+    assert read_journal(path) == ([], 0)
+
+
+def test_read_journal_rejects_files_without_journal_lines(tmp_path):
+    journal = write_jsonl(tmp_path / "run.jsonl", READER_LINES)
+    assert read_journal(journal) == (READER_LINES, 0)
+
+    # An indented JSON object spans lines: not a journal.
+    metrics = tmp_path / "m.json"
+    metrics.write_text(json.dumps(
+        {"metrics": {"sim_cycles_total": {"kind": "counter"}}}, indent=1))
+    with pytest.raises(ReproError, match=f"{metrics} holds no run-journal"):
+        read_journal(metrics)
+
+    # Host-profile snapshots are not journals either.
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": {"phases": {}}}) + "\n")
+    with pytest.raises(ReproError, match=f"{profile} holds no run-journal"):
+        read_journal(profile)
+
+
+def test_read_journal_ignores_an_unterminated_line(tmp_path):
+    """Only newline-terminated lines count; a file holding nothing but
+    a torn line has content and no journal line."""
+    path = tmp_path / "torn.json"
+    path.write_text('{"profile": {"phases"')
+    with pytest.raises(ReproError, match="holds no run-journal line"):
+        read_journal(path)
+    write_jsonl(path, READER_LINES[:2])
+    with open(path, "a") as handle:
+        handle.write(json.dumps(READER_LINES[2]))
+    assert read_journal(path) == (READER_LINES[:2], 0)
+
+
+def test_read_journal_skips_and_counts_lines_of_other_shapes(tmp_path):
+    """Objects that are not journal lines, and journal lines whose
+    fields have the wrong types, are skipped and counted."""
+    path = write_jsonl(tmp_path / "mixed.jsonl", READER_LINES + [
+        {"weights": [1, 2, 3]},
+        {"type": "batch", "jobs": "3"},
+        {"status": "done", "hash": "h-c"},
+        {"status": "ok", "hash": 7, "summary": {}},
+        {"status": "ok", "hash": "h-d", "wall": "slow"},
+        {"status": "ok", "hash": "h-e",
+         "summary": {"total_cycles": 1, "digest_ledger": 3}},
+        {"status": "ok", "hash": "h-f",
+         "summary": {"total_cycles": 1, "digest_ledger": [[0, 1]]}},
+        {"status": "ok", "hash": "h-g", "summary": {
+            "total_cycles": 1, "digest_ledger": [[0, 0, 0, "w", "aa", 1]]}},
+    ])
+    assert read_journal(path) == (READER_LINES, 8)
+
+
+def test_read_journal_skips_and_counts_non_object_lines(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text('{"type": "batch", "jobs": 1}\n[1, 2, 3]\nnot json\n')
+    assert read_journal(path) == ([{"type": "batch", "jobs": 1}], 2)
+
+
+def test_read_journal_names_a_missing_file(tmp_path):
+    with pytest.raises(ReproError, match="cannot read"):
+        read_journal(tmp_path / "missing.jsonl")
 
 
 # ------------------------------------------------- SIGINT round trip
