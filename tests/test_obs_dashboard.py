@@ -121,6 +121,57 @@ def test_tail_waits_for_a_line_to_end(tmp_path):
     assert watch.ended == 2 and watch.unreadable == 0
 
 
+def test_tail_rereads_a_shrunk_journal_and_counts_its_garbage(tmp_path):
+    """A journal cut short and rewritten in place (garbage included)
+    is re-read from its top; the garbage line is skipped and counted."""
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:3])  # 2 of 3 announced jobs => not done
+    rewritten = (json.dumps({"type": "batch", "jobs": 1}) + "\nnot json\n"
+                 + json.dumps(JOURNAL[2]) + "\n")
+
+    def writer():
+        time.sleep(0.05)
+        path.write_text(rewritten)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    out = io.StringIO()
+    watch = tail([path], follow=True, interval=0.01, max_frames=500,
+                 out=out, use_ansi=False)
+    thread.join()
+    assert watch.finished
+    snap = watch.snapshot()
+    assert (snap["jobs_total"], snap["done"]) == (1, 1)
+    assert snap["unreadable_lines"] == 1
+    assert "1 unreadable line(s) skipped" in out.getvalue()
+
+
+def test_tail_once_rejects_a_garbage_file(capsys, tmp_path):
+    """A journal draws a frame; a file of plain text, alone or beside
+    the journal, exits 2 naming it."""
+    journal = tmp_path / "run.jsonl"
+    write_jsonl(journal, JOURNAL)
+    code, out = run_cli(capsys, "tail", str(journal), "--once")
+    assert code == 1 and "3 total" in out
+
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("definitely not json\n")
+    for paths in ([garbage], [journal, garbage]):
+        assert main(["tail", *map(str, paths), "--once"]) == 2
+        assert (f"{garbage} holds no run-journal line"
+                in capsys.readouterr().err)
+
+
+def test_tail_of_a_missing_journal_exits_2(capsys, tmp_path):
+    """Following or once, a journal that is not there exits 2 naming
+    it instead of waiting for it to appear."""
+    missing = tmp_path / "absent.jsonl"
+    for argv in (["tail", str(missing), "--once"],
+                 ["tail", str(missing), "--frames", "3"]):
+        assert main(argv) == 2
+        assert f"cannot read {missing}" in capsys.readouterr().err
+
+
 def test_tail_json_reports_counts_failures_and_last_jobs(capsys,
                                                         tmp_path):
     journal = tmp_path / "run.jsonl"
