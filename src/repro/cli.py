@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "journaled job failed")
     tail_p.add_argument("paths", nargs="+", metavar="path",
                         help="run journal (--journal) files, re-read "
-                             "whole on every poll")
+                             "whole when one changes")
     tail_p.add_argument("--interval", type=float, default=0.5,
                         help="poll interval in seconds")
     tail_p.add_argument("--once", action="store_true",
@@ -433,6 +433,12 @@ def _load_spec_file(path: str, engine: Optional[str] = None):
         missing = sorted({"algorithm", "schedule"} - set(entry))
         if missing:
             raise ReproError(f"{where} lacks required key(s) {missing}")
+        for key, kind, what in (("algorithm", str, "a name"),
+                                ("schedule", str, "a name"),
+                                ("symmetrize", bool, "true or false")):
+            if key in entry and not isinstance(entry[key], kind):
+                raise ReproError(f"{where}: {key} must be {what}, "
+                                 f"got {entry[key]!r}")
         try:
             if "dataset" in entry:
                 graph = GraphSpec.from_dataset(
@@ -451,30 +457,35 @@ def _load_spec_file(path: str, engine: Optional[str] = None):
             graph=graph,
             schedule=entry["schedule"],
             max_iterations=entry.get("max_iterations"),
-            symmetrize=bool(entry.get("symmetrize", False)),
+            symmetrize=entry.get("symmetrize", False),
             engine=engine,
         ))
     return specs
 
 
-def _check_specs(specs) -> None:
+def _check_specs(specs, names) -> None:
     """Raise, before any job runs, what would fail a job: an algorithm
     or schedule that does not build (each distinct one is built once)
-    or an iteration cap that is not a positive integer or null."""
+    or an iteration cap that is not a positive integer or null.  The
+    error starts with the name (in ``names``) of the first job it
+    hits."""
     from repro.sched import make_schedule
 
-    for algorithm in dict.fromkeys(spec.algorithm for spec in specs):
+    built = set()
+    for spec, name in zip(specs, names):
         try:
-            algorithm.build()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"algorithm {algorithm.name}: {exc}") from None
-    for schedule in dict.fromkeys(spec.schedule for spec in specs):
-        make_schedule(schedule)
-    for spec in specs:
+            if spec.algorithm not in built:
+                spec.algorithm.build()
+                built.add(spec.algorithm)
+            if spec.schedule not in built:
+                make_schedule(spec.schedule)
+                built.add(spec.schedule)
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
         cap = spec.max_iterations
         if cap is not None and (isinstance(cap, bool)
                                 or not isinstance(cap, int) or cap < 1):
-            raise ConfigError(f"{spec.label}: max_iterations must be a "
+            raise ConfigError(f"{name}: max_iterations must be a "
                               f"positive integer or null, got {cap!r}")
 
 
@@ -485,19 +496,22 @@ def _batch_specs(args):
     occurrence of each content hash stays, in order.  ``--engine``
     names every spec's engine; the field is excluded from the content
     hash, so specs keep their engine-less cache and journal identities.
-    Every spec passes :func:`_check_specs` before any job runs.
+    Every spec passes :func:`_check_specs` before any job runs; an
+    error names the grid job's label or the file's ``job N in F``.
     """
     if args.spec_file:
         specs = _load_spec_file(args.spec_file, args.engine)
+        names = [f"job {i} in {args.spec_file}" for i in range(len(specs))]
     else:
         specs = [_job_spec(args.algorithm, name, sched, args.scale,
                            args.iterations, engine=args.engine)
                  for name in args.datasets
                  for sched in args.schedules or ALL_SCHEDULES]
+        names = [spec.label for spec in specs]
+    _check_specs(specs, names)
     unique = {}
     for spec in specs:
         unique.setdefault(spec.content_hash(), spec)
-    _check_specs(unique.values())
     return list(unique.values())
 
 
@@ -640,19 +654,23 @@ def _diff_side(src: str, interval):
     """
     from pathlib import Path
 
-    from repro.obs.provenance import (enable_digests,
-                                      ledgers_from_cache_dir,
-                                      ledgers_from_journal)
+    from repro.obs.provenance import enable_digests
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.journal import read_journal
 
     path = Path(src)
     if path.is_dir():
-        runs = ledgers_from_cache_dir(path)
+        runs = {key: (label, summary) for key, label, summary
+                in ResultCache(path).stored_runs()}
         if not runs:
             raise ReproError(f"cache directory {src} holds no "
                              "readable entries")
         return runs, None, "cache"
     if path.is_file():
-        runs = ledgers_from_journal(path)
+        lines, _skipped = read_journal(path)
+        runs = {line["hash"]: (line.get("label") or line["hash"],
+                               line["summary"])
+                for line in lines if "summary" in line}
         if not runs:
             raise ReproError(f"journal {src} holds no completion "
                              "records")

@@ -16,27 +16,7 @@ breakdowns, Fig. 12 memory ratios).  The simulated-cycle timeline
 * :mod:`repro.obs.provenance` — rolling digests of simulated
   architectural state and the divergence ledger behind
   ``python -m repro diff``.  Enable via ``REPRO_DIGEST=1`` or
-  :func:`enable_digests`.
+  :func:`~repro.obs.provenance.enable_digests`.
+
+The package itself imports nothing; import the module you need.
 """
-
-from repro.obs.provenance import (
-    KernelWindowTracer,
-    StateDigester,
-    diff_ledgers,
-    digests_enabled,
-    disable_digests,
-    enable_digests,
-    first_divergence,
-    get_digester,
-)
-
-__all__ = [
-    "KernelWindowTracer",
-    "StateDigester",
-    "diff_ledgers",
-    "digests_enabled",
-    "disable_digests",
-    "enable_digests",
-    "first_divergence",
-    "get_digester",
-]

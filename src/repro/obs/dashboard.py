@@ -1,8 +1,8 @@
 """Terminal view of run journals: ``repro tail``.
 
 ``python -m repro tail run.jsonl [more.jsonl ...]`` re-reads the
-journals (``--journal`` files) on every poll and redraws a frame when
-they change; ``--once`` draws one frame of the files as they stand,
+journals (``--journal`` files) whole each time one changes and redraws
+the frame; ``--once`` draws one frame of the files as they stand,
 ``--json`` prints the same numbers as one JSON document instead.
 :class:`BatchWatch` folds the lines :func:`read_journal` returns and
 :func:`render` draws a frame.
@@ -10,6 +10,7 @@ they change; ``--once`` draws one frame of the files as they stand,
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional
@@ -178,25 +179,41 @@ def render(watch: BatchWatch, clock: Optional[float] = None) -> str:
     return "\n".join(lines)
 
 
+def _stamp(path):
+    """``(inode, size, mtime)`` of a file, ``None`` if it is not there."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def tail(paths, follow: bool = True, interval: float = 0.5,
          max_frames: Optional[int] = None, out=None,
          use_ansi: Optional[bool] = None) -> BatchWatch:
     """Watch run journals, drawing a frame to ``out`` (none when it is
     ``None``, as for ``--json``) whenever they change.
 
-    Every poll re-reads the files whole.  Returns the final
-    :class:`BatchWatch`.  Exits when every job the batch header(s)
-    announced has a line, when ``max_frames`` polls have run, or on
-    Ctrl-C; ``follow=False`` reads the files once.
+    A poll re-reads the files whole when any of them changed since the
+    last read.  Following, a journal not created yet reads as empty
+    until it appears.  Returns the final :class:`BatchWatch`.  Exits
+    when every job the batch header(s) announced has a line, when
+    ``max_frames`` polls have run, or on Ctrl-C; ``follow=False``
+    reads the files once.
     """
     if use_ansi is None:
         use_ansi = follow and getattr(out, "isatty", lambda: False)()
     watch = BatchWatch()
-    shown = None
+    read_at = shown = None
     polls = 0
     try:
         while True:
-            watch = watch_journals(paths)
+            stamps = [_stamp(path) for path in paths]
+            if stamps != read_at:
+                watch = watch_journals(
+                    [path for path, stamp in zip(paths, stamps)
+                     if stamp or not follow])
+                read_at = stamps
             polls += 1
             snap = watch.snapshot()
             if out is not None and snap != shown:

@@ -393,32 +393,6 @@ def describe_coord(coord: Coord) -> str:
 
 
 # ----------------------------------------------------------------------
-# Run-ledger loaders (``repro diff`` sources)
-# ----------------------------------------------------------------------
-def ledgers_from_journal(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
-    """``content hash -> (label, summary dict)`` of the job lines
-    :func:`~repro.runtime.journal.read_journal` reads with a summary,
-    from any simulator version: diffing a ledger from an older build
-    against today's is precisely the point."""
-    from repro.runtime.journal import read_journal
-
-    lines, _skipped = read_journal(path)
-    return {line["hash"]: (line.get("label") or line["hash"],
-                           line["summary"])
-            for line in lines if "summary" in line}
-
-
-def ledgers_from_cache_dir(path) -> Dict[str, Tuple[str, Dict[str, Any]]]:
-    """``content hash -> (label, summary dict)`` of a result-cache
-    directory's checksum-verified entries, from any simulator version
-    (:meth:`~repro.runtime.cache.ResultCache.stored_runs`)."""
-    from repro.runtime.cache import ResultCache
-
-    return {key: (label, summary) for key, label, summary
-            in ResultCache(path).stored_runs()}
-
-
-# ----------------------------------------------------------------------
 # Replay support
 # ----------------------------------------------------------------------
 class KernelWindowTracer:

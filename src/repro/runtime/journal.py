@@ -103,6 +103,19 @@ def _typed(value, *kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_ledger(ledger) -> bool:
+    """Whether ``ledger`` is a list of ``[k, i, c, w, digest, events]``
+    records with int fields (not bools) and a str digest.  It tests
+    ``type(...) is`` rather than ``isinstance``, for speed: a
+    whole-paper ``REPRO_DIGEST=1`` journal holds ~40,000 records, and
+    ``tail`` re-reads the journal whenever it changes."""
+    return type(ledger) is list and all(
+        type(r) is list and len(r) == 6 and type(r[4]) is str
+        and type(r[0]) is type(r[1]) is type(r[2]) is type(r[3])
+        is type(r[5]) is int
+        for r in ledger)
+
+
 def _is_journal_line(record) -> bool:
     """Whether ``record`` is a journal line with well-typed fields: a
     ``batch`` header, or a job line (schema-1 job lines carry a hash
@@ -115,7 +128,6 @@ def _is_journal_line(record) -> bool:
     if "status" not in record and "summary" not in record:
         return False
     summary = record.get("summary", {})
-    ledger = isinstance(summary, dict) and summary.get("digest_ledger")
     return (isinstance(record.get("hash"), str)
             and record.get("status", "ok") in STATUSES
             and isinstance(record.get("label", ""), str)
@@ -123,11 +135,7 @@ def _is_journal_line(record) -> bool:
             and _typed(record.get("wall", 0), int, float)
             and isinstance(summary, dict)
             and _typed(summary.get("total_cycles", 0), int)
-            and isinstance(ledger or [], list)
-            and all(isinstance(r, list) and len(r) == 6
-                    and isinstance(r[4], str)
-                    and all(_typed(v, int) for v in r[:4] + r[5:])
-                    for r in ledger or ()))
+            and _is_ledger(summary.get("digest_ledger") or []))
 
 
 def read_journal(path) -> Tuple[List[Dict[str, Any]], int]:

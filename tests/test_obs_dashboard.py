@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.dashboard import BatchWatch, render, tail, watch_journals
+from repro.runtime.journal import read_journal
 
 
 def write_jsonl(path, records):
@@ -108,6 +109,20 @@ def test_tail_stops_at_max_frames(tmp_path):
     assert not watch.finished
 
 
+def test_tail_rereads_only_a_changed_journal(tmp_path, monkeypatch):
+    """A poll that finds every journal as it was reads nothing."""
+    import repro.obs.dashboard as dashboard
+
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, JOURNAL[:3])  # 2 of 3 announced jobs => not done
+    reads = []
+    monkeypatch.setattr(dashboard, "read_journal", lambda p: (
+        reads.append(p), read_journal(p))[1])
+    watch = tail([path], follow=True, interval=0.001, max_frames=5,
+                 out=io.StringIO(), use_ansi=False)
+    assert reads == [path] and watch.ended == 2
+
+
 def test_tail_waits_for_a_line_to_end(tmp_path):
     """A line still being written counts once its newline lands."""
     path = tmp_path / "run.jsonl"
@@ -163,13 +178,31 @@ def test_tail_once_rejects_a_garbage_file(capsys, tmp_path):
 
 
 def test_tail_of_a_missing_journal_exits_2(capsys, tmp_path):
-    """Following or once, a journal that is not there exits 2 naming
-    it instead of waiting for it to appear."""
+    """``--once`` reads the files as they stand: a journal that is not
+    there exits 2 naming it."""
     missing = tmp_path / "absent.jsonl"
-    for argv in (["tail", str(missing), "--once"],
-                 ["tail", str(missing), "--frames", "3"]):
-        assert main(argv) == 2
-        assert f"cannot read {missing}" in capsys.readouterr().err
+    assert main(["tail", str(missing), "--once"]) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_tail_waits_for_a_missing_journal(tmp_path):
+    """Following, a journal not created yet reads as empty until the
+    batch creates it, so ``tail`` may start before ``batch``."""
+    path = tmp_path / "later.jsonl"
+
+    def writer():
+        time.sleep(0.05)
+        write_jsonl(path, JOURNAL)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    out = io.StringIO()
+    watch = tail([path], follow=True, interval=0.01, max_frames=500,
+                 out=out, use_ansi=False)
+    thread.join()
+    assert watch.finished
+    frames = out.getvalue().split("batch journal")[1:]
+    assert "0 total" in frames[0] and "3 total" in frames[-1]
 
 
 def test_tail_json_reports_counts_failures_and_last_jobs(capsys,

@@ -23,13 +23,12 @@ from repro.obs.provenance import (DEFAULT_INTERVAL, DIGEST_ENV,
                                   disable_digests, enable_digests,
                                   first_divergence, fold,
                                   get_digester, ledger_index,
-                                  ledgers_from_cache_dir,
-                                  ledgers_from_journal,
                                   resolve_interval, sort_key)
 from repro.runtime import (AlgorithmSpec, GraphSpec, JobOutcome, JobSpec,
                            RunJournal)
 from repro.runtime.cache import ResultCache, RunSummary
 from repro.runtime.engine import _execute_spec
+from repro.runtime.journal import read_journal
 from repro.sim import GPUConfig
 
 
@@ -227,14 +226,18 @@ def test_ledger_rides_the_run_journal(tmp_path):
     journal.start(1)
     journal.record(JobOutcome(spec, "ok", RunSummary.from_dict(data)))
 
-    # The diff-side loader finds the same ledger, keyed by content hash.
-    runs = ledgers_from_journal(tmp_path / "run.jsonl")
-    label, summary = runs[spec.content_hash()]
-    assert label == spec.label
-    assert summary["digest_ledger"] == data["digest_ledger"]
+    # The journal reader (diff's journal source) finds the same ledger
+    # on the job's content hash.
+    (_header, line), skipped = read_journal(tmp_path / "run.jsonl")
+    assert skipped == 0
+    assert (line["hash"], line["label"]) == (spec.content_hash(),
+                                             spec.label)
+    assert line["summary"]["digest_ledger"] == data["digest_ledger"]
 
 
 def test_ledgers_from_journal_tolerates_garbage(tmp_path):
+    """diff's journal source reads the one job line among legacy
+    bookkeeping, garbage and a torn last line."""
     path = tmp_path / "run.jsonl"
     good = {"hash": "ab", "label": "job-a",
             "summary": {"total_cycles": 1,
@@ -251,16 +254,13 @@ def test_ledgers_from_journal_tolerates_garbage(tmp_path):
                      '"reason": "deadline"}\n')
         handle.write('{"type": "complete", "summary": 7}\n')
         handle.write('{"hash": "cd", "summary": {"total_cycles"')  # torn
-    runs = ledgers_from_journal(path)
-    assert set(runs) == {"ab"}
-    label, summary = runs["ab"]
-    assert label == "job-a"
-    assert summary["digest_ledger"] == [[0, 0, 0, 0, "aa", 1]]
+    assert read_journal(path) == ([good], 6)
 
 
 def test_ledgers_from_cache_dir(tmp_path):
-    """Entries whose checksum verifies are read, from any simulator
-    version; nothing is quarantined or deleted."""
+    """diff's cache-directory source reads the entries whose checksum
+    verifies, from any simulator version; nothing is quarantined or
+    deleted."""
     from repro.runtime.cache import summary_checksum
 
     def entry(summary, **fields):
@@ -275,24 +275,26 @@ def test_ledgers_from_cache_dir(tmp_path):
     (tmp_path / "dd.json").write_text(json.dumps(
         {"label": "job-d", "summary": {"total_cycles": 1},
          "checksum": "0" * 64}))
-    runs = ledgers_from_cache_dir(tmp_path)
-    assert runs == {"aa": ("job-a", {"total_cycles": 1})}
+    runs = list(ResultCache(tmp_path).stored_runs())
+    assert runs == [("aa", "job-a", {"total_cycles": 1})]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "aa.json", "bb.json", "cc.json", "dd.json"]
 
 
 def test_cache_and_journal_ledgers_pair_by_content_hash(tmp_path):
     """A cache entry's file name is its version-layered cache key; the
-    loader recovers the job's content hash from the stored spec, so
-    cache and journal sources pair up."""
+    cache reader recovers the job's content hash from the stored spec,
+    so cache and journal sources pair up."""
     spec = tiny_spec()
     summary = RunSummary.from_dict(_execute_spec(spec))
     ResultCache(tmp_path / "cache").put(spec, summary)
     RunJournal(tmp_path / "run.jsonl").record(
         JobOutcome(spec, "ok", summary))
-    cached = ledgers_from_cache_dir(tmp_path / "cache")
-    journaled = ledgers_from_journal(tmp_path / "run.jsonl")
-    assert set(cached) == set(journaled) == {spec.content_hash()}
+    cached = [key for key, _label, _summary
+              in ResultCache(tmp_path / "cache").stored_runs()]
+    journaled = [line["hash"] for line
+                 in read_journal(tmp_path / "run.jsonl")[0]]
+    assert cached == journaled == [spec.content_hash()]
 
 
 # --------------------------------------------------- end-to-end

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -113,7 +115,8 @@ def test_batch_grid_with_zero_iterations_exits_2(capsys):
                  "--no-cache"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: iterations must be at least 1\n"
+    assert captured.err == ("error: pagerank/bio-human/vertex_map: "
+                            "iterations must be at least 1\n")
     assert captured.out == ""  # nothing ran
 
 
@@ -121,7 +124,8 @@ def test_batch_spec_file_zero_iterations_param_exits_2(capsys, tmp_path):
     code, err = run_spec_file(capsys, tmp_path, [
         GOOD_JOB, dict(GOOD_JOB, params={"iterations": 0})])
     assert code == 2
-    assert err == "error: iterations must be at least 1\n"
+    assert err == (f"error: job 1 in {tmp_path / 'grid.json'}: "
+                   "iterations must be at least 1\n")
 
 
 def test_batch_spec_file_non_integer_max_iterations_exits_2(capsys,
@@ -129,15 +133,31 @@ def test_batch_spec_file_non_integer_max_iterations_exits_2(capsys,
     code, err = run_spec_file(capsys, tmp_path, [
         GOOD_JOB, dict(GOOD_JOB, max_iterations="x")])
     assert code == 2
-    assert err == ("error: pagerank/bio-human/vertex_map: max_iterations "
-                   "must be a positive integer or null, got 'x'\n")
+    assert err == (f"error: job 1 in {tmp_path / 'grid.json'}: "
+                   "max_iterations must be a positive integer or null, "
+                   "got 'x'\n")
 
 
 def test_batch_spec_file_unknown_schedule_exits_2(capsys, tmp_path):
     code, err = run_spec_file(capsys, tmp_path, [
         GOOD_JOB, dict(GOOD_JOB, schedule="nope")])
     assert code == 2
-    assert err.startswith("error: unknown schedule 'nope'")
+    assert err.startswith(f"error: job 1 in {tmp_path / 'grid.json'}: "
+                          "unknown schedule 'nope'")
+
+
+@pytest.mark.parametrize("field, what", [
+    ({"schedule": 5}, "a name"), ({"schedule": ["x"]}, "a name"),
+    ({"algorithm": 5}, "a name"), ({"algorithm": None}, "a name"),
+    ({"symmetrize": "false"}, "true or false")])
+def test_batch_spec_file_mistyped_field_exits_2(capsys, tmp_path, field,
+                                                what):
+    code, err = run_spec_file(capsys, tmp_path, [
+        GOOD_JOB, dict(GOOD_JOB, **field)])
+    key, value = next(iter(field.items()))
+    assert code == 2
+    assert err == (f"error: job 1 in {tmp_path / 'grid.json'}: "
+                   f"{key} must be {what}, got {value!r}\n")
 
 
 def test_batch_builds_each_algorithm_and_schedule_once(capsys, tmp_path,

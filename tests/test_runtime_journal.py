@@ -156,7 +156,8 @@ def write_jsonl(path, records):
 READER_LINES = [
     {"type": "batch", "schema": 2, "jobs": 2},
     {"status": "ok", "hash": "h-a", "label": "a", "wall": 0.5,
-     "summary": {"total_cycles": 500}},
+     "summary": {"total_cycles": 500, "digest_ledger": [
+         [0, 0, 0, 0, "aa", 3], [-1, -1, -1, -1, "bb", 1]]}},
     {"status": "failed", "hash": "h-b", "label": "b", "wall": 0.1,
      "error": "boom"},
 ]
@@ -216,8 +217,14 @@ def test_read_journal_skips_and_counts_lines_of_other_shapes(tmp_path):
          "summary": {"total_cycles": 1, "digest_ledger": [[0, 1]]}},
         {"status": "ok", "hash": "h-g", "summary": {
             "total_cycles": 1, "digest_ledger": [[0, 0, 0, "w", "aa", 1]]}},
+        {"status": "ok", "hash": "h-h", "summary": {
+            "total_cycles": 1, "digest_ledger": [[0, 0, 0, 0, "aa", True]]}},
+        {"status": "ok", "hash": "h-i", "summary": {
+            "total_cycles": 1, "digest_ledger": [[0, 0, 0, 0, 5, 1]]}},
+        {"status": "ok", "hash": "h-j", "summary": {
+            "total_cycles": 1, "digest_ledger": [{"k": 0}]}},
     ])
-    assert read_journal(path) == (READER_LINES, 8)
+    assert read_journal(path) == (READER_LINES, 11)
 
 
 def test_read_journal_skips_and_counts_non_object_lines(tmp_path):
