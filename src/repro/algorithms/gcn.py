@@ -145,7 +145,7 @@ def run_gcn_operator(
         kernel_stats["graphsum"] = gpu.run_kernel(
             _graphsum_sw_factory(cfg, regions, graph, transformed, norm,
                                  out, dims),
-            unit_factory=lambda core_id: WeaverUnit(cfg),
+            unit_factory=lambda core_id: WeaverUnit(cfg, core_id=core_id),
         )
 
     total = KernelStats()

@@ -121,11 +121,14 @@ class WeaverFSM:
     #: FSM cycles to answer a request in S8 (with -1s).
     END_CYCLES = 1
 
-    def __init__(self, table: SparseWorkloadTable, lanes: int) -> None:
+    def __init__(self, table: Optional[SparseWorkloadTable], lanes: int,
+                 zero_skip_width: Optional[int] = None) -> None:
         if lanes < 1:
             raise WeaverError("Weaver needs at least one lane")
         self.table = table
         self.lanes = lanes
+        if zero_skip_width is not None:
+            self.zero_skip_width = zero_skip_width
         self.state = WeaverState.INIT
         self._entries: List[Tuple[int, int, int]] = []
         self._scan_pos = 0
@@ -172,33 +175,57 @@ class WeaverFSM:
         """Serve one decode request: run states until OD is full or the
         scan ends, then emit the OD as a lane-wide result.
 
-        Each S2 visit moves ``min(free lanes, CED remaining)`` work items
-        into the OD at once, as one run of a vid and consecutive edge
-        ids, so the host cost follows ST entries rather than work items.
-        Before each ST fetch the valid bitmap steps over zero-degree and
-        skipped entries, ``zero_skip_width`` per cycle.
+        S1 (from S0) reads the ST's rows; :meth:`advance` walks them,
+        and the runs it moved into the OD fill the VID/EID rows.
         """
         if self.state is _END:
             self.total_fsm_cycles += self.END_CYCLES
             return self._end_reply
+        from_init = self.state is _INIT
+        if from_init:
+            self._entries = self.table.rows()
+        cycles, st_reads, runs = self.advance()
+        vids: List[int] = []
+        eids: List[int] = []
+        for vid, first, count in runs:
+            vids += [vid] * count
+            eids += range(first, first + count)
+        work = len(vids)
+        free = self.lanes - work
+        if free:
+            pad = [-1] * free
+            vids += pad
+            eids += pad
+        tail = _DRAIN if self.state is _END else _OD_FULL
+        return DecodeResult(np.array(vids, dtype=np.int64),
+                            np.array(eids, dtype=np.int64), cycles,
+                            st_reads, work, (from_init, tail))
+
+    def advance(self) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+        """One decode's pass over the ST rows, without lane rows.
+
+        Returns ``(fsm_cycles, st_reads, runs)``: ``runs`` are the
+        ``(vid, first eid, count)`` runs moved into the OD, in lane
+        order (none once the scan is drained).  Each S2 visit moves
+        ``min(free lanes, CED remaining)`` work items at once, so the
+        host cost follows ST entries rather than work items.  Before
+        each ST fetch the valid bitmap steps over zero-degree and
+        skipped entries, ``zero_skip_width`` per cycle.  The FSM must
+        not be in S8; from S0 it scans the rows S1 loaded.
+        """
         lanes = self.lanes
         width = self.zero_skip_width
         skipped = self._skipped
+        entries = self._entries
         from_init = self.state is _INIT
-        if from_init:
-            # S1: scan the ST from its first live entry.
-            entries = self._entries = self.table.rows()
-            pos = 0
-        else:
-            # S6: resume with the current CED at S2.
-            entries = self._entries
-            pos = self._scan_pos
+        # S1 starts the scan at the first row; S6 resumes with the
+        # current CED at S2.
+        pos = 0 if from_init else self._scan_pos
         end = len(entries)
         vid = self._ced_vid
         cursor = self._ced_cursor
         remaining = self._ced_remaining
-        vids: List[int] = []
-        eids: List[int] = []
+        runs = []
         free = lanes
         st_reads = 0
         bitmap_cycles = 0
@@ -228,8 +255,7 @@ class WeaverFSM:
             # S2: move one run from the CED into the OD.
             if remaining > 0:
                 count = free if free < remaining else remaining
-                vids += [vid] * count
-                eids += range(cursor, cursor + count)
+                runs.append((vid, cursor, count))
                 cursor += count
                 remaining -= count
                 free -= count
@@ -247,11 +273,21 @@ class WeaverFSM:
                   + bitmap_cycles)
         self.total_fsm_cycles += cycles
         self.total_st_reads += st_reads
-        work = lanes - free
-        if free:
-            pad = [-1] * free
-            vids += pad
-            eids += pad
-        return DecodeResult(np.array(vids, dtype=np.int64),
-                            np.array(eids, dtype=np.int64), cycles,
-                            st_reads, work, (from_init, tail))
+        return cycles, st_reads, runs
+
+    def scan_epoch(self, rows: List[Tuple[int, int, int]]
+                   ) -> List[Tuple[int, list]]:
+        """A whole epoch's decodes over ``rows``, with no requests and
+        no skips: resets the FSM, then :meth:`advance` until S8.
+
+        Returns one ``(fsm_cycles, runs)`` per decode, in scan order,
+        up to and including the one that reaches S8: the decodes a
+        live unit's scan makes over an ST holding ``rows``.
+        """
+        self.reset()
+        self._entries = rows
+        decodes = []
+        while self.state is not _END:
+            cycles, _st_reads, runs = self.advance()
+            decodes.append((cycles, runs))
+        return decodes

@@ -16,8 +16,10 @@ Wraps the pure FSM with the Section III-C / V-D timing model:
 
 The scan does not depend on requests, so with no ``WEAVER_SKIP`` an
 epoch's decode sequence follows from its registrations alone.  The fast
-engine plans a launch once (:meth:`WeaverUnit.plan` logs each epoch's
-``(fsm_cycles, empty)`` decodes from the real FSM) and replays it
+engine takes a launch's plan once, as each epoch's ``(fsm_cycles,
+empty)`` decodes of the real FSM scan (SparseWeaver's compile reads
+them from :meth:`WeaverFSM.scan_epoch`; a drained ``hybrid_ell``
+gather logs them through :meth:`WeaverUnit.plan`), and replays it
 (:meth:`WeaverUnit.replay` pops those decodes through the same
 timeline, with no FSM, ST or DT work).
 """
@@ -62,16 +64,15 @@ class WeaverUnit:
     #: Write-buffer bypass latency for DEC_LOC (cycles).
     DT_BYPASS_LATENCY = 4
 
-    def __init__(self, config: GPUConfig, prefetch_depth: int = 4) -> None:
+    def __init__(self, config: GPUConfig, prefetch_depth: int = 4,
+                 zero_skip_width: Optional[int] = None,
+                 core_id: int = 0) -> None:
         self.config = config
+        self.core_id = core_id
         self.lanes = config.threads_per_warp
-        capacity = min(
-            config.weaver_entries,
-            config.warps_per_core * config.threads_per_warp,
-        )
-        self.st = SparseWorkloadTable(capacity)
+        self.st = SparseWorkloadTable(config.weaver_capacity)
         self.dt = DenseWorkIDTable(config.warps_per_core, self.lanes)
-        self.fsm = WeaverFSM(self.st, self.lanes)
+        self.fsm = WeaverFSM(self.st, self.lanes, zero_skip_width)
         self.prefetch_depth = max(1, prefetch_depth)
         self._ready: deque = deque()    # (reply, ready_time) pairs
         self._scan_time = 0             # background FSM timeline
@@ -80,9 +81,11 @@ class WeaverUnit:
         self._free_at = 0
         self._epoch_open = False
         self._log: Optional[list] = None    # planning: per-epoch decodes
-        self._plan = None                   # replaying: epoch logs left
+        self._plan: Optional[list] = None   # replaying: per-epoch decodes
         self._planned: deque = deque()      # replaying: epoch's decodes
-        self._bodies = None                 # replaying: bodies, in order
+        self._bodies: list = []             # replaying: bodies, in order
+        self._epoch = 0                     # replaying: epochs opened
+        self._batch = 0                     # replaying: bodies replied
         self.registrations = 0
         self.decodes = 0
         self.skips = 0
@@ -106,9 +109,12 @@ class WeaverUnit:
         timeline; a decode with work answers with the next of
         ``bodies`` (reply order), an empty one with
         :data:`~repro.sim.gpu.HOME`.  The ST and DT are not written.
+        A launch that opens more epochs, or asks for more bodies, than
+        the plan holds raises :class:`SimulationError`.
         """
-        self._plan = iter(log)
-        self._bodies = iter(bodies)
+        self._plan = log
+        self._bodies = bodies
+        self._epoch = self._batch = 0
         self._scan_end = True   # no epoch's decodes until a registration
 
     # ------------------------------------------------------------------
@@ -173,7 +179,13 @@ class WeaverUnit:
             self._epoch_open = True
             if self._plan is not None:
                 # The planned decodes already hold this epoch's scan.
-                self._planned = deque(next(self._plan))
+                epoch = self._epoch
+                if epoch == len(self._plan):
+                    raise SimulationError(
+                        f"Weaver core {self.core_id}: epoch {epoch} "
+                        f"opened but the plan holds {epoch} epochs")
+                self._epoch = epoch + 1
+                self._planned = deque(self._plan[epoch])
                 self._scan_end = not self._planned
             else:
                 self.st.clear()
@@ -199,7 +211,15 @@ class WeaverUnit:
         if self._plan is not None:
             cycles, empty = self._planned.popleft()
             self._scan_end = not self._planned
-            return cycles, HOME if empty else next(self._bodies)
+            if empty:
+                return cycles, HOME
+            batch = self._batch
+            if batch == len(self._bodies):
+                raise SimulationError(
+                    f"Weaver core {self.core_id}: batch {batch} decoded "
+                    f"but the plan holds {batch} bodies")
+            self._batch = batch + 1
+            return cycles, self._bodies[batch]
         result = self.fsm.decode()
         if self._log is not None:
             self._log[-1].append((result.fsm_cycles, result.exhausted))

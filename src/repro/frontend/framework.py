@@ -99,6 +99,11 @@ class GraphProcessor:
     ) -> RunResult:
         """Execute the algorithm to convergence (or the iteration cap)."""
         alg = self.algorithm
+        cap = max_iterations if max_iterations is not None else (
+            alg.max_iterations
+        )
+        if cap < 1:
+            raise SimulationError("iteration cap must be at least 1")
         work_graph = graph.undirected() if self.symmetrize else graph
         traversal = (
             work_graph.reverse() if alg.direction is Direction.PULL
@@ -126,9 +131,12 @@ class GraphProcessor:
         # instead of mutating state; every replay collects them in
         # issue order and applies them in one call on their
         # concatenation, so float accumulation order matches reference.
-        # Init/apply are grid-stride elementwise kernels, so a replay
-        # GPU compiles their traces analytically (contiguous per-warp
-        # index ranges) and never needs the warp generators.
+        # A schedule that lays out its own gather trace (SparseWeaver)
+        # needs neither the generators nor the recording update: its
+        # bodies carry their updates.  Init/apply are grid-stride
+        # elementwise kernels, so a replay GPU compiles their traces
+        # analytically (contiguous per-warp index ranges) and never
+        # needs the warp generators.
         fast_elementwise = gpu.supports_replay
         if fast_elementwise:
             init_hint = ReplayHint("init", elementwise=(
@@ -152,18 +160,21 @@ class GraphProcessor:
         )
         gather_hint = None
         recording_alg = None
+        build = None
         if fast_gather:
-            gather_capture: List = []
-            record = gather_capture.append
-
-            def recording_edge_update(state, bases, others, weights,
-                                      eids):
-                record((bases, others, weights, eids))
-
-            recording_alg = dc_replace(alg,
-                                       edge_update=recording_edge_update)
-            gather_hint = ReplayHint("gather", capture=gather_capture,
+            build = self.schedule.trace_builder(env)
+            gather_hint = ReplayHint("gather", build=build,
                                      effect=partial(alg.edge_update, state))
+            if build is None:
+                gather_hint.capture = []
+                record = gather_hint.capture.append
+
+                def recording_edge_update(state, bases, others, weights,
+                                          eids):
+                    record((bases, others, weights, eids))
+
+                recording_alg = dc_replace(
+                    alg, edge_update=recording_edge_update)
 
         total = KernelStats()
         if self.time_init:
@@ -172,11 +183,6 @@ class GraphProcessor:
                 tracer=self.exec_tracer,
                 replay=init_hint,
             ))
-        cap = max_iterations if max_iterations is not None else (
-            alg.max_iterations
-        )
-        if cap < 1:
-            raise SimulationError("iteration cap must be at least 1")
 
         iterations = 0
         while True:
@@ -190,7 +196,7 @@ class GraphProcessor:
             if swap:
                 env.algorithm = recording_alg
             try:
-                warp_factory = (None if gpu.has_trace("gather")
+                warp_factory = (None if build or gpu.has_trace("gather")
                                 else self.schedule.warp_factory(env))
                 unit_factory = (
                     self.schedule.unit_factory(env)

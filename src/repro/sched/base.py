@@ -126,5 +126,16 @@ class Schedule(ABC):
         """Per-core hardware unit constructor (None for software-only)."""
         return None
 
+    def trace_builder(self, env: KernelEnv) -> Optional[Callable]:
+        """Lay out the gather's stored trace without its generators.
+
+        A trace-safe schedule may return ``build(compile, compile_run)
+        -> (homes, plans)`` (see :func:`repro.sched.sparseweaver.
+        compile_gather`); the fast engine then stores what it returns
+        instead of draining :meth:`warp_factory`.  ``None``, the
+        default, drains.
+        """
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -94,8 +94,7 @@ def process_edge_batch(
             yield load(edge_phase, env.region("weights"), eids)
             weights = env.graph.weights[eids]
     if weights is None:
-        n = bases.size
-        weights = _ONES[:n] if n <= _ONES.size else np.ones(n)
+        weights = unit_weights(bases.size)
     for name in alg.edge_value_arrays:
         yield load(gather_phase, env.region(name), others)
     if alg.has_other_filter:
@@ -110,6 +109,12 @@ def process_edge_batch(
     if accumulate == "atomic":
         targets = bases if alg.accumulate_target == "base" else others
         yield atomic(gather_phase, env.region(alg.acc_array), targets)
+
+
+def unit_weights(n: int) -> np.ndarray:
+    """The weights of an ``n``-edge batch of an algorithm that reads
+    none: a read-only view of ones (a fresh array past 1,024 edges)."""
+    return _ONES[:n] if n <= _ONES.size else np.ones(n)
 
 
 def writeback_accumulators(env: KernelEnv, bases: np.ndarray,
@@ -130,18 +135,17 @@ def epoch_vertex_ids(ctx, env: KernelEnv, epoch: int) -> np.ndarray:
 def weaver_registration(env: KernelEnv):
     """How warps register vertices into a per-core ST each epoch.
 
-    The ST holds ``capacity`` entries per core: the table size, capped
-    at the resident thread count and rounded down to whole warps.  Only
+    The ST holds ``GPUConfig.weaver_capacity`` entries per core.  Only
     the first ``capacity // lanes`` warps of a core register, so each
-    epoch covers ``num_cores * capacity`` vertices.  Returns
-    ``(num_epochs, vids_of)``; ``vids_of(ctx, epoch)`` gives the
-    in-range vertex ids warp ``ctx`` registers in ``epoch`` (empty for
-    warps past the capacity).
+    epoch covers ``num_cores * capacity`` vertices: core ``c`` registers
+    the range starting at ``epoch * num_cores * capacity + c *
+    capacity``, in ST index order.  Returns ``(num_epochs, vids_of)``;
+    ``vids_of(ctx, epoch)`` gives the in-range vertex ids warp ``ctx``
+    registers in ``epoch`` (empty for warps past the capacity).
     """
     cfg = env.config
     lanes = env.lanes
-    capacity = max(lanes, min(cfg.weaver_entries, cfg.threads_per_core))
-    capacity -= capacity % lanes
+    capacity = cfg.weaver_capacity
     grid = cfg.num_cores * capacity
     n = env.num_vertices
     lane_ids = np.arange(lanes, dtype=np.int64)

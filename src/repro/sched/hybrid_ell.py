@@ -40,7 +40,7 @@ class HybridELLSchedule(Schedule):
 
     def unit_factory(self, env: KernelEnv):
         config = env.config
-        return lambda core_id: WeaverUnit(config)
+        return lambda core_id: WeaverUnit(config, core_id=core_id)
 
     def warp_factory(self, env: KernelEnv):
         cfg = env.config

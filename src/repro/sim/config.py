@@ -99,6 +99,12 @@ class GPUConfig:
         ):
             if value < 1:
                 raise ConfigError(f"{field} must be at least 1, got {value}")
+        if self.weaver_entries < self.threads_per_warp:
+            # A warp registers its lanes into consecutive ST slots, so
+            # a table narrower than one warp cannot take a registration.
+            raise ConfigError(
+                f"weaver_entries ({self.weaver_entries}) must be at least "
+                f"threads_per_warp ({self.threads_per_warp})")
 
     # ------------------------------------------------------------------
     @property
@@ -110,6 +116,14 @@ class GPUConfig:
     def threads_per_core(self) -> int:
         """Resident threads per core."""
         return self.warps_per_core * self.threads_per_warp
+
+    @property
+    def weaver_capacity(self) -> int:
+        """Entries of one core's Weaver ST: the table size, capped at
+        the resident thread count and rounded down to whole warps (a
+        warp registers its lanes into consecutive slots)."""
+        capacity = min(self.weaver_entries, self.threads_per_core)
+        return capacity - capacity % self.threads_per_warp
 
     @property
     def total_threads(self) -> int:

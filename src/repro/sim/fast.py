@@ -24,10 +24,15 @@ feeding them to the one event loop on every later launch:
 * **Elementwise compile** — grid-stride init/apply kernels are
   compiled analytically from ``ReplayHint.elementwise`` without
   running a generator.
-* **Unit plan** — a hardware-unit gather drains against one planning
-  unit per core.  With no filter or early exit a unit's batch contents
-  depend only on the registered topology, and only *which warp*
-  receives batch k depends on timing.  So each warp stores a *home*
+* **Compiled unit gather** — a schedule that lays out its own trace
+  (``ReplayHint.build``: SparseWeaver's unfiltered gathers) hands the
+  engine its home streams and plans, built from the registered
+  topology through the loop's own compilers (:meth:`GPU._compilers`),
+  so no generator resumes and no planning unit runs.
+* **Unit plan** — any other hardware-unit gather drains against one
+  planning unit per core.  With no filter or early exit a unit's batch
+  contents depend only on the registered topology, and only *which
+  warp* receives batch k depends on timing.  So each warp stores a *home*
   stream, and each work batch one *body*: the records its receiver
   issues up to and including its next batch request.  On replay the
   real unit keeps its timeline and answers each batch request with the
@@ -83,17 +88,26 @@ class ReplayHint:
     compiled analytically (cache lines are integer ranges) without ever
     running the warp generators; the launch may then pass
     ``warp_factory=None``.
+
+    ``build`` is an optional ``build(compile, compile_run) -> (homes,
+    plans)`` from :meth:`repro.sched.base.Schedule.trace_builder`: a
+    unit gather's per-warp home records (without the end marker) and
+    per-core plans, compiled through the given compilers.  The launch
+    may then pass ``warp_factory=None``, and needs no ``capture``:
+    the bodies carry their updates.
     """
 
-    __slots__ = ("key", "capture", "effect", "elementwise")
+    __slots__ = ("key", "capture", "effect", "elementwise", "build")
 
     def __init__(self, key: str, capture: Optional[list] = None,
                  effect: Optional[Callable] = None,
-                 elementwise: Optional[tuple] = None) -> None:
+                 elementwise: Optional[tuple] = None,
+                 build: Optional[Callable] = None) -> None:
         self.key = key
         self.capture = capture
         self.effect = effect
         self.elementwise = elementwise
+        self.build = build
 
 
 class FastGPU(GPU):
@@ -124,6 +138,8 @@ class FastGPU(GPU):
         if trace is None:
             if replay.elementwise is not None:
                 trace = self._compile_elementwise(replay.elementwise)
+            elif replay.build is not None:
+                trace = self._build(replay.build, max_instructions)
             else:
                 trace = self._drain(warp_factory, unit_factory,
                                     replay.capture, max_instructions)
@@ -193,6 +209,19 @@ class FastGPU(GPU):
             totals.phase_cycles[phase] = epochs_run * (
                 len(reads) + alu_ops + len(writes))
         return KernelTrace(cores, totals)
+
+    # ------------------------------------------------------------------
+    def _build(self, build: Callable, max_instructions: int) -> KernelTrace:
+        """Store the trace a schedule lays out itself (``ReplayHint.
+        build``): its records come from the loop's compilers, which fold
+        the totals, and its warps' home streams get the end marker."""
+        totals = KernelStats()
+        homes, plans = build(*self._compilers(totals, max_instructions,
+                                              has_unit=True))
+        cores = [[(slot, (*records, _END), None) for slot, records in warps]
+                 for warps in homes]
+        totals.warps_launched = sum(map(len, cores))
+        return KernelTrace(cores, totals, plans)
 
     # ------------------------------------------------------------------
     def _drain(self, warp_factory, unit_factory, capture: Optional[list],

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -166,6 +166,19 @@ WarpFactory = Callable[[WarpContext], Optional[Iterator[Instr]]]
 UnitFactory = Callable[[int], Any]
 
 
+def _conflicts(arrays: List[np.ndarray]) -> List[int]:
+    """Per index array, how many of its lanes repeat an element an
+    earlier lane holds: its size minus its distinct elements."""
+    sizes = np.fromiter(map(len, arrays), np.int64, len(arrays))
+    flat = np.concatenate(arrays)
+    which = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
+    order = np.lexsort((flat, which))
+    flat, which = flat[order], which[order]
+    repeat = np.zeros(flat.size, dtype=bool)
+    repeat[1:] = (flat[1:] == flat[:-1]) & (which[1:] == which[:-1])
+    return np.bincount(which[repeat], minlength=len(arrays)).tolist()
+
+
 def _too_many(max_instructions: int) -> SimulationError:
     return SimulationError(
         f"kernel exceeded {max_instructions} instructions; "
@@ -209,25 +222,45 @@ class GPU:
     def _compiler(self, totals: KernelStats, max_instructions: int,
                   has_unit: bool = False,
                   lines_of: Optional[Callable[[Any, np.ndarray], list]]
-                  = None) -> Callable[[Instr], tuple]:
-        """The per-opcode cost table, as a ``compile(instr)`` function.
+                  = None) -> Callable[..., tuple]:
+        """The per-opcode cost table, as a ``compile(instr)`` function
+        (the first of :meth:`_compilers`)."""
+        return self._compilers(totals, max_instructions, has_unit,
+                               lines_of)[0]
 
-        ``compile`` returns the instruction's record (see the module
-        docstring) and folds its static totals into ``totals``: a live
-        launch folds into its own stats, the fast engine into the
-        totals it stores with a trace.  ``COUNTER`` pseudo-instructions
-        fold their value and compile to a zero-cost record — it still
-        resets the warp's ready time to *now*, which steers warp
-        selection, so it stays in the stream.
+    def _compilers(self, totals: KernelStats, max_instructions: int,
+                   has_unit: bool = False,
+                   lines_of: Optional[Callable[[Any, np.ndarray], list]]
+                   = None) -> Tuple[Callable[..., tuple],
+                                    Callable[..., list]]:
+        """The per-opcode cost table, as ``(compile, compile_run)``.
 
-        ``lines_of(region, indices)`` gives a memory record its line
-        list; it defaults to :meth:`MemoryHierarchy.lines_of`.  The fast
-        engine's drain passes one that returns an empty list and fills
-        it later, batched with other accesses.
+        ``compile(instr, uses=1)`` returns the instruction's record (see
+        the module docstring) and folds its static totals into
+        ``totals`` ``uses`` times: a live launch folds into its own
+        stats, the fast engine into the totals it stores with a trace,
+        and a trace that issues one record ``uses`` times compiles it
+        once.  ``COUNTER`` pseudo-instructions fold their value and
+        compile to a zero-cost record — it still resets the warp's
+        ready time to *now*, which steers warp selection, so it stays
+        in the stream.
+
+        ``compile_run(op, phase, region, arrays)`` returns the records
+        of one ``LOAD``, ``STORE`` or ``ATOMIC`` of ``region`` per index
+        array (each a 1-D int64 array, as ``as_index_array`` returns),
+        exactly what ``compile`` gives each, with every line set from
+        one :meth:`MemoryHierarchy.lines_of_many` call.
+
+        ``lines_of(region, indices)`` gives a memory record of
+        ``compile`` its line list; it defaults to
+        :meth:`MemoryHierarchy.lines_of`.  The fast engine's drain
+        passes one that returns an empty list and fills it later,
+        batched with other accesses.
         """
         cfg = self.config
         if lines_of is None:
             lines_of = self.memory.lines_of
+        lines_of_many = self.memory.lines_of_many
         op_counts = totals.op_counts
         phase_cycles = totals.phase_cycles
         counters = totals.counters
@@ -235,6 +268,7 @@ class GPU:
         shmem_delay = cfg.shmem_latency - 1
         store_delay = 1 + cfg.store_latency
         atomic_extra = cfg.atomic_extra
+        atomic_delay = 1 + atomic_extra
         memory_cat = stall_category(Op.LOAD)
         shared_cat = stall_category(Op.SHMEM_LOAD)
         LOAD, STORE, ATOMIC, ALU = Op.LOAD, Op.STORE, Op.ATOMIC, Op.ALU
@@ -242,7 +276,7 @@ class GPU:
         SYNC, NOP = Op.SYNC, Op.NOP
         ndarray, int64 = np.ndarray, np.dtype(np.int64)
 
-        def compile(instr: Instr) -> tuple:
+        def compile(instr: Instr, uses: int = 1) -> tuple:
             op = instr.op
             phase = instr.phase
             if op is LOAD or op is STORE or op is ATOMIC:
@@ -258,7 +292,7 @@ class GPU:
                     region = instr.region
                     # Element-level traffic accounting per array: lets
                     # tests check the Table I access formulas.
-                    counters[region.loads_key] += size
+                    counters[region.loads_key] += size * uses
                     rec = (_READ, 1, 1, phase, memory_cat,
                            lines_of(region, idx), op)
                 elif op is STORE:
@@ -270,7 +304,7 @@ class GPU:
                     # Conflicting lanes (same element) serialize.
                     values = idx.tolist()
                     conflicts = len(values) - len(set(values))
-                    rec = (_READ, 1, 1 + atomic_extra * (1 + conflicts),
+                    rec = (_READ, 1, atomic_delay + atomic_extra * conflicts,
                            phase, memory_cat, lines_of(instr.region, idx),
                            op)
             elif op is ALU:
@@ -289,7 +323,7 @@ class GPU:
                        op)
             elif op is _COUNTER:
                 name, value = instr.payload
-                counters[name] += value
+                counters[name] += value * uses
                 return (_FIXED, 0, 0, phase, _EXEC_DEP, None, op)
             elif op is SYNC:
                 rec = (_SYNC, 1, 1, phase, _SYNC_CAT, None, op)
@@ -297,14 +331,37 @@ class GPU:
                 rec = (_FIXED, 1, 1, phase, _EXEC_DEP, None, op)
             else:
                 raise SimulationError(f"unknown opcode {op!r}")
-            totals.instructions += 1
+            totals.instructions += uses
             if totals.instructions > max_instructions:
                 raise _too_many(max_instructions)
-            op_counts[op] += 1
-            phase_cycles[phase] += rec[1]
+            op_counts[op] += uses
+            phase_cycles[phase] += rec[1] * uses
             return rec
 
-        return compile
+        def compile_run(op: Op, phase: Phase, region: Any,
+                        arrays: List[np.ndarray]) -> list:
+            if not all(map(len, arrays)):
+                return [compile(Instr(op, phase, region, a))
+                        for a in arrays]
+            found = lines_of_many([(region, a) for a in arrays])
+            uses = len(arrays)
+            totals.instructions += uses
+            if totals.instructions > max_instructions:
+                raise _too_many(max_instructions)
+            op_counts[op] += uses
+            phase_cycles[phase] += uses
+            if op is LOAD:
+                counters[region.loads_key] += sum(map(len, arrays))
+                return [(_READ, 1, 1, phase, memory_cat, lines, op)
+                        for lines in found]
+            if op is STORE:
+                return [(_WRITE, 1, store_delay, phase, memory_cat, lines,
+                         op) for lines in found]
+            return [(_READ, 1, atomic_delay + atomic_extra * conflicts,
+                     phase, memory_cat, lines, op)
+                    for conflicts, lines in zip(_conflicts(arrays), found)]
+
+        return compile, compile_run
 
     # ------------------------------------------------------------------
     def run_kernel(

@@ -174,6 +174,40 @@ def test_max_iterations_caps_run(small_star):
     assert res.iterations == 2
 
 
+def test_iteration_cap_checked_before_any_kernel(small_star):
+    """A cap below one is refused before the GPU is built: no kernel,
+    not even the init kernel, is simulated."""
+    from repro.errors import SimulationError
+    from repro.sim import engines
+    from repro.sim.gpu import GPU
+
+    launches = []
+
+    class CountingGPU(GPU):
+        def run_kernel(self, *args, **kwargs):
+            launches.append(1)
+            return super().run_kernel(*args, **kwargs)
+
+    class CountingEngine:
+        name = "counting-for-cap-test"
+
+        def build_gpu(self, config, schedule=None):
+            return CountingGPU(config)
+
+    engines.register_engine(CountingEngine())
+    try:
+        proc = GraphProcessor(make_algorithm("pagerank", iterations=2),
+                              schedule="vertex_map", config=CFG,
+                              engine=CountingEngine.name)
+        with pytest.raises(SimulationError, match="at least 1"):
+            proc.run(small_star, max_iterations=0)
+        assert launches == []
+        proc.run(small_star, max_iterations=1)
+        assert launches
+    finally:
+        engines._ENGINES.pop(CountingEngine.name, None)
+
+
 def test_symmetrize_option():
     g = from_edge_list([(0, 1), (1, 2)], num_vertices=3)  # directed path
     proc = GraphProcessor(make_algorithm("cc"), schedule="vertex_map",

@@ -124,3 +124,27 @@ def test_unit_epoch_reset_roundtrip(data):
                 break
             seen.extend(r.eids[r.mask].tolist())
         assert seen == list(range(sum(e[3] for e in entries))), epoch
+
+
+@given(registrations(), st.sampled_from([None, 1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_scan_epoch_is_the_decode_sequence_without_rows(data, width):
+    """The row-free epoch scan the fast engine compiles from gives each
+    decode's cycles, and the runs its lane rows hold, up to and
+    including the decode that reaches S8."""
+    entries, lanes = data
+    st_table = SparseWorkloadTable(16)
+    for idx, vid, loc, deg in entries:
+        st_table.register(idx, vid, loc, deg)
+    live = WeaverFSM(st_table, lanes, zero_skip_width=width)
+    decodes = []
+    while not live.exhausted:
+        reply = live.decode()
+        work = reply.work_count
+        decodes.append((reply.fsm_cycles, list(zip(
+            reply.vids[:work].tolist(), reply.eids[:work].tolist()))))
+    scan = WeaverFSM(None, lanes, zero_skip_width=width).scan_epoch(
+        st_table.rows())
+    assert [(cycles, [(vid, first + i) for vid, first, count in runs
+                      for i in range(count)]) for cycles, runs in scan
+            ] == decodes

@@ -196,3 +196,24 @@ def test_bool_and_float_indices_are_refused(region_line, data):
             compile(helper(Phase.GATHER, region, raw))
     with pytest.raises(SimulationError):
         MemoryHierarchy(config(line_bytes)).access(0, region, raw)
+
+
+@given(regions(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_run_of_accesses_compiles_as_each_access_does(region_line, data):
+    """``compile_run`` gives each index array the record, and folds the
+    totals, that compiling the access by itself gives: line sets from
+    one ``lines_of_many`` pass, an atomic's conflicts counted per
+    array, and an empty array's record."""
+    region, line_bytes = region_line
+    arrays = [np.array(values, dtype=np.int64) for values in data.draw(
+        st.lists(index_values(region.length), min_size=1, max_size=12))]
+    gpu = GPU(config(line_bytes))
+    for op, helper in ((Op.LOAD, load), (Op.STORE, store),
+                       (Op.ATOMIC, atomic)):
+        totals, expected = KernelStats(), KernelStats()
+        _compile, compile_run = gpu._compilers(totals, 1000)
+        compile = gpu._compiler(expected, 1000)
+        assert compile_run(op, Phase.GATHER, region, arrays) == [
+            compile(helper(Phase.GATHER, region, a)) for a in arrays]
+        assert totals.to_summary_dict() == expected.to_summary_dict()

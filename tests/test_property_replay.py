@@ -187,3 +187,45 @@ def test_replaying_weaver_rejects_skip():
     assert unit.handle(Op.WEAVER_DEC_ID, 0, 2, None)[1] == bodies[0]
     with pytest.raises(SimulationError, match="WEAVER_SKIP"):
         unit.handle(Op.WEAVER_SKIP, 0, 3, 7)
+
+
+def _planned_weaver(config):
+    """A one-epoch plan of two batches (a degree-6 vertex on 4 lanes)."""
+    planner = WeaverUnit(config)
+    log = planner.plan()
+    planner.handle(Op.WEAVER_REG, 0, 0, [(0, 7, 0, 6)])
+    while not planner.handle(Op.WEAVER_DEC_ID, 0, 0, None)[1].exhausted:
+        pass
+    return log
+
+
+def test_replaying_weaver_names_an_epoch_the_plan_lacks():
+    """A launch that opens more epochs than were planned, as a compile
+    bug would, fails naming the core and epoch, not with a bare
+    StopIteration."""
+    config = GPUConfig.vortex_tiny()
+    log = _planned_weaver(config)
+    unit = WeaverUnit(config, core_id=1)
+    unit.replay(log, [("body", 0), ("body", 1)])
+    unit.handle(Op.WEAVER_REG, 0, 1, [(0, 7, 0, 6)])
+    while unit.handle(Op.WEAVER_DEC_ID, 0, 2, None)[1] is not HOME:
+        pass
+    with pytest.raises(SimulationError,
+                       match="core 1: epoch 1 opened but the plan holds "
+                             "1 epochs"):
+        unit.handle(Op.WEAVER_REG, 0, 9, [(0, 7, 0, 6)])
+
+
+def test_replaying_weaver_names_a_batch_the_plan_lacks():
+    """A plan with fewer bodies than decodes with work fails naming the
+    core and batch.  The prefetching scan decodes both batches while
+    serving the first request."""
+    config = GPUConfig.vortex_tiny()
+    log = _planned_weaver(config)
+    unit = WeaverUnit(config, core_id=1)
+    unit.replay(log, [("body", 0)])
+    unit.handle(Op.WEAVER_REG, 0, 1, [(0, 7, 0, 6)])
+    with pytest.raises(SimulationError,
+                       match="core 1: batch 1 decoded but the plan holds "
+                             "1 bodies"):
+        unit.handle(Op.WEAVER_DEC_ID, 0, 2, None)

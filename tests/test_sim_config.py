@@ -68,6 +68,33 @@ def test_gpu_config_validation():
         GPUConfig(weaver_entries=0)
 
 
+def test_weaver_table_narrower_than_a_warp_is_rejected():
+    """A warp registers its lanes into consecutive ST slots: a 16-entry
+    table cannot take a 32-lane warp, so the config is refused when it
+    is built, not mid-kernel."""
+    from dataclasses import replace
+
+    with pytest.raises(ConfigError, match=r"weaver_entries \(16\).*"
+                       r"threads_per_warp \(32\)"):
+        replace(GPUConfig.vortex_bench(), weaver_entries=16)
+    assert GPUConfig.vortex_tiny().weaver_entries == 512
+
+
+def test_weaver_capacity_is_whole_warps_of_resident_threads():
+    """One per-core ST capacity, read by the schedules, the unit and
+    the fast engine's compile: the table size, capped at the resident
+    threads and rounded down to whole warps."""
+    from repro.core.unit import WeaverUnit
+
+    bench = GPUConfig.vortex_bench()
+    assert bench.weaver_capacity == bench.threads_per_core == 256
+    for entries, capacity in ((32, 32), (48, 32), (100, 96), (4096, 256)):
+        cfg = GPUConfig(num_sockets=1, cores_per_socket=2,
+                        warps_per_core=8, weaver_entries=entries)
+        assert cfg.weaver_capacity == capacity
+        assert WeaverUnit(cfg).st.capacity == capacity
+
+
 def test_presets_construct():
     for preset in (GPUConfig.vortex_bench, GPUConfig.vortex_tiny,
                    GPUConfig.ampere_like, GPUConfig.ada_like):
