@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.frontend import GraphProcessor
 from repro.graph import dataset
+from repro.sched.registry import schedule_names
 from repro.sim import GPUConfig
 from repro.sim.engines import (DEFAULT_ENGINE, SimulatorEngine,
                                available_engines, build_gpu, get_engine,
@@ -79,7 +80,7 @@ def test_build_gpu_routes_through_registry():
 def test_auto_engine_selects_by_schedule():
     """``auto`` is an alias of ``fast``: every schedule, hardware-unit
     ones included, gets a ``FastGPU``."""
-    from repro.sched.registry import make_schedule, schedule_names
+    from repro.sched.registry import make_schedule
 
     cfg = GPUConfig.vortex_bench()
     auto = get_engine("auto")
@@ -98,10 +99,7 @@ def test_facade_reexports():
 
 # ------------------------------------------------------------------- parity
 
-@pytest.mark.parametrize("schedule", ["vertex_map", "edge_map",
-                                      "warp_map", "cta_map",
-                                      "sparseweaver", "eghw",
-                                      "hybrid_ell"])
+@pytest.mark.parametrize("schedule", schedule_names())
 def test_fast_engine_bit_identical(schedule):
     """Cycles, stall cells and summary dicts match the reference
     engine exactly — the tentpole guarantee."""

@@ -1,11 +1,14 @@
 """Golden pin: exact simulated numbers for a fixed set of small jobs.
 
 Cross-engine parity tests prove the two engines agree with each other;
-this file proves the simulator agrees with itself across commits.  Six
+this file proves the simulator agrees with itself across commits.  Seven
 schedules run PageRank (2 iterations) and BFS on one seeded 300-vertex
-power-law graph, on both engines, with the provenance digester on.
-Each job's total cycles, stall cycles by class, DRAM line fills, result
-values digest and a hash of its digest ledger are pinned exactly.
+power-law graph, and SparseWeaver also runs bottom-up BFS (its early
+exit is the only ``WEAVER_SKIP`` path), on both engines, with the
+provenance digester on.  Each job's total cycles, stall cycles by class,
+DRAM line fills, result values digest and a hash of its digest ledger
+are pinned exactly.  Both GCN operator strategies run on the same graph,
+with each kernel's cycles and stall cycles pinned.
 
 The pins hold only while the timing model does.  A change that is meant
 to move simulated numbers updates every pin below together with
@@ -16,8 +19,12 @@ import hashlib
 import json
 import os
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.algorithms.gcn import gcn_reference, run_gcn_operator
 from repro.graph import powerlaw_graph
 from repro.obs.provenance import (DEFAULT_INTERVAL, INTERVAL_ENV,
                                   disable_digests, enable_digests)
@@ -45,10 +52,8 @@ GRAPH = GraphSpec.inline(
 ALGORITHMS = {
     "pagerank": (AlgorithmSpec.of("pagerank", iterations=2), 2),
     "bfs": (AlgorithmSpec.of("bfs"), None),
+    "bfs_bottom_up": (AlgorithmSpec.of("bfs", variant="bottom_up"), None),
 }
-
-SCHEDULES = ("vertex_map", "warp_map", "cta_map", "edge_map",
-             "sparseweaver", "eghw")
 
 #: (algorithm, schedule) -> (total_cycles, stall cycles by class,
 #: dram_accesses, values digest prefix, ledger hash prefix).
@@ -68,9 +73,15 @@ GOLDEN = {
     ("bfs", "sparseweaver"): (
         16216, {"MEMORY": 23446, "SYNC": 30281, "WEAVER": 1951},
         566, "78e58fdf2370afc2", "5fd92f4d030ba21e"),
+    ("bfs", "hybrid_ell"): (
+        26256, {"MEMORY": 42569, "SYNC": 58288, "WEAVER": 1218},
+        958, "78e58fdf2370afc2", "7e4e2e9270132669"),
     ("bfs", "eghw"): (
         20131, {"MEMORY": 18482, "SHARED": 14, "SYNC": 4578, "EGHW": 14071},
         1078, "78e58fdf2370afc2", "7096ac826318cf15"),
+    ("bfs_bottom_up", "sparseweaver"): (
+        23667, {"MEMORY": 33810, "SYNC": 33102, "WEAVER": 3164},
+        936, "78e58fdf2370afc2", "3c76c206aaea711c"),
     ("pagerank", "vertex_map"): (
         26454, {"MEMORY": 39410},
         1129, "703ca6cb2a557669", "5bdb61ff6a9d1bae"),
@@ -86,6 +97,9 @@ GOLDEN = {
     ("pagerank", "sparseweaver"): (
         22379, {"MEMORY": 35898, "SYNC": 16280, "WEAVER": 2310},
         1127, "3f19e5a9495e9345", "3bd3a7c63182fa2c"),
+    ("pagerank", "hybrid_ell"): (
+        26927, {"MEMORY": 46654, "SYNC": 30577, "WEAVER": 1119},
+        1336, "cd0800cad95b9868", "70ea27a949d0df79"),
     ("pagerank", "eghw"): (
         33196, {"MEMORY": 39356, "SYNC": 4990, "EGHW": 20654},
         1905, "7c88119e7e2a2db5", "5b7ccb9dfc8bc517"),
@@ -114,11 +128,43 @@ def _pinned(summary: dict) -> tuple:
 
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])
-@pytest.mark.parametrize("schedule", SCHEDULES)
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm,schedule", sorted(GOLDEN))
 def test_golden_pin(algorithm, schedule, engine):
     alg, iterations = ALGORITHMS[algorithm]
     spec = JobSpec(algorithm=alg, graph=GRAPH, schedule=schedule,
                    config=CONFIG, max_iterations=iterations,
                    engine=engine)
     assert _pinned(_execute_spec(spec)) == GOLDEN[(algorithm, schedule)]
+
+
+#: GCN's operator driver on the golden config with a 32-entry Weaver
+#: table, one per core's resident threads: strategy -> kernel ->
+#: (total_cycles, stall cycles by class).
+GOLDEN_GCN = {
+    "sparseweaver": {
+        "init": (58, {"MEMORY": 2}),
+        "spmm": (2168, {"MEMORY": 2865}),
+        "graphsum": (23550, {"MEMORY": 37115, "SYNC": 3598,
+                             "WEAVER": 1103})},
+    "vertex_map": {
+        "init": (58, {"MEMORY": 2}),
+        "spmm": (1977, {"MEMORY": 2441}),
+        "graphsum": (47739, {"MEMORY": 62654})},
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_GCN))
+def test_golden_pin_gcn(strategy):
+    graph = GRAPH.build()
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(graph.num_vertices, 4))
+    weight = rng.normal(size=(4, 3))
+    res = run_gcn_operator(graph, features, weight, strategy=strategy,
+                           config=replace(CONFIG, weaver_entries=32))
+    np.testing.assert_allclose(res.features,
+                               gcn_reference(graph, features, weight),
+                               atol=1e-9)
+    summaries = {name: stats.to_summary_dict()
+                 for name, stats in res.kernel_stats.items()}
+    assert {name: (s["total_cycles"], s["stall_cycles"])
+            for name, s in summaries.items()} == GOLDEN_GCN[strategy]
