@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -29,20 +30,16 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRGraph
-from repro.sched.common import WARP_ITERATION
+from repro.sched.common import (
+    EPOCH_RESET,
+    WARP_ITERATION,
+    read_rows,
+    weaver_epoch,
+    weaver_registration,
+)
 from repro.sim.config import GPUConfig
 from repro.sim.engines import build_gpu
-from repro.sim.instructions import (
-    Phase,
-    alu,
-    atomic,
-    load,
-    store,
-    sync,
-    weaver_dec_id,
-    weaver_dec_loc,
-    weaver_reg,
-)
+from repro.sim.instructions import Phase, alu, atomic, load, store
 from repro.sim.memory import MemoryMap
 from repro.sim.stats import KernelStats
 
@@ -275,60 +272,36 @@ def _graphsum_vm_factory(cfg: GPUConfig, regions, graph: CSRGraph,
 def _graphsum_sw_factory(cfg: GPUConfig, regions, graph: CSRGraph,
                          transformed, norm, out, dims: int):
     """SparseWeaver edge-parallel GraphSum: register per-vertex edge
-    runs once; each dense work item loops the weight dimension with
-    atomic accumulation (the paper's 'iterating through the weight
-    dimension using atomic operation')."""
-    stride = cfg.total_threads
-    n = graph.num_vertices
-    epochs = max(1, math.ceil(n / stride))
-    row_ptr = graph.row_ptr
+    runs once, by the ST capacity as the SparseWeaver schedule does;
+    each dense work item loops the weight dimension with atomic
+    accumulation (the paper's 'iterating through the weight dimension
+    using atomic operation')."""
+    num_epochs, registered = weaver_registration(cfg, graph.num_vertices)
+    register = partial(read_rows, regions["row_ptr"], graph.row_ptr)
     col = graph.col_idx
-    lanes = np.arange(cfg.threads_per_warp, dtype=np.int64)
+
+    def batch(bases, eids):
+        yield load(Phase.EDGE_ACCESS, regions["col_idx"], eids)
+        srcs = col[eids]
+        # coefficient computed once per edge, reused for every weight
+        # column (the paper's GraphSum win)
+        yield load(Phase.GATHER, regions["degree"], srcs)
+        yield load(Phase.GATHER, regions["degree"], bases)
+        yield alu(Phase.GATHER, 4)
+        for d in range(dims):
+            yield load(Phase.GATHER, regions["transformed"], srcs * dims + d)
+            yield alu(Phase.GATHER, 2)
+            yield atomic(Phase.GATHER, regions["out"], bases * dims + d)
+            np.add.at(out, (bases, np.full(bases.size, d)),
+                      transformed[srcs, d] * norm[eids])
 
     def factory(ctx):
         def kernel():
-            for e in range(epochs):
-                vids = ctx.thread_ids + e * stride
-                vids = vids[vids < n]
-                if vids.size:
-                    yield load(Phase.REGISTRATION, regions["row_ptr"],
-                               np.concatenate([vids, vids + 1]))
-                    yield alu(Phase.REGISTRATION)
-                    starts = row_ptr[vids]
-                    degs = row_ptr[vids + 1] - starts
-                    entries = list(zip(lanes[: vids.size].tolist(),
-                                       vids.tolist(), starts.tolist(),
-                                       degs.tolist()))
-                    yield weaver_reg(Phase.REGISTRATION, entries)
-                else:
-                    yield weaver_reg(Phase.REGISTRATION, [])
-                yield sync(Phase.REGISTRATION)
-                while True:
-                    yield WARP_ITERATION
-                    decoded = yield weaver_dec_id(Phase.SCHEDULE)
-                    if decoded.exhausted:
-                        break
-                    eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                    work = decoded.work_count
-                    bases = decoded.vids[:work]
-                    eids = eid_row[:work]
-                    yield load(Phase.EDGE_ACCESS, regions["col_idx"], eids)
-                    srcs = col[eids]
-                    # coefficient computed once per edge, reused for
-                    # every weight column (the paper's GraphSum win)
-                    yield load(Phase.GATHER, regions["degree"], srcs)
-                    yield load(Phase.GATHER, regions["degree"], bases)
-                    yield alu(Phase.GATHER, 4)
-                    for d in range(dims):
-                        yield load(Phase.GATHER, regions["transformed"],
-                                   srcs * dims + d)
-                        yield alu(Phase.GATHER, 2)
-                        yield atomic(Phase.GATHER, regions["out"],
-                                     bases * dims + d)
-                        np.add.at(out, (bases, np.full(bases.size, d)),
-                                  transformed[srcs, d] * norm[eids])
-                if e < epochs - 1:
-                    yield sync(Phase.SCHEDULE)
+            for epoch in range(num_epochs):
+                if epoch:
+                    yield EPOCH_RESET
+                yield from weaver_epoch(registered(ctx, epoch), register,
+                                        batch)
 
         return kernel()
 

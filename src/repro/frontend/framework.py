@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from dataclasses import replace as dc_replace
-from functools import partial
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -110,7 +108,6 @@ class GraphProcessor:
             else work_graph
         )
         state = alg.make_state(work_graph)
-        alg, edge_counter = _counting_algorithm(alg)
         gpu = self._engine.build_gpu(self.config, schedule=self.schedule)
         env = KernelEnv(
             graph=traversal,
@@ -121,65 +118,42 @@ class GraphProcessor:
         )
         env.memory = gpu.memory
 
-        # Replay hints: a replay-capable GPU traces each kernel once
-        # and replays it on later launches.  The gather kernel is only
-        # eligible when its instruction stream cannot depend on state
-        # the kernel itself mutates (``trace_safe`` schedules, no
-        # filters / early exit); a hardware unit's replies then only
-        # pick which stored batch body runs next.  During the trace
-        # drain a recording ``edge_update`` captures argument tuples
-        # instead of mutating state; every replay collects them in
-        # issue order and applies them in one call on their
-        # concatenation, so float accumulation order matches reference.
-        # A schedule that lays out its own gather trace (SparseWeaver)
-        # needs neither the generators nor the recording update: its
-        # bodies carry their updates.  Init/apply are grid-stride
-        # elementwise kernels, so a replay GPU compiles their traces
-        # analytically (contiguous per-warp index ranges) and never
-        # needs the warp generators.
-        fast_elementwise = gpu.supports_replay
-        if fast_elementwise:
-            init_hint = ReplayHint("init", elementwise=(
-                [],
-                [env.region(name) for name in _vertex_sized_arrays(env)],
-                1, Phase.INIT, env.num_vertices))
-            apply_hint = ReplayHint("apply", elementwise=(
-                [env.region(alg.acc_array),
-                 env.region(alg.result_array)],
-                [env.region(alg.result_array),
-                 env.region(alg.acc_array)],
-                alg.apply_alu, Phase.APPLY, env.num_vertices))
-        else:
-            init_hint = ReplayHint("init")
-            apply_hint = ReplayHint("apply")
-        fast_gather = (
-            gpu.supports_replay
-            and self.schedule.trace_safe
-            and not (alg.has_base_filter or alg.has_other_filter
-                     or alg.has_early_exit)
-        )
+        # Replay hints: a replay-capable GPU stores each kernel's trace
+        # once and replays it on later launches; the reference engine
+        # ignores them.  The fast engine compiles the init/apply traces
+        # from their hints and never calls their warp factories.  The
+        # gather kernel is only eligible when its instruction stream
+        # cannot depend on state the kernel itself mutates
+        # (``trace_safe`` schedules, no filters / early exit); a
+        # hardware unit's replies then only pick which stored batch
+        # body runs next.  A schedule that lays out its own gather
+        # trace (SparseWeaver) needs no generators: its bodies carry
+        # their updates.  Otherwise the drain runs the generators with
+        # ``env.capture`` set, so ``env.edge_update`` records batches
+        # instead of applying them.  A replay applies its batches
+        # through ``env.apply_edges`` in one call on their
+        # concatenation in issue order, so float accumulation order
+        # matches the reference.
+        init_factory, init_hint = _elementwise_kernel(
+            env, "init", [], _vertex_sized_arrays(env), 1, Phase.INIT)
+        apply_factory, apply_hint = _elementwise_kernel(
+            env, "apply", [alg.acc_array, alg.result_array],
+            [alg.result_array, alg.acc_array], alg.apply_alu, Phase.APPLY)
         gather_hint = None
-        recording_alg = None
         build = None
-        if fast_gather:
+        if (gpu.supports_replay and self.schedule.trace_safe
+                and not (alg.has_base_filter or alg.has_other_filter
+                         or alg.has_early_exit)):
             build = self.schedule.trace_builder(env)
             gather_hint = ReplayHint("gather", build=build,
-                                     effect=partial(alg.edge_update, state))
+                                     effect=env.apply_edges)
             if build is None:
-                gather_hint.capture = []
-                record = gather_hint.capture.append
-
-                def recording_edge_update(state, bases, others, weights,
-                                          eids):
-                    record((bases, others, weights, eids))
-
-                recording_alg = dc_replace(
-                    alg, edge_update=recording_edge_update)
+                env.capture = gather_hint.capture = []
 
         total = KernelStats()
         if self.time_init:
             total.merge(gpu.run_kernel(
-                None if fast_elementwise else _init_kernel_factory(env),
+                init_factory,
                 tracer=self.exec_tracer,
                 replay=init_hint,
             ))
@@ -192,30 +166,22 @@ class GraphProcessor:
             # the warp factory entirely — eligible streams are identical
             # across iterations — so replays skip the rebuild; a unit
             # still serves every launch, replayed or not.
-            swap = recording_alg is not None and not gpu.has_trace("gather")
-            if swap:
-                env.algorithm = recording_alg
-            try:
-                warp_factory = (None if build or gpu.has_trace("gather")
-                                else self.schedule.warp_factory(env))
-                unit_factory = (
-                    self.schedule.unit_factory(env)
-                    if self.schedule.uses_hardware_unit else None
-                )
-                edge_counter["count"] = 0
-                gather_stats = gpu.run_kernel(
-                    warp_factory, unit_factory=unit_factory,
-                    tracer=self.exec_tracer,
-                    replay=gather_hint,
-                )
-            finally:
-                if swap:
-                    env.algorithm = alg
-            _check_edge_coverage(alg, env, edge_counter["count"])
+            warp_factory = (None if build or gpu.has_trace("gather")
+                            else self.schedule.warp_factory(env))
+            unit_factory = (
+                self.schedule.unit_factory(env)
+                if self.schedule.uses_hardware_unit else None
+            )
+            env.edges_applied = 0
+            gather_stats = gpu.run_kernel(
+                warp_factory, unit_factory=unit_factory,
+                tracer=self.exec_tracer,
+                replay=gather_hint,
+            )
+            _check_edge_coverage(env)
             if self.time_apply:
                 apply_stats = gpu.run_kernel(
-                    None if (fast_elementwise or gpu.has_trace("apply"))
-                    else _apply_kernel_factory(env),
+                    apply_factory,
                     tracer=self.exec_tracer,
                     replay=apply_hint,
                 )
@@ -242,22 +208,11 @@ class GraphProcessor:
 # ----------------------------------------------------------------------
 # Edge-coverage check
 # ----------------------------------------------------------------------
-def _counting_algorithm(alg: Algorithm):
-    """Wrap ``edge_update`` so every handed-over edge is counted."""
-    counter = {"count": 0}
-    original = alg.edge_update
-
-    def counting_edge_update(state, bases, others, weights, eids):
-        counter["count"] += len(bases)
-        original(state, bases, others, weights, eids)
-
-    return dc_replace(alg, edge_update=counting_edge_update), counter
-
-
-def _check_edge_coverage(alg: Algorithm, env: KernelEnv,
-                         count: int) -> None:
+def _check_edge_coverage(env: KernelEnv) -> None:
     """A gather launch may hand out each edge at most once; with no
     filters or early exit it must hand out all of them."""
+    alg = env.algorithm
+    count = env.edges_applied
     total = env.num_edges
     if count > total:
         raise SimulationError(
@@ -285,9 +240,12 @@ def _vertex_sized_arrays(env: KernelEnv) -> List[str]:
     ]
 
 
-def _elementwise_factory(env: KernelEnv, reads: List[str],
-                         writes: List[str], alu_ops: int, phase: Phase):
-    """Grid-stride elementwise kernel over vertices (timing only)."""
+def _elementwise_kernel(env: KernelEnv, key: str, reads: List[str],
+                        writes: List[str], alu_ops: int, phase: Phase):
+    """Grid-stride elementwise kernel over vertices (timing only): its
+    warp factory and the replay hint that describes the same kernel.
+    Init stores every vertex-sized state array once; apply reads the
+    accumulator and the result and writes both back."""
     num_epochs = max(
         1, math.ceil(env.num_vertices / env.config.total_threads)
     )
@@ -312,19 +270,6 @@ def _elementwise_factory(env: KernelEnv, reads: List[str],
 
         return kernel()
 
-    return factory
-
-
-def _init_kernel_factory(env: KernelEnv):
-    """Init kernel: every vertex-sized state array gets stored once."""
-    arrays = _vertex_sized_arrays(env)
-    return _elementwise_factory(env, [], arrays, 1, Phase.INIT)
-
-
-def _apply_kernel_factory(env: KernelEnv):
-    """Apply kernel: read accumulator + result, write result back."""
-    alg = env.algorithm
-    reads = [alg.acc_array, alg.result_array]
-    writes = [alg.result_array, alg.acc_array]
-    return _elementwise_factory(env, reads, writes, alg.apply_alu,
-                                Phase.APPLY)
+    return factory, ReplayHint(key, elementwise=(
+        [env.region(name) for name in reads],
+        [env.region(name) for name in writes], alu_ops, phase, n))

@@ -2,10 +2,12 @@
 
 A :class:`KernelEnv` bundles everything a gather kernel needs: the
 traversal-direction CSR graph, the algorithm UDFs, live state arrays,
-the memory regions backing them, and the GPU configuration. A
-:class:`Schedule` turns an environment into a warp factory for
-:meth:`repro.sim.gpu.GPU.run_kernel`, plus (optionally) a hardware-unit
-factory for SparseWeaver / EGHW launches.
+the memory regions backing them, and the GPU configuration.  It is the
+kernels' one door to algorithm state: a schedule hands each gathered
+edge batch to :meth:`KernelEnv.edge_update`, never to the algorithm's
+``edge_update``.  A :class:`Schedule` turns an environment into a warp
+factory for :meth:`repro.sim.gpu.GPU.run_kernel`, plus (optionally) a
+hardware-unit factory for SparseWeaver / EGHW launches.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class KernelEnv:
     is the transpose of the input, so each row's base vertex is the
     gathering destination and the row's column entries are the opposite
     endpoints.
+
+    ``capture`` is the list :meth:`edge_update` records batches in
+    while the fast engine drains the gather (``None`` otherwise);
+    ``edges_applied`` counts the edges :meth:`apply_edges` applied.
     """
 
     graph: CSRGraph
@@ -44,6 +50,8 @@ class KernelEnv:
     memory_map: MemoryMap
     regions: Dict[str, Region] = field(default_factory=dict)
     memory: Optional[MemoryHierarchy] = None
+    capture: Optional[list] = None
+    edges_applied: int = 0
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -92,6 +100,23 @@ class KernelEnv:
     def edge_epochs(self) -> int:
         """Grid-stride epochs needed to cover all edges."""
         return max(1, math.ceil(self.num_edges / self.config.total_threads))
+
+    def edge_update(self, bases: np.ndarray, others: np.ndarray,
+                    weights: np.ndarray, eids: np.ndarray) -> None:
+        """Hand one gathered edge batch to the algorithm: recorded in
+        :attr:`capture` during a drain, else :meth:`apply_edges`."""
+        if self.capture is not None:
+            self.capture.append((bases, others, weights, eids))
+        else:
+            self.apply_edges(bases, others, weights, eids)
+
+    def apply_edges(self, bases: np.ndarray, others: np.ndarray,
+                    weights: np.ndarray, eids: np.ndarray) -> None:
+        """Apply the algorithm's ``edge_update`` to live state and count
+        the edges (a replay calls it once, on its batches concatenated
+        in issue order)."""
+        self.edges_applied += len(bases)
+        self.algorithm.edge_update(self.state, bases, others, weights, eids)
 
 
 WarpFactory = Callable[[WarpContext], Optional[Iterator]]

@@ -3,18 +3,19 @@
 These sub-generators (driven with ``yield from``) emit the memory
 traffic and ALU work of the two halves every scheme shares — inspecting
 graph topology at registration time and processing a warp-wide batch of
-edges at distribution time — while performing the *functional* update on
-the numpy state arrays, so timing and correctness come from one code
-path.
+edges at distribution time — while handing each batch's *functional*
+update to :meth:`KernelEnv.edge_update`, so timing and correctness come
+from one code path.  :func:`weaver_epoch` is Fig. 9's per-epoch Weaver
+protocol, which every Weaver kernel runs with its own topology read and
+batch body.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.sched.base import KernelEnv
+from repro.sim.config import GPUConfig
 from repro.sim.instructions import (
     Phase,
     alu,
@@ -22,12 +23,24 @@ from repro.sim.instructions import (
     counter,
     load,
     store,
+    sync,
+    weaver_dec_id,
+    weaver_dec_loc,
+    weaver_reg,
 )
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 #: The ``warp_iterations`` bump every batch yields: one shared Instr.
 WARP_ITERATION = counter("warp_iterations")
+
+#: Fig. 9's fixed instructions, shared like ``WARP_ITERATION``.  The
+#: reset barrier keeps stragglers off the next epoch's ST/DT reset.
+DEC_ID = weaver_dec_id(Phase.SCHEDULE)
+DEC_LOC = weaver_dec_loc(Phase.SCHEDULE)
+NO_REGISTRATION = weaver_reg(Phase.REGISTRATION, [])
+REGISTRATION_SYNC = sync(Phase.REGISTRATION)
+EPOCH_RESET = sync(Phase.SCHEDULE)
 
 #: Weights of an algorithm that reads none.  Batches are warp-wide, so
 #: a read-only view of this array serves them instead of a fresh
@@ -36,24 +49,29 @@ _ONES = np.ones(1024)
 _ONES.flags.writeable = False
 
 
-def inspect_topology(env: KernelEnv, vids: np.ndarray,
-                     phase: Phase = Phase.REGISTRATION):
-    """Emit the topology access of Fig. 9 lines 5-8; returns
-    ``(starts, degrees)`` with the base filter already applied
+def read_rows(region, row_ptr: np.ndarray, vids: np.ndarray):
+    """Emit the topology access of Fig. 9 lines 5-8 for ``vids`` (a
+    non-empty array) from the CSR row pointers ``row_ptr`` that
+    ``region`` backs; returns ``(starts, degrees)``."""
+    yield load(Phase.REGISTRATION, region, np.concatenate([vids, vids + 1]))
+    yield alu(Phase.REGISTRATION)
+    starts = row_ptr[vids]
+    return starts, row_ptr[vids + 1] - starts
+
+
+def inspect_topology(env: KernelEnv, vids: np.ndarray):
+    """Emit the traversal graph's topology access (:func:`read_rows`);
+    returns ``(starts, degrees)`` with the base filter already applied
     (filtered vertices get degree zero)."""
-    g = env.graph
     alg = env.algorithm
     if vids.size == 0:
         return _EMPTY, _EMPTY
-    yield load(phase, env.region("row_ptr"),
-               np.concatenate([vids, vids + 1]))
-    yield alu(phase)
-    starts = g.row_ptr[vids]
-    degrees = g.row_ptr[vids + 1] - starts
+    starts, degrees = yield from read_rows(env.region("row_ptr"),
+                                           env.graph.row_ptr, vids)
     if alg.has_base_filter:
         for name in alg.base_filter_arrays:
-            yield load(phase, env.region(name), vids)
-        yield alu(phase)
+            yield load(Phase.REGISTRATION, env.region(name), vids)
+        yield alu(Phase.REGISTRATION)
         degrees = alg.filtered_degrees(env.state, vids, degrees)
     return starts, degrees
 
@@ -80,11 +98,10 @@ def process_edge_batch(
     loads and uses the supplied ``others``/``weights``.
 
     Without an other-endpoint filter every edge of the batch gathers,
-    so the arrays go to ``edge_update`` as they are, with no mask.  An
-    algorithm that reads no weights gets a read-only view of ones.
+    so the arrays go to ``env.edge_update`` as they are, with no mask.
+    An algorithm that reads no weights gets a read-only view of ones.
     """
     alg = env.algorithm
-    state = env.state
     if bases.size == 0:
         return
     if not preloaded:
@@ -99,13 +116,13 @@ def process_edge_batch(
         yield load(gather_phase, env.region(name), others)
     if alg.has_other_filter:
         yield alu(gather_phase)
-        keep = ~alg.other_filter(state, others)
+        keep = ~alg.other_filter(env.state, others)
         if not keep.any():
             return
         bases, others, weights, eids = (
             bases[keep], others[keep], weights[keep], eids[keep])
     yield alu(gather_phase, alg.gather_alu)
-    alg.edge_update(state, bases, others, weights, eids)
+    env.edge_update(bases, others, weights, eids)
     if accumulate == "atomic":
         targets = bases if alg.accumulate_target == "base" else others
         yield atomic(gather_phase, env.region(alg.acc_array), targets)
@@ -132,8 +149,9 @@ def epoch_vertex_ids(ctx, env: KernelEnv, epoch: int) -> np.ndarray:
     return vids[vids < env.num_vertices]
 
 
-def weaver_registration(env: KernelEnv):
-    """How warps register vertices into a per-core ST each epoch.
+def weaver_registration(config: GPUConfig, num_vertices: int):
+    """How warps register ``num_vertices`` vertices into a per-core ST
+    each epoch: the one ST-capacity rule every Weaver kernel follows.
 
     The ST holds ``GPUConfig.weaver_capacity`` entries per core.  Only
     the first ``capacity // lanes`` warps of a core register, so each
@@ -143,11 +161,9 @@ def weaver_registration(env: KernelEnv):
     ``vids_of(ctx, epoch)`` gives the in-range vertex ids warp ``ctx``
     registers in ``epoch`` (empty for warps past the capacity).
     """
-    cfg = env.config
-    lanes = env.lanes
-    capacity = cfg.weaver_capacity
-    grid = cfg.num_cores * capacity
-    n = env.num_vertices
+    lanes = config.threads_per_warp
+    capacity = config.weaver_capacity
+    grid = config.num_cores * capacity
     lane_ids = np.arange(lanes, dtype=np.int64)
 
     def vids_of(ctx, epoch: int) -> np.ndarray:
@@ -155,9 +171,36 @@ def weaver_registration(env: KernelEnv):
             return _EMPTY
         vids = (epoch * grid + ctx.core_id * capacity
                 + ctx.warp_slot * lanes + lane_ids)
-        return vids[vids < n]
+        return vids[vids < num_vertices]
 
-    return max(1, -(-n // grid)), vids_of
+    return max(1, -(-num_vertices // grid)), vids_of
+
+
+def weaver_epoch(vids: np.ndarray, register, batch):
+    """One warp's epoch of Fig. 9's Weaver kernel: the lanes'
+    ``WEAVER_REG`` of ``vids`` (empty when ``vids`` is) after the
+    topology read ``register(vids) -> (starts, degrees)``, the
+    registration barrier, then ``WEAVER_DEC_ID`` / ``WEAVER_DEC_LOC``
+    rounds, each running ``batch(bases, eids)``, until the unit runs
+    dry.  Both callbacks are sub-generators.  Callers put
+    :data:`EPOCH_RESET` between epochs."""
+    if vids.size:
+        starts, degrees = yield from register(vids)
+        yield weaver_reg(Phase.REGISTRATION, list(zip(
+            range(vids.size), vids.tolist(), starts.tolist(),
+            degrees.tolist())))
+    else:
+        yield NO_REGISTRATION
+    yield REGISTRATION_SYNC
+    while True:
+        yield WARP_ITERATION
+        decoded = yield DEC_ID
+        if decoded.exhausted:
+            return
+        eid_row = yield DEC_LOC
+        # Work fills the first lanes of both rows.
+        work = decoded.work_count
+        yield from batch(decoded.vids[:work], eid_row[:work])
 
 
 def epoch_edge_ids(ctx, env: KernelEnv, epoch: int) -> np.ndarray:

@@ -14,17 +14,14 @@ import numpy as np
 from repro.core.unit import WeaverUnit
 from repro.graph.ell import to_hybrid_ell
 from repro.sched.base import KernelEnv, Schedule
-from repro.sched.common import WARP_ITERATION, weaver_registration
-from repro.sim.instructions import (
-    Phase,
-    alu,
-    atomic,
-    load,
-    sync,
-    weaver_dec_id,
-    weaver_dec_loc,
-    weaver_reg,
+from repro.sched.common import (
+    EPOCH_RESET,
+    WARP_ITERATION,
+    read_rows,
+    weaver_epoch,
+    weaver_registration,
 )
+from repro.sim.instructions import Phase, alu, atomic, load
 
 
 class HybridELLSchedule(Schedule):
@@ -44,7 +41,6 @@ class HybridELLSchedule(Schedule):
 
     def warp_factory(self, env: KernelEnv):
         cfg = env.config
-        lanes = env.lanes
         stride = cfg.total_threads
         alg = env.algorithm
         state = env.state
@@ -68,25 +64,48 @@ class HybridELLSchedule(Schedule):
         width = hybrid.width
         # The slab is grid-strided over every thread; the residue is
         # registered by ST capacity, as SparseWeaver registers.
-        reg_epochs, registered = weaver_registration(env)
+        reg_epochs, registered = weaver_registration(cfg, n)
         num_epochs = max(-(-n // stride), reg_epochs)
-        lane_ids = np.arange(lanes, dtype=np.int64)
 
-        def process(bases, others, weights_arr, eids):
-            """Shared functional + filter handling (timing emitted by
-            the caller around it)."""
+        def gather(cols, weight_array, slots, bases, others, weights):
+            """One slab or residue batch: its edge reads at ``slots``
+            of the ``cols`` (and ``weight_array``) regions, gather and
+            atomic."""
+            yield load(Phase.EDGE_ACCESS, env.region(cols), slots)
+            if alg.uses_weights:
+                yield load(Phase.EDGE_ACCESS, env.region(weight_array),
+                           slots)
+            for name in alg.edge_value_arrays:
+                yield load(Phase.GATHER, env.region(name), others)
+            yield alu(Phase.GATHER, alg.gather_alu)
+            eids = np.full(bases.size, -1, dtype=np.int64)
             if alg.has_other_filter:
                 keep = ~alg.other_filter(state, others)
-            else:
-                keep = np.ones(bases.size, dtype=bool)
-            if keep.any():
-                alg.edge_update(state, bases[keep], others[keep],
-                                weights_arr[keep], eids[keep])
-            return keep
+                if not keep.any():
+                    return
+                bases, others, weights, eids = (
+                    bases[keep], others[keep], weights[keep], eids[keep])
+            env.edge_update(bases, others, weights, eids)
+            yield atomic(Phase.GATHER, env.region(alg.acc_array),
+                         bases if alg.accumulate_target == "base"
+                         else others)
+
+        def register(vids):
+            starts, degrees = yield from read_rows(
+                env.region("res_row_ptr"), residue.row_ptr, vids)
+            if alg.has_base_filter:
+                degrees = alg.filtered_degrees(state, vids, degrees)
+            return starts, degrees
+
+        def residue_batch(bases, eids):
+            yield from gather("res_col_idx", "res_weights", eids, bases,
+                              residue.col_idx[eids], residue.weights[eids])
 
         def factory(ctx):
             def kernel():
                 for epoch in range(num_epochs):
+                    if epoch:
+                        yield EPOCH_RESET
                     vids = ctx.thread_ids + epoch * stride
                     vids = vids[vids < n]
                     # ---- dense ELL slab: no imbalance by construction
@@ -105,84 +124,15 @@ class HybridELLSchedule(Schedule):
                             if not active.any():
                                 continue
                             yield WARP_ITERATION
+                            bases = vids[active]
                             # column-major: lane-adjacent slots
-                            yield load(Phase.EDGE_ACCESS,
-                                       env.region("ell_cols"),
-                                       j * n + vids[active])
-                            if alg.uses_weights:
-                                yield load(Phase.EDGE_ACCESS,
-                                           env.region("ell_weights"),
-                                           j * n + vids[active])
-                            for name in alg.edge_value_arrays:
-                                yield load(Phase.GATHER,
-                                           env.region(name),
-                                           others[active])
-                            yield alu(Phase.GATHER, alg.gather_alu)
-                            keep = process(
-                                vids[active], others[active],
-                                hybrid.ell_weights[j, vids[active]],
-                                np.full(int(active.sum()), -1,
-                                        dtype=np.int64),
-                            )
-                            targets = (vids[active] if
-                                       alg.accumulate_target == "base"
-                                       else others[active])
-                            if keep.any():
-                                yield atomic(Phase.GATHER,
-                                             env.region(alg.acc_array),
-                                             targets[keep])
-
+                            yield from gather(
+                                "ell_cols", "ell_weights", j * n + bases,
+                                bases, others[active],
+                                hybrid.ell_weights[j, bases])
                     # ---- residue: weave the hub tails ---------------
-                    vids = registered(ctx, epoch)
-                    if vids.size:
-                        yield load(Phase.REGISTRATION,
-                                   env.region("res_row_ptr"),
-                                   np.concatenate([vids, vids + 1]))
-                        yield alu(Phase.REGISTRATION)
-                        starts = residue.row_ptr[vids]
-                        degrees = residue.row_ptr[vids + 1] - starts
-                        if alg.has_base_filter:
-                            degrees = alg.filtered_degrees(
-                                state, vids, degrees)
-                        entries = list(zip(
-                            lane_ids[: vids.size].tolist(),
-                            vids.tolist(), starts.tolist(),
-                            degrees.tolist()))
-                        yield weaver_reg(Phase.REGISTRATION, entries)
-                    else:
-                        yield weaver_reg(Phase.REGISTRATION, [])
-                    yield sync(Phase.REGISTRATION)
-                    while True:
-                        yield WARP_ITERATION
-                        decoded = yield weaver_dec_id(Phase.SCHEDULE)
-                        if decoded.exhausted:
-                            break
-                        eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                        work = decoded.work_count
-                        bases = decoded.vids[:work]
-                        eids = eid_row[:work]
-                        yield load(Phase.EDGE_ACCESS,
-                                   env.region("res_col_idx"), eids)
-                        others = residue.col_idx[eids]
-                        if alg.uses_weights:
-                            yield load(Phase.EDGE_ACCESS,
-                                       env.region("res_weights"), eids)
-                        for name in alg.edge_value_arrays:
-                            yield load(Phase.GATHER, env.region(name),
-                                       others)
-                        yield alu(Phase.GATHER, alg.gather_alu)
-                        keep = process(bases, others,
-                                       residue.weights[eids],
-                                       np.full(bases.size, -1,
-                                               dtype=np.int64))
-                        targets = (bases if alg.accumulate_target ==
-                                   "base" else others)
-                        if keep.any():
-                            yield atomic(Phase.GATHER,
-                                         env.region(alg.acc_array),
-                                         targets[keep])
-                    if epoch < num_epochs - 1:
-                        yield sync(Phase.SCHEDULE)
+                    yield from weaver_epoch(registered(ctx, epoch),
+                                            register, residue_batch)
 
             return kernel()
 

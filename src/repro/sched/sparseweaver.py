@@ -5,7 +5,9 @@ Registration: each thread inspects its vertex's topology and issues
 zero). One barrier separates the stages. Distribution: warps loop on
 ``WEAVER_DEC_ID`` / ``WEAVER_DEC_LOC``, getting densely packed
 (VID, EID) work across all lanes until the unit returns -1; algorithms
-with early exit send ``WEAVER_SKIP`` for finished vertices.
+with early exit send ``WEAVER_SKIP`` for finished vertices.  The
+per-epoch protocol is :func:`repro.sched.common.weaver_epoch`; this
+schedule supplies its topology read and its batch body.
 
 Block-level balance comes for free (the per-core unit scans every
 warp's registrations), work is handed out in request order (dynamic
@@ -35,11 +37,17 @@ from repro.core.fsm import WeaverFSM
 from repro.core.unit import WeaverUnit
 from repro.sched.base import KernelEnv, Schedule
 from repro.sched.common import (
+    DEC_ID,
+    DEC_LOC,
+    EPOCH_RESET,
+    NO_REGISTRATION,
+    REGISTRATION_SYNC,
     WARP_ITERATION,
     check_early_exit,
     inspect_topology,
     process_edge_batch,
     unit_weights,
+    weaver_epoch,
     weaver_registration,
 )
 from repro.sim.gpu import WarpContext
@@ -47,9 +55,6 @@ from repro.sim.instructions import (
     Op,
     Phase,
     alu,
-    sync,
-    weaver_dec_id,
-    weaver_dec_loc,
     weaver_reg,
     weaver_skip,
 )
@@ -105,52 +110,26 @@ class SparseWeaverSchedule(Schedule):
                        WeaverFSM(None, env.lanes, self.zero_skip_width))
 
     def warp_factory(self, env: KernelEnv):
-        lane_ids = np.arange(env.lanes, dtype=np.int64)
-        num_epochs, registered = weaver_registration(env)
-        early_exit = env.algorithm.has_early_exit
+        num_epochs, registered = weaver_registration(env.config,
+                                                     env.num_vertices)
+        register = partial(inspect_topology, env)
+        if env.algorithm.has_early_exit:
+            def batch(bases, eids):
+                yield from process_edge_batch(env, bases, eids)
+                done = yield from check_early_exit(env, bases)
+                if done.any():
+                    for vid in np.unique(bases[done]).tolist():
+                        yield weaver_skip(Phase.GATHER, vid)
+        else:
+            batch = partial(process_edge_batch, env)
 
         def factory(ctx):
             def kernel():
                 for epoch in range(num_epochs):
-                    vids = registered(ctx, epoch)
-                    if vids.size:
-                        starts, degrees = yield from inspect_topology(
-                            env, vids
-                        )
-                        entries = list(
-                            zip(lane_ids[: vids.size].tolist(),
-                                vids.tolist(),
-                                starts.tolist(),
-                                degrees.tolist())
-                        )
-                        yield weaver_reg(Phase.REGISTRATION, entries)
-                    else:
-                        yield weaver_reg(Phase.REGISTRATION, [])
-                    yield sync(Phase.REGISTRATION)
-
-                    while True:
-                        yield WARP_ITERATION
-                        decoded = yield weaver_dec_id(Phase.SCHEDULE)
-                        if decoded.exhausted:
-                            break
-                        eid_row = yield weaver_dec_loc(Phase.SCHEDULE)
-                        # Work fills the first lanes of both rows.
-                        work = decoded.work_count
-                        bases = decoded.vids[:work]
-                        eids = eid_row[:work]
-                        yield from process_edge_batch(
-                            env, bases, eids, accumulate="atomic"
-                        )
-                        if not early_exit:
-                            continue
-                        done = yield from check_early_exit(env, bases)
-                        if done.any():
-                            for vid in np.unique(bases[done]).tolist():
-                                yield weaver_skip(Phase.GATHER, int(vid))
-                    if epoch < num_epochs - 1:
-                        # Protect the ST/DT reset of the next epoch's
-                        # registration from stragglers.
-                        yield sync(Phase.SCHEDULE)
+                    if epoch:
+                        yield EPOCH_RESET
+                    yield from weaver_epoch(registered(ctx, epoch),
+                                            register, batch)
 
             return kernel()
 
@@ -184,7 +163,7 @@ def compile_gather(env: KernelEnv, fsm: WeaverFSM, compile: Callable,
     alg = env.algorithm
     region = env.region
     row_ptr = graph.row_ptr
-    num_epochs, registered = weaver_registration(env)
+    num_epochs, registered = weaver_registration(cfg, graph.num_vertices)
 
     # Registration: each registering warp-epoch's topology read and
     # WEAVER_REG entries, and each core's ST rows per epoch, in ST
@@ -239,7 +218,7 @@ def compile_gather(env: KernelEnv, fsm: WeaverFSM, compile: Callable,
     warp_epochs = cfg.num_cores * cfg.warps_per_core * num_epochs
     # Every home epoch and every body ends in one batch request.
     iteration = compile(WARP_ITERATION, warp_epochs + batches)
-    request = compile(weaver_dec_id(Phase.SCHEDULE), warp_epochs + batches)
+    request = compile(DEC_ID, warp_epochs + batches)
 
     bodies: list = []
     if batches:
@@ -262,7 +241,7 @@ def compile_gather(env: KernelEnv, fsm: WeaverFSM, compile: Callable,
             batch_weights = [unit_weights(b - a) for a, b in cuts]
         # One column of records per body position (process_edge_batch).
         columns = [
-            [compile(weaver_dec_loc(Phase.SCHEDULE), batches)] * batches,
+            [compile(DEC_LOC, batches)] * batches,
             compile_run(Op.LOAD, Phase.EDGE_ACCESS, region("col_idx"),
                         batch_eids)]
         if alg.uses_weights:
@@ -293,11 +272,9 @@ def compile_gather(env: KernelEnv, fsm: WeaverFSM, compile: Callable,
                 for warp_entries in entries]
     reg_alu = (compile(alu(Phase.REGISTRATION), registering)
                if registering else None)
-    reg_idle = (compile(weaver_reg(Phase.REGISTRATION, []), idle)
-                if idle else None)
-    tail = [compile(sync(Phase.REGISTRATION), warp_epochs), iteration,
-            request]
-    reset = (compile(sync(Phase.SCHEDULE),
+    reg_idle = compile(NO_REGISTRATION, idle) if idle else None
+    tail = [compile(REGISTRATION_SYNC, warp_epochs), iteration, request]
+    reset = (compile(EPOCH_RESET,
                      warp_epochs - cfg.num_cores * cfg.warps_per_core)
              if num_epochs > 1 else None)
     homes = []

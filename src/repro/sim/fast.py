@@ -75,11 +75,13 @@ class ReplayHint:
 
     ``key`` identifies the kernel within the GPU's trace store (the
     driver uses ``"init"`` / ``"gather"`` / ``"apply"``).  ``capture``
-    is the list a recording ``edge_update`` appends tuples of argument
-    arrays to during the trace drain; ``effect`` is the callable a
+    is the list the kernels append tuples of argument arrays to during
+    the trace drain (the driver's ``KernelEnv.capture``, which
+    ``KernelEnv.edge_update`` appends to); ``effect`` is the callable a
     replay invokes once, after its loop, with each argument's arrays
-    concatenated in issue order, to apply them against live state.
-    Both are ``None`` for kernels without functional side effects.
+    concatenated in issue order, to apply them against live state
+    (``KernelEnv.apply_edges``).  Both are ``None`` for kernels without
+    functional side effects.
 
     ``elementwise`` is an optional ``(reads, writes, alu_ops, phase,
     n)`` descriptor — region lists, ALU op count, issue phase, and the
@@ -150,7 +152,7 @@ class FastGPU(GPU):
     def _compile_elementwise(self, desc: tuple) -> KernelTrace:
         """Compile a grid-stride elementwise kernel without generators.
 
-        Mirrors ``frontend.framework._elementwise_factory`` exactly:
+        Mirrors ``frontend.framework._elementwise_kernel`` exactly:
         warp ``gwid`` covers indices ``[gwid*lanes + epoch*stride,
         ...)`` clipped to ``n``, a warp whose first index is out of
         range is never launched, and an epoch with no indices ends the
@@ -234,9 +236,8 @@ class FastGPU(GPU):
         post-barrier code — matching reference visibility because
         between-barrier shared writes are slot-keyed and post-barrier
         combination is idempotent (the ``trace_safe`` contract).
-        Updates the recording ``edge_update`` appends to ``capture``
-        are moved, as they arrive, under the index of the record they
-        precede.
+        Updates the kernels append to ``capture`` are moved, as they
+        arrive, under the index of the record they precede.
 
         A unit launch drains against one *planning* unit per core, built
         by ``unit_factory`` and answering each unit record.  A batch

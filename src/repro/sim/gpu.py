@@ -189,9 +189,9 @@ class GPU:
     """The simulated GPU: cores + memory hierarchy + optional units."""
 
     #: Whether :meth:`run_kernel` consumes ``replay`` hints.  Drivers
-    #: use this to decide when to swap in a recording ``edge_update``
-    #: (the fast engine captures effects at trace time; the reference
-    #: engine must execute them live).
+    #: use this to decide when a gather's edge updates are recorded at
+    #: trace time (the fast engine) instead of applied live (the
+    #: reference engine).
     supports_replay = False
 
     def __init__(self, config: GPUConfig) -> None:

@@ -1,5 +1,7 @@
 """GCN operators (Case Study 2): correctness and strategy behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.algorithms.gcn import (
 from repro.errors import AlgorithmError
 from repro.graph import chain_graph, powerlaw_graph, star_graph
 from repro.sim import GPUConfig
+from repro.sim.instructions import Op
 
 CFG = GPUConfig.vortex_tiny()
 
@@ -86,6 +89,33 @@ def test_sparseweaver_wins_graphsum_on_skewed_low_dims():
                           config=CFG)
     assert sw.kernel_stats["graphsum"].total_cycles < \
         vm.kernel_stats["graphsum"].total_cycles
+
+
+@pytest.mark.parametrize("config,num_vertices,epochs", [
+    # Six 512-entry STs take 3,072 vertices an epoch; 600 vertices
+    # already fill core 0's ST and spill into core 1's.
+    (GPUConfig.vortex_paper(), 600, 1),
+    (GPUConfig.vortex_paper(), 3200, 2),
+    # Two 64-entry STs take 128 vertices an epoch.
+    (replace(GPUConfig.vortex_bench(), weaver_entries=64), 600, 5),
+], ids=["paper-600", "paper-3200", "bench64-600"])
+def test_graphsum_registers_by_st_capacity(config, num_vertices, epochs):
+    """GraphSum registers only as many vertices per core as the ST
+    holds and weaves the rest in later epochs: one WEAVER_REG and one
+    registration barrier per warp and epoch, a reset barrier between
+    epochs."""
+    g = powerlaw_graph(num_vertices, 4 * num_vertices, seed=3)
+    rng = np.random.default_rng(7)
+    feats = rng.normal(size=(g.num_vertices, 4))
+    weight = rng.normal(size=(4, 3))
+    res = run_gcn_operator(g, feats, weight, strategy="sparseweaver",
+                           config=config)
+    np.testing.assert_allclose(res.features, gcn_reference(g, feats, weight),
+                               atol=1e-9)
+    graphsum = res.kernel_stats["graphsum"]
+    warps = graphsum.warps_launched
+    assert graphsum.op_counts[Op.WEAVER_REG] == epochs * warps
+    assert graphsum.op_counts[Op.SYNC] == (2 * epochs - 1) * warps
 
 
 def test_weight_dims_scale_cost(gcn_inputs):

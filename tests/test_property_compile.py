@@ -61,20 +61,18 @@ ALGORITHMS = {
 
 
 def _launch(graph, algorithm, config):
-    """A fast GPU and a gather environment on it whose ``edge_update``
-    captures its arguments instead of applying them."""
+    """A fast GPU and a gather environment on it that records its edge
+    batches in ``env.capture``, as ``GraphProcessor.run`` sets it up
+    for a drain."""
     traversal = (graph.reverse() if algorithm.direction is Direction.PULL
                  else graph)
-    capture = []
-    recording = replace(algorithm,
-                        edge_update=lambda state, *update:
-                        capture.append(update))
     gpu = FastGPU(config)
-    env = KernelEnv(graph=traversal, algorithm=recording,
+    env = KernelEnv(graph=traversal, algorithm=algorithm,
                     state=algorithm.make_state(graph), config=config,
                     memory_map=MemoryMap())
     env.memory = gpu.memory
-    return gpu, env, capture
+    env.capture = []
+    return gpu, env, env.capture
 
 
 def _drained(graph, algorithm, schedule, config, max_instructions=10**9):
